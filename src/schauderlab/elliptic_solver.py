@@ -10,9 +10,10 @@ identities survive discretization up to O(h).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, field as dfield
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,20 @@ from .domain_grid import Grid
 from .errors import NotEllipticError, SolverStagnationError
 from .field_calculus import Field, VecField, load_field, save_field
 
-# Largest per-axis node count for which sparse direct elimination is used.
-DIRECT_SOLVE_MAX_M = 129
-
 # Required relative algebraic residual of any returned solution.
 SOLVE_RTOL = 1e-10
+
+# Krylov tolerance and iteration cap. With the multigrid preconditioner
+# 1e-13 takes 10-14 iterations at any m; 1e-11 would leave the weak
+# residual of a constant solution above 1e-12.
+KRYLOV_RTOL = 1e-13
+KRYLOV_MAXITER = 100
+
+# Damped Jacobi weight, sweeps on each side of the coarse correction, and
+# the level size solved by sparse LU.
+JACOBI_WEIGHT = 0.8
+SMOOTHING_SWEEPS = 2
+COARSEST_UNKNOWNS = 1000
 
 
 class CoefficientField:
@@ -147,7 +157,7 @@ class EllipticProblem:
     g: Field
     p: float = 2.0
     q: float = 4.0
-    certificates: dict = dfield(default_factory=dict)
+    certificates: dict = field(default_factory=dict)
 
     def __post_init__(self):
         grid = self.A.grid
@@ -305,89 +315,78 @@ class DiscreteSolution:
         return DiscreteSolution(u=c * self.u, problem=self.problem.scaled(c), diagnostics=diag)
 
 
-def _amg_preconditioner(matrix: sp.csr_matrix):
-    try:
-        import pyamg
+def _multigrid_levels(matrix: sp.csr_matrix, per_axis: int, n: int) -> tuple:
+    """Galerkin levels [(A, P, weighted inverse diagonal), ...] and coarsest LU.
 
-        ml = pyamg.smoothed_aggregation_solver(matrix, max_coarse=64)
-        return ml.aspreconditioner(cycle="V")
-    except Exception:
-        return None
+    P interpolates linearly from every other interior node on each axis (the
+    boundary is a zero neighbour); P^T A P stays symmetric when A is.
+    """
+    levels = []
+    while matrix.shape[0] > COARSEST_UNKNOWNS:
+        p1 = sp.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(per_axis, per_axis), format="csc")[:, 1::2]
+        P = p1
+        for _ in range(n - 1):
+            P = sp.kron(P, p1, format="csr")
+        levels.append((matrix, P, JACOBI_WEIGHT / matrix.diagonal()))
+        matrix = (P.T @ matrix @ P).tocsr()
+        per_axis //= 2
+    return levels, spla.splu(matrix.tocsc())
+
+
+def _vcycle(levels: list, coarse, r: np.ndarray, k: int = 0) -> np.ndarray:
+    """One V-cycle for levels[k] x = r from x = 0; symmetric, as CG needs.
+
+    Module level rather than a self-calling closure, whose reference cycle
+    would keep each solve's hierarchy alive until the cyclic collector runs.
+    """
+    if k == len(levels):
+        return coarse.solve(r)
+    A, P, dinv = levels[k]
+    x = dinv * r
+    for _ in range(SMOOTHING_SWEEPS - 1):
+        x += dinv * (r - A @ x)
+    x += P @ _vcycle(levels, coarse, P.T @ (r - A @ x), k + 1)
+    for _ in range(SMOOTHING_SWEEPS):
+        x += dinv * (r - A @ x)
+    return x
 
 
 def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
-    """Solve the assembled system to relative residual <= 1e-10.
+    """Solve the assembled system to relative residual <= SOLVE_RTOL.
 
-    Sparse direct elimination for m <= 129; above that, AMG-preconditioned
-    conjugate gradients for symmetric operators and ILU-preconditioned
-    GMRES otherwise, capped at 50*m iterations.
+    A geometric-multigrid V-cycle preconditions CG for symmetric operators
+    and GMRES otherwise, each capped at KRYLOV_MAXITER iterations.
     """
     system = assemble(problem)
     grid = system.grid
     matrix, rhs = system.matrix, system.rhs
-    cap = 50 * grid.m
-    iterations = 0
-    bnorm = float(np.linalg.norm(rhs))
-
-    if grid.m <= DIRECT_SOLVE_MAX_M:
-        x = spla.spsolve(matrix.tocsc(), rhs)
-        method = "direct"
-    elif system.symmetric:
-        pre = _amg_preconditioner(matrix)
-        count = [0]
-
-        def cb(_xk):
-            count[0] += 1
-
-        x, info = spla.cg(matrix, rhs, rtol=1e-13, atol=0.0, maxiter=cap, M=pre, callback=cb)
-        iterations = count[0]
-        method = "amg-cg" if pre is not None else "cg"
-        if info > 0 and bnorm > 0:
-            rel = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
-            if rel > SOLVE_RTOL:
-                raise SolverStagnationError(
-                    f"CG stalled at relative residual {rel:.3e} after {iterations} iterations",
-                    diagnostics={"method": method, "iterations": iterations, "residual": rel},
-                )
-    else:
-        ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-5, fill_factor=20)
-        pre = spla.LinearOperator(matrix.shape, ilu.solve)
-        count = [0]
-
-        def cb(_rk):
-            count[0] += 1
-
-        # scipy's gmres counts restart cycles, so the 50*m inner-iteration
-        # budget translates to cap/restart cycles
-        x, info = spla.gmres(
-            matrix, rhs, rtol=1e-12, atol=0.0, maxiter=max(2, cap // 50),
-            M=pre, callback=cb, callback_type="pr_norm", restart=50,
+    levels, coarse = _multigrid_levels(matrix, grid.m - 2, grid.n)
+    pre = spla.LinearOperator(matrix.shape, functools.partial(_vcycle, levels, coarse), dtype=float)
+    steps = []  # one callback per Krylov iteration
+    if system.symmetric:
+        method = "mg-cg"
+        x, _ = spla.cg(
+            matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAXITER, M=pre, callback=steps.append
         )
-        iterations = count[0]
-        method = "ilu-gmres"
-
-    residual = float(np.linalg.norm(rhs - matrix @ x)) / (bnorm if bnorm > 0 else 1.0)
+    else:
+        # scipy's gmres counts restart cycles: one cycle of KRYLOV_MAXITER
+        method = "mg-gmres"
+        x, _ = spla.gmres(
+            matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_MAXITER, maxiter=1,
+            M=pre, callback=steps.append, callback_type="pr_norm",
+        )
+    residual = float(np.linalg.norm(rhs - matrix @ x) / (np.linalg.norm(rhs) or 1.0))
+    diagnostics = {"method": method, "iterations": len(steps), "residual": residual}
     if not np.isfinite(residual) or residual > SOLVE_RTOL:
         raise SolverStagnationError(
             f"{method} finished with relative residual {residual:.3e} > {SOLVE_RTOL}",
-            diagnostics={"method": method, "iterations": iterations, "residual": residual},
+            diagnostics=diagnostics,
         )
+    diagnostics.update(symmetric=system.symmetric, unknowns=matrix.shape[0])
 
     full = problem.g.values.copy()
-    interior = grid.interior_mask(1)
-    full[interior] = x
-    u = Field(grid, full)
-    return DiscreteSolution(
-        u=u,
-        problem=problem,
-        diagnostics={
-            "method": method,
-            "iterations": iterations,
-            "residual": residual,
-            "symmetric": system.symmetric,
-            "unknowns": matrix.shape[0],
-        },
-    )
+    full[grid.interior_mask(1)] = x
+    return DiscreteSolution(u=Field(grid, full), problem=problem, diagnostics=diagnostics)
 
 
 def weak_residual(u: Field, problem: EllipticProblem, phi: Field) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from schauderlab.domain_grid import ball_region, box_region, make_grid
 from schauderlab.errors import NotEllipticError, SupportViolationError
 from schauderlab.field_calculus import Field, VecField, gradient, save_field
 from schauderlab.elliptic_solver import (
+    SOLVE_RTOL,
     CoefficientField,
     EllipticProblem,
     assemble,
@@ -143,7 +147,7 @@ def test_iterative_path_at_fine_resolution():
     grid = make_grid(2, 1.0, 257)
     prob, exact = sine_forcing_problem(grid)
     sol = solve_dirichlet(prob)
-    assert sol.diagnostics["method"] in ("amg-cg", "cg")
+    assert sol.diagnostics["method"] == "mg-cg"
     assert np.abs(sol.u.values - exact.values).max() < 1e-3
 
 
@@ -154,9 +158,44 @@ def test_nonsymmetric_iterative_path():
         A=A, f=Field.full(grid, 1.0), F=VecField.zeros(grid), g=Field.zeros(grid)
     )
     sol = solve_dirichlet(prob)
-    assert sol.diagnostics["method"] == "ilu-gmres"
+    assert sol.diagnostics["method"] == "mg-gmres"
     assert sol.diagnostics["residual"] <= 1e-10
 
+
+
+@pytest.mark.parametrize("n, m, symmetric", [(2, 65, True), (2, 257, True), (2, 257, False), (3, 33, True)])
+def test_iterations_independent_of_grid(n, m, symmetric):
+    grid = make_grid(n, 1.0, m)
+    rng = np.random.default_rng(m)
+    prob = random_problem(grid, rng)
+    if not symmetric:
+        A = trig_coefficient_field(grid, rng, beta=0.2, symmetric=False)
+        prob = EllipticProblem(A=A, f=prob.f, F=prob.F, g=prob.g, p=prob.p, q=prob.q)
+    sol = solve_dirichlet(prob)
+    assert sol.diagnostics["symmetric"] == symmetric
+    assert sol.diagnostics["iterations"] <= 20
+    assert sol.diagnostics["residual"] <= SOLVE_RTOL
+
+
+def test_three_dimensional_m65_within_one_gib():
+    # The child caps its own address space, so a solver that needs more
+    # memory fails fast with MemoryError instead of exhausting the machine.
+    child = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from schauderlab.domain_grid import make_grid
+from schauderlab.elliptic_solver import SOLVE_RTOL, solve_dirichlet
+from schauderlab.generators import random_problem
+sol = solve_dirichlet(random_problem(make_grid(3, 1.0, 65), np.random.default_rng(0)))
+print(sol.diagnostics["iterations"], sol.diagnostics["residual"])
+sys.exit(0 if sol.diagnostics["residual"] <= SOLVE_RTOL else 1)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 def test_three_dimensional_solve():
     grid = make_grid(3, 1.0, 17)
