@@ -1,10 +1,11 @@
 """Discrete L^p, H^k and Holder norms over ball regions.
 
 Integrals are plain Riemann sums h^n * sum over the region's valid nodes;
-Holder seminorms replace the continuum sup by a sup over node pairs, exact
-up to ``PAIR_SCAN_CUTOFF`` nodes and a refine-around-argmax multiscale scan
-(a certified lower bound) beyond that. Derivatives inside norms are repeated
-pure central differences, so regions must leave a k-node margin to the box.
+Holder seminorms replace the continuum sup by the exact sup over node pairs,
+found by a dual-tree branch and bound (Gray & Moore 2000; Curtin et al. 2013);
+``scan_mode`` is always "exhaustive", meaning the value is the all-pairs sup.
+Derivatives inside norms are repeated pure central differences, so regions
+must leave a k-node margin to the box.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .domain_grid import BallRegion, box_region
 from .errors import (
@@ -26,8 +26,18 @@ from .errors import (
 )
 from .field_calculus import Field, VecField, central_difference, gradient
 
-# Largest region for the exact O(N^2) pair scan: 5000 nodes ~ 12.5e6 pairs.
+# Kept only as the benchmark's brute-force cross-check size (perfbench reads
+# it); every Holder scan is exact whatever the node count. It goes when the
+# benchmark is next extended.
 PAIR_SCAN_CUTOFF = 5000
+
+# Child cell pairs one chunk of the pair-scan frontier may expand into; bounds
+# the scan's working memory whatever the field.
+_MAX_EXPANSION = 1 << 19
+
+# Relative slack on a cell pair's upper bound, so that rounding in the bound
+# never prunes a pair whose computed quotient would beat it.
+_BOUND_SLACK = 1e-12
 
 # Default Sobolev exponent for n = 2, where any p > 2 is admissible.
 SOBOLEV_P_2D = 4.0
@@ -37,8 +47,9 @@ SOBOLEV_P_2D = 4.0
 class NormValue:
     """One evaluated norm: kind, parameters, region and the value itself.
 
-    For Holder seminorms the maximizing node pair and the scan mode
-    ('exhaustive' or 'multiscale') are recorded alongside the value.
+    For Holder seminorms the maximizing node pair and the scan mode are
+    recorded alongside the value; the scan mode is always 'exhaustive',
+    meaning the value is the sup over all node pairs.
     """
 
     kind: str
@@ -94,132 +105,172 @@ def lp_norm_vec(F: VecField, p: float, region: BallRegion) -> NormValue:
     return lp_norm(F.magnitude(), p, region)
 
 
-def _pair_scan(points: np.ndarray, vals: np.ndarray, alpha: float, block: int = 512):
-    """Exact max over pairs of |v_i - v_j| / |x_i - x_j|^alpha.
-
-    ``vals`` may be (N,) scalar or (N, c) vector samples. Ties resolve to the
-    first pair in row-major order, which makes the scan deterministic.
-    """
-    n_pts = len(points)
-    best = -1.0
-    best_pair = (0, 0)
-    for i0 in range(0, n_pts, block):
-        i1 = min(i0 + block, n_pts)
-        dist = cdist(points[i0:i1], points)
-        if vals.ndim == 1:
-            diff = np.abs(vals[i0:i1, None] - vals[None, :])
-        else:
-            diff = np.linalg.norm(vals[i0:i1, None, :] - vals[None, :, :], axis=-1)
-        cols = np.arange(n_pts)[None, :]
-        rows = np.arange(i0, i1)[:, None]
-        lower = cols <= rows  # keep strict upper triangle only
-        dist[lower] = np.inf
-        ratio = diff / dist**alpha
-        k = int(np.argmax(ratio))
-        r, c = divmod(k, n_pts)
-        if ratio[r, c] > best:
-            best = float(ratio[r, c])
-            best_pair = (i0 + r, c)
-    return best, best_pair
+def _extreme(ufunc, vals, ids, starts):
+    """Per-block extreme of ``vals`` (blocks begin at ``starts``) and, per
+    component, the id of the first row realizing it."""
+    ext = ufunc.reduceat(vals, starts, axis=0)
+    hit = vals == np.repeat(ext, np.diff(np.append(starts, len(vals))), axis=0)
+    rows = np.where(hit, np.arange(len(vals))[:, None], len(vals))
+    return ext, np.take_along_axis(ids, np.minimum.reduceat(rows, starts, axis=0), axis=0)
 
 
-def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, mode: str, cutoff: int):
-    """Shared scalar/vector Holder scan over an arbitrary node mask.
+def _pyramid(idx: np.ndarray, coords: np.ndarray, samples: np.ndarray) -> list:
+    """Max/min pyramid over Morton-ordered nodes. Level 0 holds single nodes,
+    each level above merges the cells of one aligned 2^n block, the top level
+    is the root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
+    per cell the bounding box of its nodes, the per-component sample range
+    with a node realizing each extreme, and its children as a run of the
+    level below."""
+    n = idx.shape[1]
+    rel = idx - idx.min(axis=0)
+    bits = int(rel.max()).bit_length()
+    key = sum(((rel[:, k] >> b) & 1) << (b * n + k) for b in range(bits) for k in range(n))
+    order = np.argsort(key, kind="stable")
+    key, ids = key[order], np.repeat(order[:, None], samples.shape[1], axis=1)
+    levels = [(coords[order], coords[order], samples[order], ids, samples[order], ids, None, None)]
+    for _ in range(bits):
+        lo, hi, vmax, imax, vmin, imin = levels[-1][:6]
+        key = key >> n
+        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        key = key[starts]
+        levels.append((
+            np.minimum.reduceat(lo, starts, axis=0), np.maximum.reduceat(hi, starts, axis=0),
+            *_extreme(np.maximum, vmax, imax, starts), *_extreme(np.minimum, vmin, imin, starts),
+            starts, np.diff(np.append(starts, len(lo))),
+        ))
+    return levels
 
-    Returns (value, (index_a, index_b), mode) with (count, n) node indices.
+
+def _gap_norm(d: np.ndarray) -> np.ndarray:
+    """|v_a - v_b| for scalar samples (one column), Euclidean norm otherwise."""
+    return np.abs(d[:, 0]) if d.shape[1] == 1 else np.linalg.norm(d, axis=1)
+
+
+def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float | None):
+    """Dual-tree branch and bound over the node pairs of ``mask``.
+
+    A cell pair (A, B) of the pyramid is bounded above by
+    |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha and
+    below by the quotient of its realized extreme nodes; pairs that survive
+    pruning split into child pairs down to single nodes. With ``threshold``
+    None it finds the all-pairs max and one pair attaining it; otherwise
+    every pair whose quotient is at least ``threshold``, widest separation
+    first, then in ``np.argwhere(mask)`` order. The frontier is descended
+    depth first in chunks, so memory stays bounded.
+
+    Returns (best, idx_a, idx_b): the max (None for a threshold scan) and
+    the node indices of the pairs found, each (count, n).
     """
     idx = np.argwhere(mask)
     if len(idx) < 2:
         raise EmptyRegionError("Holder seminorm needs at least two valid nodes")
     coords = grid.axis[idx]
     if u_vals.ndim == grid.n:
-        samples = u_vals[mask]
+        samples = u_vals[mask][:, None]
     else:
         samples = np.stack([comp[mask] for comp in u_vals], axis=1)
+    levels = _pyramid(idx, coords, samples)
 
-    exhaustive = len(idx) <= cutoff
-    if mode == "exhaustive" and not exhaustive:
-        raise ValueError(f"region holds {len(idx)} nodes, exhaustive cap is {cutoff}")
-    if mode == "auto":
-        mode = "exhaustive" if exhaustive else "multiscale"
-    if mode == "multiscale" and exhaustive:
-        # identical result by construction; record that the exact path ran
-        mode = "exhaustive"
+    def quotient(pa, pb):
+        d = coords[pa] - coords[pb]
+        dist = np.sqrt((d * d).sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = _gap_norm(samples[pa] - samples[pb]) / dist**alpha
+        return np.where(dist > 0, q, 0.0)
 
-    if mode == "exhaustive":
-        best, (ia, ib) = _pair_scan(coords, samples, alpha)
-        return best, (idx[ia], idx[ib]), "exhaustive"
+    fan = 2**grid.n
+    ii, jj = np.repeat(np.arange(fan), fan), np.tile(np.arange(fan), fan)
+    chunk = _MAX_EXPANSION // fan**2
+    best, best_pair = 0.0, (0, 1)
+    found = [(np.zeros(0, dtype=np.intp),) * 2]
+    stack = [(len(levels) - 1, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))]
+    while stack:
+        level, a, b = stack.pop()
+        lo, hi, vmax, imax, vmin, imin, start, count = levels[level]
+        if level == 0:
+            pa, pb = imax[a, 0], imax[b, 0]
+            q = quotient(pa, pb)
+            if threshold is not None:
+                found.append((pa[q >= threshold], pb[q >= threshold]))
+            elif q.max() > best:
+                k = int(np.argmax(q))
+                best, best_pair = float(q[k]), (pa[k], pb[k])
+            continue
+        gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+        dist = np.sqrt((gap * gap).sum(axis=1))
+        up_ab, up_ba = vmax[a] - vmin[b], vmax[b] - vmin[a]
+        spread = (1.0 + _BOUND_SLACK) * _gap_norm(np.maximum(up_ab, up_ba))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ub = np.where(dist > 0, spread / dist**alpha, np.where(spread > 0, np.inf, 0.0))
+        if threshold is not None:
+            keep = ub >= threshold
+        else:
+            ka, kb = up_ab.argmax(axis=1), up_ba.argmax(axis=1)
+            pa = np.concatenate([imax[a, ka], imax[b, kb]])
+            pb = np.concatenate([imin[b, ka], imin[a, kb]])
+            q = quotient(pa, pb)
+            k = int(np.argmax(q))
+            if q[k] > best:
+                best, best_pair = float(q[k]), (pa[k], pb[k])
+            keep = ub > best
+        # children of the kept pairs, keeping a <= b: a cell paired with
+        # itself yields each unordered child pair once, and no node is
+        # paired with itself
+        a, b = a[keep], b[keep]
+        ok = (ii < count[a][:, None]) & (jj < count[b][:, None])
+        ok &= (a != b)[:, None] | ((ii < jj) if level == 1 else (ii <= jj))
+        rows, k = np.nonzero(ok)
+        ca, cb = start[a][rows] + ii[k], start[b][rows] + jj[k]
+        for s in reversed(range(0, len(ca), chunk)):
+            stack.append((level - 1, ca[s : s + chunk], cb[s : s + chunk]))
 
-    # Coarse pass on an axis-strided subsample, then a full-resolution rescan
-    # of the region nodes near the two coarse argmax endpoints. The result is
-    # a certified lower bound of the nodal sup.
-    stride = max(1, math.ceil((len(idx) / cutoff) ** (1.0 / grid.n)))
-    coarse_sel = np.all(idx % stride == 0, axis=1)
-    while coarse_sel.sum() > cutoff:
-        stride += 1
-        coarse_sel = np.all(idx % stride == 0, axis=1)
-    sub = np.flatnonzero(coarse_sel)
-    best, (ia, ib) = _pair_scan(coords[sub], samples[sub], alpha)
-    ia, ib = sub[ia], sub[ib]
-
-    radius = 2.0 * (stride + 1) * grid.h
-    near = (
-        (np.abs(coords - coords[ia]).max(axis=1) <= radius)
-        | (np.abs(coords - coords[ib]).max(axis=1) <= radius)
-    )
-    refine = np.flatnonzero(near | coarse_sel)
-    if len(refine) > 2 * cutoff:
-        refine = refine[:: math.ceil(len(refine) / (2 * cutoff))]
-    best2, (ja, jb) = _pair_scan(coords[refine], samples[refine], alpha)
-    if best2 >= best:
-        best, ia, ib = best2, refine[ja], refine[jb]
-    return best, (idx[ia], idx[ib]), "multiscale"
+    if threshold is None:
+        return best, idx[[min(best_pair)]], idx[[max(best_pair)]]
+    pa, pb = (np.concatenate(part) for part in zip(*found))
+    pa, pb = np.minimum(pa, pb), np.maximum(pa, pb)
+    order = np.lexsort((pb, pa, -np.linalg.norm(coords[pa] - coords[pb], axis=1)))
+    return None, idx[pa[order]], idx[pb[order]]
 
 
-def _holder_pairs(u_vals, valid, region: BallRegion, alpha: float, mode: str, cutoff: int):
+def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
+    """Exact sup over the node pairs of ``mask`` of |u(x) - u(y)| / |x - y|^alpha.
+
+    ``u_vals`` is a scalar grid array or a stack of vector components.
+    Returns (value, (index_a, index_b), "exhaustive") with the node indices
+    of a pair attaining the value; the quotient is computed from
+    ``grid.axis`` coordinates, so the pair realizes the value exactly.
+    Typical fields prune to a near-linear number of cell pairs; in the worst
+    case nothing prunes (an affine field at alpha = 1, where every pair
+    along the gradient ties) and the scan costs about as much as the
+    exhaustive O(N^2) scan, in bounded memory.
+    """
+    best, idx_a, idx_b = _holder_pairs(grid, mask, u_vals, alpha, None)
+    return best, (idx_a[0], idx_b[0]), "exhaustive"
+
+
+def _holder_norm(u_vals, valid, region: BallRegion, alpha: float, params: dict) -> NormValue:
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = region.grid
-    value, (ia, ib), used = _holder_scan_mask(
-        grid, region.mask & valid, u_vals, alpha, mode, cutoff
+    value, (ia, ib), used = _holder_scan_mask(grid, region.mask & valid, u_vals, alpha)
+    return NormValue(
+        "HolderSemi", params, region.center, region.radius, value,
+        argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])), scan_mode=used,
     )
-    return value, (tuple(grid.axis[ia]), tuple(grid.axis[ib])), used
 
 
-def holder_seminorm(
-    u: Field,
-    alpha: float,
-    region: BallRegion,
-    mode: str = "auto",
-    cutoff: int = PAIR_SCAN_CUTOFF,
-) -> NormValue:
-    """sup over node pairs of |u(x) - u(y)| / |x - y|^alpha.
+def holder_seminorm(u: Field, alpha: float, region: BallRegion) -> NormValue:
+    """sup over node pairs of |u(x) - u(y)| / |x - y|^alpha, exact.
 
     A lower bound of the continuum seminorm by construction; the argmax pair
-    and the scan mode that produced it are recorded on the result.
+    is recorded on the result.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    value, pair, used = _holder_pairs(u.values, u.valid, region, alpha, mode, cutoff)
-    return NormValue(
-        "HolderSemi", {"alpha": alpha}, region.center, region.radius, value,
-        argmax_pair=pair, scan_mode=used,
-    )
+    return _holder_norm(u.values, u.valid, region, alpha, {"alpha": alpha})
 
 
-def holder_seminorm_vec(
-    F: VecField,
-    alpha: float,
-    region: BallRegion,
-    mode: str = "auto",
-    cutoff: int = PAIR_SCAN_CUTOFF,
-) -> NormValue:
+def holder_seminorm_vec(F: VecField, alpha: float, region: BallRegion) -> NormValue:
     """Vector-valued variant: differences measured in the Euclidean norm."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    value, pair, used = _holder_pairs(F.components, F.valid, region, alpha, mode, cutoff)
-    return NormValue(
-        "HolderSemi", {"alpha": alpha, "vector": True}, region.center, region.radius,
-        value, argmax_pair=pair, scan_mode=used,
-    )
+    return _holder_norm(F.components, F.valid, region, alpha, {"alpha": alpha, "vector": True})
 
 
 def multiindices(n: int, order: int):

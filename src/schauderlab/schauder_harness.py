@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.spatial.distance import cdist
 
 from .caccioppoli import EstimateReport
 from .domain_grid import Grid, ball_region, cutoff, make_grid
@@ -43,7 +42,7 @@ from .field_calculus import (
     mollify,
 )
 from .norm_engine import (
-    PAIR_SCAN_CUTOFF,
+    _holder_pairs,
     _holder_scan_mask,
     ck_alpha_norm,
     hk_norm,
@@ -383,62 +382,11 @@ class BlowupRecord:
     steps: list
 
     @property
-    def final(self) -> BlowupStep:
-        return self.steps[-1]
-
-    @property
     def growth_exponent(self) -> float:
         for step in reversed(self.steps):
             if step.fit is not None and not math.isnan(step.fit.exponent):
                 return step.fit.exponent
         return float("nan")
-
-
-def _near_max_pairs(points, vals, alpha, best, rel=1e-9, block=512):
-    """All pairs whose quotient is within ``rel`` of the maximum."""
-    n_pts = len(points)
-    hits = []
-    for i0 in range(0, n_pts, block):
-        i1 = min(i0 + block, n_pts)
-        dist = cdist(points[i0:i1], points)
-        if vals.ndim == 1:
-            diff = np.abs(vals[i0:i1, None] - vals[None, :])
-        else:
-            diff = np.linalg.norm(vals[i0:i1, None, :] - vals[None, :, :], axis=-1)
-        cols = np.arange(n_pts)[None, :]
-        rows = np.arange(i0, i1)[:, None]
-        dist[cols <= rows] = np.inf
-        ratio = diff / dist**alpha
-        ii, jj = np.nonzero(ratio >= best * (1 - rel))
-        hits.extend(zip(ii + i0, jj))
-    return hits
-
-
-def _resolve_ties(grid, mask, scan_values, alpha, level, ia_idx, ib_idx, cap=2500):
-    """Among quotients tied with the scan maximum, keep the widest pair.
-
-    The tie set is scanned on an affordable subset: a global stride
-    subsample of the search mask plus full-resolution neighborhoods of the
-    two argmax endpoints. Falls back to the given pair when nothing ties.
-    """
-    idx = np.argwhere(mask)
-    stride = max(1, math.ceil((len(idx) / cap) ** (1.0 / grid.n)))
-    keep = np.all(idx % stride == 0, axis=1)
-    near = (np.abs(idx - ia_idx).max(axis=1) <= 2 * stride) | (
-        np.abs(idx - ib_idx).max(axis=1) <= 2 * stride
-    )
-    sel = idx[keep | near]
-    coords = grid.axis[sel]
-    if scan_values.ndim == grid.n:
-        samples = scan_values[tuple(sel.T)]
-    else:
-        samples = np.stack([comp[tuple(sel.T)] for comp in scan_values], axis=1)
-    hits = _near_max_pairs(coords, samples, alpha, level)
-    if not hits:
-        return ia_idx, ib_idx
-    seps = [float(np.linalg.norm(coords[a] - coords[b])) for a, b in hits]
-    a, b = hits[int(np.argmax(seps))]
-    return sel[a], sel[b]
 
 
 def _local_quotient(values, valid, coords_axis, node_idx, alpha, reach=5):
@@ -519,15 +467,14 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         mask = (grid.radius_from(centre) < radius) & region0.mask & u.valid
         if mask.sum() < 4:
             break
-        level, (ia_idx, ib_idx), _mode = _holder_scan_mask(
-            grid, mask, scan_values, cfg.alpha, "auto", PAIR_SCAN_CUTOFF
-        )
+        level, (ia_idx, ib_idx), _mode = _holder_scan_mask(grid, mask, scan_values, cfg.alpha)
         scale_ref = max(grad_w_sup, u_sup, 1.0)
         degenerate = level <= DEGENERATE_SEMINORM_FLOOR * scale_ref
         if not degenerate:
-            ia_idx, ib_idx = _resolve_ties(
-                grid, mask, scan_values, cfg.alpha, level, ia_idx, ib_idx
-            )
+            # the widest pair within 1e-9 of the level; a degenerate level
+            # would tie almost every pair, so ties are enumerated only here
+            _, tie_a, tie_b = _holder_pairs(grid, mask, scan_values, cfg.alpha, level * (1 - 1e-9))
+            ia_idx, ib_idx = tie_a[0], tie_b[0]
             qa = _local_quotient(scan_values, u.valid, grid.axis, tuple(ia_idx), cfg.alpha)
             qb = _local_quotient(scan_values, u.valid, grid.axis, tuple(ib_idx), cfg.alpha)
             if qb > qa:
@@ -535,6 +482,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         base, partner = grid.axis[ia_idx], grid.axis[ib_idx]
         r_sep = float(np.linalg.norm(partner - base))
         xi = ((partner - base) / r_sep) if r_sep > 0 else np.zeros(grid.n)
+        x, y, xi = (tuple(map(float, p)) for p in (base, partner, xi))
 
         window_half = cfg.window_radius
         window = make_grid(grid.n, window_half, cfg.window_m)
@@ -542,9 +490,8 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
             v = Field.zeros(window)
             w_prof = Field.zeros(window)
             step = BlowupStep(
-                x=tuple(base), y=tuple(partner), separation=r_sep, level=0.0,
-                xi=tuple(xi), v=v, w=w_prof, v_seminorm=0.0, vw_gap=0.0,
-                vw_gap_bound=0.0, interp_tol=0.0,
+                x=x, y=y, separation=r_sep, level=0.0, xi=xi, v=v, w=w_prof,
+                v_seminorm=0.0, vw_gap=0.0, vw_gap_bound=0.0, interp_tol=0.0,
                 fit=GrowthFit(float("nan"), False, [], compliant_trivially=True),
                 degenerate=True,
             )
@@ -591,9 +538,9 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
             fit = None
         record.steps.append(
             BlowupStep(
-                x=tuple(base), y=tuple(partner), separation=r_sep, level=level,
-                xi=tuple(xi), v=v, w=w_prof, v_seminorm=v_semi, vw_gap=vw_gap,
-                vw_gap_bound=gap_bound, interp_tol=interp_tol, fit=fit,
+                x=x, y=y, separation=r_sep, level=level, xi=xi, v=v, w=w_prof,
+                v_seminorm=v_semi, vw_gap=vw_gap, vw_gap_bound=gap_bound,
+                interp_tol=interp_tol, fit=fit,
             )
         )
         centre = base

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from schauderlab.norm_engine import (
     ck_alpha_norm,
     hk_norm,
     holder_seminorm,
+    holder_seminorm_vec,
     lp_norm,
     lp_norm_vec,
     sobolev_ratio,
@@ -16,15 +21,19 @@ from schauderlab.norm_engine import (
 
 
 def brute_force_seminorm(u, alpha, region):
-    """Independent O(N^2) loop oracle for the pairwise Holder sup."""
+    """Independent O(N^2) loop oracle for the pairwise Holder sup of a Field,
+    or of a VecField with differences in the Euclidean norm."""
     idx = np.argwhere(region.mask)
     coords = region.grid.axis[idx]
-    vals = u.values[region.mask]
+    if isinstance(u, Field):
+        vals = u.values[region.mask][:, None]
+    else:
+        vals = np.stack([comp[region.mask] for comp in u.components], axis=1)
     best = 0.0
     pair = None
     for i in range(len(vals)):
         d = np.linalg.norm(coords[i + 1 :] - coords[i], axis=1)
-        q = np.abs(vals[i + 1 :] - vals[i]) / d**alpha
+        q = np.linalg.norm(vals[i + 1 :] - vals[i], axis=1) / d**alpha
         if len(q) and q.max() > best:
             best = float(q.max())
             pair = (i, i + 1 + int(np.argmax(q)))
@@ -112,24 +121,57 @@ def test_holder_interpolation_direction(rng, grid65):
     assert lo <= (2 * r) ** (alpha - alpha_p) * hi * (1 + 1e-12)
 
 
-def test_multiscale_equals_exhaustive_on_small_regions(rng, grid65):
-    u = Field(grid65, rng.standard_normal(grid65.shape))
-    region = ball_region(grid65, 0.0, 0.5)
-    exact = holder_seminorm(u, 0.5, region, mode="exhaustive")
-    multi = holder_seminorm(u, 0.5, region, mode="multiscale")
-    assert multi.value == exact.value
-    assert multi.scan_mode == "exhaustive"  # small regions take the exact path
-
-
-def test_multiscale_is_lower_bound_and_finds_smooth_argmax():
-    grid = make_grid(2, 1.0, 65)
-    u = Field.from_function(grid, lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+def test_holder_white_noise_above_5000_nodes_exact():
+    grid = make_grid(2, 1.0, 129)
+    u = Field(grid, np.random.default_rng(7).standard_normal(grid.shape))
     region = ball_region(grid, 0.0, 0.9)
-    exact = holder_seminorm(u, 0.5, region)
-    forced = holder_seminorm(u, 0.5, region, cutoff=400)
-    assert forced.scan_mode == "multiscale"
-    assert forced.value <= exact.value * (1 + 1e-12)
-    assert forced.value >= 0.97 * exact.value  # smooth fields refine well
+    assert region.mask.sum() == 10429
+    nv = holder_seminorm(u, 0.5, region)
+    oracle, _ = brute_force_seminorm(u, 0.5, region)
+    assert nv.value == pytest.approx(oracle, rel=1e-12)
+    assert nv.scan_mode == "exhaustive"
+
+
+def test_holder_vector_field_exact(grid65):
+    cusp = Field.from_function(grid65, lambda x, y: np.hypot(x - 0.05, y + 0.03) ** 0.5)
+    F = gradient(cusp)
+    region = ball_region(grid65, 0.0, 0.8)
+    nv = holder_seminorm_vec(F, 0.5, region)
+    oracle, _ = brute_force_seminorm(F, 0.5, region)
+    assert nv.value == pytest.approx(oracle, rel=1e-12)
+
+
+def test_holder_three_dimensional_ball_exact():
+    grid = make_grid(3, 1.0, 33)
+    u = Field(grid, np.random.default_rng(3).standard_normal(grid.shape))
+    region = ball_region(grid, 0.0, 0.6)
+    assert region.mask.sum() == 3743
+    nv = holder_seminorm(u, 0.5, region)
+    oracle, _ = brute_force_seminorm(u, 0.5, region)
+    assert nv.value == pytest.approx(oracle, rel=1e-12)
+
+
+def test_holder_affine_alpha_one_within_one_gib():
+    # u = x at alpha = 1 ties every horizontal pair, so no bound prunes and
+    # the scan does the exhaustive work; under a 1 GiB address-space cap its
+    # chunked descent must still finish, with the exact value 1.
+    child = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from schauderlab.domain_grid import ball_region, make_grid
+from schauderlab.field_calculus import Field
+from schauderlab.norm_engine import holder_seminorm
+grid = make_grid(2, 1.0, 129)
+region = ball_region(grid, 0.0, 0.6)
+value = holder_seminorm(Field(grid, grid.coords()[0]), 1.0, region).value
+print(int(region.mask.sum()), repr(value))
+sys.exit(0 if region.mask.sum() >= 4637 and value == 1.0 else 1)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_holder_refinement_stability_smooth():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schauderlab.domain_grid import ball_region, make_grid
+from schauderlab.domain_grid import ball_region, cutoff, make_grid
 from schauderlab.errors import (
     DataRegularityMissingError,
     InadmissibleExponentsError,
@@ -239,6 +239,29 @@ def test_blowup_vw_proximity(cusp_record):
 def test_blowup_separations_shrink(cusp_record):
     seps = [s.separation for s in cusp_record.steps]
     assert all(b <= a for a, b in zip(seps, seps[1:]))
+
+
+def test_blowup_takes_widest_tied_pair(cusp_record):
+    # oracle: every pair of the order-0 search ball, eta u, within 1e-9 of
+    # the max quotient; step 0 must use the widest of them
+    grid = make_grid(2, 1.0, 129)
+    W = cutoff(grid, 0.2, 0.8).eta.values * grid.radius_from(np.zeros(2)) ** 0.5
+    mask = ball_region(grid, 0.0, 0.8).mask
+    coords, vals = grid.axis[np.argwhere(mask)], W[mask]
+
+    def row(i):
+        d = np.linalg.norm(coords[i + 1 :] - coords[i], axis=1)
+        return d, np.abs(vals[i + 1 :] - vals[i]) / d**0.5
+
+    level = max(row(i)[1].max() for i in range(len(vals) - 1))
+    widest = max(
+        d[q >= level * (1 - 1e-9)].max(initial=0.0) for d, q in map(row, range(len(vals) - 1))
+    )
+    assert level == pytest.approx(1.0, rel=1e-12)
+    step = cusp_record.steps[0]
+    assert step.separation == pytest.approx(widest, rel=1e-12)
+    assert step.separation == pytest.approx(0.19887, abs=1e-5)
+    assert all(type(c) is float for c in step.x + step.y + step.xi)
 
 
 def test_blowup_constant_rejected(grid65):
