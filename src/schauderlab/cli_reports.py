@@ -43,10 +43,27 @@ from .schauder_harness import (
     schauder_ratio,
 )
 
-COMMANDS = (
-    "solve", "caccioppoli", "degiorgi", "liouville",
-    "schauder", "blowup", "bootstrap", "mollify",
-)
+# the ``params`` keys each command's runner reads; any other key is rejected
+PARAM_KEYS = {
+    "solve": {"resolutions"},
+    "caccioppoli": {"ensemble", "r", "R"},
+    "degiorgi": {"ensemble", "p", "q", "r", "R", "k_max"},
+    "liouville": {"generator", "a", "b", "gamma", "scales"},
+    "schauder": {"s", "ensemble"},
+    "blowup": {"alpha", "steps"},
+    "bootstrap": {"k", "alpha"},
+    "mollify": {"fields", "eps_schedule"},
+}
+COMMANDS = tuple(PARAM_KEYS)
+CONFIG_KEYS = {"command", "seed", "resolution", "out", "params"}
+
+
+def _reject_unknown(kind: str, spec, known) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(spec).__name__}")
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {kind} keys {unknown}; known: {sorted(known)}")
 
 
 @dataclass
@@ -60,11 +77,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; known: {COMMANDS}")
+        _reject_unknown(f"{self.command} params", self.params, PARAM_KEYS[self.command])
         self.out_dir = Path(self.out_dir)
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
     spec = json.loads(Path(path).read_text())
+    _reject_unknown("config", spec, CONFIG_KEYS)
     overrides = overrides or {}
     merged = {**spec, **{k: v for k, v in overrides.items() if v is not None}}
     return ExperimentConfig(

@@ -66,10 +66,6 @@ class Grid:
     def num_nodes(self) -> int:
         return self.m**self.n
 
-    @property
-    def origin_index(self) -> tuple:
-        return (self.m // 2,) * self.n
-
     def coords(self) -> list:
         """Per-axis coordinate arrays of shape ``self.shape`` (ij indexing)."""
         return np.meshgrid(*([self.axis] * self.n), indexing="ij")

@@ -21,8 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain_grid import Grid
-from .errors import NotEllipticError, SolverStagnationError
-from .field_calculus import Field, VecField, load_field, save_field
+from .errors import NotEllipticError, SolverStagnationError, SupportViolationError
+from .field_calculus import Field, VecField, _band_clear, gradient, load_field, save_field
 
 # Required relative algebraic residual of any returned solution.
 SOLVE_RTOL = 1e-10
@@ -395,16 +395,9 @@ def weak_residual(u: Field, problem: EllipticProblem, phi: Field) -> float:
     phi must vanish on the two outermost node layers; for a solved problem
     with smooth data the value decays like h^2 times the H^1 size of phi.
     """
-    from .field_calculus import gradient
-    from .errors import SupportViolationError
-
     grid = u.grid
-    m = grid.m
-    for ax in range(grid.n):
-        lo = (slice(None),) * ax + (slice(0, 2),)
-        hi = (slice(None),) * ax + (slice(m - 2, m),)
-        if np.any(phi.values[lo] != 0.0) or np.any(phi.values[hi] != 0.0):
-            raise SupportViolationError("phi must vanish on the outer two node layers")
+    if not _band_clear(phi, 2):
+        raise SupportViolationError("phi must vanish on the outer two node layers")
     hn = grid.h**grid.n
     gu = gradient(u).components
     gphi = gradient(phi).components

@@ -14,8 +14,6 @@ is an exact identity whenever phi vanishes on a wide enough boundary band.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
-from scipy.integrate import cumulative_trapezoid
 
 from .domain_grid import Grid
 from .errors import (
@@ -184,6 +182,24 @@ def difference_quotient(u: Field, j: int, h_step: float) -> Field:
     return Field(grid, out, ok)
 
 
+def _shifted_views(a: np.ndarray, footprint: np.ndarray):
+    """Yield a(x + k - c) for each offset k of a centred footprint, in C order,
+    zero (False for masks) where x + k - c leaves the box."""
+    radius = [(s // 2, s // 2) for s in footprint.shape]
+    padded = np.pad(a, radius)
+    for k in np.argwhere(footprint):
+        yield padded[tuple(slice(k_i, k_i + m_i) for k_i, m_i in zip(k, a.shape))]
+
+
+def erode(valid: np.ndarray, footprint: np.ndarray) -> np.ndarray:
+    """Binary erosion: True where every footprint neighbour is inside the box
+    and valid."""
+    ok = np.ones(valid.shape, dtype=bool)
+    for view in _shifted_views(valid, footprint):
+        ok &= view
+    return ok
+
+
 def _band_clear(phi: Field, width_nodes: int) -> bool:
     """True iff phi vanishes on a band of the given node width at every face."""
     m = phi.grid.m
@@ -230,9 +246,8 @@ def gradient(u: Field) -> VecField:
     )
     if u.all_valid:
         return VecField(grid, comps)
-    structure = ndimage.generate_binary_structure(grid.n, 1)
-    ok = ndimage.binary_erosion(u.valid, structure=structure, border_value=0)
-    return VecField(grid, comps, ok)
+    cross = np.abs(np.indices((3,) * grid.n) - 1).sum(axis=0) <= 1
+    return VecField(grid, comps, erode(u.valid, cross))
 
 
 def central_difference(u: Field, axis: int) -> Field:
@@ -311,9 +326,14 @@ def mollify(g: Field, eps: float) -> Field:
     the result over its valid set is at most the L^p norm of g over the box.
     """
     moll = Mollifier(g.grid, eps)
-    out = ndimage.convolve(g.values, moll.weights, mode="constant", cval=0.0)
-    footprint = moll.weights > 0
-    ok = ndimage.binary_erosion(g.valid, structure=footprint, border_value=0)
+    # a convolution is a correlation with the flipped kernel; taps at or
+    # below machine epsilon are dropped, and the sum runs in tap order
+    w = moll.weights[(slice(None, None, -1),) * g.grid.n]
+    taps = np.abs(w) > np.finfo(float).eps
+    out = np.zeros(g.grid.shape)
+    for view, w_k in zip(_shifted_views(g.values, taps), w[taps]):
+        out += view * w_k
+    ok = erode(g.valid, moll.weights > 0)
     return Field(g.grid, np.where(ok, out, 0.0), ok)
 
 
@@ -331,7 +351,9 @@ def forcing_to_field(f: Field) -> VecField:
     discrete divergence of F reproduces f with O(h^2) interior residual.
     """
     grid = f.grid
-    c = cumulative_trapezoid(f.values, dx=grid.h, axis=-1, initial=0.0)
+    y = f.values
+    c = np.zeros(grid.shape)
+    c[..., 1:] = np.cumsum(grid.h * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
     mid = grid.m // 2
     c = c - c[..., mid : mid + 1]
     comps = np.zeros((grid.n,) + grid.shape)

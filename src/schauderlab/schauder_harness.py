@@ -11,11 +11,11 @@ arguments) are out of scope; their computable inputs and outputs are not.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .caccioppoli import EstimateReport
 from .domain_grid import Grid, ball_region, cutoff, make_grid
@@ -37,6 +37,7 @@ from .errors import (
 from .field_calculus import (
     Field,
     VecField,
+    _band_clear,
     central_difference,
     gradient,
     mollify,
@@ -272,12 +273,8 @@ def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> f
         raise DataRegularityMissingError("differentiated equation needs Lipschitz A")
     if "F_lipschitz" not in sol.problem.certificates and np.abs(sol.problem.F.components).max() > 0:
         raise DataRegularityMissingError("differentiated equation needs differentiable F")
-    m = grid.m
-    for ax in range(grid.n):
-        lo = (slice(None),) * ax + (slice(0, 3),)
-        hi = (slice(None),) * ax + (slice(m - 3, m),)
-        if np.any(phi.values[lo] != 0.0) or np.any(phi.values[hi] != 0.0):
-            raise SupportViolationError("phi must vanish on the outer three node layers")
+    if not _band_clear(phi, 3):
+        raise SupportViolationError("phi must vanish on the outer three node layers")
     hn = grid.h**grid.n
     u_i = central_difference(sol.u, i)
     grad_ui = gradient(u_i)
@@ -412,15 +409,36 @@ def _local_quotient(values, valid, coords_axis, node_idx, alpha, reach=5):
     return float((diff[ok] / dist[ok] ** alpha).max())
 
 
+def _multilinear(values: np.ndarray, axis: np.ndarray, pts) -> np.ndarray:
+    """Multilinear interpolation of nodal values at points given as one
+    coordinate array per axis; NaN at points outside the box.
+
+    The arithmetic (cell search, corner order, weight and sum association)
+    is that of scipy's ``RegularGridInterpolator(method="linear")`` on
+    read-only values, so samples agree with it bit for bit.
+    """
+    m = axis.size
+    cells, weights = [], []
+    for x in pts:
+        i = np.clip(np.searchsorted(axis, x, "right") - 1, 0, m - 2)
+        y = (x - axis[i]) / (axis[i + 1] - axis[i])
+        cells.append(i)
+        weights.append((1 - y, y))
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(pts)):
+        weight = 1.0
+        for c, w in zip(corner, weights):
+            weight = weight * w[c]
+        out = out + values[tuple(i + c for i, c in zip(cells, corner))] * weight
+    inside = np.logical_and.reduce([(x >= axis[0]) & (x <= axis[-1]) for x in pts])
+    return np.where(inside, out, np.nan)
+
+
 def _sample_window(field_values, grid: Grid, base, r_sep, window: Grid):
     """Multilinear samples of a grid function at base + r_sep * window nodes."""
-    interp = RegularGridInterpolator(
-        (grid.axis,) * grid.n, field_values, method="linear",
-        bounds_error=False, fill_value=np.nan,
-    )
     mesh = window.coords()
-    pts = np.stack([base[a] + r_sep * mesh[a] for a in range(grid.n)], axis=-1)
-    vals = interp(pts.reshape(-1, grid.n)).reshape(window.shape)
+    pts = [base[a] + r_sep * mesh[a] for a in range(grid.n)]
+    vals = _multilinear(field_values, grid.axis, pts)
     ok = np.isfinite(vals)
     return np.where(ok, vals, 0.0), ok
 
@@ -818,12 +836,14 @@ def rescale_problem(
     if np.abs(x0).max() + t > grid.half_width + 1e-12:
         raise ValueError("zoom target leaves the box")
     sub = make_grid(grid.n, 1.0, grid.m if m is None else m)
+    mesh = sub.coords()
+    pts = [x0[a] + t * mesh[a] for a in range(grid.n)]
 
     def zoom(values: np.ndarray) -> np.ndarray:
-        interp = RegularGridInterpolator((grid.axis,) * grid.n, values, method="linear")
-        mesh = sub.coords()
-        pts = np.stack([x0[a] + t * mesh[a] for a in range(grid.n)], axis=-1)
-        return interp(pts.reshape(-1, grid.n)).reshape(sub.shape)
+        out = _multilinear(values, grid.axis, pts)
+        if np.isnan(out).any():
+            raise ValueError("zoom sample points leave the box")
+        return out
 
     entries = np.stack(
         [np.stack([zoom(problem.A.entries[a, b]) for b in range(grid.n)]) for a in range(grid.n)]

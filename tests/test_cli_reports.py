@@ -1,8 +1,12 @@
+import inspect
 import json
+import re
 
 import pytest
 
 from schauderlab.cli_reports import (
+    _RUNNERS,
+    PARAM_KEYS,
     ExperimentConfig,
     Verdict,
     emit_plots,
@@ -108,6 +112,36 @@ def test_main_config_mismatch(tmp_path, capsys):
     path.write_text(json.dumps({"command": "solve"}))
     rc = main(["blowup", "--config", str(path)])
     assert rc == 2
+
+
+def test_misspelt_param_key_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "caccioppoli", "params": {"ensembel": 4}}))
+    rc = main(["caccioppoli", "--config", str(path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "ensembel" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(ValueError):
+        ExperimentConfig(command="solve", out_dir=tmp_path, params={"resolution": [33]})
+
+
+def test_unknown_top_level_key_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "solve", "sede": 3}))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "sede" in capsys.readouterr().err
+    path.write_text(json.dumps({"command": "solve", "params": []}))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    path.write_text(json.dumps([]))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_param_keys_are_the_keys_each_runner_reads():
+    assert set(PARAM_KEYS) == set(_RUNNERS)
+    for command, runner in _RUNNERS.items():
+        read = set(re.findall(r'cfg\.params\.get\("(\w+)"', inspect.getsource(runner)))
+        assert read == PARAM_KEYS[command], command
 
 
 def test_verdict_failure_sets_exit_flag():
