@@ -294,18 +294,20 @@ def no_spike_verify(sol, params: DeGiorgiParams) -> NoSpikeReport:
     )
 
 
-def normalization_factor(sol, params: DeGiorgiParams) -> float:
-    """theta = sqrt(delta) / (||u||_2 + ||f||_p + ||F||_q) on the outer ball."""
-    if params.delta is None:
-        raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
-    grid = sol.grid
-    outer = ball_region(grid, 0.0, params.R)
-    denom = (
+def _data_norm(sol, params: DeGiorgiParams, outer) -> float:
+    """||u||_2 + ||f||_p + ||F||_q on the region ``outer``, summed left to right."""
+    return (
         lp_norm(sol.u, 2, outer).value
         + lp_norm(sol.problem.f, params.p, outer).value
         + lp_norm_vec(sol.problem.F, params.q, outer).value
     )
-    return math.sqrt(params.delta) / denom
+
+
+def normalization_factor(sol, params: DeGiorgiParams) -> float:
+    """theta = sqrt(delta) / (||u||_2 + ||f||_p + ||F||_q) on the outer ball."""
+    if params.delta is None:
+        raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
+    return math.sqrt(params.delta) / _data_norm(sol, params, ball_region(sol.grid, 0.0, params.R))
 
 
 def normalize_solution(sol, params: DeGiorgiParams):
@@ -326,13 +328,8 @@ def calibrate_delta(
     outer = ball_region(grid, 0.0, params.R)
     ratios = []
     for sol in solutions:
-        denom = (
-            lp_norm(sol.u, 2, outer).value
-            + lp_norm(sol.problem.f, params.p, outer).value
-            + lp_norm_vec(sol.problem.F, params.q, outer).value
-        )
         sup = float(np.abs(sol.u.values[inner.mask]).max())
-        ratios.append((sup, denom))
+        ratios.append((sup, _data_norm(sol, params, outer)))
 
     def passes(delta: float) -> bool:
         theta = math.sqrt(delta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .domain_grid import Grid
 from .errors import NotEllipticError, SolverStagnationError, SupportViolationError
-from .field_calculus import Field, VecField, _band_clear, gradient, load_field, save_field
+from .field_calculus import Field, VecField, _band_clear, divergence, gradient, load_field, save_field
 
 # Required relative algebraic residual of any returned solution.
 SOLVE_RTOL = 1e-10
@@ -50,7 +51,7 @@ class CoefficientField:
     """
 
     __slots__ = (
-        "grid", "entries", "lam", "Lam", "L",
+        "grid", "entries", "lam", "Lam", "L", "is_symmetric",
         "lipschitz_bound", "holder_alpha", "holder_bound", "smooth_certified",
     )
 
@@ -66,6 +67,12 @@ class CoefficientField:
         self.grid = grid
         self.entries = entries
         self.lam, self.Lam, self.L = validate_ellipticity(self)
+        # the entries are read-only, so symmetry is decided once
+        self.is_symmetric = all(
+            np.abs(entries[i, j] - entries[j, i]).max() <= 1e-14 * max(1.0, self.L)
+            for i in range(grid.n)
+            for j in range(i)
+        )
         self.lipschitz_bound = None
         self.holder_alpha = None
         self.holder_bound = None
@@ -96,13 +103,6 @@ class CoefficientField:
             for j in range(grid.n):
                 e[i, j] = np.broadcast_to(fns[i][j](*coords), grid.shape)
         return cls(grid, e)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return bool(
-            np.abs(self.entries - self.entries.transpose(1, 0, *range(2, 2 + self.grid.n))).max()
-            <= 1e-14 * max(1.0, self.L)
-        )
 
     def set_lipschitz_certificate(self, bound: float) -> None:
         self.lipschitz_bound = float(bound)
@@ -198,21 +198,9 @@ class LinearSystem:
     symmetric: bool
 
 
-def _interior_info(grid: Grid):
-    interior = grid.interior_mask(1)
-    flat = interior.ravel()
-    ids = -np.ones(grid.num_nodes, dtype=np.int64)
-    ids[flat] = np.arange(int(flat.sum()))
-    return interior, ids
-
-
-def _axis_stride(grid: Grid, axis: int) -> int:
-    return int(np.prod(grid.shape[axis + 1 :], dtype=np.int64))
-
-
-def _shift(values: np.ndarray, axis: int, s: int) -> np.ndarray:
-    """values(x + s e_axis); wrap positions are never read at interior rows."""
-    return np.roll(values, -s, axis=axis)
+def _at(values: np.ndarray, offset: tuple) -> np.ndarray:
+    """View of values(x + offset) over the interior nodes x."""
+    return values[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offset, values.shape))]
 
 
 def assemble(problem: EllipticProblem) -> LinearSystem:
@@ -222,6 +210,10 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
       diagonal a_jj: face-averaged fluxes, three points per axis;
       off-diagonal a_ij: averaged central cross stencil on x +/- e_i +/- e_j.
     Right side: f + central-difference div F, plus boundary moves of g.
+
+    The weights fill a (rows x offsets) table whose offsets run in
+    lexicographic order, which is increasing flat shift and so increasing
+    column; boundary neighbours and zero weights are masked out of it.
     """
     grid = problem.grid
     n, h = grid.n, grid.h
@@ -229,71 +221,63 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
     inv_h2 = 1.0 / h**2
     inv_4h2 = 0.25 * inv_h2
 
-    # offset tuple -> nodal weight array (weight of u(x + offset) in row x)
-    weights: dict = {}
+    # every stencil offset: at most two nonzero unit steps
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, o)) <= 2]
+    column = {o: k for k, o in enumerate(offsets)}
+    interior_shape = (grid.m - 2,) * n
+    n_int = (grid.m - 2) ** n
+    table = np.empty(interior_shape + (len(offsets),))  # weight of u(x + offset) in row x
+    added = []  # offsets in first-add order, which orders the boundary moves
 
     def add(offset: tuple, w: np.ndarray):
-        if offset in weights:
-            weights[offset] = weights[offset] + w
+        if offset in added:
+            table[..., column[offset]] += w
         else:
-            weights[offset] = w.copy()
+            table[..., column[offset]] = w
+            added.append(offset)
+
+    def unit(axis: int, s: int) -> tuple:
+        return tuple(s * int(k == axis) for k in range(n))
 
     zero = (0,) * n
     for j in range(n):
-        a = ent[j, j]
-        face_plus = 0.5 * (a + _shift(a, j, +1))   # coefficient on face x + e_j/2
-        face_minus = 0.5 * (a + _shift(a, j, -1))  # coefficient on face x - e_j/2
-        e_j = tuple(int(k == j) for k in range(n))
-        m_j = tuple(-int(k == j) for k in range(n))
-        add(e_j, -face_plus * inv_h2)
-        add(m_j, -face_minus * inv_h2)
+        a = _at(ent[j, j], zero)
+        face_plus = 0.5 * (a + _at(ent[j, j], unit(j, +1)))   # coefficient on face x + e_j/2
+        face_minus = 0.5 * (a + _at(ent[j, j], unit(j, -1)))  # coefficient on face x - e_j/2
+        add(unit(j, +1), -face_plus * inv_h2)
+        add(unit(j, -1), -face_minus * inv_h2)
         add(zero, (face_plus + face_minus) * inv_h2)
 
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            a = ent[i, j]
-            a_ip = _shift(a, i, +1)  # a_ij(x + h e_i)
-            a_im = _shift(a, i, -1)  # a_ij(x - h e_i)
             for si, sj, sign in ((+1, +1, -1.0), (+1, -1, +1.0), (-1, +1, +1.0), (-1, -1, -1.0)):
                 off = tuple(si * int(k == i) + sj * int(k == j) for k in range(n))
-                add(off, sign * (a_ip if si > 0 else a_im) * inv_4h2)
+                add(off, sign * _at(ent[i, j], unit(i, si)) * inv_4h2)  # a_ij(x +/- h e_i)
 
-    interior, ids = _interior_info(grid)
-    flat_rows = np.flatnonzero(interior.ravel())
-    row_ids = ids[flat_rows]
-    n_int = len(flat_rows)
+    ids_grid = np.full(grid.shape, -1, dtype=np.int64)  # interior unknown id or -1
+    _at(ids_grid, zero)[...] = np.arange(n_int).reshape(interior_shape)
 
-    from .field_calculus import divergence
+    rhs = _at(problem.f.values + divergence(problem.F).values, zero).flatten()
+    rhs_grid = rhs.reshape(interior_shape)
+    g = problem.g.values
+    for offset in added:
+        # a boundary neighbour: move its Dirichlet value to the rhs
+        outside = _at(ids_grid, offset) < 0
+        rhs_grid[outside] += -table[..., column[offset]][outside] * _at(g, offset)[outside]
 
-    rhs_field = problem.f.values + divergence(problem.F).values
-    rhs = rhs_field.ravel()[flat_rows].copy()
-
-    rows, cols, vals = [], [], []
-    for offset, w in weights.items():
-        shift_flat = sum(o * _axis_stride(grid, ax) for ax, o in enumerate(offset))
-        targets = flat_rows + shift_flat
-        wvals = w.ravel()[flat_rows]
-        target_ids = ids[targets]
-        inside = target_ids >= 0
-        rows.append(row_ids[inside])
-        cols.append(target_ids[inside])
-        vals.append(wvals[inside])
-        if not inside.all():
-            # neighbor is a boundary node: move its Dirichlet value to the rhs
-            btargets = targets[~inside]
-            rhs_rows = row_ids[~inside]
-            np.add.at(rhs, rhs_rows, -wvals[~inside] * problem.g.values.ravel()[btargets])
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, n_int),
-    ).tocsr()
-    matrix.eliminate_zeros()
+    idx_dtype = np.int32 if table.size < 2**31 else np.int64
+    cols = np.empty(table.shape, dtype=idx_dtype)
+    for offset, k in column.items():
+        cols[..., k] = _at(ids_grid, offset)
+    keep = (cols >= 0) & (table != 0)
+    indptr = np.zeros(n_int + 1, dtype=idx_dtype)
+    np.cumsum(keep.reshape(n_int, -1).sum(axis=1), out=indptr[1:])
+    matrix = sp.csr_matrix((table[keep], cols[keep], indptr), shape=(n_int, n_int))
 
     symmetric = problem.A.is_symmetric
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, interior_ids=ids, symmetric=symmetric)
+    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, interior_ids=ids_grid.ravel(), symmetric=symmetric)
 
 
 @dataclass

@@ -73,6 +73,7 @@ class GrowthFamily:
     scales: tuple = DEFAULT_SCALES
     m: int = 257
     name: str = "field"
+    dimension: int = 2
     _cache: dict = dfield(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -85,13 +86,6 @@ class GrowthFamily:
             grid = make_grid(self.dimension, scale, self.m)
             self._cache[scale] = Field.from_function(grid, self.generator)
         return self._cache[scale]
-
-    @property
-    def dimension(self) -> int:
-        return getattr(self, "_dimension", 2)
-
-    def set_dimension(self, n: int) -> None:
-        self._dimension = n
 
     def harmonic_gate(self, ratio_floor: float = 2.5) -> dict:
         """Accept the generator if each scale's Laplacian residual is at
@@ -116,9 +110,7 @@ class GrowthFamily:
 
 
 def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, n: int = 2, name: str = "field") -> GrowthFamily:
-    fam = GrowthFamily(generator=generator, gamma=gamma, scales=tuple(scales), m=m, name=name)
-    fam.set_dimension(n)
-    return fam
+    return GrowthFamily(generator=generator, gamma=gamma, scales=tuple(scales), m=m, name=name, dimension=n)
 
 
 def counterexample_field(a, b, grid: Grid) -> Field:
