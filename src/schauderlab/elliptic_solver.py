@@ -10,7 +10,6 @@ identities survive discretization up to O(h).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # only splu, on the coarsest level
 
 from .domain_grid import Grid
 from .errors import NotEllipticError, SolverStagnationError, SupportViolationError
@@ -300,10 +299,12 @@ class DiscreteSolution:
 
 
 def _multigrid_levels(matrix: sp.csr_matrix, per_axis: int, n: int) -> tuple:
-    """Galerkin levels [(A, P, weighted inverse diagonal), ...] and coarsest LU.
+    """Galerkin levels [(A, P, P^T, weighted inverse diagonal), ...] and coarsest LU.
 
     P interpolates linearly from every other interior node on each axis (the
-    boundary is a zero neighbour); P^T A P stays symmetric when A is.
+    boundary is a zero neighbour); P^T A P stays symmetric when A is. The
+    coarse product runs in CSR throughout, and its CSR restriction is freed
+    once the product is formed; the V-cycle restricts through the P^T view.
     """
     levels = []
     while matrix.shape[0] > COARSEST_UNKNOWNS:
@@ -311,8 +312,8 @@ def _multigrid_levels(matrix: sp.csr_matrix, per_axis: int, n: int) -> tuple:
         P = p1
         for _ in range(n - 1):
             P = sp.kron(P, p1, format="csr")
-        levels.append((matrix, P, JACOBI_WEIGHT / matrix.diagonal()))
-        matrix = (P.T @ matrix @ P).tocsr()
+        levels.append((matrix, P, P.T, JACOBI_WEIGHT / matrix.diagonal()))
+        matrix = P.T.tocsr() @ matrix @ P
         per_axis //= 2
     return levels, spla.splu(matrix.tocsc())
 
@@ -325,14 +326,90 @@ def _vcycle(levels: list, coarse, r: np.ndarray, k: int = 0) -> np.ndarray:
     """
     if k == len(levels):
         return coarse.solve(r)
-    A, P, dinv = levels[k]
+    A, P, R, dinv = levels[k]
     x = dinv * r
     for _ in range(SMOOTHING_SWEEPS - 1):
         x += dinv * (r - A @ x)
-    x += P @ _vcycle(levels, coarse, P.T @ (r - A @ x), k + 1)
+    x += P @ _vcycle(levels, coarse, R @ (r - A @ x), k + 1)
     for _ in range(SMOOTHING_SWEEPS):
         x += dinv * (r - A @ x)
     return x
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product summed in numpy's fixed pairwise order.
+
+    BLAS ddot splits the sum by thread, so its last bits depend on the
+    thread count; every inner product and norm of the solver comes here.
+    """
+    return float(np.add.reduce(x * y))
+
+
+def _norm(x: np.ndarray) -> float:
+    return _dot(x, x) ** 0.5
+
+
+def _cg(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
+    """Preconditioned CG from x = 0 until ||r|| < tol; returns (x, iterations)."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    for k in range(KRYLOV_MAXITER):
+        if _norm(r) < tol:
+            return x, k
+        z = pre(r)
+        rho = _dot(r, z)
+        if k == 0:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matrix @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, KRYLOV_MAXITER
+
+
+def _gmres(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
+    """Right-preconditioned GMRES from x = 0 until |g[k+1]| <= tol.
+
+    Modified Gram-Schmidt builds the basis one vector per iteration; Givens
+    rotations keep the Hessenberg matrix upper triangular, so g[k+1] is the
+    residual norm. The test comes before the new vector is normalized, so a
+    breakdown (zero next vector) ends the loop instead of dividing by zero.
+    Returns (M V y, iterations).
+    """
+    g = [_norm(rhs)]
+    basis = [rhs / g[0]]
+    columns, rotations = [], []  # triangular columns of H; (c, s) pairs
+    for k in range(KRYLOV_MAXITER):
+        w = matrix @ pre(basis[k])
+        h = []
+        for v in basis:
+            h.append(_dot(w, v))
+            w -= h[-1] * v
+        h_next = _norm(w)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        d = float(np.hypot(h[k], h_next))
+        c, s = h[k] / d, h_next / d
+        h[k] = d
+        rotations.append((c, s))
+        columns.append(h)
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= tol:
+            break
+        basis.append(w / h_next)
+    iterations = len(columns)
+    y = [0.0] * iterations
+    for i in reversed(range(iterations)):
+        y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, iterations))) / columns[i][i]
+    u = y[0] * basis[0]
+    for yi, v in zip(y[1:], basis[1:]):
+        u += yi * v
+    return pre(u), iterations
 
 
 def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
@@ -344,23 +421,15 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
     system = assemble(problem)
     grid = system.grid
     matrix, rhs = system.matrix, system.rhs
-    levels, coarse = _multigrid_levels(matrix, grid.m - 2, grid.n)
-    pre = spla.LinearOperator(matrix.shape, functools.partial(_vcycle, levels, coarse), dtype=float)
-    steps = []  # one callback per Krylov iteration
-    if system.symmetric:
-        method = "mg-cg"
-        x, _ = spla.cg(
-            matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAXITER, M=pre, callback=steps.append
-        )
-    else:
-        # scipy's gmres counts restart cycles: one cycle of KRYLOV_MAXITER
-        method = "mg-gmres"
-        x, _ = spla.gmres(
-            matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_MAXITER, maxiter=1,
-            M=pre, callback=steps.append, callback_type="pr_norm",
-        )
-    residual = float(np.linalg.norm(rhs - matrix @ x) / (np.linalg.norm(rhs) or 1.0))
-    diagnostics = {"method": method, "iterations": len(steps), "residual": residual}
+    method = "mg-cg" if system.symmetric else "mg-gmres"
+    bnorm = _norm(rhs)
+    x, iterations = np.zeros_like(rhs), 0  # the answer to zero data
+    if bnorm > 0.0:
+        levels, coarse = _multigrid_levels(matrix, grid.m - 2, grid.n)
+        krylov = _cg if system.symmetric else _gmres
+        x, iterations = krylov(matrix, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
+    residual = _norm(rhs - matrix @ x) / (bnorm or 1.0)
+    diagnostics = {"method": method, "iterations": iterations, "residual": residual}
     if not np.isfinite(residual) or residual > SOLVE_RTOL:
         raise SolverStagnationError(
             f"{method} finished with relative residual {residual:.3e} > {SOLVE_RTOL}",

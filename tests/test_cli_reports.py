@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,29 @@ def test_determinism_byte_identical(tmp_path):
     a = (tmp_path / "a" / "caccioppoli_reports.csv").read_bytes()
     b = (tmp_path / "b" / "caccioppoli_reports.csv").read_bytes()
     assert a == b
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # Solver reductions are summed in a fixed order, so the BLAS thread
+    # count cannot reach the last digits of any CSV.
+    (tmp_path / "degiorgi.json").write_text(
+        json.dumps({"command": "degiorgi", "seed": 1, "params": {"ensemble": 4}})
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        out = tmp_path / f"threads{threads}"
+        for args in (["degiorgi", "--config", str(tmp_path / "degiorgi.json")], ["solve", "--seed", "1"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "schauderlab", *args, "--out", str(out / args[0])],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stdout + done.stderr
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert Path("degiorgi/degiorgi_traces.csv") in outputs[0]
+    assert outputs[0].keys() == outputs[1].keys()
+    differing = [str(name) for name in outputs[0] if outputs[0][name] != outputs[1][name]]
+    assert not differing
 
 
 def test_liouville_counterexample_verdict(tmp_path):

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from schauderlab import elliptic_solver
 from schauderlab.domain_grid import ball_region, box_region, make_grid
-from schauderlab.errors import NotEllipticError, SupportViolationError
+from schauderlab.errors import NotEllipticError, SolverStagnationError, SupportViolationError
 from schauderlab.field_calculus import Field, VecField, gradient, save_field
 from schauderlab.elliptic_solver import (
     SOLVE_RTOL,
@@ -196,6 +199,59 @@ sys.exit(0 if sol.diagnostics["residual"] <= SOLVE_RTOL else 1)
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def _nonsymmetric(prob, rng):
+    A = trig_coefficient_field(prob.grid, rng, beta=0.2, symmetric=False)
+    return EllipticProblem(A=A, f=prob.f, F=prob.F, g=prob.g, p=prob.p, q=prob.q)
+
+
+def test_nonsymmetric_peak_memory_near_symmetric():
+    # GMRES grows its basis one vector per iteration instead of holding
+    # KRYLOV_MAXITER + 1 vectors from the start.
+    rng = np.random.default_rng(0)
+    sym = random_problem(make_grid(2, 1.0, 513), rng)
+    peaks = []
+    for prob in (sym, _nonsymmetric(sym, rng)):
+        tracemalloc.start()
+        try:
+            solve_dirichlet(prob)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_zero_data_zero_solution(grid65, symmetric):
+    zero = Field.zeros(grid65)
+    prob = EllipticProblem(
+        A=trig_coefficient_field(grid65, np.random.default_rng(1), beta=0.2, symmetric=symmetric),
+        f=zero, F=VecField.zeros(grid65), g=zero,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_dirichlet(prob)
+    assert sol.diagnostics["symmetric"] == symmetric
+    assert sol.diagnostics["iterations"] == 0
+    assert sol.diagnostics["residual"] == 0.0
+    assert not sol.u.values.any()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_iteration_cap_raises_stagnation(monkeypatch, grid65, symmetric):
+    monkeypatch.setattr(elliptic_solver, "KRYLOV_MAXITER", 1)
+    rng = np.random.default_rng(2)
+    prob = random_problem(grid65, rng)
+    if not symmetric:
+        prob = _nonsymmetric(prob, rng)
+    with pytest.raises(SolverStagnationError) as err:
+        solve_dirichlet(prob)
+    diagnostics = err.value.diagnostics
+    assert diagnostics["method"] == ("mg-cg" if symmetric else "mg-gmres")
+    assert diagnostics["iterations"] == 1
+    assert diagnostics["residual"] > SOLVE_RTOL
+
 
 def test_three_dimensional_solve():
     grid = make_grid(3, 1.0, 17)
