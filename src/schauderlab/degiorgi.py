@@ -2,15 +2,13 @@
 bookkeeping gamma, the no-spike implication, and the normalized sup bound.
 
 The smallness threshold delta exists only existentially in the theory; here
-it is calibrated by bisection over a training ensemble and frozen per
-configuration (dimension, exponents, radii, ellipticity certificate).
+it is calibrated by bisection over a training ensemble and stored on the
+run's parameters.
 Almost-everywhere conclusions become nodal max checks with an O(h) slack.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,6 +33,9 @@ ENERGY_FLOOR = 1e-14
 
 # Safety factor on the smallest admissible tau in two dimensions.
 TAU_SAFETY_2D = 1.25
+
+# Bisection steps of the delta calibration.
+DELTA_BISECTION_STEPS = 48
 
 
 def default_tau(n: int, p: float, q: float) -> float:
@@ -123,13 +124,6 @@ class IterationTrace:
 
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.E) <= 1e-15 * max(1.0, self.E[0])))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "b_k", "r_k", "E_k"])
-            for k in range(len(self.E)):
-                writer.writerow([k, self.b[k], self.r[k], self.E[k]])
 
     def summary(self, params: DeGiorgiParams) -> dict:
         return {
@@ -225,14 +219,6 @@ def truncation_sequence(sol, params: DeGiorgiParams, sign: str = "plus") -> Iter
     )
 
 
-def level_count_bounds(trace: IterationTrace, hn: float) -> list:
-    """Per-step discrete Chebyshev pairs (count * h^n, 2^{2(k+1)} E_k)."""
-    out = []
-    for k in range(len(trace.level_counts)):
-        out.append((trace.level_counts[k] * hn, 4.0 ** (k + 1) * trace.E[k]))
-    return out
-
-
 @dataclass
 class NoSpikeReport:
     delta: float
@@ -316,9 +302,7 @@ def normalize_solution(sol, params: DeGiorgiParams):
     return sol.scaled(theta), theta
 
 
-def calibrate_delta(
-    solutions, params: DeGiorgiParams, iterations: int = 48
-) -> float:
+def calibrate_delta(solutions, params: DeGiorgiParams) -> float:
     """Largest delta in (0, 1) whose normalization keeps every training
     solution within the unit band on the inner ball (bisection; the check is
     monotone in delta). The returned value is also stored on ``params``.
@@ -336,7 +320,7 @@ def calibrate_delta(
         return all(theta * sup / denom <= 1.0 for sup, denom in ratios)
 
     lo, hi = 0.0, 1.0 - 1e-9  # delta lives in the open interval (0, 1)
-    for _ in range(iterations):
+    for _ in range(DELTA_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid
@@ -345,19 +329,6 @@ def calibrate_delta(
     delta = lo if lo > 0 else 0.5 * hi
     params.delta = delta
     return delta
-
-
-def configuration_key(params: DeGiorgiParams, certificate: tuple) -> str:
-    """Registry key freezing delta per (n, p, q, r, R, lam, Lam, L)."""
-    lam, Lam, L = certificate
-    return json.dumps(
-        {
-            "n": params.n, "p": params.p, "q": params.q,
-            "r": params.r, "R": params.R,
-            "lam": round(lam, 12), "Lam": round(Lam, 12), "L": round(L, 12),
-        },
-        sort_keys=True,
-    )
 
 
 def linf_bound(sol, params: DeGiorgiParams) -> EstimateReport:

@@ -131,10 +131,6 @@ class BallRegion:
     def is_empty(self) -> bool:
         return not self.mask.any()
 
-    def node_coords(self) -> np.ndarray:
-        """(count, n) array of coordinates of the selected nodes."""
-        return self.grid.axis[self.node_indices()]
-
     def node_indices(self) -> np.ndarray:
         """(count, n) integer grid indices of the selected nodes."""
         return np.argwhere(self.mask)
@@ -149,20 +145,17 @@ def ball_region(grid: Grid, center, radius: float) -> BallRegion:
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """The whole box as a measurement region (optionally face-trimmed).
+    """The whole box as a measurement region.
 
     Duck-compatible with :class:`BallRegion` where norms are concerned;
     ``radius`` reports the half-width for labeling purposes.
     """
 
     grid: Grid
-    margin: int = 0
     mask: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.margin < 0 or 2 * self.margin >= self.grid.m:
-            raise ValueError(f"margin {self.margin} leaves no nodes")
-        mask = self.grid.interior_mask(self.margin) if self.margin else np.ones(self.grid.shape, bool)
+        mask = np.ones(self.grid.shape, bool)
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
@@ -174,20 +167,12 @@ class BoxRegion:
     def radius(self) -> float:
         return self.grid.half_width
 
-    @property
-    def count(self) -> int:
-        return int(self.mask.sum())
-
-    def node_coords(self) -> np.ndarray:
-        idx = np.argwhere(self.mask)
-        return self.grid.axis[idx]
-
     def node_indices(self) -> np.ndarray:
         return np.argwhere(self.mask)
 
 
-def box_region(grid: Grid, margin: int = 0) -> BoxRegion:
-    return BoxRegion(grid=grid, margin=margin)
+def box_region(grid: Grid) -> BoxRegion:
+    return BoxRegion(grid=grid)
 
 
 def nested_radii(r: float, R: float, k_max: int) -> np.ndarray:

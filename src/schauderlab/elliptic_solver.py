@@ -93,16 +93,6 @@ class CoefficientField:
                 e[i, j] = matrix[i, j]
         return cls(grid, e)
 
-    @classmethod
-    def from_functions(cls, grid: Grid, fns) -> "CoefficientField":
-        """fns[i][j] evaluated on the node coordinates."""
-        coords = grid.coords()
-        e = np.empty((grid.n, grid.n) + grid.shape)
-        for i in range(grid.n):
-            for j in range(grid.n):
-                e[i, j] = np.broadcast_to(fns[i][j](*coords), grid.shape)
-        return cls(grid, e)
-
     def set_lipschitz_certificate(self, bound: float) -> None:
         self.lipschitz_bound = float(bound)
 

@@ -129,12 +129,6 @@ class VecField:
     def zeros(cls, grid: Grid) -> "VecField":
         return cls(grid, np.zeros((grid.n,) + grid.shape))
 
-    @classmethod
-    def from_functions(cls, grid: Grid, fns) -> "VecField":
-        coords = grid.coords()
-        comps = np.stack([np.broadcast_to(fn(*coords), grid.shape) for fn in fns])
-        return cls(grid, comps)
-
     def component(self, j: int) -> Field:
         return Field(self.grid, self.components[j], self.valid)
 
@@ -335,12 +329,6 @@ def mollify(g: Field, eps: float) -> Field:
         out += view * w_k
     ok = erode(g.valid, moll.weights > 0)
     return Field(g.grid, np.where(ok, out, 0.0), ok)
-
-
-def mollify_vec(F: VecField, eps: float) -> VecField:
-    comps = [mollify(F.component(j), eps) for j in range(F.grid.n)]
-    ok = comps[0].valid
-    return VecField(F.grid, np.stack([c.values for c in comps]), ok)
 
 
 def forcing_to_field(f: Field) -> VecField:

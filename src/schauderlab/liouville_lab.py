@@ -39,6 +39,10 @@ GROWTH_SLOPE_SLACK = 0.02
 
 DERIVATIVE_ORDER_CAP = 3
 
+# Smallest Laplacian-residual contraction under one refinement that the
+# harmonic gate accepts (h^2 decay gives 4).
+HARMONIC_RATIO_FLOOR = 2.5
+
 
 def harmonic_residual(u: Field) -> float:
     """Max interior residual of the (2n+1)-point discrete Laplacian."""
@@ -72,7 +76,6 @@ class GrowthFamily:
     gamma: float
     scales: tuple = DEFAULT_SCALES
     m: int = 257
-    name: str = "field"
     dimension: int = 2
     _cache: dict = dfield(default_factory=dict, repr=False)
 
@@ -87,7 +90,7 @@ class GrowthFamily:
             self._cache[scale] = Field.from_function(grid, self.generator)
         return self._cache[scale]
 
-    def harmonic_gate(self, ratio_floor: float = 2.5) -> dict:
+    def harmonic_gate(self) -> dict:
         """Accept the generator if each scale's Laplacian residual is at
         machine floor or contracts like h^2 under one refinement."""
         out = {"scales": [], "passed": True}
@@ -101,7 +104,7 @@ class GrowthFamily:
                 fine_grid = make_grid(self.dimension, scale, 2 * self.m - 1)
                 fine = Field.from_function(fine_grid, self.generator)
                 entry["refined_ratio"] = res / max(harmonic_residual(fine), 1e-300)
-                entry["ok"] = entry["refined_ratio"] >= ratio_floor
+                entry["ok"] = entry["refined_ratio"] >= HARMONIC_RATIO_FLOOR
             else:
                 entry["ok"] = True
             out["passed"] &= entry["ok"]
@@ -109,8 +112,8 @@ class GrowthFamily:
         return out
 
 
-def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, n: int = 2, name: str = "field") -> GrowthFamily:
-    return GrowthFamily(generator=generator, gamma=gamma, scales=tuple(scales), m=m, name=name, dimension=n)
+def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, n: int = 2) -> GrowthFamily:
+    return GrowthFamily(generator=generator, gamma=gamma, scales=tuple(scales), m=m, dimension=n)
 
 
 def counterexample_field(a, b, grid: Grid) -> Field:

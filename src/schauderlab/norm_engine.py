@@ -39,6 +39,9 @@ _MAX_EXPANSION = 1 << 19
 # never prunes a pair whose computed quotient would beat it.
 _BOUND_SLACK = 1e-12
 
+# Valid nodes a measurement region must hold.
+MIN_REGION_NODES = 1
+
 # Default Sobolev exponent for n = 2, where any p > 2 is admissible.
 SOBOLEV_P_2D = 4.0
 
@@ -74,14 +77,14 @@ class NormValue:
         return json.dumps(payload)
 
 
-def _region_values(u: Field, region: BallRegion, min_nodes: int = 1):
+def _region_values(u: Field, region: BallRegion):
     if u.grid != region.grid:
         raise ValueError("field and region live on different grids")
     mask = region.mask & u.valid
-    if mask.sum() < min_nodes:
+    if mask.sum() < MIN_REGION_NODES:
         raise EmptyRegionError(
             f"region B({region.center}, {region.radius}) holds {int(mask.sum())} valid nodes, "
-            f"need {min_nodes}"
+            f"need {MIN_REGION_NODES}"
         )
     return mask
 

@@ -60,6 +60,23 @@ GROWTH_VIOLATION_HEADROOM = 1.10
 # Seminorm level below which a blow-up collapses to exact cancellation.
 DEGENERATE_SEMINORM_FLOOR = 1e-12
 
+# Shells of the pointwise-exponent regression, and the halvings of the band
+# R - r in the H^k sweep of the (R - r)^-2 law.
+POINTWISE_SHELLS = 6
+BAND_SWEEP_HALVINGS = 2
+
+# Growth-fit ladder: 9 geometric shell edges from 4 lattice spacings to the
+# window radius; the slope uses the shells inside the unit ball.
+GROWTH_SHELL_EDGES = 9
+GROWTH_INNER_SPACINGS = 4
+GROWTH_FIT_RADIUS = 1.0
+
+# Blow-up: node reach of the local quotient that orients a pair, and the
+# half-width and node count of the rescaled profile window.
+LOCAL_QUOTIENT_REACH = 5
+BLOWUP_WINDOW_RADIUS = 2.0
+BLOWUP_WINDOW_M = 65
+
 
 @dataclass
 class AdmissibleAlpha:
@@ -110,8 +127,6 @@ class SchauderConfig:
     r: float
     R: float
     q: float | None = None
-    window_radius: float = 2.0
-    window_m: int = 65
     blowup_steps: int = 3
 
     def __post_init__(self):
@@ -180,9 +195,7 @@ def schauder_ratio(sol: DiscreteSolution, cfg: SchauderConfig) -> EstimateReport
     )
 
 
-def measure_pointwise_exponent(
-    u: Field, point, r_min: float, r_max: float, shells: int = 6
-) -> dict:
+def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> dict:
     """Holder exponent of u at a point by shell regression on grid nodes.
 
     Fits the slope of log max_{shell} |u(x) - u(point)| against log radius
@@ -193,7 +206,7 @@ def measure_pointwise_exponent(
     dist = grid.radius_from(point)
     idx = tuple(int(np.argmin(np.abs(grid.axis - c))) for c in point)
     base = u.values[idx]
-    radii = np.geomspace(r_min, r_max, shells + 1)
+    radii = np.geomspace(r_min, r_max, POINTWISE_SHELLS + 1)
     logs_r, logs_v = [], []
     for lo, hi in zip(radii[:-1], radii[1:]):
         ring = (dist > lo) & (dist <= hi) & u.valid
@@ -209,14 +222,12 @@ def measure_pointwise_exponent(
     return {"exponent": slope, "shells": len(logs_r)}
 
 
-def sobolev_estimate_check(
-    sol: DiscreteSolution, k: int, r: float, R: float, sweep: int = 2
-) -> EstimateReport:
+def sobolev_estimate_check(sol: DiscreteSolution, k: int, r: float, R: float) -> EstimateReport:
     """||u||_{H^k(B_r)} against ||u||_{L2(B_R)} + ||F||_{H^{k-1}(B_R)}.
 
     Needs f == 0 and a Lipschitz certificate on A (order k-2 smoothness for
     k = 3). The returned report carries a (R - r) sweep: the same ratio with
-    the band halved ``sweep`` times, tracking the (R-r)^-2 blow-up law.
+    the band halved ``BAND_SWEEP_HALVINGS`` times, tracking the (R-r)^-2 blow-up law.
     """
     if k not in (2, 3):
         raise ValueError(f"order k must be 2 or 3, got {k}")
@@ -238,7 +249,7 @@ def sobolev_estimate_check(
         f"h{k}_estimate", lhs, comps, (r, R), grid.m, sol.problem.fingerprint()
     )
     rows = []
-    for i in range(sweep + 1):
+    for i in range(BAND_SWEEP_HALVINGS + 1):
         ri = R - (R - r) / 2**i
         if ri >= grid.half_width - (k + 1) * grid.h:
             break
@@ -249,14 +260,20 @@ def sobolev_estimate_check(
     return report
 
 
-def _entry_derivative(A: CoefficientField, i: int) -> np.ndarray:
-    """Central-difference derivative of every entry along axis i (interior)."""
+def _differentiated_source(A: CoefficientField, i: int, grad_u: np.ndarray, f: Field, F: VecField):
+    """Source d_i A grad u + f e_i + d_i F of the equation for d_i u (central
+    differences), and the nodes where d_i F is valid; the components of F
+    share one mask."""
     n = A.grid.n
-    out = np.zeros_like(A.entries)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = central_difference(Field(A.grid, A.entries[a, b]), i).values
-    return out
+    dA = np.zeros_like(A.entries)
+    for a, b in itertools.product(range(n), repeat=2):
+        dA[a, b] = central_difference(Field(A.grid, A.entries[a, b]), i).values
+    source = np.einsum("ab...,b...->a...", dA, grad_u)
+    source[i] += f.values
+    for b in range(n):
+        dF = central_difference(F.component(b), i)
+        source[b] += dF.values
+    return source, dF.valid
 
 
 def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> float:
@@ -282,12 +299,8 @@ def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> f
     a_grad = np.einsum("ab...,b...->a...", sol.problem.A.entries, grad_ui.components)
     live = grad_ui.valid
     t1 = float((a_grad * gphi)[:, live].sum()) * hn
-    dA = _entry_derivative(sol.problem.A, i)
-    grad_u = gradient(sol.u).components
-    source = np.einsum("ab...,b...->a...", dA, grad_u)
-    source[i] += sol.problem.f.values
-    for b in range(grid.n):
-        source[b] += central_difference(sol.problem.F.component(b), i).values
+    prob = sol.problem
+    source, _ = _differentiated_source(prob.A, i, gradient(sol.u).components, prob.f, prob.F)
     t2 = float((source * gphi)[:, live].sum()) * hn
     return abs(t1 + t2)
 
@@ -302,18 +315,12 @@ class GrowthFit:
     compliant_trivially: bool = False
 
 
-def growth_fit(
-    v: Field,
-    alpha: float,
-    order: int = 0,
-    shell_radii=None,
-    fit_radius: float | None = None,
-) -> GrowthFit:
+def growth_fit(v: Field, alpha: float, order: int = 0) -> GrowthFit:
     """Least-squares slope of log shell-max against log radius.
 
-    Shells default to a geometric ladder from 4 lattice spacings up to the
-    window radius; the fit uses shells inside ``fit_radius`` (default 1, the
-    ball where the companion direction lives) while the growth-bound check
+    Shells form a geometric ladder from 4 lattice spacings up to the window
+    radius; the fit uses shells inside the unit ball (where the companion
+    direction lives) while the growth-bound check
     |v| <= |x|^alpha (order 0) or (2/(1+alpha))|x|^{1+alpha} (order 1) is
     flagged on every shell with 10% headroom.
     """
@@ -321,12 +328,8 @@ def growth_fit(
     origin = tuple(grid.m // 2 for _ in range(grid.n))
     if abs(v.values[origin]) > 1e-13:
         raise ValueError("blow-up profile must vanish at the origin")
-    if shell_radii is None:
-        lo = 4 * grid.h
-        shell_radii = np.geomspace(lo, grid.half_width, 9)
-    shell_radii = np.asarray(shell_radii)
-    if fit_radius is None:
-        fit_radius = min(1.0, grid.half_width)
+    shell_radii = np.geomspace(GROWTH_INNER_SPACINGS * grid.h, grid.half_width, GROWTH_SHELL_EDGES)
+    fit_radius = min(GROWTH_FIT_RADIUS, grid.half_width)
     dist = grid.radius_from(np.zeros(grid.n))
     rows = []
     for lo, hi in zip(shell_radii[:-1], shell_radii[1:]):
@@ -386,8 +389,9 @@ class BlowupRecord:
         return float("nan")
 
 
-def _local_quotient(values, valid, coords_axis, node_idx, alpha, reach=5):
+def _local_quotient(values, valid, coords_axis, node_idx, alpha):
     """Largest Holder quotient from one node to its near neighbors."""
+    reach = LOCAL_QUOTIENT_REACH
     nd = values.ndim if values.ndim <= len(node_idx) else values.ndim - 1
     grid_shape = values.shape[-nd:]
     sl = tuple(
@@ -502,13 +506,11 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         xi = ((partner - base) / r_sep) if r_sep > 0 else np.zeros(grid.n)
         x, y, xi = (tuple(map(float, p)) for p in (base, partner, xi))
 
-        window_half = cfg.window_radius
-        window = make_grid(grid.n, window_half, cfg.window_m)
+        window = make_grid(grid.n, BLOWUP_WINDOW_RADIUS, BLOWUP_WINDOW_M)
         if degenerate:
-            v = Field.zeros(window)
-            w_prof = Field.zeros(window)
+            zero = Field.zeros(window)
             step = BlowupStep(
-                x=x, y=y, separation=r_sep, level=0.0, xi=xi, v=v, w=w_prof,
+                x=x, y=y, separation=r_sep, level=0.0, xi=xi, v=zero, w=zero,
                 v_seminorm=0.0, vw_gap=0.0, vw_gap_bound=0.0, interp_tol=0.0,
                 fit=GrowthFit(float("nan"), False, [], compliant_trivially=True),
                 degenerate=True,
@@ -540,15 +542,13 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         v = Field(window, v_vals, ok)
         w_prof = Field(window, w_vals, ok)
         win_region = ball_region(window, 0.0, window.half_width)
-        if cfg.order == 0:
-            v_semi = holder_seminorm(v, cfg.alpha, win_region).value
-        else:
-            v_semi = holder_seminorm_vec(gradient(v), cfg.alpha, win_region).value
         vw_gap = float(np.abs(v_vals - w_vals)[ok].max())
         if cfg.order == 0:
-            gap_bound = eta_lip * window_half * u_sup / level * r_sep ** (1 - cfg.alpha)
+            v_semi = holder_seminorm(v, cfg.alpha, win_region).value
+            gap_bound = eta_lip * BLOWUP_WINDOW_RADIUS * u_sup / level * r_sep ** (1 - cfg.alpha)
         else:
-            gap_bound = eta_lip * window_half**2 * u_sup / level * r_sep ** (-cfg.alpha) * 2.0
+            v_semi = holder_seminorm_vec(gradient(v), cfg.alpha, win_region).value
+            gap_bound = eta_lip * BLOWUP_WINDOW_RADIUS**2 * u_sup / level * r_sep ** (-cfg.alpha) * 2.0
         interp_tol = 0.5 * math.sqrt(grid.n) * grid.h * grad_w_sup / denom * r_sep
         try:
             fit = growth_fit(v, cfg.alpha, order=cfg.order)
@@ -590,25 +590,37 @@ def _restrict_values(values: np.ndarray, grid: Grid, j: int) -> np.ndarray:
     return values[sl]
 
 
+def _problem_on(sub: Grid, problem: EllipticProblem, sample, g: Field, t: float = 1.0) -> EllipticProblem:
+    """The problem's data carried to the grid ``sub``: ``sample(Field) ->
+    ndarray`` applied to every entry of A, to f and to each component of F,
+    with f scaled by t^2 and F by t as under the zoom x -> x0 + t x; g is
+    taken as given. The data are copies, never views of the parent's."""
+    grid, n = problem.grid, problem.grid.n
+    entries = np.stack(
+        [np.stack([sample(Field(grid, problem.A.entries[a, b])) for b in range(n)]) for a in range(n)]
+    )
+    return EllipticProblem(
+        A=CoefficientField(sub, entries),
+        f=Field(sub, t**2 * sample(problem.f)),
+        F=VecField(sub, np.stack([t * sample(problem.F.component(a)) for a in range(n)])),
+        g=g,
+        p=problem.p,
+        q=problem.q,
+    )
+
+
 def restrict_problem_data(problem: EllipticProblem, u_boundary: Field, j: int):
     """Slice problem data to the inner box of j nodes around the center."""
     grid = problem.grid
-    inner_hw = j * grid.h
-    sub = make_grid(grid.n, inner_hw, 2 * j + 1)
-    entries = np.stack(
-        [
-            np.stack([_restrict_values(problem.A.entries[a, b], grid, j) for b in range(grid.n)])
-            for a in range(grid.n)
-        ]
-    )
-    A = CoefficientField(sub, entries)
-    f = Field(sub, _restrict_values(problem.f.values, grid, j))
-    F = VecField(sub, np.stack([_restrict_values(problem.F.components[a], grid, j) for a in range(grid.n)]))
-    g = Field(sub, _restrict_values(u_boundary.values, grid, j))
-    return EllipticProblem(A=A, f=f, F=F, g=g, p=problem.p, q=problem.q), sub
+    sub = make_grid(grid.n, j * grid.h, 2 * j + 1)
+
+    def restrict(fld: Field) -> np.ndarray:
+        return _restrict_values(fld.values, grid, j)
+
+    return _problem_on(sub, problem, restrict, Field(sub, restrict(u_boundary))), sub
 
 
-def regularize_approximate(problem: EllipticProblem, eps_schedule, r: float | None = None) -> ApproximationRecord:
+def regularize_approximate(problem: EllipticProblem, eps_schedule) -> ApproximationRecord:
     """Mollify the data, solve on the inner box with the reference solution as
     boundary data, and track the H^1 distance along the schedule.
 
@@ -626,6 +638,8 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule, r: float | No
     inner_hw = j * grid.h
     sub = make_grid(grid.n, inner_hw, 2 * j + 1)
     ref_l2 = lp_norm(reference.u, 2, ball_region(grid, 0.0, grid.half_width)).value
+    ref_inner = Field(sub, _restrict_values(reference.u.values, grid, j))
+    ball = ball_region(sub, 0.0, inner_hw)
 
     rows = []
     ell_ok = True
@@ -636,34 +650,8 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule, r: float | No
             )
         # mollified data lives on the eps-interior; restrict to the inner box
         # before re-certifying ellipticity (zeros outside would fail the gate)
-        entries = np.stack(
-            [
-                np.stack(
-                    [
-                        _restrict_values(
-                            mollify(Field(grid, problem.A.entries[a, b]), eps).values, grid, j
-                        )
-                        for b in range(grid.n)
-                    ]
-                )
-                for a in range(grid.n)
-            ]
-        )
-        sub_problem = EllipticProblem(
-            A=CoefficientField(sub, entries),
-            f=Field(sub, _restrict_values(mollify(problem.f, eps).values, grid, j)),
-            F=VecField(
-                sub,
-                np.stack(
-                    [
-                        _restrict_values(mollify(problem.F.component(a), eps).values, grid, j)
-                        for a in range(grid.n)
-                    ]
-                ),
-            ),
-            g=Field(sub, _restrict_values(reference.u.values, grid, j)),
-            p=problem.p,
-            q=problem.q,
+        sub_problem = _problem_on(
+            sub, problem, lambda fld: _restrict_values(mollify(fld, eps).values, grid, j), ref_inner
         )
         ell_ok &= (
             sub_problem.A.lam >= problem.A.lam - 1e-10
@@ -671,11 +659,9 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule, r: float | No
             and sub_problem.A.L <= problem.A.L + 1e-10
         )
         approx = solve_dirichlet(sub_problem)
-        ref_inner = Field(sub, _restrict_values(reference.u.values, grid, j))
         diff = approx.u - ref_inner
-        ball = ball_region(sub, 0.0, inner_hw)
         h1 = hk_norm(diff, 1, ball).value
-        l2 = lp_norm(approx.u, 2, ball_region(sub, 0.0, inner_hw)).value
+        l2 = lp_norm(approx.u, 2, ball).value
         rows.append(
             {
                 "eps": eps, "h1_gap": h1, "l2": l2,
@@ -744,14 +730,10 @@ def bootstrap_ckalpha(
         for (u_field, f_field, F_field, grad_field) in current:
             for i in range(grid.n):
                 u_i = central_difference(u_field, i)
-                dA_grad = np.einsum(
-                    "ab...,b...->a...", _entry_derivative(problem.A, i), grad_field.components
+                source, dF_valid = _differentiated_source(
+                    problem.A, i, grad_field.components, f_field, F_field
                 )
-                source = dA_grad.copy()
-                source[i] += f_field.values
-                for b in range(grid.n):
-                    source[b] += central_difference(F_field.component(b), i).values
-                src_valid = grad_field.valid & central_difference(F_field.component(0), i).valid
+                src_valid = grad_field.valid & dF_valid
                 G = VecField(grid, np.where(src_valid[None], source, 0.0), src_valid)
                 lhs = ck_alpha_norm(u_i, 1, alpha, inner_reg).value
                 comps = {
@@ -792,32 +774,13 @@ def bootstrap_ckalpha(
     )
 
 
-@dataclass
-class RescalePair:
-    """Covariant transform of both sides of the order-0 estimate under
-    x -> x0 + t x; reported as factors, not a single constant."""
-
-    t: float
-    lhs_factors: dict
-    rhs_factors: dict
-
-
-def rescale_estimate(C_unit: float, t: float, kind: str):
-    """Transport a unit-ball estimate constant to a ball of radius t.
-
-    kind "h2": the constant becomes C / t^2. kind "c0alpha": both sides
-    transform covariantly; the factor pair is returned instead of a number.
-    """
+def rescale_estimate(C_unit: float, t: float, kind: str) -> float:
+    """Transport a unit-ball estimate constant to a ball of radius t; the
+    one kind, "h2", becomes C / t^2."""
     if not 0 < t <= 1:
         raise ValueError(f"scale t must lie in (0, 1], got {t}")
     if kind == "h2":
         return C_unit / t**2
-    if kind == "c0alpha":
-        return RescalePair(
-            t=t,
-            lhs_factors={"sup": 1.0, "seminorm_alpha": "t^alpha"},
-            rhs_factors={"u_l2": "t^(-n/2)", "f_lp": "t^(2 - n/p)", "F_lq": "t^(1 - n/q)"},
-        )
     raise ValueError(f"unknown estimate kind {kind!r}")
 
 
@@ -839,20 +802,10 @@ def rescale_problem(
     mesh = sub.coords()
     pts = [x0[a] + t * mesh[a] for a in range(grid.n)]
 
-    def zoom(values: np.ndarray) -> np.ndarray:
-        out = _multilinear(values, grid.axis, pts)
+    def zoom(fld: Field) -> np.ndarray:
+        out = _multilinear(fld.values, grid.axis, pts)
         if np.isnan(out).any():
             raise ValueError("zoom sample points leave the box")
         return out
 
-    entries = np.stack(
-        [np.stack([zoom(problem.A.entries[a, b]) for b in range(grid.n)]) for a in range(grid.n)]
-    )
-    return EllipticProblem(
-        A=CoefficientField(sub, entries),
-        f=Field(sub, t**2 * zoom(problem.f.values)),
-        F=VecField(sub, np.stack([t * zoom(problem.F.components[a]) for a in range(grid.n)])),
-        g=Field(sub, zoom(reference.values)),
-        p=problem.p,
-        q=problem.q,
-    )
+    return _problem_on(sub, problem, zoom, Field(sub, zoom(reference)), t)

@@ -352,7 +352,7 @@ def test_a_posteriori_matches_direct_ratio(grid129):
     cfg = SchauderConfig(order=0, alpha=0.5, p=4.0, q=8.0, r=0.3, R=0.7)
     direct = schauder_ratio(solve_dirichlet(prob), cfg)
 
-    from schauderlab.field_calculus import mollify, mollify_vec
+    from schauderlab.field_calculus import mollify
     from schauderlab.schauder_harness import _restrict_values
 
     eps = 2 * grid129.h * 1.01
@@ -374,7 +374,7 @@ def test_a_posteriori_matches_direct_ratio(grid129):
         A=CoefficientField(sub, entries),
         f=Field(sub, _restrict_values(mollify(prob.f, eps).values, grid129, j)),
         F=VecField(sub, np.stack([
-            _restrict_values(mollify_vec(prob.F, eps).components[a], grid129, j) for a in range(2)
+            _restrict_values(mollify(prob.F.component(a), eps).values, grid129, j) for a in range(2)
         ])),
         g=Field(sub, _restrict_values(reference.u.values, grid129, j)),
         p=prob.p, q=prob.q, certificates=dict(prob.certificates),
@@ -457,13 +457,6 @@ def test_rescale_invalid_scale():
         rescale_estimate(1.0, 0.5, "h5")
 
 
-def test_rescale_c0alpha_pair():
-    pair = rescale_estimate(1.0, 0.5, "c0alpha")
-    assert pair.t == 0.5
-    assert "seminorm_alpha" in pair.lhs_factors
-    assert set(pair.rhs_factors) == {"u_l2", "f_lp", "F_lq"}
-
-
 def test_rescale_paired_experiment(grid129):
     # zoomed solve on the unit grid vs direct solve on the subgrid: the
     # commensurate lattice makes both sides the same discrete system
@@ -478,3 +471,50 @@ def test_rescale_paired_experiment(grid129):
     gap = np.abs(v.u.values - direct.u.values).max()
     scale = np.abs(direct.u.values).max()
     assert gap <= 0.10 * scale  # matches far tighter in practice
+
+
+def _certified(problem):
+    A = problem.A
+    return problem.fingerprint(), A.lam, A.Lam, A.L, A.is_symmetric
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("n, m", [(2, 65), (3, 17)])
+def test_identity_zoom_and_full_restriction_reproduce_the_problem(n, m, symmetric):
+    # the sub-grid builder carries data unchanged when the target is the
+    # whole box: same bytes, same ellipticity certificate
+    from schauderlab.generators import trig_coefficient_field
+
+    grid = make_grid(n, 1.0, m)
+    rng = np.random.default_rng(41)
+    data = random_problem(grid, rng)
+    A = trig_coefficient_field(grid, rng, symmetric=symmetric)
+    prob = EllipticProblem(A=A, f=data.f, F=data.F, g=data.g, p=data.p, q=data.q)
+    zoomed = rescale_problem(prob, (0.0,) * n, 1.0, prob.g)
+    restricted, _ = restrict_problem_data(prob, prob.g, m // 2)
+    assert _certified(zoomed) == _certified(prob)
+    assert _certified(restricted) == _certified(prob)
+    for mine, parent in [
+        (restricted.A.entries, prob.A.entries),
+        (restricted.f.values, prob.f.values),
+        (restricted.F.components, prob.F.components),
+    ]:
+        assert not np.shares_memory(mine, parent)
+
+
+def test_commensurate_zoom_scales_the_restricted_data(grid129):
+    # t = 32h with m' = 65 puts every zoom sample on an original node: A and
+    # g are the restricted ones, f picks up t^2 and F picks up t
+    prob = random_problem(grid129, np.random.default_rng(43))
+    j = 32
+    t = j * grid129.h
+    zoomed = rescale_problem(prob, (0.0, 0.0), t, prob.g, m=2 * j + 1)
+    restricted, _ = restrict_problem_data(prob, prob.g, j)
+
+    def assert_close(actual, expected):
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    assert_close(zoomed.A.entries, restricted.A.entries)
+    assert_close(zoomed.g.values, restricted.g.values)
+    assert_close(zoomed.f.values, t**2 * restricted.f.values)
+    assert_close(zoomed.F.components, t * restricted.F.components)
