@@ -70,13 +70,18 @@ class Grid:
         """Per-axis coordinate arrays of shape ``self.shape`` (ij indexing)."""
         return np.meshgrid(*([self.axis] * self.n), indexing="ij")
 
+    def axis_views(self) -> list:
+        """Per-axis coordinates as views that broadcast to ``self.shape``:
+        view j runs along dimension j and has length 1 on the others."""
+        return [self.axis.reshape((-1,) + (1,) * (self.n - 1 - j)) for j in range(self.n)]
+
     def radius_from(self, center) -> np.ndarray:
         """Nodal Euclidean distance from ``center``."""
         center = np.asarray(center, dtype=float)
         if center.shape != (self.n,):
             raise ValueError(f"center must have {self.n} components")
         r2 = np.zeros(self.shape)
-        for j, c in enumerate(self.coords()):
+        for j, c in enumerate(self.axis_views()):
             r2 += (c - center[j]) ** 2
         return np.sqrt(r2)
 

@@ -39,6 +39,18 @@ JACOBI_WEIGHT = 0.8
 SMOOTHING_SWEEPS = 2
 COARSEST_UNKNOWNS = 1000
 
+# Screen tolerance, relative to L. A node is a candidate when its screened
+# value lies within SCREEN_TOL of the screened extreme, which misses no node
+# attaining the LAPACK extreme as long as each screened value is within
+# SCREEN_TOL/2 of LAPACK's. The 2-D form (mean -/+ hypot) is good to a few
+# ulps, and LAPACK to a few eps. Smith's form loses accuracy only near a
+# repeated eigenvalue, where acos near +-1 turns an error d in det(B)/2 into
+# sqrt(2d) in phi. With |B_ij| <= sqrt(6), d stays under about 50 eps, so
+# phi is off by < 5e-8 and an eigenvalue by 2p * 5e-8 < 1.3e-7 (p <= 1.23
+# after scaling). Measured: at most 1.7e-8 on 928 000 rotations of
+# near-degenerate diagonal matrices.
+SCREEN_TOL = 1e-6
+
 
 class CoefficientField:
     """Matrix-valued coefficient A(x), not necessarily symmetric.
@@ -103,22 +115,71 @@ class CoefficientField:
         self.holder_bound = float(bound)
 
 
+def _screen_eigenvalues(ent: np.ndarray, L: float) -> tuple:
+    """Closed-form (smallest, largest) nodal eigenvalues of the symmetric
+    part of ent / L, ent of shape (n, n, N); accurate to SCREEN_TOL."""
+    n = ent.shape[0]
+    s = ent / L  # every entry in [-1, 1], so nothing below can overflow
+
+    def sym(i, j):
+        return s[i, i] if i == j else 0.5 * (s[i, j] + s[j, i])
+
+    if n == 2:
+        a, b, d = sym(0, 0), sym(0, 1), sym(1, 1)
+        mean = 0.5 * (a + d)
+        rad = np.hypot(0.5 * (a - d), b)
+        return mean - rad, mean + rad
+    # O. K. Smith, "Eigenvalues of a symmetric 3x3 matrix", Comm. ACM 4 (1961):
+    # with q = tr/3 and B = (S - qI)/p, p = sqrt(|S - qI|_F^2 / 6), the
+    # eigenvalues are q + 2p cos(phi + 2 pi k/3), phi = acos(det(B)/2)/3.
+    q = (s[0, 0] + s[1, 1] + s[2, 2]) / 3.0
+    d0, d1, d2 = s[0, 0] - q, s[1, 1] - q, s[2, 2] - q
+    b01, b02, b12 = sym(0, 1), sym(0, 2), sym(1, 2)
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    # p = 0 only where S - qI vanishes (up to underflow); det(B) is then
+    # (near) 0 and both eigenvalues read q
+    p_safe = np.where(p > 0, p, 1.0)
+    d0, d1, d2, b01, b02, b12 = (x / p_safe for x in (d0, d1, d2, b01, b02, b12))
+    det = d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02) + b02 * (b01 * b12 - d1 * b02)
+    phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    return q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(phi)
+
+
 def validate_ellipticity(A: CoefficientField) -> tuple:
     """Extreme eigenvalues of the symmetric part plus the entry sup.
 
     Fails (reporting the offending node) if the smallest nodal eigenvalue of
     (A + A^T)/2 is not strictly positive. The antisymmetric part never enters
     the quadratic form, so only the symmetric part is certified.
+
+    A closed-form screen picks the candidate nodes, those within SCREEN_TOL*L
+    of either extreme; lam, Lam and the node are LAPACK's values there, the
+    same as an eigvalsh call on every node would give. A candidate whose
+    entries equal the first candidate's bit for bit is not sent to LAPACK,
+    so a constant field costs one call.
     """
     grid = A.grid
     n = grid.n
     ent = A.entries.reshape(n, n, -1)
-    sym = 0.5 * (ent + ent.transpose(1, 0, 2)).transpose(2, 0, 1)  # (N, n, n)
-    eigs = np.linalg.eigvalsh(sym)
-    lam_idx = int(np.argmin(eigs[:, 0]))
-    lam = float(eigs[lam_idx, 0])
+    L = float(max(ent.max(), -ent.min()))
+    lo, hi = _screen_eigenvalues(ent, L or 1.0)  # L = 0: the zero field
+    cand = np.flatnonzero((lo <= lo.min() + SCREEN_TOL) | (hi >= hi.max() - SCREEN_TOL))
+    # Every node whose LAPACK value attains an extreme is a candidate, and no
+    # candidate passes beyond either extreme, so argmin over the candidates
+    # in flat order finds the node np.argmin over all nodes would. A
+    # candidate bitwise equal to the first has its eigenvalues and comes
+    # later in flat order, so it can be dropped.
+    c = ent.reshape(n * n, -1).take(cand, axis=1)
+    fresh = np.zeros(cand.size, dtype=bool)
+    for row in c.view(np.int64):
+        fresh |= row != row[0]
+    fresh[0] = True
+    cand, c = cand[fresh], c[:, fresh].reshape(n, n, -1)
+    eigs = np.linalg.eigvalsh(0.5 * (c + c.transpose(1, 0, 2)).transpose(2, 0, 1))
+    lam_pos = int(np.argmin(eigs[:, 0]))
+    lam_idx = int(cand[lam_pos])
+    lam = float(eigs[lam_pos, 0])
     Lam = float(eigs[:, -1].max())
-    L = float(np.abs(A.entries).max())
     if lam <= 0:
         node = np.unravel_index(lam_idx, grid.shape)
         coords = tuple(float(grid.axis[i]) for i in node)

@@ -65,19 +65,28 @@ def radial_singular_problem(grid: Grid, s: float, p: float = 4.0, q: float = 8.0
     return prob, exact
 
 
+# Frequency bound and term count of each trig coefficient entry, and the
+# octave count of each rough Holder entry.
+TRIG_MAX_FREQ = 3.0
+TRIG_TERMS = 3
+ROUGH_OCTAVES = 4
+
+
+def _phase(grid: Grid, omega, phase: float) -> np.ndarray:
+    """omega . x + phase at every node, built from the broadcast axes."""
+    return sum(w * c for w, c in zip(omega, grid.axis_views())) + phase
+
+
 def _trig_sum(grid: Grid, rng, terms: int, amplitude: float, max_freq: float):
     """Random smooth field sum_k a_k sin(w_k . x + phi_k) with sum|a_k| =
     amplitude; returns (values, lipschitz_bound)."""
-    coords = grid.coords()
     amps = rng.uniform(0.5, 1.0, size=terms)
     amps *= amplitude / amps.sum()
     vals = np.zeros(grid.shape)
     lip = 0.0
     for a in amps:
         omega = rng.uniform(-max_freq, max_freq, size=grid.n)
-        phase = rng.uniform(0, 2 * np.pi)
-        arg = sum(w * c for w, c in zip(omega, coords)) + phase
-        vals += a * np.sin(arg)
+        vals += a * np.sin(_phase(grid, omega, rng.uniform(0, 2 * np.pi)))
         lip += a * float(np.linalg.norm(omega))
     return vals, lip
 
@@ -86,8 +95,6 @@ def trig_coefficient_field(
     grid: Grid,
     rng,
     beta: float = 0.2,
-    max_freq: float = 3.0,
-    terms: int = 3,
     symmetric: bool = True,
     holder_alpha: float | None = None,
 ) -> CoefficientField:
@@ -102,7 +109,7 @@ def trig_coefficient_field(
             if symmetric and j < i:
                 entries[i, j] = entries[j, i]
                 continue
-            vals, lij = _trig_sum(grid, rng, terms, beta, max_freq)
+            vals, lij = _trig_sum(grid, rng, TRIG_TERMS, beta, TRIG_MAX_FREQ)
             entries[i, j] = vals
             lip = max(lip, lij)
     for i in range(n):
@@ -116,32 +123,30 @@ def trig_coefficient_field(
 
 
 def rough_holder_coefficient_field(
-    grid: Grid, rng, alpha: float, octaves: int = 4, beta: float = 0.2, symmetric: bool = True
+    grid: Grid, rng, alpha: float, beta: float = 0.2
 ) -> CoefficientField:
-    """Identity plus a lacunary sum of octaves: genuinely C^{0,alpha} texture.
+    """Identity plus a symmetric lacunary sum of octaves: genuinely C^{0,alpha}
+    texture.
 
     Each octave j contributes amp_j sin(4^j w.x + phi) with amp_j ~ 4^{-j
     alpha}; the Holder-alpha certificate is the sum of per-octave bounds
     min-interpolated between slope and sup.
     """
     n = grid.n
-    coords = grid.coords()
     entries = np.zeros((n, n) + grid.shape)
-    amp0 = beta / sum(4.0 ** (-k * alpha) for k in range(octaves))
+    amp0 = beta / sum(4.0 ** (-k * alpha) for k in range(ROUGH_OCTAVES))
     holder_bound = 0.0
     for i in range(n):
         for j in range(n):
-            if symmetric and j < i:
+            if j < i:
                 entries[i, j] = entries[j, i]
                 continue
             acc = np.zeros(grid.shape)
             bound = 0.0
-            for k in range(octaves):
+            for k in range(ROUGH_OCTAVES):
                 amp = amp0 * 4.0 ** (-k * alpha)
                 omega = 4.0**k * rng.uniform(0.7, 1.3, size=n) * np.sign(rng.uniform(-1, 1, size=n))
-                phase = rng.uniform(0, 2 * np.pi)
-                arg = sum(w * c for w, c in zip(omega, coords)) + phase
-                acc += amp * np.sin(arg)
+                acc += amp * np.sin(_phase(grid, omega, rng.uniform(0, 2 * np.pi)))
                 lip_k = amp * float(np.linalg.norm(omega))
                 bound += lip_k**alpha * (2 * amp) ** (1 - alpha)
             entries[i, j] = acc

@@ -795,7 +795,11 @@ def rescale_problem(
     the direct subgrid solve to solver tolerance.
     """
     grid = problem.grid
+    if np.ndim(x0) == 0:
+        x0 = (float(x0),) * grid.n
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (grid.n,):
+        raise ValueError(f"zoom target must have {grid.n} components, got shape {x0.shape}")
     if np.abs(x0).max() + t > grid.half_width + 1e-12:
         raise ValueError("zoom target leaves the box")
     sub = make_grid(grid.n, 1.0, grid.m if m is None else m)

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schauderlab import elliptic_solver
 from schauderlab.domain_grid import ball_region, box_region, make_grid
@@ -26,6 +27,7 @@ from schauderlab.generators import (
     bump_field,
     harmonic_saddle_problem,
     random_problem,
+    rough_holder_coefficient_field,
     sine_forcing_problem,
     trig_coefficient_field,
 )
@@ -59,6 +61,143 @@ def test_not_elliptic_reports_node(grid65):
     with pytest.raises(NotEllipticError) as err:
         CoefficientField(grid65, entries)
     assert err.value.node == (3, 5)
+
+
+def _all_node_certificate(grid, entries):
+    """Reference: one eigvalsh on the symmetric part at every node, np.argmin
+    for the node. Returns (lam, Lam, L, is_symmetric, node or None)."""
+    n = grid.n
+    ent = entries.reshape(n, n, -1)
+    sym = 0.5 * (ent + ent.transpose(1, 0, 2)).transpose(2, 0, 1)
+    eigs = np.linalg.eigvalsh(sym)
+    lam_idx = int(np.argmin(eigs[:, 0]))
+    lam = float(eigs[lam_idx, 0])
+    Lam = float(eigs[:, -1].max())
+    L = float(np.abs(entries).max())
+    is_symmetric = all(
+        np.abs(entries[i, j] - entries[j, i]).max() <= 1e-14 * max(1.0, L)
+        for i in range(n)
+        for j in range(i)
+    )
+    node = np.unravel_index(lam_idx, grid.shape) if lam <= 0 else None
+    return lam, Lam, L, is_symmetric, node
+
+
+def _certificate(grid, entries):
+    try:
+        A = CoefficientField(grid, entries)
+    except NotEllipticError as err:
+        return err.eigenvalue, err.node
+    return A.lam, A.Lam, A.L, A.is_symmetric, None
+
+
+def _assert_certificate_matches_reference(grid, entries):
+    ref = _all_node_certificate(grid, entries)
+    if ref[-1] is None:
+        assert _certificate(grid, entries) == ref
+    else:
+        assert _certificate(grid, entries) == (ref[0], ref[-1])
+
+
+def _node_field(grid, matrices):
+    """Entries of the field with matrix k, of shape (N, n, n), at flat node k."""
+    return np.ascontiguousarray(matrices.transpose(1, 2, 0)).reshape((grid.n, grid.n) + grid.shape)
+
+
+def _rotated(rng, grid, diagonal):
+    """Random rotations of one diagonal matrix, one per node."""
+    q, _ = np.linalg.qr(rng.normal(size=(grid.num_nodes, grid.n, grid.n)))
+    return _node_field(grid, np.einsum("kij,j,klj->kil", q, np.asarray(diagonal), q))
+
+
+def _palette(rng, n, size):
+    """Mostly elliptic matrices whose antisymmetric part often holds the
+    entry of largest modulus, at either sign."""
+    k = 2.0 * rng.normal(size=(size, n, n))
+    return np.eye(n) + 0.3 * rng.normal(size=(size, n, n)) + k - k.transpose(0, 2, 1)
+
+
+_FIELD_KINDS = [
+    "symmetric", "nonsymmetric", "rough", "constant", "identity",
+    "rotated-simple", "rotated-double", "palette", "noise",
+]
+
+
+def _field_entries(kind, n, seed, delta):
+    grid = make_grid(n, 1.0, 17 if n == 2 else 9)
+    rng = np.random.default_rng(seed)
+    N = grid.num_nodes
+    if kind in ("symmetric", "nonsymmetric"):
+        return grid, trig_coefficient_field(grid, rng, symmetric=kind == "symmetric").entries
+    if kind == "rough":
+        return grid, rough_holder_coefficient_field(grid, rng, alpha=0.5).entries
+    if kind == "constant":
+        return grid, _node_field(grid, np.broadcast_to(_palette(rng, n, 1)[0], (N, n, n)))
+    if kind == "identity":
+        return grid, CoefficientField.identity(grid).entries
+    if kind == "rotated-simple":
+        return grid, _rotated(rng, grid, [1.0] * (n - 1) + [1.0 + delta])
+    if kind == "rotated-double":
+        return grid, _rotated(rng, grid, [1.0] + [1.0 + delta] * (n - 1))
+    if kind == "palette":
+        # three matrices at random nodes: exact ties between scattered nodes
+        return grid, _node_field(grid, _palette(rng, n, 3)[rng.integers(0, 3, size=N)])
+    # "noise": mostly not elliptic, so the reported node is checked
+    return grid, _node_field(grid, np.eye(n) + rng.normal(size=(N, n, n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(_FIELD_KINDS),
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    log_delta=st.floats(-16.0, -2.0),
+    scale=st.sampled_from([1.0, 1e-150, 1e150]),
+)
+def test_certificate_equals_all_node_eigvalsh(kind, n, seed, log_delta, scale):
+    # lam, Lam, L, is_symmetric and the NotEllipticError node are the values
+    # an eigvalsh call on every node gives, to the last bit
+    grid, entries = _field_entries(kind, n, seed, 10.0**log_delta)
+    _assert_certificate_matches_reference(grid, entries * scale)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_not_elliptic_reports_first_of_tied_nodes(n):
+    grid = make_grid(n, 1.0, 9)
+    entries = np.array(CoefficientField.identity(grid).entries)
+    bad = np.diag([1.0] * (n - 1) + [-0.5])
+    flat = entries.reshape(n, n, -1)
+    for node in (40, 7):
+        flat[:, :, node] = bad
+    with pytest.raises(NotEllipticError) as err:
+        CoefficientField(grid, entries)
+    assert err.value.node == np.unravel_index(7, grid.shape)
+    assert err.value.eigenvalue == -0.5
+    _assert_certificate_matches_reference(grid, entries)
+
+
+@pytest.fixture()
+def eigvalsh_matrices(monkeypatch):
+    """Count the matrices passed to np.linalg.eigvalsh."""
+    counted = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counted.append(np.asarray(a).shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counted
+
+
+@pytest.mark.parametrize("n, m", [(2, 129), (3, 33)])
+def test_certification_sends_few_matrices_to_lapack(eigvalsh_matrices, n, m):
+    grid = make_grid(n, 1.0, m)
+    trig_coefficient_field(grid, np.random.default_rng(0))
+    assert sum(eigvalsh_matrices) <= 4
+    eigvalsh_matrices.clear()
+    CoefficientField.identity(grid)
+    assert sum(eigvalsh_matrices) == 1
 
 
 def test_exponent_constraints(grid65):

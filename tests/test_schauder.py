@@ -502,6 +502,18 @@ def test_identity_zoom_and_full_restriction_reproduce_the_problem(n, m, symmetri
         assert not np.shares_memory(mine, parent)
 
 
+def test_rescale_problem_scalar_target_and_bad_shape():
+    # a scalar x0 is shorthand for that value on every axis, as in ball_region;
+    # any other shape than (n,) is rejected with a ValueError
+    grid = make_grid(2, 1.0, 17)
+    prob = random_problem(grid, np.random.default_rng(3))
+    scalar = rescale_problem(prob, 0, 0.5, prob.g)
+    assert scalar.fingerprint() == rescale_problem(prob, (0.0, 0.0), 0.5, prob.g).fingerprint()
+    for bad in [(0.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]]]:
+        with pytest.raises(ValueError, match="components"):
+            rescale_problem(prob, bad, 0.5, prob.g)
+
+
 def test_commensurate_zoom_scales_the_restricted_data(grid129):
     # t = 32h with m' = 65 puts every zoom sample on an original node: A and
     # g are the restricted ones, f picks up t^2 and F picks up t
