@@ -9,10 +9,8 @@ maximal ratio over ensembles with a common ellipticity certificate.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field as dfield
-from pathlib import Path
 
 import numpy as np
 
@@ -74,22 +72,6 @@ class EstimateReport:
                 "extra": self.extra,
             }
         )
-
-
-def append_reports_csv(path, reports) -> None:
-    """Append one row per report; writes the header on first use."""
-    path = Path(path)
-    rows = [r.to_row() for r in reports]
-    if not rows:
-        return
-    names = list(rows[0])
-    names += sorted({k for row in rows for k in row} - set(names))
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=names)
-        if fresh:
-            writer.writeheader()
-        writer.writerows(rows)
 
 
 def _radii_check(sol, r: float, R: float):

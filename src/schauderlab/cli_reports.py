@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import degiorgi, generators, liouville_lab
-from .caccioppoli import append_reports_csv, empirical_constant, truncated_caccioppoli
+from .caccioppoli import empirical_constant, truncated_caccioppoli
 from .domain_grid import box_region, make_grid
 from .elliptic_solver import solve_dirichlet
 from .errors import (
@@ -36,6 +36,7 @@ from .field_calculus import Field, mollify
 from .norm_engine import lp_norm
 from .schauder_harness import (
     SchauderConfig,
+    admissible_alpha,
     blowup_sequence,
     bootstrap_ckalpha,
     measure_pointwise_exponent,
@@ -43,19 +44,29 @@ from .schauder_harness import (
     schauder_ratio,
 )
 
-# the ``params`` keys each command's runner reads; any other key is rejected
-PARAM_KEYS = {
-    "solve": {"resolutions"},
-    "caccioppoli": {"ensemble", "r", "R"},
-    "degiorgi": {"ensemble", "p", "q", "r", "R", "k_max"},
-    "liouville": {"generator", "a", "b", "gamma", "scales"},
-    "schauder": {"s", "ensemble"},
-    "blowup": {"alpha", "steps"},
-    "bootstrap": {"k", "alpha"},
-    "mollify": {"fields", "eps_schedule"},
+# The ``params`` keys each command's runner reads, with their defaults; any
+# other key is rejected. None marks a default the runner derives: the
+# liouville gamma and scales depend on the generator, the mollify schedule
+# on the grid spacing.
+PARAMS = {
+    "solve": {"resolutions": (65, 129, 257)},
+    "caccioppoli": {"ensemble": 8, "r": 0.5, "R": 0.95},
+    "degiorgi": {"ensemble": 50, "p": 2.0, "q": 4.0, "r": 0.5, "R": 1.0, "k_max": 3},
+    "liouville": {"generator": "saddle", "a": (1.0, 0.0), "b": (0.0, 1.0), "gamma": None, "scales": None},
+    "schauder": {"s": 0.5, "ensemble": 10},
+    "blowup": {"alpha": 0.5, "steps": 2},
+    "bootstrap": {"k": 2, "alpha": 0.4},
+    "mollify": {"fields": 100, "eps_schedule": None},
 }
-COMMANDS = tuple(PARAM_KEYS)
+COMMANDS = tuple(PARAMS)
 CONFIG_KEYS = {"command", "seed", "resolution", "out", "params"}
+
+_LIOUVILLE_GENERATORS = {
+    "saddle": (lambda x, y: x**2 - y**2, 2.0),
+    "linear": (lambda x, y: 0.7 * x - 0.2 * y + 0.3, 1.5),
+    "constant": (lambda x, y: np.full_like(x, 3.0), 0.5),
+}
+_LIOUVILLE_KINDS = (*_LIOUVILLE_GENERATORS, "counterexample")
 
 
 def _reject_unknown(kind: str, spec, known) -> None:
@@ -68,8 +79,11 @@ def _reject_unknown(kind: str, spec, known) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; ``params`` is completed from PARAMS[command] and
+    ``out_dir`` defaults to reports/<command>."""
+
     command: str
-    out_dir: Path
+    out_dir: Path | None = None
     seed: int = 0
     resolution: int = 129
     params: dict = dfield(default_factory=dict)
@@ -77,27 +91,31 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; known: {COMMANDS}")
-        _reject_unknown(f"{self.command} params", self.params, PARAM_KEYS[self.command])
-        self.out_dir = Path(self.out_dir)
+        _reject_unknown(f"{self.command} params", self.params, PARAMS[self.command])
+        self.params = {**PARAMS[self.command], **self.params}
+        if self.command == "liouville" and self.params["generator"] not in _LIOUVILLE_KINDS:
+            raise ValueError(
+                f"unknown liouville generator {self.params['generator']!r}; known: {_LIOUVILLE_KINDS}"
+            )
+        self.out_dir = Path("reports", self.command) if self.out_dir is None else Path(self.out_dir)
+        self.seed, self.resolution = int(self.seed), int(self.resolution)
 
 
-def load_config(path, overrides=None) -> ExperimentConfig:
-    spec = json.loads(Path(path).read_text())
+def load_config(path=None, overrides=None, command=None) -> ExperimentConfig:
+    """The config in the JSON file at ``path`` (none: empty), with every
+    non-None value of ``overrides`` on top. A given ``command`` fills in a
+    missing one and must match a present one."""
+    spec = {} if path is None else json.loads(Path(path).read_text())
     _reject_unknown("config", spec, CONFIG_KEYS)
-    overrides = overrides or {}
-    merged = {**spec, **{k: v for k, v in overrides.items() if v is not None}}
-    return ExperimentConfig(
-        command=merged["command"],
-        out_dir=merged.get("out", "reports"),
-        seed=int(merged.get("seed", 0)),
-        resolution=int(merged.get("resolution", 129)),
-        params=merged.get("params", {}),
-    )
+    if command is not None and spec.setdefault("command", command) != command:
+        raise ValueError(f"config command {spec['command']!r} does not match subcommand {command!r}")
+    merged = {**spec, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    return ExperimentConfig(command=merged.pop("command", None), out_dir=merged.pop("out", None), **merged)
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -107,6 +125,14 @@ def write_csv(path, fieldnames, rows) -> None:
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
+
+
+def _write_reports(path, reports) -> None:
+    """EstimateReport rows: the first row's columns, then any others sorted."""
+    rows = [rep.to_row() for rep in reports]
+    names = list(rows[0]) if rows else []
+    names += sorted({k for row in rows for k in row} - set(names))
+    write_csv(path, names, rows)
 
 
 @dataclass
@@ -136,7 +162,7 @@ class Verdict:
 
 
 def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> dict:
-    resolutions = cfg.params.get("resolutions", [65, 129, 257])
+    resolutions = cfg.params["resolutions"]
     errors = []
     rows = []
     for m in resolutions:
@@ -171,14 +197,14 @@ def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> dict:
 
 def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     m = cfg.resolution
-    size = int(cfg.params.get("ensemble", 8))
-    r = float(cfg.params.get("r", 0.5))
-    R = float(cfg.params.get("R", 0.95))
+    size = int(cfg.params["ensemble"])
+    r = float(cfg.params["r"])
+    R = float(cfg.params["R"])
     grid = make_grid(2, 1.0, m)
     problems = generators.random_ensemble(grid, size, cfg.seed)
     sols = [solve_dirichlet(p) for p in problems]
     constant, reports = empirical_constant(sols, r, R, "caccioppoli")
-    append_reports_csv(cfg.out_dir / "caccioppoli_reports.csv", reports)
+    _write_reports(cfg.out_dir / "caccioppoli_reports.csv", reports)
     with open(cfg.out_dir / "caccioppoli_reports.json", "w") as fh:
         fh.write("[" + ",\n".join(rep.to_json() for rep in reports) + "]\n")
     verdict.ok(
@@ -199,14 +225,14 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
 
 def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     m = cfg.resolution
-    size = int(cfg.params.get("ensemble", 50))
+    size = int(cfg.params["ensemble"])
     params = degiorgi.DeGiorgiParams(
         n=2,
-        p=float(cfg.params.get("p", 2.0)),
-        q=float(cfg.params.get("q", 4.0)),
-        r=float(cfg.params.get("r", 0.5)),
-        R=float(cfg.params.get("R", 1.0)),
-        k_max=int(cfg.params.get("k_max", 3)),
+        p=float(cfg.params["p"]),
+        q=float(cfg.params["q"]),
+        r=float(cfg.params["r"]),
+        R=float(cfg.params["R"]),
+        k_max=int(cfg.params["k_max"]),
     )
     gamma = degiorgi.gamma_exponent(3, 2.0, 4.0, 6.0)
     verdict.ok(
@@ -262,32 +288,22 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     return {"delta": delta, "gamma": params.gamma, "min_fit": min_fit}
 
 
-_LIOUVILLE_GENERATORS = {
-    "saddle": (lambda x, y: x**2 - y**2, 2.0),
-    "linear": (lambda x, y: 0.7 * x - 0.2 * y + 0.3, 1.5),
-    "constant": (lambda x, y: np.full_like(x, 3.0), 0.5),
-}
-
-
 def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> dict:
-    kind = cfg.params.get("generator", "saddle")
+    kind = cfg.params["generator"]
     m = cfg.resolution
     rows = []
     summary = {}
     if kind == "counterexample":
-        a = tuple(cfg.params.get("a", (1.0, 0.0)))
-        b = tuple(cfg.params.get("b", (0.0, 1.0)))
-        gamma = float(cfg.params.get("gamma", 10.0))
-        fam = liouville_lab.growth_family(
-            liouville_lab.counterexample_generator(a, b), gamma,
-            scales=cfg.params.get("scales", liouville_lab.DISCRIMINATION_SCALES), m=m,
-        )
+        gen = liouville_lab.counterexample_generator(cfg.params["a"], cfg.params["b"])
+        gamma, scales = 10.0, liouville_lab.DISCRIMINATION_SCALES
     else:
-        gen, gamma_default = _LIOUVILLE_GENERATORS[kind]
-        gamma = float(cfg.params.get("gamma", gamma_default))
-        fam = liouville_lab.growth_family(
-            gen, gamma, scales=cfg.params.get("scales", liouville_lab.DEFAULT_SCALES), m=m
-        )
+        gen, gamma = _LIOUVILLE_GENERATORS[kind]
+        scales = liouville_lab.DEFAULT_SCALES
+    if cfg.params["gamma"] is not None:
+        gamma = float(cfg.params["gamma"])
+    if cfg.params["scales"] is not None:
+        scales = cfg.params["scales"]
+    fam = liouville_lab.growth_family(gen, gamma, scales=scales, m=m)
     gate = fam.harmonic_gate()
     verdict.ok(
         "harmonic_residual_gate",
@@ -336,7 +352,7 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> dict:
 
 def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     m = cfg.resolution
-    s = float(cfg.params.get("s", 0.5))
+    s = float(cfg.params["s"])
     grid = make_grid(2, 1.0, m)
     prob, exact = generators.radial_singular_problem(grid, s)
     sol = solve_dirichlet(prob)
@@ -347,15 +363,15 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         abs(measured["exponent"] - target) <= 0.05 * target,
         f"measured {measured['exponent']:.4f} vs 2 - s = {target}",
     )
-    size = int(cfg.params.get("ensemble", 10))
-    alpha = 0.7 * 0.75  # 0.7 * admissible threshold for (p, q) = (4, 8)
+    size = int(cfg.params["ensemble"])
+    alpha = 0.7 * admissible_alpha(grid.n, 4.0, 8.0).raw
     scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=0.3, R=0.8)
     reports = []
     for k in range(size):
         rng = np.random.default_rng([cfg.seed, k])
         problem = generators.random_problem(grid, rng, rough_alpha=0.6)
         reports.append(schauder_ratio(solve_dirichlet(problem), scfg))
-    append_reports_csv(cfg.out_dir / "schauder_reports.csv", reports)
+    _write_reports(cfg.out_dir / "schauder_reports.csv", reports)
     finite = all(math.isfinite(rep.ratio) for rep in reports)
     verdict.ok("schauder_ratios_finite", finite, f"{size} rough-coefficient instances, alpha = {alpha}")
     verdict.observed(
@@ -366,11 +382,11 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> dict:
 
 def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     m = cfg.resolution
-    alpha = float(cfg.params.get("alpha", 0.5))
+    alpha = float(cfg.params["alpha"])
     grid = make_grid(2, 1.0, m)
     u = Field(grid, grid.radius_from(np.zeros(grid.n)) ** alpha)
     scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=0.2, R=0.8)
-    record = blowup_sequence(u, scfg, steps=int(cfg.params.get("steps", 2)))
+    record = blowup_sequence(u, scfg, steps=int(cfg.params["steps"]))
     step = record.steps[0]
     centre = tuple(step.v.grid.m // 2 for _ in range(grid.n))
     rows = [
@@ -401,8 +417,7 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     grid = make_grid(2, 1.0, m)
     rng = np.random.default_rng(cfg.seed)
     problem = generators.random_problem(grid, rng, beta=0.15, p=4.0, q=8.0)
-    report = bootstrap_ckalpha(problem, int(cfg.params.get("k", 2)),
-                               float(cfg.params.get("alpha", 0.4)), 0.25, 0.8)
+    report = bootstrap_ckalpha(problem, int(cfg.params["k"]), float(cfg.params["alpha"]), 0.25, 0.8)
     rows = []
     for level, reps in enumerate(report.levels, start=1):
         for rep in reps:
@@ -426,7 +441,7 @@ def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     rng = np.random.default_rng(cfg.seed)
     box = box_region(grid)
     contraction_ok = True
-    trials = int(cfg.params.get("fields", 100))
+    trials = int(cfg.params["fields"])
     for _ in range(trials):
         g_field = Field(grid, rng.standard_normal(grid.shape))
         smooth = mollify(g_field, 4 * grid.h)
@@ -435,7 +450,7 @@ def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         )
     verdict.ok("mollifier_l2_contraction", contraction_ok, f"{trials} random fields, exact inequality")
     problem = generators.random_problem(grid, rng, rough_alpha=0.4)
-    schedule = cfg.params.get("eps_schedule")
+    schedule = cfg.params["eps_schedule"]
     if schedule is None:
         schedule = [8 * grid.h, 4 * grid.h, 2 * grid.h * 1.01]
     record = regularize_approximate(problem, schedule)
@@ -561,23 +576,12 @@ def main(argv=None) -> int:
         if args.command == "plots":
             emit_plots(args.out)
             return 0
-        if args.config is not None:
-            cfg = load_config(
-                args.config,
-                {"out": args.out, "seed": args.seed, "resolution": args.resolution},
-            )
-            if cfg.command != args.command:
-                raise ValueError(
-                    f"config command {cfg.command!r} does not match subcommand {args.command!r}"
-                )
-        else:
-            cfg = ExperimentConfig(
-                command=args.command,
-                out_dir=args.out if args.out is not None else Path("reports") / args.command,
-                seed=args.seed if args.seed is not None else 0,
-                resolution=args.resolution if args.resolution is not None else 129,
-            )
-    except (SchauderLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        cfg = load_config(
+            args.config,
+            {"out": args.out, "seed": args.seed, "resolution": args.resolution},
+            command=args.command,
+        )
+    except (SchauderLabError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:

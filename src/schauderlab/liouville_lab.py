@@ -117,24 +117,20 @@ def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, 
 
 
 def counterexample_field(a, b, grid: Grid) -> Field:
-    """e^{a.x} sin(b.x): entire harmonic iff |a| = |b| and a.b = 0."""
+    """e^{a.x} sin(b.x) sampled on ``grid``."""
+    if np.shape(a) != (grid.n,) or np.shape(b) != (grid.n,):
+        raise ValueError(f"parameter vectors must have {grid.n} components")
+    return Field.from_function(grid, counterexample_generator(a, b))
+
+
+def counterexample_generator(a, b):
+    """(*coords) -> e^{a.x} sin(b.x): entire harmonic iff |a| = |b| and a.b = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (grid.n,) or b.shape != (grid.n,):
-        raise ValueError(f"parameter vectors must have {grid.n} components")
     if abs(np.linalg.norm(a) - np.linalg.norm(b)) > 1e-12:
         raise NotHarmonicParametersError(f"|a| = {np.linalg.norm(a)} != |b| = {np.linalg.norm(b)}")
     if abs(float(a @ b)) > 1e-12:
         raise NotHarmonicParametersError(f"a.b = {float(a @ b)} != 0")
-    coords = grid.coords()
-    arg_a = sum(ai * c for ai, c in zip(a, coords))
-    arg_b = sum(bi * c for bi, c in zip(b, coords))
-    return Field(grid, np.exp(arg_a) * np.sin(arg_b))
-
-
-def counterexample_generator(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
 
     def gen(*coords):
         arg_a = sum(ai * c for ai, c in zip(a, coords))

@@ -803,12 +803,10 @@ def rescale_problem(
     if np.abs(x0).max() + t > grid.half_width + 1e-12:
         raise ValueError("zoom target leaves the box")
     sub = make_grid(grid.n, 1.0, grid.m if m is None else m)
-    mesh = sub.coords()
-    pts = [x0[a] + t * mesh[a] for a in range(grid.n)]
 
     def zoom(fld: Field) -> np.ndarray:
-        out = _multilinear(fld.values, grid.axis, pts)
-        if np.isnan(out).any():
+        out, ok = _sample_window(fld.values, grid, x0, t, sub)
+        if not ok.all():
             raise ValueError("zoom sample points leave the box")
         return out
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from schauderlab.caccioppoli import (
-    append_reports_csv,
     caccioppoli_check,
     caccioppoli_zero_rhs_check,
     empirical_constant,
@@ -172,13 +171,3 @@ def test_band_weight_monotone(saddle257):
     w_narrow = narrow.rhs_components["u_over_band"] / (1.0 / 0.2)
     assert 1.0 / 0.2 > 1.0 / 0.5
     assert w_narrow == pytest.approx(w_wide, rel=1e-12)  # same norm, bigger weight
-
-
-def test_report_csv_append(tmp_path, saddle257):
-    report = caccioppoli_check(saddle257, 0.5, 0.9)
-    path = tmp_path / "reports.csv"
-    append_reports_csv(path, [report])
-    append_reports_csv(path, [report])
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3  # header + two rows
-    assert lines[0].startswith("inequality,")

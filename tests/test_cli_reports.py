@@ -10,7 +10,7 @@ import pytest
 
 from schauderlab.cli_reports import (
     _RUNNERS,
-    PARAM_KEYS,
+    PARAMS,
     ExperimentConfig,
     Verdict,
     emit_plots,
@@ -152,6 +152,49 @@ def test_misspelt_param_key_rejected(tmp_path, capsys):
         ExperimentConfig(command="solve", out_dir=tmp_path, params={"resolution": [33]})
 
 
+def test_misspelt_liouville_generator_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "liouville", "params": {"generator": "sadle"}}))
+    rc = main(["liouville", "--config", str(path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sadle" in err and "counterexample" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_counterexample_with_non_harmonic_parameters_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "command": "liouville", "resolution": 33,
+        "params": {"generator": "counterexample", "a": [1.0, 0.0], "b": [0.0, 2.0]},
+    }))
+    rc = main(["liouville", "--config", str(path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "|a|" in capsys.readouterr().err
+
+
+def test_config_without_out_writes_under_command_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "solve", "params": {"resolutions": [33, 65]}}))
+    assert main(["solve", "--config", str(path)]) == 0
+    assert (tmp_path / "reports" / "solve" / "solve_convergence.csv").exists()
+    assert not (tmp_path / "reports" / "solve_convergence.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["caccioppoli", "schauder"])
+def test_rerun_overwrites_reports(tmp_path, command):
+    cfg = ExperimentConfig(
+        command=command, out_dir=tmp_path, seed=3, resolution=65, params={"ensemble": 2},
+    )
+    snapshots = []
+    for _ in range(2):
+        run(cfg)
+        snapshots.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+    assert f"{command}_reports.csv" in snapshots[0]
+    assert snapshots[0] == snapshots[1]
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "solve", "sede": 3}))
@@ -165,10 +208,10 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
 
 
 def test_param_keys_are_the_keys_each_runner_reads():
-    assert set(PARAM_KEYS) == set(_RUNNERS)
+    assert set(PARAMS) == set(_RUNNERS)
     for command, runner in _RUNNERS.items():
-        read = set(re.findall(r'cfg\.params\.get\("(\w+)"', inspect.getsource(runner)))
-        assert read == PARAM_KEYS[command], command
+        read = set(re.findall(r'cfg\.params\["(\w+)"\]', inspect.getsource(runner)))
+        assert read == set(PARAMS[command]), command
 
 
 def test_verdict_failure_sets_exit_flag():
