@@ -42,7 +42,6 @@ from .norm_engine import (
     holder_seminorm,
     lp_norm,
     lp_norm_vec,
-    sobolev_ratio,
 )
 from .elliptic_solver import (
     CoefficientField,

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
@@ -68,6 +69,13 @@ _LIOUVILLE_GENERATORS = {
 }
 _LIOUVILLE_KINDS = (*_LIOUVILLE_GENERATORS, "counterexample")
 
+# Count parameters that must be at least 1.
+_COUNT_KEYS = ("ensemble", "fields")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 def _reject_unknown(kind: str, spec, known) -> None:
     if not isinstance(spec, dict):
@@ -80,7 +88,9 @@ def _reject_unknown(kind: str, spec, known) -> None:
 @dataclass
 class ExperimentConfig:
     """One experiment; ``params`` is completed from PARAMS[command] and
-    ``out_dir`` defaults to reports/<command>."""
+    ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
+    every param with a numeric default must be numbers (not bools), and the
+    ensemble and field counts at least 1; otherwise a ValueError names the key."""
 
     command: str
     out_dir: Path | None = None
@@ -93,6 +103,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown command {self.command!r}; known: {COMMANDS}")
         _reject_unknown(f"{self.command} params", self.params, PARAMS[self.command])
         self.params = {**PARAMS[self.command], **self.params}
+        defaults = PARAMS[self.command]
+        numeric = [(key, self.params[key]) for key in defaults if _is_number(defaults[key])]
+        for key, value in [("seed", self.seed), ("resolution", self.resolution), *numeric]:
+            if not _is_number(value):
+                raise ValueError(f"{self.command} {key!r} must be a number, got {value!r}")
+        for key in _COUNT_KEYS:
+            if key in self.params and not self.params[key] >= 1:
+                count = self.params[key]
+                raise ValueError(f"{self.command} {key!r} must be at least 1, got {count!r}")
         if self.command == "liouville" and self.params["generator"] not in _LIOUVILLE_KINDS:
             raise ValueError(
                 f"unknown liouville generator {self.params['generator']!r}; known: {_LIOUVILLE_KINDS}"

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caccioppoli import EstimateReport
-from .domain_grid import ball_region, cutoff, nested_radii, truncation_levels
+from .domain_grid import ball_region, nested_radii, truncation_levels
 from .errors import (
     CalibrationRequiredError,
     GridTooCoarseError,
     InadmissibleExponentsError,
     PreconditionFailureError,
 )
-from .field_calculus import gradient
-from .norm_engine import lp_norm, lp_norm_vec
+from .norm_engine import log_slope, lp_norm, lp_norm_vec
 
 # Nodal slack for almost-everywhere conclusions: max u <= 1 + NO_SPIKE_SLACK*h.
 NO_SPIKE_SLACK = 2.0
@@ -111,13 +110,12 @@ class DeGiorgiParams:
 
 @dataclass
 class IterationTrace:
-    """Level/radius ladders, energies and per-step bound components."""
+    """Level/radius ladders, energies and level-set node counts."""
 
     b: np.ndarray
     r: np.ndarray
     E: np.ndarray
-    rhs_parts: list  # per step k: dict(I1, I2, I3) or None if band unresolvable
-    level_counts: np.ndarray  # nodes of {v_{k+1} > 0} within B_{rho_k}
+    level_counts: np.ndarray  # nodes of {u > b_{k+1}} within B_{rho_k}
     fitted_exponent: float
     regression_pairs: int
     sign: str = "plus"
@@ -139,18 +137,15 @@ class IterationTrace:
 
 def _fit_decay_exponent(E: np.ndarray):
     """Slope of log E_{k+1} against log E_k over the above-floor window."""
-    xs, ys = [], []
-    for k in range(len(E) - 1):
-        if E[k] > ENERGY_FLOOR and E[k + 1] > ENERGY_FLOOR:
-            xs.append(math.log(E[k]))
-            ys.append(math.log(E[k + 1]))
-    if len(xs) == 1:
+    pairs = [(x, y) for x, y in zip(E[:-1], E[1:]) if x > ENERGY_FLOOR and y > ENERGY_FLOOR]
+    if len(pairs) == 1:
         # a single transition still witnesses the gain against E_0 <= delta < 1
-        return ys[0] / xs[0] if xs[0] != 0 else float("nan"), 1
-    if len(xs) < 2:
-        return float("nan"), len(xs)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope), len(xs)
+        x, y = math.log(pairs[0][0]), math.log(pairs[0][1])
+        return y / x if x != 0 else float("nan"), 1
+    if len(pairs) < 2:
+        return float("nan"), len(pairs)
+    slope, _ = log_slope(*zip(*pairs))
+    return slope, len(pairs)
 
 
 def truncation_sequence(sol, params: DeGiorgiParams, sign: str = "plus") -> IterationTrace:
@@ -158,10 +153,8 @@ def truncation_sequence(sol, params: DeGiorgiParams, sign: str = "plus") -> Iter
 
     ``sign`` picks the truncation side: "plus" tracks (u - b_k)_+, "minus"
     the symmetric (-u - b_k)_+, and "auto" whichever side carries the larger
-    level-zero energy. Per-step right-hand parts mirror the truncated
-    Caccioppoli bound with the step cutoff between r_{k+1} and
-    (r_k + r_{k+1})/2; steps whose cutoff band falls under 4h report no parts
-    (the energies themselves need no cutoff).
+    level-zero energy. ``level_counts[k]`` counts the nodes of
+    {u > b_{k+1}} inside B_{rho_k}, rho_k = (r_k + r_{k+1})/2.
     """
     grid = sol.grid
     if (params.R - params.r) * 2.0 ** (-params.k_max) < 4 * grid.h:
@@ -175,46 +168,28 @@ def truncation_sequence(sol, params: DeGiorgiParams, sign: str = "plus") -> Iter
     radii = nested_radii(params.r, params.R, params.k_max)
     hn = grid.h**grid.n
     u = sol.u.values
+    dist = grid.radius_from(np.zeros(grid.n))
     if sign == "auto":
-        outer = grid.radius_from(np.zeros(grid.n)) < params.R
+        outer = dist < params.R
         plus_mass = float((np.maximum(u, 0.0)[outer] ** 2).sum())
         minus_mass = float((np.maximum(-u, 0.0)[outer] ** 2).sum())
         sign = "plus" if plus_mass >= minus_mass else "minus"
     if sign == "minus":
         u = -u
-    dist = grid.radius_from(np.zeros(grid.n))
 
     E = np.empty(params.k_max + 1)
     for k in range(params.k_max + 1):
         v = np.maximum(u - b[k], 0.0)
         E[k] = float((v[dist < radii[k]] ** 2).sum() * hn)
 
-    rhs_parts = []
     counts = np.zeros(params.k_max, dtype=np.int64)
-    f_abs = np.abs(sol.problem.f.values)
-    F_sq = (sol.problem.F.components**2).sum(axis=0)
     for k in range(params.k_max):
         rho = 0.5 * (radii[k] + radii[k + 1])
-        v_next = np.maximum(u - b[k + 1], 0.0)
-        in_rho = dist < rho
-        counts[k] = int(((v_next > 0) & in_rho).sum())
-        if rho - radii[k + 1] < 4 * grid.h:
-            rhs_parts.append(None)
-            continue
-        eta = cutoff(grid, radii[k + 1], rho).eta
-        grad_eta_sq = (gradient(eta).components**2).sum(axis=0)
-        pos = (v_next > 0) & in_rho
-        rhs_parts.append(
-            {
-                "I1": float((v_next**2 * grad_eta_sq)[in_rho].sum() * hn),
-                "I2": float((f_abs * eta.values**2 * v_next)[in_rho].sum() * hn),
-                "I3": float(F_sq[pos].sum() * hn),
-            }
-        )
+        counts[k] = int(((u > b[k + 1]) & (dist < rho)).sum())
 
     fitted, pairs = _fit_decay_exponent(E)
     return IterationTrace(
-        b=b, r=radii, E=E, rhs_parts=rhs_parts, level_counts=counts,
+        b=b, r=radii, E=E, level_counts=counts,
         fitted_exponent=fitted, regression_pairs=pairs, sign=sign,
     )
 
@@ -312,8 +287,7 @@ def calibrate_delta(solutions, params: DeGiorgiParams) -> float:
     outer = ball_region(grid, 0.0, params.R)
     ratios = []
     for sol in solutions:
-        sup = float(np.abs(sol.u.values[inner.mask]).max())
-        ratios.append((sup, _data_norm(sol, params, outer)))
+        ratios.append((lp_norm(sol.u, np.inf, inner).value, _data_norm(sol, params, outer)))
 
     def passes(delta: float) -> bool:
         theta = math.sqrt(delta)

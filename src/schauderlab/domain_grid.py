@@ -132,10 +132,6 @@ class BallRegion:
     def count(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.mask.any()
-
     def node_indices(self) -> np.ndarray:
         """(count, n) integer grid indices of the selected nodes."""
         return np.argwhere(self.mask)

@@ -38,10 +38,6 @@ class StencilOverflowError(SchauderLabError):
     """A derivative stencil does not fit between the region and the boundary."""
 
 
-class UndefinedRatioError(SchauderLabError):
-    """Ratio of norms undefined (identically zero field)."""
-
-
 class NotEllipticError(SchauderLabError):
     """Symmetric part of the coefficient matrix fails positivity at some node."""
 

@@ -23,7 +23,7 @@ from .errors import (
     NotHarmonicParametersError,
 )
 from .field_calculus import Field
-from .norm_engine import derivative_field, multiindices, _multinomial
+from .norm_engine import derivative_field, log_slope, lp_norm, multiindices, _multinomial
 
 DEFAULT_SCALES = (1.0, 2.0, 4.0, 8.0)
 
@@ -198,10 +198,7 @@ def derivative_energy_scan(family: GrowthFamily, k: int) -> EnergyScan:
         slope = float("nan")
         window = np.full(len(scales) - 1, np.nan)
     else:
-        logs = np.log(np.maximum(energies, 1e-300))
-        logr = np.log(scales)
-        slope = float(np.polyfit(logr, logs, 1)[0])
-        window = np.diff(logs) / np.diff(logr)
+        slope, window = log_slope(scales, np.maximum(energies, 1e-300))
     return EnergyScan(
         order=k, scales=scales, energies=energies, slope=slope,
         window_slopes=window, chain_ratios=chain, at_floor=at_floor,
@@ -223,14 +220,12 @@ def verify_growth(family: GrowthFamily) -> dict:
     for scale in family.scales:
         u = family.field_at(scale)
         region = ball_region(u.grid, 0.0, scale)
-        sups.append(float(np.abs(u.values[region.mask]).max()))
+        sups.append(lp_norm(u, np.inf, region).value)
     sups = np.asarray(sups)
     scales = np.asarray(family.scales)
     if np.all(sups == 0.0):
         return {"verified": True, "max_slope": 0.0, "slopes": np.zeros(len(sups) - 1)}
-    logs = np.log(np.maximum(sups, 1e-300))
-    logr = np.log(scales)
-    slopes = np.diff(logs) / np.diff(logr)
+    _, slopes = log_slope(scales, np.maximum(sups, 1e-300))
     max_slope = float(slopes.max())
     return {
         "verified": max_slope <= family.gamma + GROWTH_SLOPE_SLACK,

@@ -5,26 +5,21 @@ Holder seminorms replace the continuum sup by the exact sup over node pairs,
 found by a dual-tree branch and bound (Gray & Moore 2000; Curtin et al. 2013);
 ``scan_mode`` is always "exhaustive", meaning the value is the all-pairs sup.
 Derivatives inside norms are repeated pure central differences, so regions
-must leave a k-node margin to the box.
+must leave a k-node margin to the box. Every fitted exponent goes through
+``log_slope``, and every shell-maximum ladder through ``shell_peaks``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_grid import BallRegion, box_region
-from .errors import (
-    EmptyRegionError,
-    StencilOverflowError,
-    SupportViolationError,
-    UndefinedRatioError,
-)
-from .field_calculus import Field, VecField, central_difference, gradient
+from .domain_grid import BallRegion
+from .errors import EmptyRegionError, StencilOverflowError
+from .field_calculus import Field, VecField, central_difference
 
 # Kept only as the benchmark's brute-force cross-check size (perfbench reads
 # it); every Holder scan is exact whatever the node count. It goes when the
@@ -41,9 +36,6 @@ _BOUND_SLACK = 1e-12
 
 # Valid nodes a measurement region must hold.
 MIN_REGION_NODES = 1
-
-# Default Sobolev exponent for n = 2, where any p > 2 is admissible.
-SOBOLEV_P_2D = 4.0
 
 
 @dataclass
@@ -62,19 +54,6 @@ class NormValue:
     value: float
     argmax_pair: tuple | None = None
     scan_mode: str | None = None
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "params": self.params,
-            "region": {"center": list(self.region_center), "radius": self.region_radius},
-            "value": self.value,
-        }
-        if self.argmax_pair is not None:
-            payload["argmax_pair"] = [list(map(float, p)) for p in self.argmax_pair]
-        if self.scan_mode is not None:
-            payload["scan_mode"] = self.scan_mode
-        return json.dumps(payload)
 
 
 def _region_values(u: Field, region: BallRegion):
@@ -357,26 +336,19 @@ def hk_norm_vec(F: VecField, k: int, region: BallRegion) -> NormValue:
     return NormValue("Hk", {"k": k, "vector": True}, region.center, region.radius, math.sqrt(total))
 
 
-def sobolev_ratio(u: Field, p: float | None = None) -> float:
-    """||u||_{p}^2 / ||grad u||_2^2 for compactly supported u.
+def log_slope(x, y):
+    """Least-squares slope of log y against log x, and the slopes between
+    consecutive points (``np.diff(log y) / np.diff(log x)``)."""
+    lx, ly = np.log(x), np.log(y)
+    return float(np.polyfit(lx, ly, 1)[0]), np.diff(ly) / np.diff(lx)
 
-    Uses p = 2n/(n-2) for n >= 3; for n = 2 the caller picks any p > 2
-    (default 4). Homogeneous of degree zero in u.
-    """
-    grid = u.grid
-    if grid.n >= 3:
-        p = 2.0 * grid.n / (grid.n - 2)
-    elif p is None:
-        p = SOBOLEV_P_2D
-    elif p <= 2:
-        raise ValueError(f"n = 2 needs p > 2, got {p}")
-    support = np.abs(u.values) > 0
-    if not support.any():
-        raise UndefinedRatioError("ratio undefined for the zero field")
-    coords = grid.axis[np.argwhere(support)]
-    if np.linalg.norm(coords, axis=1).max() > grid.half_width - 2 * grid.h:
-        raise SupportViolationError("support must sit strictly inside the box")
-    box = box_region(grid)
-    num = lp_norm(u, p, box).value ** 2
-    den = lp_norm_vec(gradient(u), 2, box).value ** 2
-    return num / den
+
+def shell_peaks(values, valid, dist, edges) -> list:
+    """(hi, max |values|) over the valid nodes of each shell lo < dist <= hi
+    between consecutive ``edges``; shells without a valid node are skipped."""
+    peaks = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ring = (dist > lo) & (dist <= hi) & valid
+        if ring.any():
+            peaks.append((hi, float(np.abs(values[ring]).max())))
+    return peaks

@@ -50,8 +50,10 @@ from .norm_engine import (
     hk_norm_vec,
     holder_seminorm,
     holder_seminorm_vec,
+    log_slope,
     lp_norm,
     lp_norm_vec,
+    shell_peaks,
 )
 
 # Relative headroom when flagging growth-bound violations on shells.
@@ -84,10 +86,6 @@ class AdmissibleAlpha:
 
     raw: float
     capped: bool
-
-    @property
-    def effective(self) -> float:
-        return min(self.raw, 1.0)
 
     def admits(self, alpha: float) -> bool:
         return 0 < alpha < 1 and alpha <= self.raw
@@ -205,21 +203,13 @@ def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> d
     point = np.asarray(point, dtype=float)
     dist = grid.radius_from(point)
     idx = tuple(int(np.argmin(np.abs(grid.axis - c))) for c in point)
-    base = u.values[idx]
     radii = np.geomspace(r_min, r_max, POINTWISE_SHELLS + 1)
-    logs_r, logs_v = [], []
-    for lo, hi in zip(radii[:-1], radii[1:]):
-        ring = (dist > lo) & (dist <= hi) & u.valid
-        if not ring.any():
-            continue
-        peak = float(np.abs(u.values[ring] - base).max())
-        if peak > 0:
-            logs_r.append(math.log(hi))
-            logs_v.append(math.log(peak))
-    if len(logs_r) < 3:
-        raise InsufficientShellsError(f"only {len(logs_r)} populated shells in [{r_min}, {r_max}]")
-    slope = float(np.polyfit(logs_r, logs_v, 1)[0])
-    return {"exponent": slope, "shells": len(logs_r)}
+    peaks = shell_peaks(u.values - u.values[idx], u.valid, dist, radii)
+    peaks = [(hi, peak) for hi, peak in peaks if peak > 0]
+    if len(peaks) < 3:
+        raise InsufficientShellsError(f"only {len(peaks)} populated shells in [{r_min}, {r_max}]")
+    slope, _ = log_slope(*zip(*peaks))
+    return {"exponent": slope, "shells": len(peaks)}
 
 
 def sobolev_estimate_check(sol: DiscreteSolution, k: int, r: float, R: float) -> EstimateReport:
@@ -331,14 +321,11 @@ def growth_fit(v: Field, alpha: float, order: int = 0) -> GrowthFit:
     shell_radii = np.geomspace(GROWTH_INNER_SPACINGS * grid.h, grid.half_width, GROWTH_SHELL_EDGES)
     fit_radius = min(GROWTH_FIT_RADIUS, grid.half_width)
     dist = grid.radius_from(np.zeros(grid.n))
-    rows = []
-    for lo, hi in zip(shell_radii[:-1], shell_radii[1:]):
-        ring = (dist > lo) & (dist <= hi) & v.valid
-        if not ring.any():
-            continue
-        peak = float(np.abs(v.values[ring]).max())
-        bound = hi**alpha if order == 0 else 2.0 / (1 + alpha) * hi ** (1 + alpha)
-        rows.append({"radius": hi, "peak": peak, "bound": bound})
+    rows = [
+        {"radius": hi, "peak": peak,
+         "bound": hi**alpha if order == 0 else 2.0 / (1 + alpha) * hi ** (1 + alpha)}
+        for hi, peak in shell_peaks(v.values, v.valid, dist, shell_radii)
+    ]
     if not v.valid.any():
         raise InsufficientShellsError("window holds no valid samples")
     if np.abs(v.values[v.valid]).max() <= 1e-13:
@@ -351,10 +338,7 @@ def growth_fit(v: Field, alpha: float, order: int = 0) -> GrowthFit:
         fit_rows = [row for row in rows if row["peak"] > 0]
     if len(fit_rows) < 3:
         raise InsufficientShellsError("too few nonzero shells for a slope")
-    slope = float(
-        np.polyfit([math.log(r["radius"]) for r in fit_rows],
-                   [math.log(r["peak"]) for r in fit_rows], 1)[0]
-    )
+    slope, _ = log_slope([r["radius"] for r in fit_rows], [r["peak"] for r in fit_rows])
     return GrowthFit(slope, violation, rows)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from schauderlab import norm_engine
 from schauderlab.cli_reports import (
     _RUNNERS,
     PARAMS,
@@ -207,11 +208,40 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"command": "solve", "seed": None}, "seed"),
+    ({"command": "solve", "resolution": "65"}, "resolution"),
+    ({"command": "caccioppoli", "params": {"ensemble": None}}, "ensemble"),
+    ({"command": "caccioppoli", "params": {"r": True}}, "r"),
+    ({"command": "degiorgi", "params": {"ensemble": 0}}, "ensemble"),
+    ({"command": "schauder", "params": {"ensemble": 0}}, "ensemble"),
+    ({"command": "mollify", "params": {"fields": -1}}, "fields"),
+])
+def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(spec))
+    rc = main([spec["command"], "--config", str(path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_param_keys_are_the_keys_each_runner_reads():
     assert set(PARAMS) == set(_RUNNERS)
     for command, runner in _RUNNERS.items():
         read = set(re.findall(r'cfg\.params\["(\w+)"\]', inspect.getsource(runner)))
         assert read == set(PARAMS[command]), command
+
+
+def test_one_log_slope_and_one_shell_scan_in_src():
+    # every fitted exponent goes through log_slope and every shell-maximum
+    # ladder through shell_peaks; no module keeps a copy of either
+    src = "".join(p.read_text() for p in sorted(Path(norm_engine.__file__).parent.glob("*.py")))
+    for needle, owner in (
+        ("polyfit", norm_engine.log_slope),
+        ("(dist > lo) & (dist <= hi)", norm_engine.shell_peaks),
+    ):
+        assert src.count(needle) == inspect.getsource(owner).count(needle) == 1, needle
 
 
 def test_verdict_failure_sets_exit_flag():

