@@ -69,12 +69,68 @@ _LIOUVILLE_GENERATORS = {
 }
 _LIOUVILLE_KINDS = (*_LIOUVILLE_GENERATORS, "counterexample")
 
-# Count parameters that must be at least 1.
-_COUNT_KEYS = ("ensemble", "fields")
-
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _whole(value, least) -> bool:
+    return _is_number(value) and float(value).is_integer() and value >= least
+
+
+def _odd_nodes(m) -> bool:
+    """A node count ``make_grid`` accepts: an odd whole number >= 3."""
+    return _whole(m, 3) and m % 2 == 1
+
+
+def _ladder(values, rising: bool) -> bool:
+    """At least two numbers, strictly increasing (or decreasing)."""
+    if not isinstance(values, (list, tuple)) or len(values) < 2 or not all(map(_is_number, values)):
+        return False
+    return all(b > a if rising else b < a for a, b in zip(values, values[1:]))
+
+
+def _count(key, least=1):
+    return key, lambda p: _whole(p[key], least), f"be a whole number >= {least}"
+
+
+def _between(key, lo, hi):
+    return key, lambda p: lo < p[key] < hi, f"lie in ({lo}, {hi})"
+
+
+# Range of each bounded param, checked on the completed params once their
+# types are: per command, (key, test, what the key must be).
+_RANGES = {
+    "solve": (
+        ("resolutions",
+         lambda p: _ladder(p["resolutions"], True) and all(map(_odd_nodes, p["resolutions"])),
+         "be at least two increasing odd whole numbers >= 3"),
+    ),
+    "caccioppoli": (
+        _count("ensemble"),
+        ("r", lambda p: 0 < p["r"] < p["R"] <= 1, "satisfy 0 < r < R <= 1"),
+    ),
+    "degiorgi": (
+        _count("ensemble"),
+        ("r", lambda p: 0 < p["r"] < p["R"], "satisfy 0 < r < R"),
+        _count("k_max", 3),
+    ),
+    "liouville": (
+        ("scales", lambda p: p["scales"] is None or (
+            isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
+            and all(_is_number(r) and r > 0 for r in p["scales"])),
+         "be null or at least four positive radii"),
+    ),
+    "schauder": (_between("s", 0, 2), _count("ensemble")),
+    "blowup": (_between("alpha", 0, 1), _count("steps")),
+    "bootstrap": (("k", lambda p: p["k"] in (2, 3), "be 2 or 3"), _between("alpha", 0, 1)),
+    "mollify": (
+        _count("fields"),
+        ("eps_schedule", lambda p: p["eps_schedule"] is None or (
+            _ladder(p["eps_schedule"], False) and p["eps_schedule"][-1] > 0),
+         "be null or at least two strictly decreasing positive radii"),
+    ),
+}
 
 
 def _reject_unknown(kind: str, spec, known) -> None:
@@ -89,8 +145,9 @@ def _reject_unknown(kind: str, spec, known) -> None:
 class ExperimentConfig:
     """One experiment; ``params`` is completed from PARAMS[command] and
     ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
-    every param with a numeric default must be numbers (not bools), and the
-    ensemble and field counts at least 1; otherwise a ValueError names the key."""
+    every param with a numeric default must be numbers (not bools),
+    ``resolution`` an odd node count and every param in its _RANGES range;
+    otherwise a ValueError names the key, before any output is written."""
 
     command: str
     out_dir: Path | None = None
@@ -108,10 +165,13 @@ class ExperimentConfig:
         for key, value in [("seed", self.seed), ("resolution", self.resolution), *numeric]:
             if not _is_number(value):
                 raise ValueError(f"{self.command} {key!r} must be a number, got {value!r}")
-        for key in _COUNT_KEYS:
-            if key in self.params and not self.params[key] >= 1:
-                count = self.params[key]
-                raise ValueError(f"{self.command} {key!r} must be at least 1, got {count!r}")
+        if not _odd_nodes(self.resolution):
+            raise ValueError(
+                f"{self.command} 'resolution' must be an odd whole number >= 3, got {self.resolution!r}"
+            )
+        for key, test, what in _RANGES[self.command]:
+            if not test(self.params):
+                raise ValueError(f"{self.command} {key!r} must {what}, got {self.params[key]!r}")
         if self.command == "liouville" and self.params["generator"] not in _LIOUVILLE_KINDS:
             raise ValueError(
                 f"unknown liouville generator {self.params['generator']!r}; known: {_LIOUVILLE_KINDS}"

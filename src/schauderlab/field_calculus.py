@@ -276,7 +276,8 @@ class Mollifier:
 
     The kernel is nonnegative, radially nonincreasing, supported strictly in
     the eps-ball, and renormalized so its discrete mass (sum times h^n) is 1
-    to machine precision.
+    to machine precision: ``weights`` holds kernel values times h^n, which
+    sum to 1.
     """
 
     __slots__ = ("grid", "eps", "weights", "radius_nodes")
@@ -301,16 +302,6 @@ class Mollifier:
         w.setflags(write=False)
         self.weights = w
         self.radius_nodes = s
-
-    @property
-    def kernel(self) -> Field:
-        """Kernel as a grid field centered at the origin, mass h^n-normalized."""
-        vals = np.zeros(self.grid.shape)
-        s = self.radius_nodes
-        c = self.grid.m // 2
-        block = (slice(c - s, c + s + 1),) * self.grid.n
-        vals[block] = self.weights / self.grid.h**self.grid.n
-        return Field(self.grid, vals)
 
 
 def mollify(g: Field, eps: float) -> Field:

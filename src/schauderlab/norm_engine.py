@@ -4,6 +4,10 @@ Integrals are plain Riemann sums h^n * sum over the region's valid nodes;
 Holder seminorms replace the continuum sup by the exact sup over node pairs,
 found by a dual-tree branch and bound (Gray & Moore 2000; Curtin et al. 2013);
 ``scan_mode`` is always "exhaustive", meaning the value is the all-pairs sup.
+Cell-pair distances are floored at the grid spacing, the least distance
+between two nodes, so coinciding and touching cells prune like distant ones;
+fields with near-maximal quotients everywhere (an affine field at alpha = 1,
+a nearly homogeneous blow-up profile) still cost about as much as all pairs.
 Derivatives inside norms are repeated pure central differences, so regions
 must leave a k-node margin to the box. Every fitted exponent goes through
 ``log_slope``, and every shell-maximum ladder through ``shell_peaks``.
@@ -87,13 +91,19 @@ def lp_norm_vec(F: VecField, p: float, region: BallRegion) -> NormValue:
     return lp_norm(F.magnitude(), p, region)
 
 
-def _extreme(ufunc, vals, ids, starts):
-    """Per-block extreme of ``vals`` (blocks begin at ``starts``) and, per
-    component, the id of the first row realizing it."""
-    ext = ufunc.reduceat(vals, starts, axis=0)
-    hit = vals == np.repeat(ext, np.diff(np.append(starts, len(vals))), axis=0)
-    rows = np.where(hit, np.arange(len(vals))[:, None], len(vals))
-    return ext, np.take_along_axis(ids, np.minimum.reduceat(rows, starts, axis=0), axis=0)
+def _merge(ufunc, vals, child, ids=None):
+    """Per-cell ``ufunc`` (np.minimum or np.maximum) of ``vals`` over the
+    child rows ``child[j]`` of each cell, j = 0, 1, ...; a cell with fewer
+    children repeats its last, which neither extreme sees. With ``ids``, also
+    per component the id of the first row realizing the extreme. Folds left
+    like ``ufunc.reduceat``, so the extremes match it bit for bit."""
+    ext, first = vals.take(child[0], axis=0), child[0][:, None]
+    for rows in child[1:]:
+        nxt = ufunc(ext, vals.take(rows, axis=0))
+        if ids is not None:
+            first = np.where(nxt != ext, rows[:, None], first)
+        ext = nxt
+    return ext if ids is None else (ext, np.take_along_axis(ids, first, axis=0))
 
 
 def _pyramid(idx: np.ndarray, coords: np.ndarray, samples: np.ndarray) -> list:
@@ -106,39 +116,62 @@ def _pyramid(idx: np.ndarray, coords: np.ndarray, samples: np.ndarray) -> list:
     n = idx.shape[1]
     rel = idx - idx.min(axis=0)
     bits = int(rel.max()).bit_length()
-    key = sum(((rel[:, k] >> b) & 1) << (b * n + k) for b in range(bits) for k in range(n))
+    # bit b of an index moves to bit b*n of the key; axis k adds its shift
+    ramp = np.arange(1 << bits)
+    spread = sum(((ramp >> b) & 1) << (b * n) for b in range(bits))
+    key = sum(spread[rel[:, k]] << k for k in range(n))
     order = np.argsort(key, kind="stable")
-    key, ids = key[order], np.repeat(order[:, None], samples.shape[1], axis=1)
-    levels = [(coords[order], coords[order], samples[order], ids, samples[order], ids, None, None)]
+    key, pts, vals = key[order], coords.take(order, axis=0), samples.take(order, axis=0)
+    ids = np.repeat(order[:, None], samples.shape[1], axis=1)
+    levels = [(pts, pts, vals, ids, vals, ids, None, None)]
     for _ in range(bits):
         lo, hi, vmax, imax, vmin, imin = levels[-1][:6]
         key = key >> n
         starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
         key = key[starts]
+        count = np.diff(np.append(starts, len(lo)))
+        child = [starts + np.minimum(j, count - 1) for j in range(2**n)]
         levels.append((
-            np.minimum.reduceat(lo, starts, axis=0), np.maximum.reduceat(hi, starts, axis=0),
-            *_extreme(np.maximum, vmax, imax, starts), *_extreme(np.minimum, vmin, imin, starts),
-            starts, np.diff(np.append(starts, len(lo))),
+            _merge(np.minimum, lo, child), _merge(np.maximum, hi, child),
+            *_merge(np.maximum, vmax, child, imax), *_merge(np.minimum, vmin, child, imin),
+            starts, count,
         ))
     return levels
 
 
+def _row_norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: the sequential sum of squares of
+    np.linalg.norm(d, axis=1), bit for bit, without its slow short-axis
+    reduction."""
+    sq = d * d
+    total = sq[:, 0]
+    for k in range(1, d.shape[1]):
+        total = total + sq[:, k]
+    return np.sqrt(total)
+
+
 def _gap_norm(d: np.ndarray) -> np.ndarray:
     """|v_a - v_b| for scalar samples (one column), Euclidean norm otherwise."""
-    return np.abs(d[:, 0]) if d.shape[1] == 1 else np.linalg.norm(d, axis=1)
+    return np.abs(d[:, 0]) if d.shape[1] == 1 else _row_norm(d)
 
 
 def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float | None):
     """Dual-tree branch and bound over the node pairs of ``mask``.
 
     A cell pair (A, B) of the pyramid is bounded above by
-    |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha and
+    |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha,
+    with dist(A, B) the box gap floored at the grid spacing, so the bound is
+    finite also for a cell paired with itself or a touching one, and
     below by the quotient of its realized extreme nodes; pairs that survive
     pruning split into child pairs down to single nodes. With ``threshold``
     None it finds the all-pairs max and one pair attaining it; otherwise
     every pair whose quotient is at least ``threshold``, widest separation
     first, then in ``np.argwhere(mask)`` order. The frontier is descended
-    depth first in chunks, so memory stays bounded.
+    depth first in chunks, so memory stays bounded, and the max is updated
+    only on a strict gain, so the pair returned is the first maximizer met.
+    Among exactly tied maximizers, which one that is depends on how the
+    frontier falls into chunks, and so on the pruning; a threshold scan
+    lists them all in a fixed order.
 
     Returns (best, idx_a, idx_b): the max (None for a threshold scan) and
     the node indices of the pairs found, each (count, n).
@@ -146,20 +179,31 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
     idx = np.argwhere(mask)
     if len(idx) < 2:
         raise EmptyRegionError("Holder seminorm needs at least two valid nodes")
-    coords = grid.axis[idx]
+    # np.argwhere is column-major; row gathers want rows contiguous
+    coords = np.ascontiguousarray(grid.axis[idx])
     if u_vals.ndim == grid.n:
         samples = u_vals[mask][:, None]
     else:
         samples = np.stack([comp[mask] for comp in u_vals], axis=1)
     levels = _pyramid(idx, coords, samples)
+    # Node-spacing floor: every computed node-pair distance is at least
+    # ``spacing``. A coordinate difference along an axis where the two
+    # indices differ is a float subtraction of sorted axis values, monotone
+    # in its operands, so it is at least the one-step difference np.diff
+    # computes; and sqrt(fl(d^2)) = |d| exactly, so adding squares cannot
+    # bring the norm below it. Flooring the cell-pair distance at
+    # ``spacing`` keeps every bound finite (touching and self pairs prune
+    # too) and still an upper bound; _BOUND_SLACK covers the rounding in
+    # pow and in the norm.
+    spacing = float(np.diff(grid.axis).min())
 
     def quotient(pa, pb):
-        d = coords[pa] - coords[pb]
-        dist = np.sqrt((d * d).sum(axis=1))
+        dist = _row_norm(coords.take(pa, axis=0) - coords.take(pb, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = _gap_norm(samples[pa] - samples[pb]) / dist**alpha
+            q = _gap_norm(samples.take(pa, axis=0) - samples.take(pb, axis=0)) / dist**alpha
         return np.where(dist > 0, q, 0.0)
 
+    node = levels[0][3][:, 0]  # node id of each level-0 row
     fan = 2**grid.n
     ii, jj = np.repeat(np.arange(fan), fan), np.tile(np.arange(fan), fan)
     chunk = _MAX_EXPANSION // fan**2
@@ -170,7 +214,7 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
         level, a, b = stack.pop()
         lo, hi, vmax, imax, vmin, imin, start, count = levels[level]
         if level == 0:
-            pa, pb = imax[a, 0], imax[b, 0]
+            pa, pb = node.take(a), node.take(b)
             q = quotient(pa, pb)
             if threshold is not None:
                 found.append((pa[q >= threshold], pb[q >= threshold]))
@@ -178,18 +222,20 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
                 k = int(np.argmax(q))
                 best, best_pair = float(q[k]), (pa[k], pb[k])
             continue
-        gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-        dist = np.sqrt((gap * gap).sum(axis=1))
-        up_ab, up_ba = vmax[a] - vmin[b], vmax[b] - vmin[a]
+        lo_a, hi_a, vmax_a, vmin_a = (x.take(a, axis=0) for x in (lo, hi, vmax, vmin))
+        lo_b, hi_b, vmax_b, vmin_b = (x.take(b, axis=0) for x in (lo, hi, vmax, vmin))
+        gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+        dist = np.maximum(_row_norm(gap), spacing)
+        up_ab, up_ba = vmax_a - vmin_b, vmax_b - vmin_a
         spread = (1.0 + _BOUND_SLACK) * _gap_norm(np.maximum(up_ab, up_ba))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ub = np.where(dist > 0, spread / dist**alpha, np.where(spread > 0, np.inf, 0.0))
+        ub = spread / dist**alpha
         if threshold is not None:
             keep = ub >= threshold
         else:
-            ka, kb = up_ab.argmax(axis=1), up_ba.argmax(axis=1)
-            pa = np.concatenate([imax[a, ka], imax[b, kb]])
-            pb = np.concatenate([imin[b, ka], imin[a, kb]])
+            # imax[a, ka] etc., as takes from the flattened (cells, k) tables
+            ka, kb, nc = up_ab.argmax(axis=1), up_ba.argmax(axis=1), vmax.shape[1]
+            pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
+            pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
             q = quotient(pa, pb)
             k = int(np.argmax(q))
             if q[k] > best:
@@ -199,10 +245,12 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
         # itself yields each unordered child pair once, and no node is
         # paired with itself
         a, b = a[keep], b[keep]
-        ok = (ii < count[a][:, None]) & (jj < count[b][:, None])
+        ok = (ii < count.take(a)[:, None]) & (jj < count.take(b)[:, None])
         ok &= (a != b)[:, None] | ((ii < jj) if level == 1 else (ii <= jj))
-        rows, k = np.nonzero(ok)
-        ca, cb = start[a][rows] + ii[k], start[b][rows] + jj[k]
+        # np.nonzero(ok) by hand: each row of ok holds fan**2 = 2**(2n) flags
+        flat = np.flatnonzero(ok)
+        rows, k = flat >> 2 * grid.n, flat & (fan * fan - 1)
+        ca, cb = start.take(a.take(rows)) + ii.take(k), start.take(b.take(rows)) + jj.take(k)
         for s in reversed(range(0, len(ca), chunk)):
             stack.append((level - 1, ca[s : s + chunk], cb[s : s + chunk]))
 
@@ -210,7 +258,7 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
         return best, idx[[min(best_pair)]], idx[[max(best_pair)]]
     pa, pb = (np.concatenate(part) for part in zip(*found))
     pa, pb = np.minimum(pa, pb), np.maximum(pa, pb)
-    order = np.lexsort((pb, pa, -np.linalg.norm(coords[pa] - coords[pb], axis=1)))
+    order = np.lexsort((pb, pa, -_row_norm(coords[pa] - coords[pb])))
     return None, idx[pa[order]], idx[pb[order]]
 
 
@@ -221,10 +269,12 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
     Returns (value, (index_a, index_b), "exhaustive") with the node indices
     of a pair attaining the value; the quotient is computed from
     ``grid.axis`` coordinates, so the pair realizes the value exactly.
-    Typical fields prune to a near-linear number of cell pairs; in the worst
-    case nothing prunes (an affine field at alpha = 1, where every pair
-    along the gradient ties) and the scan costs about as much as the
-    exhaustive O(N^2) scan, in bounded memory.
+    Typical fields prune to a near-linear number of cell pairs: with the
+    node-spacing floor white noise evaluates under one candidate pair per
+    node. Where nearly every pair comes close to the max nothing prunes: an
+    affine field at alpha = 1, where every pair along the gradient ties, and
+    nearly homogeneous blow-up window profiles. Those cost about as much as
+    the exhaustive O(N^2) scan, in bounded memory.
     """
     best, idx_a, idx_b = _holder_pairs(grid, mask, u_vals, alpha, None)
     return best, (idx_a[0], idx_b[0]), "exhaustive"

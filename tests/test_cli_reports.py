@@ -216,6 +216,19 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     ({"command": "degiorgi", "params": {"ensemble": 0}}, "ensemble"),
     ({"command": "schauder", "params": {"ensemble": 0}}, "ensemble"),
     ({"command": "mollify", "params": {"fields": -1}}, "fields"),
+    ({"command": "degiorgi", "params": {"k_max": -1}}, "k_max"),
+    ({"command": "bootstrap", "params": {"k": 0}}, "k"),
+    ({"command": "blowup", "params": {"steps": 0}}, "steps"),
+    ({"command": "solve", "params": {"resolutions": [64]}}, "resolutions"),
+    ({"command": "caccioppoli", "params": {"r": 0.9, "R": 0.5}}, "r"),
+    ({"command": "mollify", "params": {"eps_schedule": []}}, "eps_schedule"),
+    ({"command": "mollify", "params": {"eps_schedule": [0.1, 0.2]}}, "eps_schedule"),
+    ({"command": "liouville", "resolution": 64}, "resolution"),
+    ({"command": "degiorgi", "params": {"r": 0.5, "R": 0.5}}, "r"),
+    ({"command": "schauder", "params": {"s": 2.5}}, "s"),
+    ({"command": "blowup", "params": {"alpha": 1.0}}, "alpha"),
+    ({"command": "bootstrap", "params": {"alpha": 0}}, "alpha"),
+    ({"command": "liouville", "params": {"scales": [-1, 0.5]}}, "scales"),
 ])
 def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
     path = tmp_path / "cfg.json"

@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from schauderlab import norm_engine
 from schauderlab.domain_grid import ball_region, make_grid
 from schauderlab.errors import EmptyRegionError, StencilOverflowError
 from schauderlab.field_calculus import Field, gradient
 from schauderlab.norm_engine import (
+    _holder_pairs,
     ck_alpha_norm,
     hk_norm,
     holder_seminorm,
@@ -172,6 +174,85 @@ sys.exit(0 if region.mask.sum() >= 4637 and value == 1.0 else 1)
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def _all_pair_quotients(grid, mask, vals, alpha):
+    """Every node pair i < j of ``mask`` in np.argwhere order, with its
+    distance and Holder quotient, computed with the scan's float operations."""
+    idx = np.argwhere(mask)
+    coords = grid.axis[idx]
+    samples = vals[mask][:, None] if vals.ndim == grid.n else np.stack([c[mask] for c in vals], axis=1)
+    i, j = np.triu_indices(len(idx), k=1)
+    dist = np.linalg.norm(coords[i] - coords[j], axis=1)
+    gap = np.linalg.norm(samples[i] - samples[j], axis=1)
+    return idx, i, j, dist, gap / dist**alpha
+
+
+def _tie_fields(grid, alpha):
+    x = grid.coords()
+    radius = np.sqrt(sum(c * c for c in x))
+    spike = np.ones(grid.shape)
+    spike[(grid.m // 2 + 1,) * grid.n] = 5.0
+    checker = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+    return {
+        "radial": radius**alpha,
+        "checkerboard": checker,
+        "spike": spike,
+        "vector": np.stack([radius**alpha, checker]),
+    }
+
+
+@pytest.mark.parametrize("n, m, alpha", [(2, 17, 0.5), (2, 17, 1.0), (3, 9, 0.5)])
+def test_holder_pairs_threshold_matches_brute_force_enumeration(n, m, alpha):
+    # blow-ups take the widest pair tied at the max from a threshold scan, so
+    # the scan must list exactly the pairs at or above the threshold, widest
+    # first, then in np.argwhere(mask) order
+    grid = make_grid(n, 1.0, m)
+    mask = ball_region(grid, 0.0, 0.8).mask
+    for name, vals in _tie_fields(grid, alpha).items():
+        idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
+        for threshold in (q.max() * (1 - 1e-9), 0.5 * q.max()):
+            hit = np.flatnonzero(q >= threshold)
+            order = hit[np.lexsort((j[hit], i[hit], -dist[hit]))]
+            best, tie_a, tie_b = _holder_pairs(grid, mask, vals, alpha, threshold)
+            assert best is None
+            np.testing.assert_array_equal(tie_a, idx[i[order]], err_msg=name)
+            np.testing.assert_array_equal(tie_b, idx[j[order]], err_msg=name)
+        assert (q == q.max()).sum() > 1, name  # the max is tied
+
+
+@pytest.mark.parametrize("n, m, alpha", [(2, 17, 0.5), (2, 17, 1.0), (3, 9, 0.5)])
+def test_holder_pairs_max_matches_brute_force_and_is_realized(n, m, alpha):
+    grid = make_grid(n, 1.0, m)
+    mask = ball_region(grid, 0.0, 0.8).mask
+    for name, vals in _tie_fields(grid, alpha).items():
+        idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
+        best, ia, ib = _holder_pairs(grid, mask, vals, alpha, None)
+        assert best == q.max(), name
+        rows = [int(np.flatnonzero((idx == point).all(axis=1))[0]) for point in (ia[0], ib[0])]
+        assert rows[0] < rows[1]
+        realized = q[(i == rows[0]) & (j == rows[1])]
+        assert realized.tolist() == [best], name
+
+
+def test_holder_scan_prunes_white_noise_to_linear_work(monkeypatch):
+    # deterministic cost guard: the rows whose sample gaps the scan evaluates
+    # stay linear in the node count on white noise, where self and touching
+    # cell pairs must prune through the node-spacing floor
+    grid = make_grid(2, 1.0, 257)
+    mask = ball_region(grid, 0.0, 0.8).mask
+    assert mask.sum() == 32937
+    u = Field(grid, np.random.default_rng(0).standard_normal(grid.shape))
+    rows = []
+    gap_norm = norm_engine._gap_norm
+
+    def counting(d):
+        rows.append(len(d))
+        return gap_norm(d)
+
+    monkeypatch.setattr(norm_engine, "_gap_norm", counting)
+    holder_seminorm(u, 0.5, ball_region(grid, 0.0, 0.8))
+    assert sum(rows) <= 1.5 * mask.sum()
 
 
 def test_holder_refinement_stability_smooth():
