@@ -152,20 +152,12 @@ def truncated_caccioppoli(sol, b: float, sign: str, r: float, rho: float) -> Est
     )
 
 
-_VARIANTS = {
-    "caccioppoli": caccioppoli_check,
-    "caccioppoli_zero_rhs": caccioppoli_zero_rhs_check,
-}
-
-
-def empirical_constant(ensemble, r: float, R: float, variant: str = "caccioppoli"):
+def empirical_constant(ensemble, r: float, R: float):
     """Max realized ratio across an ensemble sharing grid and (lam, Lam, L).
 
     Returns (constant, reports). The certificate under which the constant was
     measured is attached to each report.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     ensemble = list(ensemble)
     if not ensemble:
         raise ValueError("ensemble must be nonempty")
@@ -174,10 +166,9 @@ def empirical_constant(ensemble, r: float, R: float, variant: str = "caccioppoli
     if any(s.grid != grid for s in ensemble):
         raise IncompatibleEnsembleError("ensemble members live on different grids")
     lam, Lam, L = certs[:, 0].min(), certs[:, 1].max(), certs[:, 2].max()
-    check = _VARIANTS[variant]
     reports = []
     for k, sol in enumerate(ensemble):
-        rep = check(sol, r, R)
+        rep = caccioppoli_check(sol, r, R)
         rep.extra.update({"instance": k, "lam": lam, "Lam": Lam, "L": L, "size": len(ensemble)})
         reports.append(rep)
     constant = max(rep.ratio for rep in reports)

@@ -282,7 +282,7 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     grid = make_grid(2, 1.0, m)
     problems = generators.random_ensemble(grid, size, cfg.seed)
     sols = [solve_dirichlet(p) for p in problems]
-    constant, reports = empirical_constant(sols, r, R, "caccioppoli")
+    constant, reports = empirical_constant(sols, r, R)
     _write_reports(cfg.out_dir / "caccioppoli_reports.csv", reports)
     with open(cfg.out_dir / "caccioppoli_reports.json", "w") as fh:
         fh.write("[" + ",\n".join(rep.to_json() for rep in reports) + "]\n")

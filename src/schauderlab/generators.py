@@ -163,7 +163,6 @@ def random_problem(
     rng,
     beta: float = 0.2,
     rough_alpha: float | None = None,
-    with_field_term: bool = True,
     p: float = 4.0,
     q: float = 8.0,
 ) -> EllipticProblem:
@@ -179,24 +178,19 @@ def random_problem(
     f_amp = rng.uniform(0.5, 2.0)
     f_vals, f_lip = _trig_sum(grid, rng, terms=3, amplitude=f_amp, max_freq=3.0)
     g_vals, _ = _trig_sum(grid, rng, terms=2, amplitude=rng.uniform(0.2, 1.0), max_freq=2.0)
-    certs = {"f_lipschitz": f_lip, "f_sup": f_amp}
-    if with_field_term:
-        comps = []
-        F_lip = 0.0
-        F_sup = 0.0
-        for _ in range(grid.n):
-            c_amp = rng.uniform(0.2, 1.0)
-            c_vals, c_lip = _trig_sum(grid, rng, terms=2, amplitude=c_amp, max_freq=3.0)
-            comps.append(c_vals)
-            F_lip = max(F_lip, c_lip)
-            F_sup = max(F_sup, c_amp)
-        F = VecField(grid, np.stack(comps))
-        certs.update({"F_lipschitz": F_lip, "F_sup": F_sup})
-    else:
-        F = VecField.zeros(grid)
-        certs.update({"F_lipschitz": 0.0, "F_sup": 0.0})
+    comps = []
+    F_lip = 0.0
+    F_sup = 0.0
+    for _ in range(grid.n):
+        c_amp = rng.uniform(0.2, 1.0)
+        c_vals, c_lip = _trig_sum(grid, rng, terms=2, amplitude=c_amp, max_freq=3.0)
+        comps.append(c_vals)
+        F_lip = max(F_lip, c_lip)
+        F_sup = max(F_sup, c_amp)
+    certs = {"f_lipschitz": f_lip, "f_sup": f_amp, "F_lipschitz": F_lip, "F_sup": F_sup}
     return EllipticProblem(
-        A=A, f=Field(grid, f_vals), F=F, g=Field(grid, g_vals), p=p, q=q, certificates=certs
+        A=A, f=Field(grid, f_vals), F=VecField(grid, np.stack(comps)), g=Field(grid, g_vals),
+        p=p, q=q, certificates=certs,
     )
 
 
@@ -219,7 +213,7 @@ def bump_field(grid: Grid, radius: float, center=None, height: float = 1.0) -> F
     return Field(grid, vals)
 
 
-def sup_bound_problem(grid: Grid, rng, beta: float = 0.2) -> EllipticProblem:
+def sup_bound_problem(grid: Grid, rng) -> EllipticProblem:
     """Instance family for the truncation iteration: solutions whose interior
     sup is a stable fraction of the outer data norms.
 
@@ -228,7 +222,7 @@ def sup_bound_problem(grid: Grid, rng, beta: float = 0.2) -> EllipticProblem:
     member keeps its peak above the first truncation level and the level-set
     energies decay through a usable window.
     """
-    A = trig_coefficient_field(grid, rng, beta=beta)
+    A = trig_coefficient_field(grid, rng)
     level = rng.uniform(0.7, 1.5) * rng.choice((-1.0, 1.0))
     osc, _ = _trig_sum(grid, rng, terms=2, amplitude=0.25 * abs(level), max_freq=2.0)
     gb = Field(grid, level * np.ones(grid.shape) + osc)
@@ -240,8 +234,5 @@ def sup_bound_problem(grid: Grid, rng, beta: float = 0.2) -> EllipticProblem:
     return EllipticProblem(A=A, f=f, F=VecField.zeros(grid), g=gb, p=2.0, q=4.0)
 
 
-def sup_bound_ensemble(grid: Grid, size: int, seed: int, **kwargs) -> list:
-    return [
-        sup_bound_problem(grid, np.random.default_rng([seed, k]), **kwargs)
-        for k in range(size)
-    ]
+def sup_bound_ensemble(grid: Grid, size: int, seed: int) -> list:
+    return [sup_bound_problem(grid, np.random.default_rng([seed, k])) for k in range(size)]

@@ -2,8 +2,9 @@
 
 Integrals are plain Riemann sums h^n * sum over the region's valid nodes;
 Holder seminorms replace the continuum sup by the exact sup over node pairs,
-found by a dual-tree branch and bound (Gray & Moore 2000; Curtin et al. 2013);
-``scan_mode`` is always "exhaustive", meaning the value is the all-pairs sup.
+found by a dual-tree branch and bound (Gray & Moore 2000; Curtin et al. 2013).
+One pass returns the all-pairs sup, the first pair met that attains it and
+the widest pair within a relative ``TIE_RTOL`` of it, which blow-ups take.
 Cell-pair distances are floored at the grid spacing, the least distance
 between two nodes, so coinciding and touching cells prune like distant ones;
 fields with near-maximal quotients everywhere (an affine field at alpha = 1,
@@ -38,6 +39,9 @@ _MAX_EXPANSION = 1 << 19
 # never prunes a pair whose computed quotient would beat it.
 _BOUND_SLACK = 1e-12
 
+# Relative band below the max in which a pair's quotient counts as tied.
+TIE_RTOL = 1e-9
+
 # Valid nodes a measurement region must hold.
 MIN_REGION_NODES = 1
 
@@ -46,9 +50,7 @@ MIN_REGION_NODES = 1
 class NormValue:
     """One evaluated norm: kind, parameters, region and the value itself.
 
-    For Holder seminorms the maximizing node pair and the scan mode are
-    recorded alongside the value; the scan mode is always 'exhaustive',
-    meaning the value is the sup over all node pairs.
+    For Holder seminorms a node pair attaining the value is recorded too.
     """
 
     kind: str
@@ -57,7 +59,6 @@ class NormValue:
     region_radius: float
     value: float
     argmax_pair: tuple | None = None
-    scan_mode: str | None = None
 
 
 def _region_values(u: Field, region: BallRegion):
@@ -155,26 +156,34 @@ def _gap_norm(d: np.ndarray) -> np.ndarray:
     return np.abs(d[:, 0]) if d.shape[1] == 1 else _row_norm(d)
 
 
-def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float | None):
+def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
     """Dual-tree branch and bound over the node pairs of ``mask``.
 
     A cell pair (A, B) of the pyramid is bounded above by
     |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha,
     with dist(A, B) the box gap floored at the grid spacing, so the bound is
-    finite also for a cell paired with itself or a touching one, and
-    below by the quotient of its realized extreme nodes; pairs that survive
-    pruning split into child pairs down to single nodes. With ``threshold``
-    None it finds the all-pairs max and one pair attaining it; otherwise
-    every pair whose quotient is at least ``threshold``, widest separation
-    first, then in ``np.argwhere(mask)`` order. The frontier is descended
-    depth first in chunks, so memory stays bounded, and the max is updated
-    only on a strict gain, so the pair returned is the first maximizer met.
-    Among exactly tied maximizers, which one that is depends on how the
-    frontier falls into chunks, and so on the pruning; a threshold scan
-    lists them all in a fixed order.
+    finite also for a cell paired with itself or a touching one, and below
+    by the quotient of its realized extreme nodes. One pruning rule: a cell
+    pair is kept iff its bound exceeds the running tie floor
+    best * (1 - TIE_RTOL), and kept pairs split into child pairs down to
+    single nodes. No pair tied with the final max is lost, since its bound
+    exceeds its quotient, which is at least the final floor and so at least
+    the running one. The test is strict, so a constant field (best 0) prunes
+    at the root and enumerates no pair.
 
-    Returns (best, idx_a, idx_b): the max (None for a threshold scan) and
-    the node indices of the pairs found, each (count, n).
+    The frontier is descended depth first in chunks, so memory stays
+    bounded, and the max is updated only on a strict gain, so ``best_pair``
+    is the first maximizer met. Among exactly tied maximizers, which one
+    that is depends on how the frontier falls into chunks, and so on the
+    pruning. ``wide_pair`` is the widest pair whose quotient is at least
+    best * (1 - TIE_RTOL), ties in ``np.argwhere(mask)`` order. Node pairs
+    at or above the running floor join a front kept in that order with
+    strictly rising quotients: a candidate goes once it falls below the
+    floor or a better-ordered one has at least its quotient, so an exact
+    tie keeps one. With best 0, ``wide_pair`` is ``best_pair``.
+
+    Returns (best, best_pair, wide_pair), each pair the node indices
+    (index_a, index_b) with a before b in ``np.argwhere(mask)`` order.
     """
     idx = np.argwhere(mask)
     if len(idx) < 2:
@@ -198,29 +207,42 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
     spacing = float(np.diff(grid.axis).min())
 
     def quotient(pa, pb):
+        # the distance is symmetric in (pa, pb) bit for bit: negation is exact
         dist = _row_norm(coords.take(pa, axis=0) - coords.take(pb, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             q = _gap_norm(samples.take(pa, axis=0) - samples.take(pb, axis=0)) / dist**alpha
-        return np.where(dist > 0, q, 0.0)
+        return np.where(dist > 0, q, 0.0), dist
 
     node = levels[0][3][:, 0]  # node id of each level-0 row
     fan = 2**grid.n
     ii, jj = np.repeat(np.arange(fan), fan), np.tile(np.arange(fan), fan)
     chunk = _MAX_EXPANSION // fan**2
     best, best_pair = 0.0, (0, 1)
-    found = [(np.zeros(0, dtype=np.intp),) * 2]
+    front = (np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
     stack = [(len(levels) - 1, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))]
     while stack:
         level, a, b = stack.pop()
         lo, hi, vmax, imax, vmin, imin, start, count = levels[level]
         if level == 0:
             pa, pb = node.take(a), node.take(b)
-            q = quotient(pa, pb)
-            if threshold is not None:
-                found.append((pa[q >= threshold], pb[q >= threshold]))
-            elif q.max() > best:
-                k = int(np.argmax(q))
+            q, dist = quotient(pa, pb)
+            k = int(np.argmax(q))
+            if q[k] > best:
                 best, best_pair = float(q[k]), (pa[k], pb[k])
+            floor = best * (1 - TIE_RTOL)
+            hit = q >= floor
+            if hit.any():
+                # merge into the tie front: widest first, then argwhere
+                # order; keep what is at or above the floor and beats the
+                # quotient of every better-ordered candidate
+                pa, pb = pa[hit], pb[hit]
+                cand = (dist[hit], np.minimum(pa, pb), np.maximum(pa, pb), q[hit])
+                dist, pa, pb, q = (np.concatenate(part) for part in zip(front, cand))
+                order = np.lexsort((pb, pa, -dist))
+                order = order[q[order] >= floor]
+                lead = np.maximum.accumulate(q[order])
+                order = order[np.append(True, lead[1:] > lead[:-1])]
+                front = (dist[order], pa[order], pb[order], q[order])
             continue
         lo_a, hi_a, vmax_a, vmin_a = (x.take(a, axis=0) for x in (lo, hi, vmax, vmin))
         lo_b, hi_b, vmax_b, vmin_b = (x.take(b, axis=0) for x in (lo, hi, vmax, vmin))
@@ -229,18 +251,15 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
         up_ab, up_ba = vmax_a - vmin_b, vmax_b - vmin_a
         spread = (1.0 + _BOUND_SLACK) * _gap_norm(np.maximum(up_ab, up_ba))
         ub = spread / dist**alpha
-        if threshold is not None:
-            keep = ub >= threshold
-        else:
-            # imax[a, ka] etc., as takes from the flattened (cells, k) tables
-            ka, kb, nc = up_ab.argmax(axis=1), up_ba.argmax(axis=1), vmax.shape[1]
-            pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
-            pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
-            q = quotient(pa, pb)
-            k = int(np.argmax(q))
-            if q[k] > best:
-                best, best_pair = float(q[k]), (pa[k], pb[k])
-            keep = ub > best
+        # imax[a, ka] etc., as takes from the flattened (cells, k) tables
+        ka, kb, nc = up_ab.argmax(axis=1), up_ba.argmax(axis=1), vmax.shape[1]
+        pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
+        pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
+        q, _ = quotient(pa, pb)
+        k = int(np.argmax(q))
+        if q[k] > best:
+            best, best_pair = float(q[k]), (pa[k], pb[k])
+        keep = ub > best * (1 - TIE_RTOL)
         # children of the kept pairs, keeping a <= b: a cell paired with
         # itself yields each unordered child pair once, and no node is
         # paired with itself
@@ -254,21 +273,22 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, threshold: float
         for s in reversed(range(0, len(ca), chunk)):
             stack.append((level - 1, ca[s : s + chunk], cb[s : s + chunk]))
 
-    if threshold is None:
-        return best, idx[[min(best_pair)]], idx[[max(best_pair)]]
-    pa, pb = (np.concatenate(part) for part in zip(*found))
-    pa, pb = np.minimum(pa, pb), np.maximum(pa, pb)
-    order = np.lexsort((pb, pa, -_row_norm(coords[pa] - coords[pb])))
-    return None, idx[pa[order]], idx[pb[order]]
+    # the front was last merged at or after the level-0 visit of the pair
+    # attaining the max, at the final floor, so it holds only final ties
+    best_pair = (idx[min(best_pair)], idx[max(best_pair)])
+    _, pa, pb, _ = front
+    return best, best_pair, ((idx[pa[0]], idx[pb[0]]) if len(pa) else best_pair)
 
 
 def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
     """Exact sup over the node pairs of ``mask`` of |u(x) - u(y)| / |x - y|^alpha.
 
     ``u_vals`` is a scalar grid array or a stack of vector components.
-    Returns (value, (index_a, index_b), "exhaustive") with the node indices
-    of a pair attaining the value; the quotient is computed from
-    ``grid.axis`` coordinates, so the pair realizes the value exactly.
+    Returns (value, (best_pair, wide_pair), "exhaustive") with the node
+    index pairs of ``_holder_pairs``: the first pair met attaining the
+    value, and the widest pair tied with it within ``TIE_RTOL``. Quotients
+    are computed from ``grid.axis`` coordinates, so ``best_pair`` realizes
+    the value exactly.
     Typical fields prune to a near-linear number of cell pairs: with the
     node-spacing floor white noise evaluates under one candidate pair per
     node. Where nearly every pair comes close to the max nothing prunes: an
@@ -276,18 +296,18 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
     nearly homogeneous blow-up window profiles. Those cost about as much as
     the exhaustive O(N^2) scan, in bounded memory.
     """
-    best, idx_a, idx_b = _holder_pairs(grid, mask, u_vals, alpha, None)
-    return best, (idx_a[0], idx_b[0]), "exhaustive"
+    best, best_pair, wide_pair = _holder_pairs(grid, mask, u_vals, alpha)
+    return best, (best_pair, wide_pair), "exhaustive"
 
 
 def _holder_norm(u_vals, valid, region: BallRegion, alpha: float, params: dict) -> NormValue:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = region.grid
-    value, (ia, ib), used = _holder_scan_mask(grid, region.mask & valid, u_vals, alpha)
+    value, ((ia, ib), _), _ = _holder_scan_mask(grid, region.mask & valid, u_vals, alpha)
     return NormValue(
         "HolderSemi", params, region.center, region.radius, value,
-        argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])), scan_mode=used,
+        argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])),
     )
 
 

@@ -43,7 +43,6 @@ from .field_calculus import (
     mollify,
 )
 from .norm_engine import (
-    _holder_pairs,
     _holder_scan_mask,
     ck_alpha_norm,
     hk_norm,
@@ -147,12 +146,7 @@ class SchauderConfig:
 
 def _holder_norm_vec(F: VecField, alpha: float, region) -> float:
     """max over components of sup + seminorm (vector C^{0,alpha} norm)."""
-    best = 0.0
-    for j in range(F.grid.n):
-        comp = F.component(j)
-        val = lp_norm(comp, np.inf, region).value + holder_seminorm(comp, alpha, region).value
-        best = max(best, val)
-    return best
+    return max(ck_alpha_norm(F.component(j), 0, alpha, region).value for j in range(F.grid.n))
 
 
 def _holder_certified(problem: EllipticProblem, name: str) -> bool:
@@ -350,7 +344,6 @@ class BlowupStep:
     level: float          # seminorm level M over the step's search region
     xi: tuple
     v: Field
-    w: Field
     v_seminorm: float
     vw_gap: float
     vw_gap_bound: float
@@ -473,14 +466,13 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         mask = (grid.radius_from(centre) < radius) & region0.mask & u.valid
         if mask.sum() < 4:
             break
-        level, (ia_idx, ib_idx), _mode = _holder_scan_mask(grid, mask, scan_values, cfg.alpha)
+        level, (top_pair, wide_pair), _ = _holder_scan_mask(grid, mask, scan_values, cfg.alpha)
         scale_ref = max(grad_w_sup, u_sup, 1.0)
         degenerate = level <= DEGENERATE_SEMINORM_FLOOR * scale_ref
+        # the widest pair within TIE_RTOL of the level; a degenerate level
+        # ties almost every pair, so it keeps the first maximizer met
+        ia_idx, ib_idx = top_pair if degenerate else wide_pair
         if not degenerate:
-            # the widest pair within 1e-9 of the level; a degenerate level
-            # would tie almost every pair, so ties are enumerated only here
-            _, tie_a, tie_b = _holder_pairs(grid, mask, scan_values, cfg.alpha, level * (1 - 1e-9))
-            ia_idx, ib_idx = tie_a[0], tie_b[0]
             qa = _local_quotient(scan_values, u.valid, grid.axis, tuple(ia_idx), cfg.alpha)
             qb = _local_quotient(scan_values, u.valid, grid.axis, tuple(ib_idx), cfg.alpha)
             if qb > qa:
@@ -494,7 +486,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         if degenerate:
             zero = Field.zeros(window)
             step = BlowupStep(
-                x=x, y=y, separation=r_sep, level=0.0, xi=xi, v=zero, w=zero,
+                x=x, y=y, separation=r_sep, level=0.0, xi=xi, v=zero,
                 v_seminorm=0.0, vw_gap=0.0, vw_gap_bound=0.0, interp_tol=0.0,
                 fit=GrowthFit(float("nan"), False, [], compliant_trivially=True),
                 degenerate=True,
@@ -524,7 +516,6 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
             w_vals = (eta_at_base * (u_samples - u.values[base_idx]) - eta_at_base * linear) / denom
 
         v = Field(window, v_vals, ok)
-        w_prof = Field(window, w_vals, ok)
         win_region = ball_region(window, 0.0, window.half_width)
         vw_gap = float(np.abs(v_vals - w_vals)[ok].max())
         if cfg.order == 0:
@@ -540,7 +531,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
             fit = None
         record.steps.append(
             BlowupStep(
-                x=x, y=y, separation=r_sep, level=level, xi=xi, v=v, w=w_prof,
+                x=x, y=y, separation=r_sep, level=level, xi=xi, v=v,
                 v_seminorm=v_semi, vw_gap=vw_gap, vw_gap_bound=gap_bound,
                 interp_tol=interp_tol, fit=fit,
             )

@@ -255,6 +255,12 @@ def test_one_log_slope_and_one_shell_scan_in_src():
         ("(dist > lo) & (dist <= hi)", norm_engine.shell_peaks),
     ):
         assert src.count(needle) == inspect.getsource(owner).count(needle) == 1, needle
+    # every Holder scan enters through _holder_scan_mask, the one entry
+    # perfbench traces: _holder_pairs( occurs at its definition and there
+    needle = "_holder_pairs("
+    assert src.count(needle) == 2
+    for owner in (norm_engine._holder_pairs, norm_engine._holder_scan_mask):
+        assert inspect.getsource(owner).count(needle) == 1, owner.__name__
 
 
 def test_verdict_failure_sets_exit_flag():
