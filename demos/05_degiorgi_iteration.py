@@ -7,6 +7,7 @@ bound.
 """
 
 from schauderlab import DeGiorgiParams, calibrate_delta, gamma_exponent, linf_bound, make_grid, no_spike_verify, normalize_solution, solve_dirichlet, truncation_sequence
+from schauderlab.degiorgi import DELTA_CEILING
 from schauderlab.generators import sup_bound_ensemble
 
 print("== the iteration gain gamma ==")
@@ -18,8 +19,9 @@ print(f"2d configuration: tau = {params.tau:.3f}, gamma = {params.gamma:.3f}")
 
 print("\n== calibrating delta on a 12-instance training ensemble ==")
 sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid, 12, seed=7)]
-delta = calibrate_delta(sols, params)
+delta, bound = calibrate_delta(sols, params)
 print(f"frozen delta = {delta:.6g}")
+print(f"closed-form bound min (denom/sup)^2 = {bound:.4f}; the clamp below 1 {'binds' if bound > DELTA_CEILING else 'does not bind'}")
 
 print("\n== one normalized trace ==")
 normalized, theta = normalize_solution(sols[0], params)

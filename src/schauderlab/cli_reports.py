@@ -147,7 +147,8 @@ class ExperimentConfig:
     ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
     every param with a numeric default must be numbers (not bools),
     ``resolution`` an odd node count and every param in its _RANGES range;
-    otherwise a ValueError names the key, before any output is written."""
+    otherwise a ValueError names the key, before any output is written, as
+    does a domain error for degiorgi exponents or a ladder finer than 4h."""
 
     command: str
     out_dir: Path | None = None
@@ -172,6 +173,10 @@ class ExperimentConfig:
         for key, test, what in _RANGES[self.command]:
             if not test(self.params):
                 raise ValueError(f"{self.command} {key!r} must {what}, got {self.params[key]!r}")
+        if self.command == "degiorgi":  # the runner's exponents and 4h ladder, before any solve
+            p = self.params
+            params = degiorgi.DeGiorgiParams(n=2, p=p["p"], q=p["q"], r=p["r"], R=p["R"], k_max=p["k_max"])
+            params.require_resolved_ladder(make_grid(2, 1.0, self.resolution).h)
         if self.command == "liouville" and self.params["generator"] not in _LIOUVILLE_KINDS:
             raise ValueError(
                 f"unknown liouville generator {self.params['generator']!r}; known: {_LIOUVILLE_KINDS}"
@@ -306,12 +311,8 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     m = cfg.resolution
     size = int(cfg.params["ensemble"])
     params = degiorgi.DeGiorgiParams(
-        n=2,
-        p=float(cfg.params["p"]),
-        q=float(cfg.params["q"]),
-        r=float(cfg.params["r"]),
-        R=float(cfg.params["R"]),
-        k_max=int(cfg.params["k_max"]),
+        n=2, p=float(cfg.params["p"]), q=float(cfg.params["q"]), r=float(cfg.params["r"]),
+        R=float(cfg.params["R"]), k_max=int(cfg.params["k_max"]),
     )
     gamma = degiorgi.gamma_exponent(3, 2.0, 4.0, 6.0)
     verdict.ok(
@@ -321,7 +322,7 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     )
     grid = make_grid(2, 1.0, m)
     sols = [solve_dirichlet(p) for p in generators.sup_bound_ensemble(grid, size, cfg.seed)]
-    delta = degiorgi.calibrate_delta(sols, params)
+    delta, bound = degiorgi.calibrate_delta(sols, params)
     rows = []
     all_ok = all_mono = True
     min_fit = float("inf")
@@ -350,7 +351,7 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     with open(cfg.out_dir / "degiorgi_summary.json", "w") as fh:
         json.dump(
             {
-                "delta": delta, "gamma": params.gamma, "tau": params.tau,
+                "delta": delta, "delta_bound": bound, "gamma": params.gamma, "tau": params.tau,
                 "ensemble": size, "m": m, "min_fitted_exponent": min_fit,
                 "series_sums": params.series_sums,
             },
@@ -363,8 +364,10 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         min_fit >= 1.0 + params.gamma / 2,
         f"min fitted exponent {min_fit:.3f} >= 1 + gamma/2 = {1 + params.gamma / 2:.3f}",
     )
-    verdict.observed("delta_calibrated", f"delta = {delta!r} frozen for this configuration")
-    return {"delta": delta, "gamma": params.gamma, "min_fit": min_fit}
+    clamp = "binds" if bound > degiorgi.DELTA_CEILING else "does not bind"
+    verdict.observed("delta_calibrated", f"delta = {delta!r} frozen for this configuration; "
+                     f"bound min (denom/sup)^2 = {bound!r}, clamp {degiorgi.DELTA_CEILING!r} {clamp}")
+    return {"delta": delta, "delta_bound": bound, "gamma": params.gamma, "min_fit": min_fit}
 
 
 def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> dict:

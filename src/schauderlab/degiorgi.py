@@ -2,8 +2,8 @@
 bookkeeping gamma, the no-spike implication, and the normalized sup bound.
 
 The smallness threshold delta exists only existentially in the theory; here
-it is calibrated by bisection over a training ensemble and stored on the
-run's parameters.
+it is the largest value that keeps a training ensemble inside the unit band,
+computed in closed form, clamped below 1 and stored on the run's parameters.
 Almost-everywhere conclusions become nodal max checks with an O(h) slack.
 """
 
@@ -33,8 +33,8 @@ ENERGY_FLOOR = 1e-14
 # Safety factor on the smallest admissible tau in two dimensions.
 TAU_SAFETY_2D = 1.25
 
-# Bisection steps of the delta calibration.
-DELTA_BISECTION_STEPS = 48
+# Largest calibrated delta: DeGiorgiParams needs delta in the open interval (0, 1).
+DELTA_CEILING = 1.0 - 1e-9
 
 
 def default_tau(n: int, p: float, q: float) -> float:
@@ -99,6 +99,12 @@ class DeGiorgiParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         self.gamma = gamma_exponent(self.n, self.p, self.q, self.tau)
 
+    def require_resolved_ladder(self, h: float) -> None:
+        """Raise unless the finest radius step (R - r) 2^-k_max spans 4h."""
+        step = (self.R - self.r) * 2.0 ** (-self.k_max)
+        if step < 4 * h:
+            raise GridTooCoarseError(f"r_kmax - r = {step:.4g} < 4h; shrink k_max or refine the grid")
+
     @property
     def series_sums(self) -> tuple:
         """Diagnostic sums S1 = sum i (1+gamma)^-i and S2 = sum (1+gamma)^-i."""
@@ -157,11 +163,7 @@ def truncation_sequence(sol, params: DeGiorgiParams, sign: str = "plus") -> Iter
     {u > b_{k+1}} inside B_{rho_k}, rho_k = (r_k + r_{k+1})/2.
     """
     grid = sol.grid
-    if (params.R - params.r) * 2.0 ** (-params.k_max) < 4 * grid.h:
-        raise GridTooCoarseError(
-            f"r_kmax - r = {(params.R - params.r) * 2.0 ** -params.k_max:.4g} < 4h; "
-            "shrink k_max or refine the grid"
-        )
+    params.require_resolved_ladder(grid.h)
     if sign not in ("plus", "minus", "auto"):
         raise ValueError(f"sign must be plus, minus or auto, got {sign}")
     b = truncation_levels(params.k_max)
@@ -277,32 +279,33 @@ def normalize_solution(sol, params: DeGiorgiParams):
     return sol.scaled(theta), theta
 
 
-def calibrate_delta(solutions, params: DeGiorgiParams) -> float:
-    """Largest delta in (0, 1) whose normalization keeps every training
-    solution within the unit band on the inner ball (bisection; the check is
-    monotone in delta). The returned value is also stored on ``params``.
-    """
-    grid = solutions[0].grid
-    inner = ball_region(grid, 0.0, params.r)
-    outer = ball_region(grid, 0.0, params.R)
+def calibrate_delta(solutions, params: DeGiorgiParams) -> tuple:
+    """Closed-form calibration on a training ensemble; returns (delta, bound).
+
+    bound = min (denom/sup)^2 over the members with sup > 0 is the largest
+    delta with sqrt(delta) sup/denom <= 1 on each. delta = min(bound,
+    DELTA_CEILING), stepped down by ulps while rounding fails that check, is
+    also stored on ``params``."""
+    if not solutions:
+        raise ValueError("calibrate_delta needs at least one training solution")
+    inner = ball_region(solutions[0].grid, 0.0, params.r)
+    outer = ball_region(solutions[0].grid, 0.0, params.R)
     ratios = []
-    for sol in solutions:
-        ratios.append((lp_norm(sol.u, np.inf, inner).value, _data_norm(sol, params, outer)))
+    for k, sol in enumerate(solutions):
+        sup, denom = lp_norm(sol.u, np.inf, inner).value, _data_norm(sol, params, outer)
+        if denom == 0:
+            raise PreconditionFailureError(f"training member {k} has zero data norm; it cannot be normalized")
+        ratios.append((sup, denom))
 
     def passes(delta: float) -> bool:
-        theta = math.sqrt(delta)
-        return all(theta * sup / denom <= 1.0 for sup, denom in ratios)
+        return all(math.sqrt(delta) * sup / denom <= 1.0 for sup, denom in ratios)
 
-    lo, hi = 0.0, 1.0 - 1e-9  # delta lives in the open interval (0, 1)
-    for _ in range(DELTA_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    delta = lo if lo > 0 else 0.5 * hi
+    bound = min(((denom / sup) ** 2 for sup, denom in ratios if sup > 0), default=math.inf)
+    delta = min(bound, DELTA_CEILING)
+    while not passes(delta):
+        delta = float(np.nextafter(delta, 0.0))
     params.delta = delta
-    return delta
+    return delta, bound
 
 
 def linf_bound(sol, params: DeGiorgiParams) -> EstimateReport:

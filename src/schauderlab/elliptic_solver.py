@@ -244,7 +244,6 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     grid: Grid
-    interior_ids: np.ndarray  # flat full-grid index -> interior unknown id or -1
     symmetric: bool
 
 
@@ -327,7 +326,7 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
     matrix = sp.csr_matrix((table[keep], cols[keep], indptr), shape=(n_int, n_int))
 
     symmetric = problem.A.is_symmetric
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, interior_ids=ids_grid.ravel(), symmetric=symmetric)
+    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, symmetric=symmetric)
 
 
 @dataclass

@@ -178,20 +178,14 @@ def derivative_energy_scan(family: GrowthFamily, k: int) -> EnergyScan:
     if len(family.scales) < 4:
         raise InsufficientScalesError("need at least four scales")
     scales = np.asarray(family.scales)
-    energies = np.empty(len(scales))
-    base = np.empty(len(scales))
-    chain = []
-    for idx, scale in enumerate(scales):
-        u = family.field_at(scale)
-        energies[idx] = _order_energy(u, k, scale * 2.0**-k)
-        base[idx] = _order_energy(u, 0, scale)
-        links = []
-        for j in range(k):
-            rho = scale * 2.0**-j
-            e_out = _order_energy(u, j, rho)
-            e_in = _order_energy(u, j + 1, rho / 2)
-            links.append(e_in * (rho / 2) ** 2 / e_out if e_out > 0 else float("nan"))
-        chain.append(links)
+    # radii[i][j] = R_i / 2^j and E[i][j] the order-j energy on that ball, j = 0..k
+    radii = [[R * 2.0**-j for j in range(k + 1)] for R in scales]
+    E = [[_order_energy(family.field_at(R), j, rho) for j, rho in enumerate(rs)] for R, rs in zip(scales, radii)]
+    energies, base = np.array([e[k] for e in E]), np.array([e[0] for e in E])
+    chain = [
+        [e[j + 1] * rs[j + 1] ** 2 / e[j] if e[j] > 0 else float("nan") for j in range(k)]
+        for e, rs in zip(E, radii)
+    ]
 
     at_floor = bool(np.all(energies <= ENERGY_RELATIVE_FLOOR * np.maximum(base, 1e-300)))
     if at_floor:

@@ -130,9 +130,18 @@ def test_main_exit_codes(tmp_path, capsys):
     rc = main(["solve", "--out", str(tmp_path / "ok"), "--resolution", "65"])
     assert rc == 0
     rc = main(["degiorgi", "--out", str(tmp_path / "bad"), "--resolution", "65"])
-    assert rc == 2  # the 4h ladder is unresolvable at m = 65; module error surfaces
+    assert rc == 2  # the 4h ladder is unresolvable at m = 65; rejected before any solve
     err = capsys.readouterr().err
     assert "4h" in err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_degiorgi_inadmissible_exponent_exits_2_before_writing(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "degiorgi", "params": {"p": 0.8}}))
+    assert main(["degiorgi", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert "p > n/2" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_main_config_mismatch(tmp_path, capsys):

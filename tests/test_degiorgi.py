@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schauderlab.degiorgi import (
+    DELTA_CEILING,
     DeGiorgiParams,
     calibrate_delta,
     default_tau,
@@ -21,8 +22,9 @@ from schauderlab.errors import (
     PreconditionFailureError,
 )
 from schauderlab.field_calculus import Field, VecField
-from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, solve_dirichlet
+from schauderlab.elliptic_solver import CoefficientField, DiscreteSolution, EllipticProblem, solve_dirichlet
 from schauderlab.generators import sup_bound_ensemble
+from schauderlab.norm_engine import lp_norm
 
 
 def constant_solution(grid, c, p=2.0, q=4.0):
@@ -35,6 +37,15 @@ def constant_solution(grid, c, p=2.0, q=4.0):
         q=q,
     )
     return solve_dirichlet(prob)
+
+
+def spike_solution(grid, c):
+    """u = c at the origin and 0 elsewhere, with zero data; not a solve."""
+    zero = Field.zeros(grid)
+    prob = EllipticProblem(A=CoefficientField.identity(grid), f=zero, F=VecField.zeros(grid), g=zero)
+    values = np.zeros(grid.shape)
+    values[(grid.m // 2,) * grid.n] = c
+    return DiscreteSolution(u=Field(grid, values), problem=prob)
 
 
 def test_gamma_hand_value():
@@ -175,8 +186,10 @@ def test_no_spike_data_norm_precondition(grid129):
 def test_calibrated_ensemble_verifies(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid129, 8, seed=4)]
-    delta = calibrate_delta(sols, params)
-    assert 0.0 < delta < 1.0
+    delta, bound = calibrate_delta(sols, params)
+    # this family never comes near a spike: the clamp below 1 binds
+    assert bound > 1.0
+    assert delta == 1.0 - 1e-9 == params.delta
     for sol in sols:
         normalized, theta = normalize_solution(sol, params)
         assert theta > 0
@@ -186,6 +199,31 @@ def test_calibrated_ensemble_verifies(grid129):
         assert trace.monotone()
         assert not math.isnan(trace.fitted_exponent)
         assert trace.fitted_exponent >= 1.0 + params.gamma / 2
+
+
+@pytest.mark.parametrize("c", [1.0, 3.7, 1e-3])
+def test_calibrate_delta_unclamped_spike(grid129, c):
+    # sup = c and ||u||_2 = c h on B_R, so the bound is h^2, far below the clamp
+    params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
+    sol = spike_solution(grid129, c)
+    delta, bound = calibrate_delta([sol], params)
+    assert bound == pytest.approx(grid129.h**2, rel=1e-12)
+    assert np.nextafter(np.nextafter(bound, 0.0), 0.0) <= delta <= bound < DELTA_CEILING
+    denom = lp_norm(sol.u, 2, ball_region(grid129, 0.0, params.R)).value  # zero f and F
+    assert math.sqrt(delta) * c / denom <= 1.0  # the calibration check passes at delta
+
+
+def test_calibrate_delta_rejects_zero_data_member(grid129):
+    params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
+    with pytest.raises(PreconditionFailureError, match="member 1"):
+        calibrate_delta([spike_solution(grid129, 1.0), spike_solution(grid129, 0.0)], params)
+    assert params.delta is None
+
+
+def test_calibrate_delta_rejects_empty_ensemble():
+    params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
+    with pytest.raises(ValueError):
+        calibrate_delta([], params)
 
 
 def test_normalization_scale_equivariance(grid129):
@@ -207,8 +245,6 @@ def test_linf_bound_report(grid129):
     assert report.extra["delta"] == 0.25
     # rhs equals delta^{-1/2} when the data norms sum to one
     outer = ball_region(grid129, 0.0, 1.0)
-    from schauderlab.norm_engine import lp_norm
-
     u_norm = lp_norm(sol.u, 2, outer).value
     scaled = sol.scaled(1.0 / u_norm)
     report1 = linf_bound(scaled, params)
