@@ -69,6 +69,7 @@ from .degiorgi import (
     linf_bound,
     no_spike_verify,
     normalize_solution,
+    training_ratio,
     truncation_sequence,
 )
 from .liouville_lab import (

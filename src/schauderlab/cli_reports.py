@@ -17,7 +17,9 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
@@ -245,6 +247,23 @@ class Verdict:
 # -- experiments --------------------------------------------------------------
 
 
+def _members(task, count: int) -> list:
+    """[task(0), ..., task(count - 1)], run on one thread per usable core.
+
+    Each task builds its member from its own child seed, so results do not
+    depend on the core count. They come back in member order, and a failure
+    raises the error of the lowest failing member, as a serial loop would.
+    scipy's sparse kernels, SuperLU and numpy ufuncs release the GIL, so the
+    members do run at once.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(task, range(count)))
+
+
 def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     resolutions = cfg.params["resolutions"]
     errors = []
@@ -285,8 +304,10 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     r = float(cfg.params["r"])
     R = float(cfg.params["R"])
     grid = make_grid(2, 1.0, m)
-    problems = generators.random_ensemble(grid, size, cfg.seed)
-    sols = [solve_dirichlet(p) for p in problems]
+    sols = _members(
+        lambda k: solve_dirichlet(generators.random_problem(grid, np.random.default_rng([cfg.seed, k]))),
+        size,
+    )
     constant, reports = empirical_constant(sols, r, R)
     _write_reports(cfg.out_dir / "caccioppoli_reports.csv", reports)
     with open(cfg.out_dir / "caccioppoli_reports.json", "w") as fh:
@@ -321,15 +342,28 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         f"gamma(n=3, tau=6, p=2, q=4) = {gamma!r} vs 1/6",
     )
     grid = make_grid(2, 1.0, m)
-    sols = [solve_dirichlet(p) for p in generators.sup_bound_ensemble(grid, size, cfg.seed)]
-    delta, bound = degiorgi.calibrate_delta(sols, params)
+
+    def train(k):
+        # (sup, denom, u, f, F): A and g are dropped with the solution here
+        problem = generators.sup_bound_problem(grid, np.random.default_rng([cfg.seed, k]))
+        sol = solve_dirichlet(problem)
+        return (*degiorgi.training_ratio(sol, params), sol.u, problem.f, problem.F)
+
+    members = _members(train, size)
+    delta, bound = degiorgi.calibrate_delta([member[:2] for member in members], params)
+
+    def verify(k):
+        # sqrt(delta) over the pass-1 data norm: the bits normalization_factor gives
+        _, denom, u, f, F = members[k]
+        theta = math.sqrt(delta) / denom
+        u = theta * u
+        report = degiorgi.no_spike_verify(u, theta * f, theta * F, params)
+        return theta, report, degiorgi.truncation_sequence(u, params, sign="auto")
+
     rows = []
     all_ok = all_mono = True
     min_fit = float("inf")
-    for k, sol in enumerate(sols):
-        normalized, theta = degiorgi.normalize_solution(sol, params)
-        report = degiorgi.no_spike_verify(normalized, params)
-        trace = degiorgi.truncation_sequence(normalized, params, sign="auto")
+    for k, (theta, report, trace) in enumerate(_members(verify, size)):
         all_ok &= report.verified
         all_mono &= trace.monotone()
         if not math.isnan(trace.fitted_exponent):
@@ -448,11 +482,12 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     size = int(cfg.params["ensemble"])
     alpha = 0.7 * admissible_alpha(grid.n, 4.0, 8.0).raw
     scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=0.3, R=0.8)
-    reports = []
-    for k in range(size):
-        rng = np.random.default_rng([cfg.seed, k])
-        problem = generators.random_problem(grid, rng, rough_alpha=0.6)
-        reports.append(schauder_ratio(solve_dirichlet(problem), scfg))
+
+    def member(k):
+        problem = generators.random_problem(grid, np.random.default_rng([cfg.seed, k]), rough_alpha=0.6)
+        return schauder_ratio(solve_dirichlet(problem), scfg)
+
+    reports = _members(member, size)
     _write_reports(cfg.out_dir / "schauder_reports.csv", reports)
     finite = all(math.isfinite(rep.ratio) for rep in reports)
     verdict.ok("schauder_ratios_finite", finite, f"{size} rough-coefficient instances, alpha = {alpha}")

@@ -37,9 +37,19 @@ TAU_SAFETY_2D = 1.25
 DELTA_CEILING = 1.0 - 1e-9
 
 
+def _require_admissible(n: int, p: float, q: float) -> None:
+    """Raise unless p > n/2 and q > n, naming the failing exponent."""
+    if not p > n / 2:
+        raise InadmissibleExponentsError(f"need p > n/2 = {n / 2}, got {p}", failing_term="p")
+    if not q > n:
+        raise InadmissibleExponentsError(f"need q > n = {n}, got {q}", failing_term="q")
+
+
 def default_tau(n: int, p: float, q: float) -> float:
     """Sobolev exponent 2n/(n-2) for n >= 3; for n = 2 the smallest value
-    meeting both strict constraints, widened by a safety factor."""
+    meeting both strict constraints, widened by a safety factor. The
+    exponents are checked first, so p = 1 or q = 2 never divides by zero."""
+    _require_admissible(n, p, q)
     if n >= 3:
         return 2.0 * n / (n - 2.0)
     return TAU_SAFETY_2D * max(2.0 * p / (p - 1.0), 2.0 * q / (q - 2.0))
@@ -47,10 +57,7 @@ def default_tau(n: int, p: float, q: float) -> float:
 
 def gamma_exponent(n: int, p: float, q: float, tau: float) -> float:
     """Iteration gain min{1 - 2/tau, 2 - 4/tau - 2/p, 1 - 2/tau - 2/q} > 0."""
-    if not p > n / 2:
-        raise InadmissibleExponentsError(f"need p > n/2 = {n / 2}, got {p}", failing_term="p")
-    if not q > n:
-        raise InadmissibleExponentsError(f"need q > n = {n}, got {q}", failing_term="q")
+    _require_admissible(n, p, q)
     if n >= 3 and not math.isclose(tau, 2.0 * n / (n - 2.0), rel_tol=1e-12):
         raise InadmissibleExponentsError(
             f"n = {n} requires tau = 2n/(n-2) = {2 * n / (n - 2)}, got {tau}", failing_term="tau"
@@ -129,17 +136,6 @@ class IterationTrace:
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.E) <= 1e-15 * max(1.0, self.E[0])))
 
-    def summary(self, params: DeGiorgiParams) -> dict:
-        return {
-            "gamma": params.gamma,
-            "delta": params.delta,
-            "fitted_exponent": self.fitted_exponent,
-            "regression_pairs": self.regression_pairs,
-            "monotone": self.monotone(),
-            "E0": float(self.E[0]),
-            "E_final": float(self.E[-1]),
-        }
-
 
 def _fit_decay_exponent(E: np.ndarray):
     """Slope of log E_{k+1} against log E_k over the above-floor window."""
@@ -154,22 +150,23 @@ def _fit_decay_exponent(E: np.ndarray):
     return slope, len(pairs)
 
 
-def truncation_sequence(sol, params: DeGiorgiParams, sign: str = "plus") -> IterationTrace:
-    """Energies E_k = sum_{B_{r_k}} (u - b_k)_+^2 h^n down the nested ladders.
+def truncation_sequence(u, params: DeGiorgiParams, sign: str = "plus") -> IterationTrace:
+    """Energies E_k = sum_{B_{r_k}} (u - b_k)_+^2 h^n of the Field ``u`` down
+    the nested ladders.
 
     ``sign`` picks the truncation side: "plus" tracks (u - b_k)_+, "minus"
     the symmetric (-u - b_k)_+, and "auto" whichever side carries the larger
     level-zero energy. ``level_counts[k]`` counts the nodes of
     {u > b_{k+1}} inside B_{rho_k}, rho_k = (r_k + r_{k+1})/2.
     """
-    grid = sol.grid
+    grid = u.grid
     params.require_resolved_ladder(grid.h)
     if sign not in ("plus", "minus", "auto"):
         raise ValueError(f"sign must be plus, minus or auto, got {sign}")
     b = truncation_levels(params.k_max)
     radii = nested_radii(params.r, params.R, params.k_max)
     hn = grid.h**grid.n
-    u = sol.u.values
+    u = u.values
     dist = grid.radius_from(np.zeros(grid.n))
     if sign == "auto":
         outer = dist < params.R
@@ -213,26 +210,24 @@ class NoSpikeReport:
         return self.plus_verified and self.minus_verified
 
 
-def no_spike_verify(sol, params: DeGiorgiParams) -> NoSpikeReport:
-    """If data norms <= 1 and the level-zero energies are below delta, the
-    solution stays within [-1 - Ch, 1 + Ch] on the inner ball.
+def no_spike_verify(u, f, F, params: DeGiorgiParams) -> NoSpikeReport:
+    """If the data norms ||f||_p + ||F||_q <= 1 and the level-zero energies
+    are below delta, the solution u stays within [-1 - Ch, 1 + Ch] on the
+    inner ball.
 
     Raises on unverified hypotheses; a false conclusion is returned as an
     unverified report, never raised.
     """
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
-    grid = sol.grid
+    grid = u.grid
     outer = ball_region(grid, 0.0, params.R)
     inner = ball_region(grid, 0.0, params.r)
-    data_norm = (
-        lp_norm(sol.problem.f, params.p, outer).value
-        + lp_norm_vec(sol.problem.F, params.q, outer).value
-    )
+    data_norm = lp_norm(f, params.p, outer).value + lp_norm_vec(F, params.q, outer).value
     if data_norm > 1.0 + 1e-12:
         raise PreconditionFailureError(f"data norms {data_norm:.4g} exceed 1")
     hn = grid.h**grid.n
-    u = sol.u.values
+    u = u.values
     e0_plus = float((np.maximum(u, 0.0)[outer.mask] ** 2).sum() * hn)
     e0_minus = float((np.maximum(-u, 0.0)[outer.mask] ** 2).sum() * hn)
     # normalized positive solutions sit exactly at E_0 = delta; allow rounding
@@ -279,23 +274,27 @@ def normalize_solution(sol, params: DeGiorgiParams):
     return sol.scaled(theta), theta
 
 
-def calibrate_delta(solutions, params: DeGiorgiParams) -> tuple:
-    """Closed-form calibration on a training ensemble; returns (delta, bound).
+def training_ratio(sol, params: DeGiorgiParams) -> tuple:
+    """(sup, denom) of one training member: ||u||_inf on the inner ball and
+    ||u||_2 + ||f||_p + ||F||_q on the outer ball."""
+    inner = ball_region(sol.grid, 0.0, params.r)
+    outer = ball_region(sol.grid, 0.0, params.R)
+    return lp_norm(sol.u, np.inf, inner).value, _data_norm(sol, params, outer)
+
+
+def calibrate_delta(ratios, params: DeGiorgiParams) -> tuple:
+    """Closed-form calibration on the ``training_ratio`` pairs (sup, denom)
+    of a training ensemble; returns (delta, bound).
 
     bound = min (denom/sup)^2 over the members with sup > 0 is the largest
     delta with sqrt(delta) sup/denom <= 1 on each. delta = min(bound,
     DELTA_CEILING), stepped down by ulps while rounding fails that check, is
     also stored on ``params``."""
-    if not solutions:
-        raise ValueError("calibrate_delta needs at least one training solution")
-    inner = ball_region(solutions[0].grid, 0.0, params.r)
-    outer = ball_region(solutions[0].grid, 0.0, params.R)
-    ratios = []
-    for k, sol in enumerate(solutions):
-        sup, denom = lp_norm(sol.u, np.inf, inner).value, _data_norm(sol, params, outer)
+    if not ratios:
+        raise ValueError("calibrate_delta needs at least one training member")
+    for k, (_, denom) in enumerate(ratios):
         if denom == 0:
             raise PreconditionFailureError(f"training member {k} has zero data norm; it cannot be normalized")
-        ratios.append((sup, denom))
 
     def passes(delta: float) -> bool:
         return all(math.sqrt(delta) * sup / denom <= 1.0 for sup, denom in ratios)

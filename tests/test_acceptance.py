@@ -14,6 +14,7 @@ from schauderlab.degiorgi import (
     gamma_exponent,
     no_spike_verify,
     normalize_solution,
+    training_ratio,
     truncation_sequence,
 )
 from schauderlab.domain_grid import ball_region, box_region, make_grid
@@ -133,13 +134,13 @@ def test_criterion_05_degiorgi():
     grid = make_grid(2, 1.0, 129)
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid, 50, seed=7)]
-    calibrate_delta(sols, params)
+    calibrate_delta([training_ratio(sol, params) for sol in sols], params)
     verified = monotone = True
     min_fit = float("inf")
     for sol in sols:
         normalized, _ = normalize_solution(sol, params)
-        verified &= no_spike_verify(normalized, params).verified
-        trace = truncation_sequence(normalized, params, sign="auto")
+        verified &= no_spike_verify(normalized.u, normalized.problem.f, normalized.problem.F, params).verified
+        trace = truncation_sequence(normalized.u, params, sign="auto")
         monotone &= trace.monotone()
         fit = trace.fitted_exponent
         min_fit = min(min_fit, fit if not math.isnan(fit) else -math.inf)

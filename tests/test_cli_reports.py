@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from schauderlab import norm_engine
+from schauderlab import cli_reports, generators, norm_engine
 from schauderlab.cli_reports import (
     _RUNNERS,
     PARAMS,
@@ -19,7 +21,8 @@ from schauderlab.cli_reports import (
     main,
     run,
 )
-from schauderlab.errors import NothingToPlotError
+from schauderlab.domain_grid import make_grid
+from schauderlab.errors import NothingToPlotError, SolverStagnationError
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -73,27 +76,47 @@ def test_determinism_byte_identical(tmp_path):
     assert a == b
 
 
+def _pin_to_one_core():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_outputs_independent_of_blas_threads(tmp_path):
     # Solver reductions are summed in a fixed order, so the BLAS thread
-    # count cannot reach the last digits of any CSV.
-    (tmp_path / "degiorgi.json").write_text(
-        json.dumps({"command": "degiorgi", "seed": 1, "params": {"ensemble": 4}})
+    # count cannot reach the last digits of any CSV. Ensemble members run on
+    # one thread per usable core from their own child seeds, so the core
+    # count cannot either: pinned to one core, each pool has one worker.
+    configs = {"degiorgi": {"ensemble": 4}, "solve": {}, "caccioppoli": {}, "schauder": {"ensemble": 3}}
+    commands = []
+    for command, params in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({"command": command, "seed": 1, "params": params}))
+        commands.append([command, "--config", str(path)])
+    variants = [("1", None), ("2", None)]
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        variants.append(("1", _pin_to_one_core))
+    # one child per variant runs every command through main()
+    child = (
+        "import json, sys\n"
+        "from schauderlab.cli_reports import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert main(args) == 0, args\n"
     )
     outputs = []
-    for threads in ("1", "2"):
+    for i, (threads, preexec) in enumerate(variants):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
-        out = tmp_path / f"threads{threads}"
-        for args in (["degiorgi", "--config", str(tmp_path / "degiorgi.json")], ["solve", "--seed", "1"]):
-            done = subprocess.run(
-                [sys.executable, "-m", "schauderlab", *args, "--out", str(out / args[0])],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert done.returncode == 0, done.stdout + done.stderr
+        out = tmp_path / f"variant{i}"
+        argvs = [[*args, "--out", str(out / args[0])] for args in commands]
+        done = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(argvs)],
+            env=env, preexec_fn=preexec, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
         outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
     assert Path("degiorgi/degiorgi_traces.csv") in outputs[0]
-    assert outputs[0].keys() == outputs[1].keys()
-    differing = [str(name) for name in outputs[0] if outputs[0][name] != outputs[1][name]]
-    assert not differing
+    for other in outputs[1:]:
+        assert outputs[0].keys() == other.keys()
+        differing = [str(name) for name in outputs[0] if outputs[0][name] != other[name]]
+        assert not differing
 
 
 def test_liouville_counterexample_verdict(tmp_path):
@@ -134,6 +157,57 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "4h" in err
     assert not (tmp_path / "bad").exists()
+    # p = 1 and q = 2 sit on the admissibility boundary, where the default
+    # tau would divide by zero; they are rejected before any solve
+    for key, value, rule in (("p", 1, "p > n/2"), ("q", 2, "q > n")):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"command": "degiorgi", "params": {key: value}}))
+        assert main(["degiorgi", "--config", str(path), "--out", str(tmp_path / key)]) == 2
+        assert rule in capsys.readouterr().err
+        assert not (tmp_path / key).exists()
+
+
+def test_lowest_failing_member_error_surfaces(tmp_path, capsys, monkeypatch):
+    # Members 1 and 3 fail, and member 1 only after a delay, so that with two
+    # cores member 3 fails first; member 1's error must surface, with the
+    # exit code a serial loop gave it.
+    grid = make_grid(2, 1.0, 129)
+    failing = {
+        problem.fingerprint(): k
+        for k, problem in enumerate(generators.sup_bound_ensemble(grid, 4, 1)) if k in (1, 3)
+    }
+    solve = cli_reports.solve_dirichlet
+
+    def flaky_solve(problem):
+        k = failing.get(problem.fingerprint())
+        if k is None:
+            return solve(problem)
+        if k == 1:
+            time.sleep(0.2)
+        raise SolverStagnationError(f"member {k} stagnated")
+
+    monkeypatch.setattr(cli_reports, "solve_dirichlet", flaky_solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "degiorgi", "seed": 1, "params": {"ensemble": 4}}))
+    assert main(["degiorgi", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "member 1 stagnated" in err and "member 3" not in err
+
+
+def test_degiorgi_retains_little_per_member(tmp_path):
+    # Pass 1 keeps (sup, denom, u, f, F) of each member, 0.53 MB at m = 129;
+    # keeping whole solutions with A and g costs about 1.3 MB. tracemalloc
+    # sees the allocations of every thread.
+    peaks = {}
+    for size in (4, 12):
+        cfg = ExperimentConfig(command="degiorgi", out_dir=tmp_path / str(size), seed=1, params={"ensemble": size})
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[12] - peaks[4]) / 8 <= 0.75e6
 
 
 def test_degiorgi_inadmissible_exponent_exits_2_before_writing(tmp_path, capsys):

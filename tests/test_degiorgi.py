@@ -12,6 +12,7 @@ from schauderlab.degiorgi import (
     linf_bound,
     no_spike_verify,
     normalize_solution,
+    training_ratio,
     truncation_sequence,
 )
 from schauderlab.domain_grid import ball_region, make_grid
@@ -37,6 +38,11 @@ def constant_solution(grid, c, p=2.0, q=4.0):
         q=q,
     )
     return solve_dirichlet(prob)
+
+
+def _fields(sol):
+    """The (u, f, F) that no_spike_verify reads."""
+    return sol.u, sol.problem.f, sol.problem.F
 
 
 def spike_solution(grid, c):
@@ -102,7 +108,7 @@ def test_params_validation():
 
 def test_trace_zero_solution(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
-    trace = truncation_sequence(constant_solution(grid129, 0.0), params)
+    trace = truncation_sequence(constant_solution(grid129, 0.0).u, params)
     assert np.all(trace.E == 0.0)
     assert trace.monotone()
 
@@ -111,7 +117,7 @@ def test_trace_constant_half():
     # oracle by direct summation: E_0 = (1/4) area(B_1), E_1 = 0 at b_1 = 1/2
     grid = make_grid(2, 1.0, 129)
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
-    trace = truncation_sequence(constant_solution(grid, 0.5), params)
+    trace = truncation_sequence(constant_solution(grid, 0.5).u, params)
     assert abs(trace.E[0] / (0.25 * np.pi) - 1.0) < 0.01
     assert trace.E[1] <= 1e-20  # solver rounding keeps it at the floor
     np.testing.assert_array_equal(trace.b, [0.0, 0.5, 0.75, 0.875])
@@ -121,15 +127,15 @@ def test_trace_constant_half():
 def test_trace_requires_resolvable_ladder(grid65):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     with pytest.raises(GridTooCoarseError):
-        truncation_sequence(constant_solution(grid65, 0.0), params)
+        truncation_sequence(constant_solution(grid65, 0.0).u, params)
 
 
 def test_trace_sign_variants(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     sol = constant_solution(grid129, -0.6)
-    plus = truncation_sequence(sol, params, sign="plus")
-    minus = truncation_sequence(sol, params, sign="minus")
-    auto = truncation_sequence(sol, params, sign="auto")
+    plus = truncation_sequence(sol.u, params, sign="plus")
+    minus = truncation_sequence(sol.u, params, sign="minus")
+    auto = truncation_sequence(sol.u, params, sign="auto")
     assert np.all(plus.E == 0.0)
     assert minus.E[0] > 0.0
     assert auto.sign == "minus"
@@ -141,7 +147,7 @@ def test_level_count_chebyshev(grid129, rng):
     params = DeGiorgiParams(n=2, p=4.0, q=8.0, r=0.5, R=1.0, k_max=3)
     sol = solve_dirichlet(random_problem(grid129, rng))
     scale = 0.9 / max(np.abs(sol.u.values).max(), 1e-12)
-    trace = truncation_sequence(sol.scaled(scale), params)
+    trace = truncation_sequence(sol.scaled(scale).u, params)
     # discrete Chebyshev: |{v_{k+1} > 0}| h^n <= 2^{2(k+1)} E_k
     for k, count in enumerate(trace.level_counts):
         assert count * grid129.h**2 <= 4.0 ** (k + 1) * trace.E[k] * (1 + 1e-12)
@@ -149,7 +155,7 @@ def test_level_count_chebyshev(grid129, rng):
 
 def test_no_spike_trivial_zero(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3, delta=0.25)
-    report = no_spike_verify(constant_solution(grid129, 0.0), params)
+    report = no_spike_verify(*_fields(constant_solution(grid129, 0.0)), params)
     assert report.verified
 
 
@@ -158,17 +164,17 @@ def test_no_spike_near_threshold(grid129):
     c = 1.0 - 1e-6
     sol = constant_solution(grid129, c)
     if np.pi * c**2 <= params.delta:  # precondition E_0 <= delta
-        report = no_spike_verify(sol, params)
+        report = no_spike_verify(*_fields(sol), params)
         assert report.plus_verified
     else:
         with pytest.raises(PreconditionFailureError):
-            no_spike_verify(sol, params)
+            no_spike_verify(*_fields(sol), params)
 
 
 def test_no_spike_requires_calibration(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     with pytest.raises(CalibrationRequiredError):
-        no_spike_verify(constant_solution(grid129, 0.0), params)
+        no_spike_verify(*_fields(constant_solution(grid129, 0.0)), params)
 
 
 def test_no_spike_data_norm_precondition(grid129):
@@ -180,22 +186,22 @@ def test_no_spike_data_norm_precondition(grid129):
         g=Field.zeros(grid129),
     )
     with pytest.raises(PreconditionFailureError):
-        no_spike_verify(solve_dirichlet(prob), params)
+        no_spike_verify(*_fields(solve_dirichlet(prob)), params)
 
 
 def test_calibrated_ensemble_verifies(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid129, 8, seed=4)]
-    delta, bound = calibrate_delta(sols, params)
+    delta, bound = calibrate_delta([training_ratio(sol, params) for sol in sols], params)
     # this family never comes near a spike: the clamp below 1 binds
     assert bound > 1.0
     assert delta == 1.0 - 1e-9 == params.delta
     for sol in sols:
         normalized, theta = normalize_solution(sol, params)
         assert theta > 0
-        report = no_spike_verify(normalized, params)
+        report = no_spike_verify(*_fields(normalized), params)
         assert report.verified
-        trace = truncation_sequence(normalized, params, sign="auto")
+        trace = truncation_sequence(normalized.u, params, sign="auto")
         assert trace.monotone()
         assert not math.isnan(trace.fitted_exponent)
         assert trace.fitted_exponent >= 1.0 + params.gamma / 2
@@ -206,7 +212,7 @@ def test_calibrate_delta_unclamped_spike(grid129, c):
     # sup = c and ||u||_2 = c h on B_R, so the bound is h^2, far below the clamp
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     sol = spike_solution(grid129, c)
-    delta, bound = calibrate_delta([sol], params)
+    delta, bound = calibrate_delta([training_ratio(sol, params)], params)
     assert bound == pytest.approx(grid129.h**2, rel=1e-12)
     assert np.nextafter(np.nextafter(bound, 0.0), 0.0) <= delta <= bound < DELTA_CEILING
     denom = lp_norm(sol.u, 2, ball_region(grid129, 0.0, params.R)).value  # zero f and F
@@ -216,7 +222,7 @@ def test_calibrate_delta_unclamped_spike(grid129, c):
 def test_calibrate_delta_rejects_zero_data_member(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     with pytest.raises(PreconditionFailureError, match="member 1"):
-        calibrate_delta([spike_solution(grid129, 1.0), spike_solution(grid129, 0.0)], params)
+        calibrate_delta([training_ratio(spike_solution(grid129, c), params) for c in (1.0, 0.0)], params)
     assert params.delta is None
 
 
@@ -266,7 +272,7 @@ def test_linf_bound_across_singular_family():
     sols = [
         solve_dirichlet(radial_singular_problem(grid, s)[0]) for s in (0.3, 0.5, 0.8)
     ]
-    calibrate_delta(sols, params)
+    calibrate_delta([training_ratio(sol, params) for sol in sols], params)
     for sol in sols:
         report = linf_bound(sol, params)
         assert report.ratio <= 1.0 + 1e-9  # bound holds with the frozen delta
@@ -274,6 +280,5 @@ def test_linf_bound_across_singular_family():
 
 def test_trace_summary(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3, delta=0.5)
-    trace = truncation_sequence(constant_solution(grid129, 0.6), params)
-    summary = trace.summary(params)
-    assert summary["monotone"] and summary["delta"] == 0.5
+    trace = truncation_sequence(constant_solution(grid129, 0.6).u, params)
+    assert trace.monotone()
