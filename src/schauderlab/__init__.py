@@ -28,11 +28,8 @@ from .field_calculus import (
     central_difference,
     difference_quotient,
     divergence,
-    forcing_to_field,
     gradient,
-    load_field,
     mollify,
-    save_field,
     summation_by_parts_residual,
 )
 from .norm_engine import (
@@ -48,8 +45,6 @@ from .elliptic_solver import (
     DiscreteSolution,
     EllipticProblem,
     assemble,
-    load_problem,
-    save_solution,
     solve_dirichlet,
     validate_ellipticity,
     weak_residual,
@@ -57,7 +52,6 @@ from .elliptic_solver import (
 from .caccioppoli import (
     EstimateReport,
     caccioppoli_check,
-    caccioppoli_zero_rhs_check,
     empirical_constant,
     truncated_caccioppoli,
 )
@@ -74,7 +68,6 @@ from .degiorgi import (
 )
 from .liouville_lab import (
     GrowthFamily,
-    counterexample_field,
     derivative_energy_scan,
     growth_family,
     harmonic_residual,
@@ -87,13 +80,11 @@ from .schauder_harness import (
     admissible_alpha,
     blowup_sequence,
     bootstrap_ckalpha,
-    derivative_equation_residual,
     growth_fit,
     measure_pointwise_exponent,
     regularize_approximate,
     rescale_estimate,
     schauder_ratio,
-    sobolev_estimate_check,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .domain_grid import ball_region, cutoff
-from .errors import IncompatibleEnsembleError, WrongVariantError
+from .errors import IncompatibleEnsembleError
 from .field_calculus import gradient
 from .norm_engine import lp_norm, lp_norm_vec
 
@@ -95,20 +95,6 @@ def caccioppoli_check(sol, r: float, R: float) -> EstimateReport:
     }
     return EstimateReport(
         "caccioppoli", lhs, comps, (r, R), grid.m, sol.problem.fingerprint()
-    )
-
-
-def caccioppoli_zero_rhs_check(sol, r: float, R: float) -> EstimateReport:
-    """Zero-data variant, the engine of the polynomial Liouville decay chain."""
-    if np.abs(sol.problem.f.values).max() != 0.0 or np.abs(sol.problem.F.components).max() != 0.0:
-        raise WrongVariantError("zero-RHS variant needs f == 0 and F == 0")
-    _radii_check(sol, r, R)
-    grid = sol.grid
-    inner, outer = ball_region(grid, 0.0, r), ball_region(grid, 0.0, R)
-    lhs = lp_norm_vec(gradient(sol.u), 2, inner).value
-    comps = {"u_over_band": lp_norm(sol.u, 2, outer).value / (R - r)}
-    return EstimateReport(
-        "caccioppoli_zero_rhs", lhs, comps, (r, R), grid.m, sol.problem.fingerprint()
     )
 
 

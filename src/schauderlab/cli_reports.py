@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import numbers
@@ -205,20 +206,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, fieldnames, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
+def csv_text(fieldnames, rows) -> str:
+    """An RFC 4180 table (CRLF line ends): the header, then one line per row."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([_fmt(row[name]) for name in fieldnames])
+    return out.getvalue()
 
 
-def _write_reports(path, reports) -> None:
+def _reports_csv(reports) -> str:
     """EstimateReport rows: the first row's columns, then any others sorted."""
     rows = [rep.to_row() for rep in reports]
     names = list(rows[0]) if rows else []
     names += sorted({k for row in rows for k in row} - set(names))
-    write_csv(path, names, rows)
+    return csv_text(names, rows)
 
 
 @dataclass
@@ -238,13 +241,14 @@ class Verdict:
     def failed(self) -> bool:
         return any(status == "FAIL" for status, _, _ in self.checks)
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for status, name, detail in self.checks:
-                fh.write(f"{status} {name}: {detail}\n")
+    def text(self) -> str:
+        return "".join(f"{status} {name}: {detail}\n" for status, name, detail in self.checks)
 
 
 # -- experiments --------------------------------------------------------------
+#
+# Each runner records its checks in the verdict and returns (summary, tables):
+# the summary.json payload and {file name: text}. Only run() writes files.
 
 
 def _members(task, count: int) -> list:
@@ -264,7 +268,7 @@ def _members(task, count: int) -> list:
         return list(pool.map(task, range(count)))
 
 
-def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     resolutions = cfg.params["resolutions"]
     errors = []
     rows = []
@@ -282,23 +286,22 @@ def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> dict:
                 "ratio": errors[-2] / err if len(errors) > 1 else float("nan"),
             }
         )
-    write_csv(cfg.out_dir / "solve_convergence.csv",
-              ["m", "max_err", "ratio", "iterations", "residual"], rows)
+    table = csv_text(["m", "max_err", "ratio", "iterations", "residual"], rows)
     ratios = [row["ratio"] for row in rows[1:]]
     verdict.ok(
         "manufactured_convergence_order",
         all(3.5 <= r <= 4.5 for r in ratios),
         f"refinement ratios {['%.3f' % r for r in ratios]} target [3.5, 4.5]",
     )
-    grid = make_grid(2, 1.0, 129)
+    grid = make_grid(2, 1.0, cfg.resolution)
     prob, exact = generators.harmonic_saddle_problem(grid)
     sol = solve_dirichlet(prob)
     err = float(np.abs(sol.u.values - exact.values).max())
     verdict.ok("exact_discrete_harmonic", err <= 1e-10, f"max error {err:.3e} <= 1e-10")
-    return {"errors": errors, "harmonic_error": err}
+    return {"errors": errors, "harmonic_error": err}, {"solve_convergence.csv": table}
 
 
-def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     size = int(cfg.params["ensemble"])
     r = float(cfg.params["r"])
@@ -309,9 +312,10 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         size,
     )
     constant, reports = empirical_constant(sols, r, R)
-    _write_reports(cfg.out_dir / "caccioppoli_reports.csv", reports)
-    with open(cfg.out_dir / "caccioppoli_reports.json", "w") as fh:
-        fh.write("[" + ",\n".join(rep.to_json() for rep in reports) + "]\n")
+    tables = {
+        "caccioppoli_reports.csv": _reports_csv(reports),
+        "caccioppoli_reports.json": "[" + ",\n".join(rep.to_json() for rep in reports) + "]\n",
+    }
     verdict.ok(
         "caccioppoli_ratios_finite",
         all(math.isfinite(rep.ratio) for rep in reports),
@@ -325,10 +329,10 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         rep = truncated_caccioppoli(sol, b, "plus", r, R)
         trunc_ok &= math.isfinite(rep.ratio)
     verdict.ok("truncated_caccioppoli_ratios_finite", trunc_ok, f"level = per-instance median, {size} instances")
-    return {"constant": constant, "ensemble": size, "m": m}
+    return {"constant": constant, "ensemble": size, "m": m}, tables
 
 
-def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     size = int(cfg.params["ensemble"])
     params = degiorgi.DeGiorgiParams(
@@ -381,16 +385,17 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     names = ["instance", "theta", "sign", "verified", "fitted_exponent", "pairs"] + [
         f"E{j}" for j in range(params.k_max + 1)
     ]
-    write_csv(cfg.out_dir / "degiorgi_traces.csv", names, rows)
-    with open(cfg.out_dir / "degiorgi_summary.json", "w") as fh:
-        json.dump(
+    tables = {
+        "degiorgi_traces.csv": csv_text(names, rows),
+        "degiorgi_summary.json": json.dumps(
             {
                 "delta": delta, "delta_bound": bound, "gamma": params.gamma, "tau": params.tau,
                 "ensemble": size, "m": m, "min_fitted_exponent": min_fit,
                 "series_sums": params.series_sums,
             },
-            fh, indent=2,
-        )
+            indent=2,
+        ),
+    }
     verdict.ok("no_spike_all_instances", all_ok, f"{size} normalized instances, delta = {delta:.6g}")
     verdict.ok("iteration_traces_monotone", all_mono, "E_{k+1} <= E_k on every trace")
     verdict.ok(
@@ -401,10 +406,10 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     clamp = "binds" if bound > degiorgi.DELTA_CEILING else "does not bind"
     verdict.observed("delta_calibrated", f"delta = {delta!r} frozen for this configuration; "
                      f"bound min (denom/sup)^2 = {bound!r}, clamp {degiorgi.DELTA_CEILING!r} {clamp}")
-    return {"delta": delta, "delta_bound": bound, "gamma": params.gamma, "min_fit": min_fit}
+    return {"delta": delta, "delta_bound": bound, "gamma": params.gamma, "min_fit": min_fit}, tables
 
 
-def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     kind = cfg.params["generator"]
     m = cfg.resolution
     rows = []
@@ -433,8 +438,7 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> dict:
                          "slope": scan.slope, "at_floor": scan.at_floor})
         summary[f"slope_k{k}"] = scan.slope
         summary[f"floor_k{k}"] = scan.at_floor
-    write_csv(cfg.out_dir / "liouville_scan.csv",
-              ["order", "scale", "energy", "slope", "at_floor"], rows)
+    table = csv_text(["order", "scale", "energy", "slope", "at_floor"], rows)
     growth = liouville_lab.verify_growth(fam)
     if kind == "counterexample":
         verdict.ok(
@@ -461,12 +465,10 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         )
         summary["degree"] = degree
     summary["max_window_slope"] = growth["max_slope"]
-    with open(cfg.out_dir / "liouville_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return summary
+    return summary, {"liouville_scan.csv": table, "liouville_summary.json": json.dumps(summary, indent=2)}
 
 
-def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     s = float(cfg.params["s"])
     grid = make_grid(2, 1.0, m)
@@ -488,16 +490,15 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         return schauder_ratio(solve_dirichlet(problem), scfg)
 
     reports = _members(member, size)
-    _write_reports(cfg.out_dir / "schauder_reports.csv", reports)
     finite = all(math.isfinite(rep.ratio) for rep in reports)
     verdict.ok("schauder_ratios_finite", finite, f"{size} rough-coefficient instances, alpha = {alpha}")
     verdict.observed(
         "schauder_max_ratio", f"{max(rep.ratio for rep in reports):.4f} at m = {m}"
     )
-    return {"exponent": measured["exponent"], "alpha": alpha}
+    return {"exponent": measured["exponent"], "alpha": alpha}, {"schauder_reports.csv": _reports_csv(reports)}
 
 
-def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     alpha = float(cfg.params["alpha"])
     grid = make_grid(2, 1.0, m)
@@ -514,8 +515,7 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         }
         for k, st in enumerate(record.steps)
     ]
-    write_csv(cfg.out_dir / "blowup_steps.csv",
-              ["step", "x", "y", "separation", "level", "v_seminorm", "fit"], rows)
+    table = csv_text(["step", "x", "y", "separation", "level", "v_seminorm", "fit"], rows)
     verdict.ok("blowup_origin_pinned", step.v.values[centre] == 0.0, "v(0) = 0 exactly")
     verdict.ok(
         "blowup_seminorm_normalized", step.v_seminorm <= 1.05,
@@ -526,10 +526,10 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         abs(record.growth_exponent - alpha) <= 0.1 * alpha,
         f"fitted {record.growth_exponent:.4f} vs alpha = {alpha}",
     )
-    return {"growth_exponent": record.growth_exponent}
+    return {"growth_exponent": record.growth_exponent}, {"blowup_steps.csv": table}
 
 
-def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     grid = make_grid(2, 1.0, m)
     rng = np.random.default_rng(cfg.seed)
@@ -540,8 +540,7 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         for rep in reps:
             rows.append({"level": level, "inequality": rep.inequality,
                          "lhs": rep.lhs, "rhs": rep.rhs_total, "ratio": rep.ratio})
-    write_csv(cfg.out_dir / "bootstrap_levels.csv",
-              ["level", "inequality", "lhs", "rhs", "ratio"], rows)
+    table = csv_text(["level", "inequality", "lhs", "rhs", "ratio"], rows)
     finite = all(math.isfinite(row["ratio"]) for row in rows)
     verdict.ok("bootstrap_levels_finite", finite, f"{len(rows)} stage estimates")
     verdict.ok(
@@ -549,10 +548,10 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> dict:
         f"direct norm {report.assembled_norm:.4f} <= assembled bound {report.assembly_bound:.4f}",
     )
     verdict.observed("bootstrap_chained_constant", f"{report.chained_constant:.4f}")
-    return {"chained": report.chained_constant}
+    return {"chained": report.chained_constant}, {"bootstrap_levels.csv": table}
 
 
-def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> dict:
+def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     grid = make_grid(2, 1.0, m)
     rng = np.random.default_rng(cfg.seed)
@@ -571,14 +570,13 @@ def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> dict:
     if schedule is None:
         schedule = [8 * grid.h, 4 * grid.h, 2 * grid.h * 1.01]
     record = regularize_approximate(problem, schedule)
-    write_csv(cfg.out_dir / "mollify_convergence.csv",
-              ["eps", "h1_gap", "l2", "lam_eps", "L_eps", "iterations"], record.rows)
+    table = csv_text(["eps", "h1_gap", "l2", "lam_eps", "L_eps", "iterations"], record.rows)
     verdict.ok("approximation_h1_decreasing", record.decreasing,
                f"gaps {['%.3e' % row['h1_gap'] for row in record.rows]}")
     verdict.ok("approximation_l2_bound", record.l2_bound_ok, "||u_eps||_2 <= 2 ||u||_2")
     verdict.ok("mollified_ellipticity_envelope", record.ellipticity_ok,
                "lam_eps >= lam, Lam_eps <= Lam, L_eps <= L")
-    return {"gaps": [row["h1_gap"] for row in record.rows]}
+    return {"gaps": [row["h1_gap"] for row in record.rows]}, {"mollify_convergence.csv": table}
 
 
 _RUNNERS = {
@@ -594,18 +592,21 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> Verdict:
-    """Execute one experiment; writes tables, summary.json and verdict.txt."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment, then write its tables, summary.json and
+    verdict.txt under ``cfg.out_dir``. The directory is made only once the
+    runner has returned, so a run that raises leaves no output behind."""
     verdict = Verdict()
-    summary = _RUNNERS[cfg.command](cfg, verdict)
+    summary, tables = _RUNNERS[cfg.command](cfg, verdict)
     payload = {
         "command": cfg.command, "seed": cfg.seed, "resolution": cfg.resolution,
         "summary": summary,
         "checks": [{"status": s, "name": n, "detail": d} for s, n, d in verdict.checks],
     }
-    with open(cfg.out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-    verdict.write(cfg.out_dir / "verdict.txt")
+    tables["summary.json"] = json.dumps(payload, indent=2)
+    tables["verdict.txt"] = verdict.text()
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in tables.items():
+        (cfg.out_dir / name).write_text(text, encoding="utf-8", newline="")
     return verdict
 
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +20,7 @@ import scipy.sparse.linalg as spla  # only splu, on the coarsest level
 
 from .domain_grid import Grid
 from .errors import NotEllipticError, SolverStagnationError, SupportViolationError
-from .field_calculus import Field, VecField, _band_clear, divergence, gradient, load_field, save_field
+from .field_calculus import Field, VecField, _band_clear, divergence, gradient
 
 # Required relative algebraic residual of any returned solution.
 SOLVE_RTOL = 1e-10
@@ -63,7 +61,7 @@ class CoefficientField:
 
     __slots__ = (
         "grid", "entries", "lam", "Lam", "L", "is_symmetric",
-        "lipschitz_bound", "holder_alpha", "holder_bound", "smooth_certified",
+        "lipschitz_bound", "holder_alpha", "holder_bound",
     )
 
     def __init__(self, grid: Grid, entries):
@@ -87,7 +85,6 @@ class CoefficientField:
         self.lipschitz_bound = None
         self.holder_alpha = None
         self.holder_bound = None
-        self.smooth_certified = False
 
     @classmethod
     def identity(cls, grid: Grid) -> "CoefficientField":
@@ -510,58 +507,3 @@ def weak_residual(u: Field, problem: EllipticProblem, phi: Field) -> float:
     t3 = float((problem.F.components * gphi).sum()) * hn
     return abs(t1 - t2 + t3)
 
-
-# -- problem manifests --------------------------------------------------------
-#
-# A problem bundle is a JSON manifest referencing field binaries:
-# {"grid": {"n":2,"m":65,"half_width":1.0},
-#  "A": {"constant": [[1,0],[0,1]]} | {"files": [["a00.bin",...],...]},
-#  "f": {"constant": 0.0} | {"file": "f.bin"},
-#  "F": {"constant": 0.0} | {"files": ["F0.bin", "F1.bin"]},
-#  "g": {"constant": 0.0} | {"file": "g.bin"},
-#  "p": 2.0, "q": 4.0}
-
-
-def load_problem(manifest_path) -> EllipticProblem:
-    manifest_path = Path(manifest_path)
-    spec = json.loads(manifest_path.read_text())
-    gspec = spec["grid"]
-    grid = Grid(n=int(gspec["n"]), half_width=float(gspec["half_width"]), m=int(gspec["m"]))
-    base = manifest_path.parent
-
-    def scalar_part(entry) -> Field:
-        if "constant" in entry:
-            return Field.full(grid, entry["constant"])
-        return load_field(base / entry["file"])
-
-    aspec = spec["A"]
-    if "constant" in aspec:
-        A = CoefficientField.from_constant(grid, np.asarray(aspec["constant"], dtype=float))
-    else:
-        rows = [[load_field(base / name).values for name in row] for row in aspec["files"]]
-        A = CoefficientField(grid, np.asarray(rows))
-
-    fspec = spec["F"]
-    if "constant" in fspec:
-        F = VecField(grid, np.full((grid.n,) + grid.shape, float(fspec["constant"])))
-    else:
-        F = VecField(grid, np.stack([load_field(base / name).values for name in fspec["files"]]))
-
-    return EllipticProblem(
-        A=A,
-        f=scalar_part(spec["f"]),
-        F=F,
-        g=scalar_part(spec["g"]),
-        p=float(spec.get("p", 2.0)),
-        q=float(spec.get("q", 4.0)),
-    )
-
-
-def save_solution(sol: DiscreteSolution, out_dir) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_field(out_dir / "u.bin", sol.u)
-    record = dict(sol.diagnostics)
-    record["fingerprint"] = sol.problem.fingerprint()
-    record["grid"] = {"n": sol.grid.n, "m": sol.grid.m, "half_width": sol.grid.half_width}
-    (out_dir / "diagnostics.json").write_text(json.dumps(record, indent=2))

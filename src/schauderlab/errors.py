@@ -55,11 +55,6 @@ class SolverStagnationError(SchauderLabError):
         self.diagnostics = diagnostics or {}
 
 
-class WrongVariantError(SchauderLabError):
-    """Estimate variant applied to data that does not match it (e.g. zero-RHS
-    Caccioppoli on a problem with nonzero data)."""
-
-
 class IncompatibleEnsembleError(SchauderLabError):
     """Ensemble members disagree on grid or ellipticity certification."""
 

@@ -321,69 +321,3 @@ def mollify(g: Field, eps: float) -> Field:
     ok = erode(g.valid, moll.weights > 0)
     return Field(g.grid, np.where(ok, out, 0.0), ok)
 
-
-def forcing_to_field(f: Field) -> VecField:
-    """Antiderivative lift of a forcing into a field term.
-
-    Returns F with only the last component nonzero, the cumulative trapezoid
-    of f along the last axis anchored at the hyperplane x_n = 0, so that the
-    discrete divergence of F reproduces f with O(h^2) interior residual.
-    """
-    grid = f.grid
-    y = f.values
-    c = np.zeros(grid.shape)
-    c[..., 1:] = np.cumsum(grid.h * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-    mid = grid.m // 2
-    c = c - c[..., mid : mid + 1]
-    comps = np.zeros((grid.n,) + grid.shape)
-    comps[-1] = c
-    return VecField(grid, comps, f.valid)
-
-
-# -- flat-binary and CSV interchange ----------------------------------------
-#
-# Binary layout: int64 n, int64 m, float64 half_width (little-endian), then
-# the node values as little-endian float64 in C order. Validity masks are not
-# serialized; the format targets data fields, which are valid everywhere.
-
-_HEADER_DTYPE = np.dtype([("n", "<i8"), ("m", "<i8"), ("half_width", "<f8")])
-
-
-def save_field(path, u: Field) -> None:
-    with open(path, "wb") as fh:
-        header = np.array([(u.grid.n, u.grid.m, u.grid.half_width)], dtype=_HEADER_DTYPE)
-        fh.write(header.tobytes())
-        fh.write(u.values.astype("<f8").tobytes())
-
-
-def load_field(path) -> Field:
-    with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(_HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)[0]
-        grid = Grid(n=int(header["n"]), half_width=float(header["half_width"]), m=int(header["m"]))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != grid.num_nodes:
-        raise ValueError(f"payload holds {raw.size} values, grid needs {grid.num_nodes}")
-    return Field(grid, raw.reshape(grid.shape))
-
-
-def field_to_csv(path, u: Field) -> None:
-    """Plain-text export for small grids: one '# grid n m half_width' line,
-    a coordinate header, then one node per row."""
-    coords = [c.ravel() for c in u.grid.coords()]
-    names = ["x", "y", "z"][: u.grid.n]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# grid {u.grid.n} {u.grid.m} {u.grid.half_width!r}\n")
-        fh.write(",".join(names + ["value"]) + "\n")
-        for row in zip(*coords, u.values.ravel()):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def field_from_csv(path) -> Field:
-    with open(path, "r", encoding="ascii") as fh:
-        tag = fh.readline().split()
-        if len(tag) != 5 or tag[0] != "#" or tag[1] != "grid":
-            raise ValueError("missing '# grid n m half_width' header line")
-        grid = Grid(n=int(tag[2]), half_width=float(tag[4]), m=int(tag[3]))
-        fh.readline()  # column header
-        vals = np.array([float(line.rsplit(",", 1)[1]) for line in fh if line.strip()])
-    return Field(grid, vals.reshape(grid.shape))

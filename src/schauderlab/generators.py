@@ -116,7 +116,6 @@ def trig_coefficient_field(
         entries[i, i] += 1.0
     A = CoefficientField(grid, entries)
     A.set_lipschitz_certificate(lip)
-    A.smooth_certified = True
     if holder_alpha is not None:
         A.set_holder_certificate(holder_alpha, lip**holder_alpha * (2 * beta) ** (1 - holder_alpha))
     return A

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .domain_grid import Grid, ball_region, make_grid
+from .domain_grid import ball_region, make_grid
 from .errors import (
     DegreeUndetectedError,
     InsufficientScalesError,
@@ -114,13 +114,6 @@ class GrowthFamily:
 
 def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, n: int = 2) -> GrowthFamily:
     return GrowthFamily(generator=generator, gamma=gamma, scales=tuple(scales), m=m, dimension=n)
-
-
-def counterexample_field(a, b, grid: Grid) -> Field:
-    """e^{a.x} sin(b.x) sampled on ``grid``."""
-    if np.shape(a) != (grid.n,) or np.shape(b) != (grid.n,):
-        raise ValueError(f"parameter vectors must have {grid.n} components")
-    return Field.from_function(grid, counterexample_generator(a, b))
 
 
 def counterexample_generator(a, b):

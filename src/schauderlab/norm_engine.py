@@ -399,13 +399,6 @@ def hk_norm(u: Field, k: int, region: BallRegion) -> NormValue:
     return NormValue("Hk", {"k": k}, region.center, region.radius, math.sqrt(total))
 
 
-def hk_norm_vec(F: VecField, k: int, region: BallRegion) -> NormValue:
-    total = 0.0
-    for j in range(F.grid.n):
-        total += hk_norm(F.component(j), k, region).value ** 2
-    return NormValue("Hk", {"k": k, "vector": True}, region.center, region.radius, math.sqrt(total))
-
-
 def log_slope(x, y):
     """Least-squares slope of log y against log x, and the slopes between
     consecutive points (``np.diff(log y) / np.diff(log x)``)."""

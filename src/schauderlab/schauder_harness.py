@@ -32,7 +32,6 @@ from .errors import (
     InsufficientShellsError,
     NoBlowupPairError,
     SupportViolationError,
-    WrongVariantError,
 )
 from .field_calculus import (
     Field,
@@ -46,7 +45,6 @@ from .norm_engine import (
     _holder_scan_mask,
     ck_alpha_norm,
     hk_norm,
-    hk_norm_vec,
     holder_seminorm,
     holder_seminorm_vec,
     log_slope,
@@ -61,10 +59,8 @@ GROWTH_VIOLATION_HEADROOM = 1.10
 # Seminorm level below which a blow-up collapses to exact cancellation.
 DEGENERATE_SEMINORM_FLOOR = 1e-12
 
-# Shells of the pointwise-exponent regression, and the halvings of the band
-# R - r in the H^k sweep of the (R - r)^-2 law.
+# Shells of the pointwise-exponent regression.
 POINTWISE_SHELLS = 6
-BAND_SWEEP_HALVINGS = 2
 
 # Growth-fit ladder: 9 geometric shell edges from 4 lattice spacings to the
 # window radius; the slope uses the shells inside the unit ball.
@@ -206,44 +202,6 @@ def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> d
     return {"exponent": slope, "shells": len(peaks)}
 
 
-def sobolev_estimate_check(sol: DiscreteSolution, k: int, r: float, R: float) -> EstimateReport:
-    """||u||_{H^k(B_r)} against ||u||_{L2(B_R)} + ||F||_{H^{k-1}(B_R)}.
-
-    Needs f == 0 and a Lipschitz certificate on A (order k-2 smoothness for
-    k = 3). The returned report carries a (R - r) sweep: the same ratio with
-    the band halved ``BAND_SWEEP_HALVINGS`` times, tracking the (R-r)^-2 blow-up law.
-    """
-    if k not in (2, 3):
-        raise ValueError(f"order k must be 2 or 3, got {k}")
-    if np.abs(sol.problem.f.values).max() != 0.0:
-        raise WrongVariantError("H^k estimate variant needs f == 0 (fold f into F first)")
-    A = sol.problem.A
-    if A.lipschitz_bound is None:
-        raise DataRegularityMissingError("H^k estimate needs a Lipschitz certificate on A")
-    if k == 3 and not getattr(A, "smooth_certified", False):
-        raise DataRegularityMissingError("k = 3 needs a C^{1,1} certificate on A")
-    grid = sol.grid
-    inner, outer = ball_region(grid, 0.0, r), ball_region(grid, 0.0, R)
-    lhs = hk_norm(sol.u, k, inner).value
-    comps = {
-        "u_l2": lp_norm(sol.u, 2, outer).value,
-        "F_hk1": hk_norm_vec(sol.problem.F, k - 1, outer).value,
-    }
-    report = EstimateReport(
-        f"h{k}_estimate", lhs, comps, (r, R), grid.m, sol.problem.fingerprint()
-    )
-    rows = []
-    for i in range(BAND_SWEEP_HALVINGS + 1):
-        ri = R - (R - r) / 2**i
-        if ri >= grid.half_width - (k + 1) * grid.h:
-            break
-        lhs_i = hk_norm(sol.u, k, ball_region(grid, 0.0, ri)).value
-        ratio_i = lhs_i / max(sum(comps.values()), 1e-300)
-        rows.append({"band": R - ri, "lhs": lhs_i, "ratio": ratio_i})
-    report.extra["band_sweep"] = rows
-    return report
-
-
 def _differentiated_source(A: CoefficientField, i: int, grad_u: np.ndarray, f: Field, F: VecField):
     """Source d_i A grad u + f e_i + d_i F of the equation for d_i u (central
     differences), and the nodes where d_i F is valid; the components of F
@@ -264,10 +222,13 @@ def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> f
     """Weak residual of the differentiated equation for u_i = d_i u:
     |sum A grad u_i . grad phi + sum (d_i A grad u + f e_i + d_i F) . grad phi| h^n.
 
-    The f e_i term realizes d_i f = div(f e_i) and drops out for the
-    zero-forcing variant. phi must vanish on a 3-node boundary band (all
-    derivative stencils then see only valid nodes where phi is live). O(h)
-    for smooth data.
+    The f e_i term realizes d_i f = div(f e_i) and vanishes when f = 0.
+    phi must vanish on a 3-node boundary band (all derivative stencils then
+    see only valid nodes where phi is live). O(h) for smooth data.
+
+    No command calls this; it stays as the only check on
+    ``_differentiated_source``, whose source terms ``bootstrap_ckalpha``
+    reads and no other test pins.
     """
     grid = sol.grid
     if sol.problem.A.lipschitz_bound is None:

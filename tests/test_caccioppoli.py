@@ -3,12 +3,11 @@ import pytest
 
 from schauderlab.caccioppoli import (
     caccioppoli_check,
-    caccioppoli_zero_rhs_check,
     empirical_constant,
     truncated_caccioppoli,
 )
 from schauderlab.domain_grid import cutoff, make_grid
-from schauderlab.errors import IncompatibleEnsembleError, WrongVariantError
+from schauderlab.errors import IncompatibleEnsembleError
 from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, solve_dirichlet
 from schauderlab.generators import harmonic_saddle_problem, random_ensemble
@@ -45,36 +44,6 @@ def test_saddle_closed_forms(saddle257):
     assert abs(u_part / np.sqrt(np.pi * 0.95**6 / 6) - 1.0) < 0.01
     assert report.rhs_components["f"] == 0.0
     assert report.rhs_components["F"] == 0.0
-
-
-def test_zero_rhs_variant_requires_zero_data(rng, grid65):
-    from schauderlab.generators import random_problem
-
-    sol = solve_dirichlet(random_problem(grid65, rng))
-    with pytest.raises(WrongVariantError):
-        caccioppoli_zero_rhs_check(sol, 0.4, 0.8)
-
-
-def test_zero_rhs_scale_robust(saddle257):
-    # ratios across two radius pairs agree within 15%
-    r_small = caccioppoli_zero_rhs_check(saddle257, 0.25, 0.5)
-    r_large = caccioppoli_zero_rhs_check(saddle257, 0.5, 1.0)
-    assert abs(r_small.ratio / r_large.ratio - 1.0) < 0.15
-
-
-def test_zero_rhs_linear_closed_form():
-    grid = make_grid(2, 1.0, 257)
-    a = (1.0, 0.5)
-    gb = Field.from_function(grid, lambda x, y: a[0] * x + a[1] * y)
-    prob = EllipticProblem(
-        A=CoefficientField.identity(grid), f=Field.zeros(grid),
-        F=VecField.zeros(grid), g=gb,
-    )
-    sol = solve_dirichlet(prob)
-    report = caccioppoli_zero_rhs_check(sol, 0.5, 0.9)
-    target = np.hypot(*a) * np.sqrt(np.pi * 0.25)
-    assert abs(report.lhs / target - 1.0) < 0.01
-    assert np.isfinite(report.ratio)
 
 
 def test_truncated_below_minimum_is_trivial(grid65):

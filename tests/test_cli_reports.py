@@ -165,6 +165,37 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["degiorgi", "--config", str(path), "--out", str(tmp_path / key)]) == 2
         assert rule in capsys.readouterr().err
         assert not (tmp_path / key).exists()
+    # rejected by a runner's own domain check mid-run: still no output
+    # directory, because run() makes it only after the runner returns
+    rejected = [
+        *({"command": c, "resolution": 9} for c in ("caccioppoli", "schauder", "blowup", "bootstrap", "mollify")),
+        {"command": "liouville", "resolution": 3},
+        {"command": "mollify", "params": {"fields": 1, "eps_schedule": [0.9, 0.5]}},
+        {"command": "caccioppoli", "params": {"ensemble": 2, "r": 0.9, "R": 0.95}},
+        {"command": "degiorgi", "params": {"ensemble": 2, "R": 5}},
+    ]
+    for i, spec in enumerate(rejected):
+        path, out = tmp_path / f"mid{i}.json", tmp_path / f"mid{i}"
+        path.write_text(json.dumps(spec))
+        assert main([spec["command"], "--config", str(path), "--out", str(out)]) == 2, spec
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists(), spec
+
+
+def test_solve_harmonic_check_runs_at_resolution(tmp_path, monkeypatch):
+    sizes = []
+    solve = cli_reports.solve_dirichlet
+
+    def recording_solve(problem):
+        sizes.append(problem.grid.m)
+        return solve(problem)
+
+    monkeypatch.setattr(cli_reports, "solve_dirichlet", recording_solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "solve", "params": {"resolutions": [33, 65]}}))
+    assert main(["solve", "--config", str(path), "--resolution", "33", "--out", str(tmp_path / "r")]) == 0
+    assert sizes == [33, 65, 33]
+    assert json.loads((tmp_path / "r" / "summary.json").read_text())["resolution"] == 33
 
 
 def test_lowest_failing_member_error_surfaces(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -12,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 from schauderlab import elliptic_solver
 from schauderlab.domain_grid import ball_region, box_region, make_grid
 from schauderlab.errors import NotEllipticError, SolverStagnationError, SupportViolationError
-from schauderlab.field_calculus import Field, VecField, gradient, save_field
+from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.elliptic_solver import (
     SOLVE_RTOL,
     CoefficientField,
     EllipticProblem,
     assemble,
-    load_problem,
-    save_solution,
     solve_dirichlet,
     weak_residual,
 )
@@ -476,26 +473,3 @@ def test_coercivity(rng, grid65):
     grad_sq = lp_norm_vec(gradient(phi), 2, box).value ** 2
     h1_sq = hk_norm(phi, 1, ball_region(grid65, 0.0, 0.9)).value ** 2
     assert quad >= A.lam * grad_sq - 5.0 * grid65.h * h1_sq
-
-
-def test_manifest_roundtrip(tmp_path, grid65):
-    f = Field.from_function(grid65, lambda x, y: np.sin(x) * y)
-    save_field(tmp_path / "f.bin", f)
-    manifest = {
-        "grid": {"n": 2, "m": grid65.m, "half_width": 1.0},
-        "A": {"constant": [[1.0, 0.0], [0.0, 2.0]]},
-        "f": {"file": "f.bin"},
-        "F": {"constant": 0.0},
-        "g": {"constant": 0.0},
-        "p": 2.0,
-        "q": 4.0,
-    }
-    (tmp_path / "problem.json").write_text(json.dumps(manifest))
-    prob = load_problem(tmp_path / "problem.json")
-    assert prob.A.Lam == 2.0
-    np.testing.assert_array_equal(prob.f.values, f.values)
-    sol = solve_dirichlet(prob)
-    save_solution(sol, tmp_path / "out")
-    assert (tmp_path / "out" / "u.bin").exists()
-    record = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-    assert record["residual"] <= 1e-10

@@ -13,13 +13,8 @@ from schauderlab.field_calculus import (
     Mollifier,
     central_difference,
     difference_quotient,
-    field_from_csv,
-    field_to_csv,
-    forcing_to_field,
     gradient,
-    load_field,
     mollify,
-    save_field,
     summation_by_parts_residual,
 )
 from schauderlab.norm_engine import lp_norm
@@ -207,54 +202,3 @@ def test_mollify_sup_convergence(grid257):
         gaps.append(np.abs(out.values - u.values)[out.valid].max())
     assert gaps[0] > gaps[1] > gaps[2]
 
-
-def test_forcing_to_field_constant(grid65):
-    F = forcing_to_field(Field.full(grid65, 1.0))
-    _, Y = grid65.coords()
-    assert np.abs(F.components[0]).max() == 0.0
-    assert np.abs(F.components[1] - Y).max() < 1e-14
-
-
-def test_forcing_to_field_cosine():
-    # oracle: trapezoid of cos is sin + O(h^2)
-    errs = []
-    for m in (33, 65):
-        grid = make_grid(2, 1.0, m)
-        F = forcing_to_field(Field.from_function(grid, lambda x, y: np.cos(y)))
-        _, Y = grid.coords()
-        errs.append(np.abs(F.components[1] - np.sin(Y)).max())
-    assert errs[0] / errs[1] > 3.0  # second order
-
-
-def test_forcing_to_field_zero(grid65):
-    F = forcing_to_field(Field.zeros(grid65))
-    assert np.abs(F.components).max() == 0.0
-
-
-def test_forcing_divergence_recovers_forcing(grid129):
-    from schauderlab.field_calculus import divergence
-
-    f = Field.from_function(grid129, lambda x, y: np.sin(2 * y) + 0.5 * x)
-    F = forcing_to_field(f)
-    div = divergence(F)
-    gap = np.abs(div.values - f.values)[div.valid].max()
-    assert gap < 10.0 * grid129.h**2
-
-
-def test_binary_roundtrip(tmp_path, rng, grid65):
-    u = Field(grid65, rng.standard_normal(grid65.shape))
-    path = tmp_path / "u.bin"
-    save_field(path, u)
-    back = load_field(path)
-    assert back.grid == grid65
-    np.testing.assert_array_equal(back.values, u.values)
-
-
-def test_csv_roundtrip(tmp_path):
-    grid = make_grid(2, 1.0, 9)
-    u = Field.from_function(grid, lambda x, y: x + 2 * y)
-    path = tmp_path / "u.csv"
-    field_to_csv(path, u)
-    back = field_from_csv(path)
-    assert back.grid == grid
-    np.testing.assert_allclose(back.values, u.values, rtol=0, atol=1e-15)

@@ -9,9 +9,8 @@ from schauderlab.errors import (
     InadmissibleExponentsError,
     NoBlowupPairError,
     SupportViolationError,
-    WrongVariantError,
 )
-from schauderlab.field_calculus import Field, VecField, forcing_to_field, gradient
+from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, solve_dirichlet
 from schauderlab.generators import (
     bump_field,
@@ -31,7 +30,6 @@ from schauderlab.schauder_harness import (
     rescale_estimate,
     rescale_problem,
     schauder_ratio,
-    sobolev_estimate_check,
 )
 from schauderlab.schauder_harness import restrict_problem_data
 
@@ -107,52 +105,6 @@ def test_radial_family_ratio_finite_for_admissible_alpha():
     cfg = SchauderConfig(order=0, alpha=0.6, p=3.0, q=8.0, r=0.3, R=0.8)
     report = schauder_ratio(solve_dirichlet(prob), cfg)
     assert math.isfinite(report.ratio) and report.ratio > 0
-
-
-def test_h2_estimate_saddle(grid129):
-    prob, _ = harmonic_saddle_problem(grid129)
-    prob.A.set_lipschitz_certificate(0.0)
-    sol = solve_dirichlet(prob)
-    report = sobolev_estimate_check(sol, 2, 0.4, 0.8)
-    assert math.isfinite(report.ratio) and report.ratio > 0
-    # band sweep tracks the (R-r)^-2 law: halving grows by at most 4*(1+20%)
-    ratios = [row["ratio"] for row in report.extra["band_sweep"]]
-    for a, b in zip(ratios, ratios[1:]):
-        assert b <= 4.8 * a
-
-
-def test_h2_estimate_constant(grid129):
-    prob = EllipticProblem(
-        A=CoefficientField.identity(grid129), f=Field.zeros(grid129),
-        F=VecField.zeros(grid129), g=Field.full(grid129, 2.0),
-    )
-    prob.A.set_lipschitz_certificate(0.0)
-    report = sobolev_estimate_check(solve_dirichlet(prob), 2, 0.4, 0.8)
-    assert report.ratio <= 1.0 + 0.01  # lhs reduces to the L2 part
-
-
-def test_h2_requires_zero_forcing(rng, grid65):
-    sol = solve_dirichlet(random_problem(grid65, rng))
-    with pytest.raises(WrongVariantError):
-        sobolev_estimate_check(sol, 2, 0.3, 0.6)
-
-
-def test_h2_requires_lipschitz_certificate(grid65):
-    prob, _ = harmonic_saddle_problem(grid65)
-    prob.A.lipschitz_bound = None
-    sol = solve_dirichlet(prob)
-    with pytest.raises(DataRegularityMissingError):
-        sobolev_estimate_check(sol, 2, 0.3, 0.6)
-
-
-def test_h3_estimate_with_field_term(rng, grid129):
-    from schauderlab.generators import trig_coefficient_field
-
-    A = trig_coefficient_field(grid129, rng, beta=0.15)
-    F = forcing_to_field(Field.from_function(grid129, lambda x, y: np.sin(2 * x) * np.cos(y)))
-    prob = EllipticProblem(A=A, f=Field.zeros(grid129), F=F, g=Field.zeros(grid129))
-    report = sobolev_estimate_check(solve_dirichlet(prob), 3, 0.3, 0.7)
-    assert math.isfinite(report.ratio)
 
 
 def test_derivative_equation_exact_quadratic(grid129):

@@ -1,7 +1,7 @@
 """The package's numpy kernels against the scipy routines they replace.
 
 The package imports only ``scipy.sparse`` and ``scipy.sparse.linalg``;
-``scipy.ndimage``, ``scipy.integrate`` and ``scipy.interpolate`` appear here
+``scipy.ndimage`` and ``scipy.interpolate`` appear here
 as reference implementations, and every comparison is bytewise.
 """
 
@@ -12,11 +12,10 @@ import sys
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
 
 from schauderlab.domain_grid import make_grid
-from schauderlab.field_calculus import Field, Mollifier, forcing_to_field, gradient, mollify
+from schauderlab.field_calculus import Field, Mollifier, gradient, mollify
 from schauderlab.generators import random_problem
 from schauderlab.schauder_harness import _multilinear, _sample_window, rescale_problem
 
@@ -56,17 +55,6 @@ def test_gradient_validity_matches_binary_erosion(n, m):
     cross = ndimage.generate_binary_structure(n, 1)
     ok = ndimage.binary_erosion(u.valid, structure=cross, border_value=0)
     assert gradient(u).valid.tobytes() == ok.tobytes()
-
-
-@pytest.mark.parametrize("n,m", [(2, 129), (3, 17)])
-def test_forcing_to_field_matches_cumulative_trapezoid(n, m):
-    f = _partially_valid(n, m, seed=2)
-    c = cumulative_trapezoid(f.values, dx=f.grid.h, axis=-1, initial=0.0)
-    mid = m // 2
-    c = c - c[..., mid : mid + 1]
-    F = forcing_to_field(f)
-    assert F.components[-1].tobytes() == np.where(f.valid, c, 0.0).tobytes()
-    assert not F.components[:-1].any()
 
 
 def _read_only(values):
