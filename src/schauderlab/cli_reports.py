@@ -28,7 +28,7 @@ import numpy as np
 
 from . import degiorgi, generators, liouville_lab
 from .caccioppoli import empirical_constant, truncated_caccioppoli
-from .domain_grid import box_region, make_grid
+from .domain_grid import MIN_BAND_NODES, box_region, make_grid
 from .elliptic_solver import solve_dirichlet
 from .errors import (
     DegreeUndetectedError,
@@ -71,6 +71,12 @@ _LIOUVILLE_GENERATORS = {
     "constant": (lambda x, y: np.full_like(x, 3.0), 0.5),
 }
 _LIOUVILLE_KINDS = (*_LIOUVILLE_GENERATORS, "counterexample")
+
+# Radii the runners fix: the schauder exponent shells, the blow-up cutoff
+# and the bootstrap radius chain.
+_SCHAUDER_SHELLS = (0.03, 0.4)
+_BLOWUP_RADII = (0.2, 0.8)
+_BOOTSTRAP_RADII = (0.25, 0.8)
 
 
 def _is_number(value) -> bool:
@@ -136,6 +142,34 @@ _RANGES = {
 }
 
 
+def _least_resolution(command: str, p: dict) -> int:
+    """Smallest resolution that passes the grid-size checks of the command's
+    runner, 3 if it has none; degiorgi checks its ladder on its own.
+
+    A cutoff band must span MIN_BAND_NODES spacings (caccioppoli, blowup,
+    bootstrap). Liouville's harmonic gate needs 5 nodes per axis, schauder
+    three populated shells in _SCHAUDER_SHELLS, and the default mollify
+    schedule an 8h kernel inside the 3/4 inner box; any mollify schedule
+    needs a 4h contraction kernel inside the box. Running each command at
+    every odd resolution from 3 up gives the same minima at the defaults.
+    """
+    def spanning(band: float) -> int:
+        m = 3
+        while band < MIN_BAND_NODES * make_grid(2, 1.0, m).h:
+            m += 2
+        return m
+
+    if command == "caccioppoli":
+        return spanning(p["R"] - p["r"])
+    if command == "blowup":
+        return spanning(_BLOWUP_RADII[1] - _BLOWUP_RADII[0])
+    if command == "bootstrap":
+        return spanning(float(np.diff(np.geomspace(*_BOOTSTRAP_RADII, int(p["k"]) + 1)).min()))
+    if command == "mollify":
+        return 51 if p["eps_schedule"] is None else 11
+    return {"liouville": 5, "schauder": 13}.get(command, 3)
+
+
 def _reject_unknown(kind: str, spec, known) -> None:
     if not isinstance(spec, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(spec).__name__}")
@@ -149,9 +183,10 @@ class ExperimentConfig:
     """One experiment; ``params`` is completed from PARAMS[command] and
     ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
     every param with a numeric default must be numbers (not bools),
-    ``resolution`` an odd node count and every param in its _RANGES range;
-    otherwise a ValueError names the key, before any output is written, as
-    does a domain error for degiorgi exponents or a ladder finer than 4h."""
+    ``resolution`` an odd node count no smaller than _least_resolution and
+    every param in its _RANGES range; otherwise a ValueError names the key,
+    before any solve or output, as does a domain error for degiorgi
+    exponents or a ladder finer than 4h."""
 
     command: str
     out_dir: Path | None = None
@@ -176,6 +211,12 @@ class ExperimentConfig:
         for key, test, what in _RANGES[self.command]:
             if not test(self.params):
                 raise ValueError(f"{self.command} {key!r} must {what}, got {self.params[key]!r}")
+        least = _least_resolution(self.command, self.params)
+        if self.resolution < least:
+            raise ValueError(
+                f"{self.command} 'resolution' must be at least {least} for these params, "
+                f"got {self.resolution!r}"
+            )
         if self.command == "degiorgi":  # the runner's exponents and 4h ladder, before any solve
             p = self.params
             params = degiorgi.DeGiorgiParams(n=2, p=p["p"], q=p["q"], r=p["r"], R=p["R"], k_max=p["k_max"])
@@ -257,8 +298,8 @@ def _members(task, count: int) -> list:
     Each task builds its member from its own child seed, so results do not
     depend on the core count. They come back in member order, and a failure
     raises the error of the lowest failing member, as a serial loop would.
-    scipy's sparse kernels, SuperLU and numpy ufuncs release the GIL, so the
-    members do run at once.
+    scipy's sparse kernels and numpy ufuncs release the GIL, so the members
+    do run at once.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
@@ -474,7 +515,7 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     grid = make_grid(2, 1.0, m)
     prob, exact = generators.radial_singular_problem(grid, s)
     sol = solve_dirichlet(prob)
-    measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), 0.03, 0.4)
+    measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), *_SCHAUDER_SHELLS)
     target = 2.0 - s
     verdict.ok(
         "singular_family_threshold_exponent",
@@ -503,7 +544,7 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     alpha = float(cfg.params["alpha"])
     grid = make_grid(2, 1.0, m)
     u = Field(grid, grid.radius_from(np.zeros(grid.n)) ** alpha)
-    scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=0.2, R=0.8)
+    scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=_BLOWUP_RADII[0], R=_BLOWUP_RADII[1])
     record = blowup_sequence(u, scfg, steps=int(cfg.params["steps"]))
     step = record.steps[0]
     centre = tuple(step.v.grid.m // 2 for _ in range(grid.n))
@@ -534,7 +575,7 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     grid = make_grid(2, 1.0, m)
     rng = np.random.default_rng(cfg.seed)
     problem = generators.random_problem(grid, rng, beta=0.15, p=4.0, q=8.0)
-    report = bootstrap_ckalpha(problem, int(cfg.params["k"]), float(cfg.params["alpha"]), 0.25, 0.8)
+    report = bootstrap_ckalpha(problem, int(cfg.params["k"]), float(cfg.params["alpha"]), *_BOOTSTRAP_RADII)
     rows = []
     for level, reps in enumerate(report.levels, start=1):
         for rep in reps:

@@ -165,8 +165,9 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["degiorgi", "--config", str(path), "--out", str(tmp_path / key)]) == 2
         assert rule in capsys.readouterr().err
         assert not (tmp_path / key).exists()
-    # rejected by a runner's own domain check mid-run: still no output
-    # directory, because run() makes it only after the runner returns
+    # too coarse a resolution is rejected up front; a runner's own domain
+    # check mid-run leaves no output directory either, because run() makes
+    # it only after the runner returns
     rejected = [
         *({"command": c, "resolution": 9} for c in ("caccioppoli", "schauder", "blowup", "bootstrap", "mollify")),
         {"command": "liouville", "resolution": 3},
@@ -180,6 +181,30 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([spec["command"], "--config", str(path), "--out", str(out)]) == 2, spec
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists(), spec
+
+
+@pytest.mark.parametrize("command, params, least", [
+    ("caccioppoli", {}, 19),
+    ("liouville", {}, 5),
+    ("schauder", {}, 13),
+    ("blowup", {}, 15),
+    ("bootstrap", {}, 43),
+    ("bootstrap", {"k": 3}, 69),
+    ("mollify", {}, 51),
+    ("mollify", {"fields": 3, "eps_schedule": [0.55, 0.45]}, 11),
+])
+def test_smallest_resolution(tmp_path, capsys, command, params, least):
+    # one step below the smallest working resolution is a configuration
+    # error that names the key, before any solve or output; at it, the
+    # command reaches a verdict
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": command, "seed": 1, "params": params}))
+    coarse, fine = tmp_path / "coarse", tmp_path / "fine"
+    assert main([command, "--config", str(path), "--resolution", str(least - 2), "--out", str(coarse)]) == 2
+    assert f"'resolution' must be at least {least}" in capsys.readouterr().err
+    assert not coarse.exists()
+    assert main([command, "--config", str(path), "--resolution", str(least), "--out", str(fine)]) in (0, 1)
+    assert (fine / "verdict.txt").exists()
 
 
 def test_solve_harmonic_check_runs_at_resolution(tmp_path, monkeypatch):

@@ -301,7 +301,9 @@ def test_nonsymmetric_iterative_path():
 
 
 
-@pytest.mark.parametrize("n, m, symmetric", [(2, 65, True), (2, 257, True), (2, 257, False), (3, 33, True)])
+@pytest.mark.parametrize("n, m, symmetric", [
+    (2, 23, True), (2, 65, True), (2, 257, True), (2, 257, False), (3, 33, True),
+])
 def test_iterations_independent_of_grid(n, m, symmetric):
     grid = make_grid(n, 1.0, m)
     rng = np.random.default_rng(m)
@@ -355,6 +357,55 @@ def test_nonsymmetric_peak_memory_near_symmetric():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n, m", [(2, 5), (2, 9), (2, 11), (3, 5)])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_coarsest_level_alone_is_an_exact_solve(n, m, symmetric):
+    # at most COARSEST_UNKNOWNS unknowns: no smoothing level, and the
+    # preconditioner is the dense inverse, so one Krylov step solves
+    grid = make_grid(n, 1.0, m)
+    assert (m - 2) ** n <= elliptic_solver.COARSEST_UNKNOWNS
+    rng = np.random.default_rng(m)
+    prob = random_problem(grid, rng)
+    if not symmetric:
+        prob = _nonsymmetric(prob, rng)
+    sol = solve_dirichlet(prob)
+    assert sol.diagnostics["symmetric"] == symmetric
+    assert sol.diagnostics["iterations"] == 1
+    assert sol.diagnostics["residual"] <= SOLVE_RTOL
+
+
+def test_coarse_solve_independent_of_blas_threads():
+    # The coarsest level is 100 unknowns at 2-D m = 23 and 27 at 3-D m = 33.
+    # Its inverse is formed and applied with numpy ufuncs only; a LAPACK
+    # inverse of the 100-unknown level differs in its last bits between one
+    # and two OpenBLAS threads.
+    child = """
+import hashlib
+import numpy as np
+from schauderlab.domain_grid import make_grid
+from schauderlab.elliptic_solver import EllipticProblem, solve_dirichlet
+from schauderlab.generators import random_problem, trig_coefficient_field
+for n, m in ((2, 23), (3, 33)):
+    grid = make_grid(n, 1.0, m)
+    rng = np.random.default_rng(m)
+    prob = random_problem(grid, rng)
+    A = trig_coefficient_field(grid, rng, beta=0.2, symmetric=False)
+    for p in (prob, EllipticProblem(A=A, f=prob.f, F=prob.F, g=prob.g, p=prob.p, q=prob.q)):
+        sol = solve_dirichlet(p)
+        print(n, m, sol.diagnostics["method"], hashlib.sha256(sol.u.values.tobytes()).hexdigest())
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
