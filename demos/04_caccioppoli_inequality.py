@@ -24,7 +24,9 @@ print(f"realized ratio: {report.ratio:.4f}")
 print("\n== empirical constant over a certified random ensemble ==")
 grid = make_grid(2, 1.0, 65)
 sols = [solve_dirichlet(p) for p in random_ensemble(grid, 10, seed=5)]
-constant, reports = empirical_constant(sols, 0.5, 0.95)
+constant, reports = empirical_constant(
+    [(caccioppoli_check(s, 0.5, 0.95), (s.problem.A.lam, s.problem.A.Lam, s.problem.A.L)) for s in sols]
+)
 print(f"10 instances, common certificate lam={reports[0].extra['lam']:.3f}, "
       f"L={reports[0].extra['L']:.3f}")
 print("per-instance ratios:", np.array2string(np.array([r.ratio for r in reports]), precision=3))

@@ -6,7 +6,7 @@ energies E_k to zero superlinearly -- the computable core of the L2-to-sup
 bound.
 """
 
-from schauderlab import DeGiorgiParams, calibrate_delta, gamma_exponent, linf_bound, make_grid, no_spike_verify, normalize_solution, solve_dirichlet, training_ratio, truncation_sequence
+from schauderlab import DeGiorgiParams, calibrate_delta, data_norm, gamma_exponent, linf_bound, make_grid, no_spike_verify, normalize_solution, solve_dirichlet, training_ratio, truncation_sequence
 from schauderlab.degiorgi import DELTA_CEILING
 from schauderlab.generators import sup_bound_ensemble
 
@@ -34,7 +34,7 @@ print(f"fitted decay exponent: {trace.fitted_exponent:.2f} "
 
 print("\n== the no-spike implication and the sup bound ==")
 normalized = [normalize_solution(s, params)[0] for s in sols]
-ok = all(no_spike_verify(n.u, n.problem.f, n.problem.F, params).verified for n in normalized)
+ok = all(no_spike_verify(n.u, data_norm(n, params), params).verified for n in normalized)
 print("no-spike conclusion verified on all instances:", ok)
 rep = linf_bound(sols[0], params)
 print(f"sup bound: lhs {rep.lhs:.4f} <= {rep.rhs_total:.4f} (ratio {rep.ratio:.3f})")

@@ -59,6 +59,7 @@ from .degiorgi import (
     DeGiorgiParams,
     IterationTrace,
     calibrate_delta,
+    data_norm,
     gamma_exponent,
     linf_bound,
     no_spike_verify,

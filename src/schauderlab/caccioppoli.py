@@ -138,24 +138,25 @@ def truncated_caccioppoli(sol, b: float, sign: str, r: float, rho: float) -> Est
     )
 
 
-def empirical_constant(ensemble, r: float, R: float):
-    """Max realized ratio across an ensemble sharing grid and (lam, Lam, L).
+def empirical_constant(members):
+    """Max realized ratio across an ensemble, from each member's
+    (caccioppoli_check report, (lam, Lam, L) of its coefficient).
 
-    Returns (constant, reports). The certificate under which the constant was
-    measured is attached to each report.
+    The members must share resolution and radii. Returns (constant,
+    reports); each report gets its instance number, the ensemble size and
+    the common certificate (least lam, largest Lam and L) under which the
+    constant was measured.
     """
-    ensemble = list(ensemble)
-    if not ensemble:
+    members = list(members)
+    if not members:
         raise ValueError("ensemble must be nonempty")
-    grid = ensemble[0].grid
-    certs = np.array([[s.problem.A.lam, s.problem.A.Lam, s.problem.A.L] for s in ensemble])
-    if any(s.grid != grid for s in ensemble):
-        raise IncompatibleEnsembleError("ensemble members live on different grids")
+    first = members[0][0]
+    if any((rep.resolution, rep.radii) != (first.resolution, first.radii) for rep, _ in members):
+        raise IncompatibleEnsembleError("ensemble members differ in resolution or radii")
+    certs = np.array([cert for _, cert in members])
     lam, Lam, L = certs[:, 0].min(), certs[:, 1].max(), certs[:, 2].max()
-    reports = []
-    for k, sol in enumerate(ensemble):
-        rep = caccioppoli_check(sol, r, R)
-        rep.extra.update({"instance": k, "lam": lam, "Lam": Lam, "L": L, "size": len(ensemble)})
-        reports.append(rep)
+    reports = [rep for rep, _ in members]
+    for k, rep in enumerate(reports):
+        rep.extra.update({"instance": k, "lam": lam, "Lam": Lam, "L": L, "size": len(reports)})
     constant = max(rep.ratio for rep in reports)
     return constant, reports

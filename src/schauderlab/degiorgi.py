@@ -210,20 +210,21 @@ class NoSpikeReport:
         return self.plus_verified and self.minus_verified
 
 
-def no_spike_verify(u, f, F, params: DeGiorgiParams) -> NoSpikeReport:
+def no_spike_verify(u, data_norm: float, params: DeGiorgiParams) -> NoSpikeReport:
     """If the data norms ||f||_p + ||F||_q <= 1 and the level-zero energies
     are below delta, the solution u stays within [-1 - Ch, 1 + Ch] on the
     inner ball.
 
-    Raises on unverified hypotheses; a false conclusion is returned as an
-    unverified report, never raised.
+    ``data_norm`` is ||f||_p + ||F||_q on the outer ball for the data u
+    solves, as ``data_norm(sol, params)`` gives it. Raises on unverified
+    hypotheses; a false conclusion is returned as an unverified report,
+    never raised.
     """
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
     grid = u.grid
     outer = ball_region(grid, 0.0, params.R)
     inner = ball_region(grid, 0.0, params.r)
-    data_norm = lp_norm(f, params.p, outer).value + lp_norm_vec(F, params.q, outer).value
     if data_norm > 1.0 + 1e-12:
         raise PreconditionFailureError(f"data norms {data_norm:.4g} exceed 1")
     hn = grid.h**grid.n
@@ -252,7 +253,14 @@ def no_spike_verify(u, f, F, params: DeGiorgiParams) -> NoSpikeReport:
     )
 
 
-def _data_norm(sol, params: DeGiorgiParams, outer) -> float:
+def data_norm(sol, params: DeGiorgiParams) -> float:
+    """||f||_p + ||F||_q of the data of ``sol`` on the outer ball: the
+    hypothesis no_spike_verify checks against 1."""
+    outer = ball_region(sol.grid, 0.0, params.R)
+    return lp_norm(sol.problem.f, params.p, outer).value + lp_norm_vec(sol.problem.F, params.q, outer).value
+
+
+def _denom(sol, params: DeGiorgiParams, outer) -> float:
     """||u||_2 + ||f||_p + ||F||_q on the region ``outer``, summed left to right."""
     return (
         lp_norm(sol.u, 2, outer).value
@@ -265,7 +273,7 @@ def normalization_factor(sol, params: DeGiorgiParams) -> float:
     """theta = sqrt(delta) / (||u||_2 + ||f||_p + ||F||_q) on the outer ball."""
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
-    return math.sqrt(params.delta) / _data_norm(sol, params, ball_region(sol.grid, 0.0, params.R))
+    return math.sqrt(params.delta) / _denom(sol, params, ball_region(sol.grid, 0.0, params.R))
 
 
 def normalize_solution(sol, params: DeGiorgiParams):
@@ -279,7 +287,7 @@ def training_ratio(sol, params: DeGiorgiParams) -> tuple:
     ||u||_2 + ||f||_p + ||F||_q on the outer ball."""
     inner = ball_region(sol.grid, 0.0, params.r)
     outer = ball_region(sol.grid, 0.0, params.R)
-    return lp_norm(sol.u, np.inf, inner).value, _data_norm(sol, params, outer)
+    return lp_norm(sol.u, np.inf, inner).value, _denom(sol, params, outer)
 
 
 def calibrate_delta(ratios, params: DeGiorgiParams) -> tuple:

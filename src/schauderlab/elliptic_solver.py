@@ -365,24 +365,60 @@ def _dense_inverse(matrix: sp.csr_matrix) -> np.ndarray:
     return work[:, size:].copy()
 
 
+def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
+    """Full-weighting restriction R = P^T from (per_axis)^n interior nodes
+    to (per_axis // 2)^n, in CSR with sorted column indices.
+
+    Coarse node c of an axis is fine node 2c + 1 and reads fine nodes 2c,
+    2c + 1, 2c + 2 with weights 1/2, 1, 1/2. A row of R is the tensor
+    product of its axes' rows: fine corner (2c_0, ..., 2c_{n-1}) plus the
+    3^n offsets in lexicographic order, which is increasing column. On an
+    even axis the last coarse node has no fine node 2c + 2, and those
+    entries are dropped. Every weight is a power of two, so the products are
+    exact. Index arithmetic runs in int32 on per-axis pieces whenever the
+    nonzeros fit.
+    """
+    coarse = per_axis // 2
+    rows, width = coarse**n, 3**n
+    idx_dtype = np.int32 if rows * width < 2**31 else np.int64  # rows * width >= per_axis**n
+    corner, offsets, weights = np.zeros(1, dtype=idx_dtype), np.zeros(1, dtype=idx_dtype), np.ones(1)
+    for _ in range(n):
+        corner = np.add.outer(corner * per_axis, 2 * np.arange(coarse, dtype=idx_dtype)).ravel()
+        offsets = np.add.outer(offsets * per_axis, np.arange(3, dtype=idx_dtype)).ravel()
+        weights = np.multiply.outer(weights, [0.5, 1.0, 0.5]).ravel()
+    cols = np.add.outer(corner, offsets)
+    data = np.broadcast_to(weights, cols.shape)
+    counts = np.full(rows, width)
+    if per_axis % 2 == 0:
+        keep = np.ones(cols.shape, dtype=bool)
+        row, offset = np.arange(rows), np.arange(width)
+        for d in range(n):
+            last = (row // coarse**d) % coarse == coarse - 1
+            keep &= ~np.logical_and.outer(last, (offset // 3**d) % 3 == 2)
+        cols, data, counts = cols[keep], data[keep], keep.sum(axis=1)
+    indptr = np.zeros(rows + 1, dtype=idx_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(rows, per_axis**n))
+
+
 def _multigrid_levels(matrix: sp.csr_matrix, per_axis: int, n: int) -> tuple:
-    """Galerkin levels [(A, P, P^T, weighted inverse diagonal), ...] and the
+    """Galerkin levels [(A, P, R, weighted inverse diagonal), ...] and the
     dense inverse of the coarsest level, the first with at most
     COARSEST_UNKNOWNS unknowns.
 
     P interpolates linearly from every other interior node on each axis (the
-    boundary is a zero neighbour); P^T A P stays symmetric when A is. The
-    coarse product runs in CSR throughout, and its CSR restriction is freed
-    once the product is formed; the V-cycle restricts through the P^T view.
+    boundary is a zero neighbour); R A P with R = P^T stays symmetric when A
+    is. _restriction builds R straight into CSR, and P is its transpose
+    view, so the V-cycle restricts through CSR rows. The transfer operators
+    are built anew for each solve and are freed with its hierarchy: building
+    them costs less than a millisecond at m = 129, and a cache of them would
+    outlive every solve in memory.
     """
     levels = []
     while matrix.shape[0] > COARSEST_UNKNOWNS:
-        p1 = sp.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(per_axis, per_axis), format="csc")[:, 1::2]
-        P = p1
-        for _ in range(n - 1):
-            P = sp.kron(P, p1, format="csr")
-        levels.append((matrix, P, P.T, JACOBI_WEIGHT / matrix.diagonal()))
-        matrix = P.T.tocsr() @ matrix @ P
+        R = _restriction(per_axis, n)
+        levels.append((matrix, R.T, R, JACOBI_WEIGHT / matrix.diagonal()))
+        matrix = R @ matrix @ R.T
         per_axis //= 2
     return levels, _dense_inverse(matrix)
 

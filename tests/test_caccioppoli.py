@@ -23,6 +23,11 @@ def constant_solution(grid, c):
     return solve_dirichlet(prob)
 
 
+def _members(sols, r, R):
+    """The per-member (report, certificate) pairs empirical_constant reads."""
+    return [(caccioppoli_check(s, r, R), (s.problem.A.lam, s.problem.A.Lam, s.problem.A.L)) for s in sols]
+
+
 @pytest.fixture(scope="module")
 def saddle257():
     grid = make_grid(2, 1.0, 257)
@@ -98,16 +103,16 @@ def test_truncated_holds_on_ensemble(grid65):
 
 
 def test_empirical_constant_zero_solution(grid65):
-    constant, reports = empirical_constant([constant_solution(grid65, 0.0)], 0.4, 0.8)
+    constant, reports = empirical_constant(_members([constant_solution(grid65, 0.0)], 0.4, 0.8))
     assert constant == 0.0
     assert reports[0].ratio == 0.0
 
 
 def test_empirical_constant_homogeneous(grid65):
     sols = [solve_dirichlet(p) for p in random_ensemble(grid65, 4, seed=9)]
-    c1, reports1 = empirical_constant(sols, 0.4, 0.8)
+    c1, reports1 = empirical_constant(_members(sols, 0.4, 0.8))
     scaled = [s.scaled(10.0) for s in sols]
-    c2, reports2 = empirical_constant(scaled, 0.4, 0.8)
+    c2, reports2 = empirical_constant(_members(scaled, 0.4, 0.8))
     assert c2 == pytest.approx(c1, rel=1e-12)
     for a, b in zip(reports1, reports2):
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
@@ -116,7 +121,30 @@ def test_empirical_constant_homogeneous(grid65):
 def test_empirical_constant_mixed_grids_rejected(grid65, grid129):
     sols = [constant_solution(grid65, 1.0), constant_solution(grid129, 1.0)]
     with pytest.raises(IncompatibleEnsembleError):
-        empirical_constant(sols, 0.4, 0.8)
+        empirical_constant(_members(sols, 0.4, 0.8))
+
+
+def test_empirical_constant_mixed_radii_rejected(grid65):
+    sol = constant_solution(grid65, 1.0)
+    members = _members([sol], 0.4, 0.8) + _members([sol], 0.3, 0.8)
+    with pytest.raises(IncompatibleEnsembleError):
+        empirical_constant(members)
+
+
+def test_empirical_constant_empty_rejected():
+    with pytest.raises(ValueError):
+        empirical_constant([])
+
+
+def test_empirical_constant_common_certificate(grid65):
+    # every report carries the least lam and the largest Lam and L
+    sols = [solve_dirichlet(p) for p in random_ensemble(grid65, 3, seed=9)]
+    _, reports = empirical_constant(_members(sols, 0.4, 0.8))
+    for k, rep in enumerate(reports):
+        assert rep.extra["instance"] == k and rep.extra["size"] == 3
+        assert rep.extra["lam"] == min(s.problem.A.lam for s in sols)
+        assert rep.extra["Lam"] == max(s.problem.A.Lam for s in sols)
+        assert rep.extra["L"] == max(s.problem.A.L for s in sols)
 
 
 def test_universality_across_textures(grid65):
@@ -127,8 +155,8 @@ def test_universality_across_textures(grid65):
         solve_dirichlet(p)
         for p in random_ensemble(grid65, 6, seed=2, beta=0.2, rough_alpha=0.5)
     ]
-    c_low, _ = empirical_constant(low, 0.4, 0.8)
-    c_rough, _ = empirical_constant(rough, 0.4, 0.8)
+    c_low, _ = empirical_constant(_members(low, 0.4, 0.8))
+    c_rough, _ = empirical_constant(_members(rough, 0.4, 0.8))
     assert max(c_low, c_rough) / min(c_low, c_rough) < 3.0
 
 

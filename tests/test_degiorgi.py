@@ -7,6 +7,7 @@ from schauderlab.degiorgi import (
     DELTA_CEILING,
     DeGiorgiParams,
     calibrate_delta,
+    data_norm,
     default_tau,
     gamma_exponent,
     linf_bound,
@@ -40,9 +41,9 @@ def constant_solution(grid, c, p=2.0, q=4.0):
     return solve_dirichlet(prob)
 
 
-def _fields(sol):
-    """The (u, f, F) that no_spike_verify reads."""
-    return sol.u, sol.problem.f, sol.problem.F
+def _no_spike(sol, params):
+    """no_spike_verify on a solution and the data norm of its problem."""
+    return no_spike_verify(sol.u, data_norm(sol, params), params)
 
 
 def spike_solution(grid, c):
@@ -155,7 +156,7 @@ def test_level_count_chebyshev(grid129, rng):
 
 def test_no_spike_trivial_zero(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3, delta=0.25)
-    report = no_spike_verify(*_fields(constant_solution(grid129, 0.0)), params)
+    report = _no_spike(constant_solution(grid129, 0.0), params)
     assert report.verified
 
 
@@ -164,17 +165,17 @@ def test_no_spike_near_threshold(grid129):
     c = 1.0 - 1e-6
     sol = constant_solution(grid129, c)
     if np.pi * c**2 <= params.delta:  # precondition E_0 <= delta
-        report = no_spike_verify(*_fields(sol), params)
+        report = _no_spike(sol, params)
         assert report.plus_verified
     else:
         with pytest.raises(PreconditionFailureError):
-            no_spike_verify(*_fields(sol), params)
+            _no_spike(sol, params)
 
 
 def test_no_spike_requires_calibration(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
     with pytest.raises(CalibrationRequiredError):
-        no_spike_verify(*_fields(constant_solution(grid129, 0.0)), params)
+        _no_spike(constant_solution(grid129, 0.0), params)
 
 
 def test_no_spike_data_norm_precondition(grid129):
@@ -186,7 +187,19 @@ def test_no_spike_data_norm_precondition(grid129):
         g=Field.zeros(grid129),
     )
     with pytest.raises(PreconditionFailureError):
-        no_spike_verify(*_fields(solve_dirichlet(prob)), params)
+        _no_spike(solve_dirichlet(prob), params)
+
+
+def test_data_norm_scales_with_the_data(grid129):
+    # the degiorgi command scales pass 1's data norm by theta instead of
+    # measuring the scaled data again
+    params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
+    sol = solve_dirichlet(sup_bound_ensemble(grid129, 1, seed=3)[0])
+    norm = data_norm(sol, params)
+    outer = ball_region(grid129, 0.0, params.R)
+    assert norm == lp_norm(sol.problem.f, 2.0, outer).value > 0.0  # F = 0 in this family
+    for theta in (0.3, 2.5):
+        assert data_norm(sol.scaled(theta), params) == pytest.approx(theta * norm, rel=1e-13)
 
 
 def test_calibrated_ensemble_verifies(grid129):
@@ -199,7 +212,7 @@ def test_calibrated_ensemble_verifies(grid129):
     for sol in sols:
         normalized, theta = normalize_solution(sol, params)
         assert theta > 0
-        report = no_spike_verify(*_fields(normalized), params)
+        report = _no_spike(normalized, params)
         assert report.verified
         trace = truncation_sequence(normalized.u, params, sign="auto")
         assert trace.monotone()

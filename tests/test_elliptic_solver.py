@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from schauderlab import elliptic_solver
@@ -406,6 +408,48 @@ for n, m in ((2, 23), (3, 33)):
         outputs.append(done.stdout.splitlines())
     assert len(outputs[0]) == 4
     assert outputs[0] == outputs[1]
+
+
+def _kron_restriction(per_axis: int, n: int):
+    """R = P^T as scipy builds it: linear interpolation from every other
+    node of an axis, Kronecker-tensorized, transposed into CSR."""
+    p1 = sp.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(per_axis, per_axis), format="csc")[:, 1::2]
+    P = p1
+    for _ in range(n - 1):
+        P = sp.kron(P, p1, format="csr")
+    return P.T.tocsr()
+
+
+@pytest.mark.parametrize(
+    "n, sizes", [(2, (*range(3, 42), 63, 127, 255)), (3, (*range(3, 34), 63))], ids=["2d", "3d"]
+)
+def test_restriction_matches_kron_reference(n, sizes):
+    # bit for bit, dtypes included; an even per_axis (m = 43 coarsens
+    # 41 -> 20 -> 10) has a last coarse node with no right neighbour
+    for per_axis in sizes:
+        R, ref = elliptic_solver._restriction(per_axis, n), _kron_restriction(per_axis, n)
+        assert R.shape == ref.shape, per_axis
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(R, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (per_axis, name)
+
+
+def test_solve_leaves_no_memory_behind():
+    # The hierarchy, transfer operators included, is built for each solve
+    # and freed with it; a cache of the m = 129 operators would hold over
+    # 400 kB. The warm-up solve at m = 33 makes any first-call allocations.
+    solve_dirichlet(random_problem(make_grid(2, 1.0, 33), np.random.default_rng(1)))
+    prob = random_problem(make_grid(2, 1.0, 129), np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_dirichlet(prob)
+        del sol
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left <= 20e3, left
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
