@@ -298,11 +298,13 @@ def _members(task, count: int) -> list:
     Each task builds its member from its own child seed, so results do not
     depend on the core count. They come back in member order, and a failure
     raises the error of the lowest failing member, as a serial loop would.
-    scipy's sparse kernels and numpy ufuncs release the GIL, but a solve
-    also runs much Python between them, so members overlap only in part: on
-    a 2-vCPU Xeon VM, 40 solves at m = 129 ran 1.01-1.35x faster on two
-    threads than on one. Each member should keep only what later passes
-    read, since memory, not time, grows with the ensemble.
+    scipy's sparse matrix-vector kernels and numpy ufuncs release the GIL,
+    but a solve also runs much Python between them, mostly on its small
+    coarse levels, so members overlap only in part: on a 2-vCPU Xeon VM,
+    16 solves at m = 129 ran 1.07x faster on two threads than on one, while
+    4 x 2000 bare operator products ran 1.6x faster. Each member should keep
+    only what later passes read, since memory, not time, grows with the
+    ensemble.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))

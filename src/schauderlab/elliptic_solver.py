@@ -6,6 +6,14 @@ face-averaged fluxes (the classical 3-point stencil per axis), off-diagonal
 coefficients through averaged cross stencils, so that for symmetric A the
 assembled operator is symmetric to machine precision and summation-by-parts
 identities survive discretization up to O(h).
+
+The operator is kept as a stencil table: one weight row per offset, in the
+column layout of ``scipy.sparse.dia_matrix``. A solve applies it through
+dia_matrix row blocks that view the one table, builds each coarser
+multigrid operator R A R^T from the finer table in closed form, one axis at
+a time, and densifies only the coarsest. No CSR copy of the operator and no
+product of two sparse matrices is formed; ``LinearSystem.matrix`` gives the
+CSR operator to a caller that asks for it.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +46,28 @@ KRYLOV_MAXITER = 100
 JACOBI_WEIGHT = 0.8
 SMOOTHING_SWEEPS = 2
 COARSEST_UNKNOWNS = 100
+
+# Full-weighting restriction along one axis: coarse node C is fine node
+# 2C + 1 and reads fine nodes 2C + a, a = 0, 1, 2, with weight r_a. In the
+# coarse operator R A R^T the weight between coarse row C - c and column C
+# (axis offset c) collects, for each (a, b) with |2c + b - a| <= 1, r_a r_b
+# times the fine weight between fine row 2(C - c) + a and column 2C + b,
+# whose axis offset is 2c + b - a. Terms: (fine offset, b, r_a r_b).
+_FULL_WEIGHTING = (0.5, 1.0, 0.5)
+_GALERKIN_TERMS = {
+    c: tuple(
+        (2 * c + b - a, b, _FULL_WEIGHTING[a] * _FULL_WEIGHTING[b])
+        for a in range(3)
+        for b in range(3)
+        if abs(2 * c + b - a) <= 1
+    )
+    for c in (-1, 0, 1)
+}
+
+# Rows per dia_matrix block of an operator: a block's slice of the result
+# stays in cache while every diagonal adds into it. One unblocked
+# dia_matrix is slower than CSR at m = 513.
+BLOCK_ROWS = 2**15
 
 # Screen tolerance, relative to L. A node is a candidate when its screened
 # value lies within SCREEN_TOL of the screened extreme, which misses no node
@@ -239,10 +270,26 @@ class EllipticProblem:
 
 @dataclass
 class LinearSystem:
-    matrix: sp.csr_matrix
+    """The assembled operator as a stencil weight table, and its rhs.
+
+    ``table[k]`` is the diagonal of flat shift ``_flat_shift(offsets[k],
+    m - 2)`` in the column layout that ``scipy.sparse.dia_matrix`` reads:
+    at column j it holds the weight of u_j in row j - shift. Offsets run in
+    lexicographic order, which is increasing shift. A weight whose row or
+    column would be a boundary node is stored as 0.
+    """
+
+    offsets: tuple
+    table: np.ndarray
     rhs: np.ndarray
     grid: Grid
     symmetric: bool
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The operator in CSR with the zero weights dropped; built from the
+        table the first time it is read. A solve never reads it."""
+        return _csr(self.offsets, self.table, self.grid.m - 2)
 
 
 def _at(values: np.ndarray, offset: tuple) -> np.ndarray:
@@ -250,17 +297,33 @@ def _at(values: np.ndarray, offset: tuple) -> np.ndarray:
     return values[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offset, values.shape))]
 
 
+def _reach(offset: tuple, per_axis: int) -> tuple:
+    """Slices of the nodes y of a (per_axis)^n grid for which y - offset is
+    a node too: the columns that a row reaches through offset."""
+    return tuple(slice(max(o, 0), per_axis + min(o, 0)) for o in offset)
+
+
+def _flat_shift(offset: tuple, per_axis: int) -> int:
+    """Column minus row of offset in the lexicographic numbering of a
+    (per_axis)^n grid."""
+    shift = 0
+    for o in offset:
+        shift = shift * per_axis + o
+    return shift
+
+
 def assemble(problem: EllipticProblem) -> LinearSystem:
-    """Sparse operator on the interior unknowns, Dirichlet rows eliminated.
+    """Stencil table of the operator on the interior unknowns, Dirichlet
+    rows eliminated.
 
     Interior row for node x:
       diagonal a_jj: face-averaged fluxes, three points per axis;
       off-diagonal a_ij: averaged central cross stencil on x +/- e_i +/- e_j.
     Right side: f + central-difference div F, plus boundary moves of g.
 
-    The weights fill a (rows x offsets) table whose offsets run in
-    lexicographic order, which is increasing flat shift and so increasing
-    column; boundary neighbours and zero weights are masked out of it.
+    Each offset's weights are first laid out by row, where the boundary
+    moves read them, and then moved in place to the column layout of
+    LinearSystem; the weights of boundary neighbours are left behind.
     """
     grid = problem.grid
     n, h = grid.n, grid.h
@@ -269,18 +332,19 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
     inv_4h2 = 0.25 * inv_h2
 
     # every stencil offset: at most two nonzero unit steps
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, o)) <= 2]
+    offsets = tuple(o for o in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, o)) <= 2)
     column = {o: k for k, o in enumerate(offsets)}
-    interior_shape = (grid.m - 2,) * n
-    n_int = (grid.m - 2) ** n
-    table = np.empty(interior_shape + (len(offsets),))  # weight of u(x + offset) in row x
+    per_axis = grid.m - 2
+    interior_shape = (per_axis,) * n
+    table = np.empty((len(offsets),) + interior_shape)  # table[k][x]: weight of u(x + offsets[k]) in row x
     added = []  # offsets in first-add order, which orders the boundary moves
 
-    def add(offset: tuple, w: np.ndarray):
+    def add(offset: tuple, a: np.ndarray, c: float):
+        # adds a * c; c = +/-scale carries the sign, and rounds as +/-(a * scale)
         if offset in added:
-            table[..., column[offset]] += w
+            table[column[offset]] += a * c
         else:
-            table[..., column[offset]] = w
+            np.multiply(a, c, out=table[column[offset]])
             added.append(offset)
 
     def unit(axis: int, s: int) -> tuple:
@@ -291,9 +355,9 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
         a = _at(ent[j, j], zero)
         face_plus = 0.5 * (a + _at(ent[j, j], unit(j, +1)))   # coefficient on face x + e_j/2
         face_minus = 0.5 * (a + _at(ent[j, j], unit(j, -1)))  # coefficient on face x - e_j/2
-        add(unit(j, +1), -face_plus * inv_h2)
-        add(unit(j, -1), -face_minus * inv_h2)
-        add(zero, (face_plus + face_minus) * inv_h2)
+        add(unit(j, +1), face_plus, -inv_h2)
+        add(unit(j, -1), face_minus, -inv_h2)
+        add(zero, face_plus + face_minus, inv_h2)
 
     for i in range(n):
         for j in range(n):
@@ -301,30 +365,51 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
                 continue
             for si, sj, sign in ((+1, +1, -1.0), (+1, -1, +1.0), (-1, +1, +1.0), (-1, -1, -1.0)):
                 off = tuple(si * int(k == i) + sj * int(k == j) for k in range(n))
-                add(off, sign * _at(ent[i, j], unit(i, si)) * inv_4h2)  # a_ij(x +/- h e_i)
-
-    ids_grid = np.full(grid.shape, -1, dtype=np.int64)  # interior unknown id or -1
-    _at(ids_grid, zero)[...] = np.arange(n_int).reshape(interior_shape)
+                add(off, _at(ent[i, j], unit(i, si)), sign * inv_4h2)  # a_ij(x +/- h e_i)
 
     rhs = _at(problem.f.values + divergence(problem.F).values, zero).flatten()
     rhs_grid = rhs.reshape(interior_shape)
-    g = problem.g.values
     for offset in added:
-        # a boundary neighbour: move its Dirichlet value to the rhs
-        outside = _at(ids_grid, offset) < 0
-        rhs_grid[outside] += -table[..., column[offset]][outside] * _at(g, offset)[outside]
+        # rows whose neighbour x + offset is a boundary node move its
+        # Dirichlet value to the rhs: one face per nonzero step, less the
+        # faces of the steps before it
+        weights, ghost = table[column[offset]], _at(problem.g.values, offset)
+        rows = [slice(None)] * n
+        for axis, o in enumerate(offset):
+            if o:
+                rows[axis] = -1 if o > 0 else 0
+                face = tuple(rows)
+                rhs_grid[face] += -weights[face] * ghost[face]
+                rows[axis] = slice(0, -1) if o > 0 else slice(1, None)
 
-    idx_dtype = np.int32 if table.size < 2**31 else np.int64
-    cols = np.empty(table.shape, dtype=idx_dtype)
-    for offset, k in column.items():
-        cols[..., k] = _at(ids_grid, offset)
-    keep = (cols >= 0) & (table != 0)
-    indptr = np.zeros(n_int + 1, dtype=idx_dtype)
-    np.cumsum(keep.reshape(n_int, -1).sum(axis=1), out=indptr[1:])
-    matrix = sp.csr_matrix((table[keep], cols[keep], indptr), shape=(n_int, n_int))
+    for offset, weights in zip(offsets, table):
+        # row x -> column x + offset; a column no row reaches holds 0
+        weights[_reach(offset, per_axis)] = weights[_reach(tuple(-o for o in offset), per_axis)]
+        for axis, o in enumerate(offset):
+            if o:
+                weights[(slice(None),) * axis + (0 if o > 0 else -1,)] = 0.0
 
     symmetric = problem.A.is_symmetric
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=grid, symmetric=symmetric)
+    return LinearSystem(
+        offsets=offsets, table=table.reshape(len(offsets), -1), rhs=rhs, grid=grid, symmetric=symmetric
+    )
+
+
+def _csr(offsets: tuple, table: np.ndarray, per_axis: int) -> sp.csr_matrix:
+    """CSR of a column-layout table, with sorted columns and no stored zero."""
+    size = table.shape[1]
+    idx_dtype = np.int32 if table.size < 2**31 else np.int64
+    weights = np.zeros((size, len(offsets)))  # by row
+    cols = np.empty(weights.shape, dtype=idx_dtype)
+    for k, offset in enumerate(offsets):
+        shift = _flat_shift(offset, per_axis)
+        lo, hi = max(-shift, 0), min(size - shift, size)  # rows whose column i + shift exists
+        weights[lo:hi, k] = table[k, lo + shift : hi + shift]
+        cols[:, k] = np.arange(shift, size + shift, dtype=idx_dtype)
+    keep = weights != 0
+    indptr = np.zeros(size + 1, dtype=idx_dtype)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((weights[keep], cols[keep], indptr), shape=(size, size))
 
 
 @dataclass
@@ -346,7 +431,7 @@ class DiscreteSolution:
         return DiscreteSolution(u=c * self.u, problem=self.problem.scaled(c), diagnostics=diag)
 
 
-def _dense_inverse(matrix: sp.csr_matrix) -> np.ndarray:
+def _dense_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a small nonsingular matrix by Gauss-Jordan elimination
     with partial pivoting.
 
@@ -354,7 +439,7 @@ def _dense_inverse(matrix: sp.csr_matrix) -> np.ndarray:
     so its last bits would depend on the thread count.
     """
     size = matrix.shape[0]
-    work = np.hstack([matrix.toarray(), np.eye(size)])  # [A | I] -> [I | A^-1]
+    work = np.hstack([matrix, np.eye(size)])  # [A | I] -> [I | A^-1]
     for k in range(size):
         pivot = k + int(np.abs(work[k:, k]).argmax())
         if pivot != k:
@@ -365,12 +450,53 @@ def _dense_inverse(matrix: sp.csr_matrix) -> np.ndarray:
     return work[:, size:].copy()
 
 
+def _densify(offsets: tuple, table: np.ndarray, per_axis: int) -> np.ndarray:
+    """Dense matrix of a column-layout table."""
+    size = table.shape[1]
+    dense = np.zeros((size, size))
+    columns = np.arange(size).reshape((per_axis,) * len(offsets[0]))
+    for offset, weights in zip(offsets, table):
+        reach = _reach(offset, per_axis)
+        cols = columns[reach].ravel()
+        dense[cols - _flat_shift(offset, per_axis), cols] = weights.reshape(columns.shape)[reach].ravel()
+    return dense
+
+
+def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
+    """The operator of a column-layout table as row blocks of at most
+    BLOCK_ROWS rows, each a dia_matrix view of the whole table.
+
+    Block rows start..start + rows read the columns start + shift + (0 ..
+    rows), so a block's offsets are the shifts plus start. A product with
+    all blocks is the CSR product bit for bit: each row sums the same
+    weights in the same increasing-column order, and the extra zero
+    weights add +0 to a partial sum that starts at +0 and so is never -0.
+    On a one-node axis (m = 3) the offsets that leave the axis hold no
+    weight and their shifts would collide, so they are left out.
+    """
+    kept = [k for k, offset in enumerate(offsets) if max(map(abs, offset)) < per_axis]
+    data = table if len(kept) == len(offsets) else table[kept]
+    shifts = np.array([_flat_shift(offsets[k], per_axis) for k in kept])
+    size = table.shape[1]
+    return [
+        sp.dia_matrix((data, shifts + start), shape=(min(BLOCK_ROWS, size - start), size))
+        for start in range(0, size, BLOCK_ROWS)
+    ]
+
+
+def _matvec(blocks: list, x: np.ndarray) -> np.ndarray:
+    """The product with x of the operator whose row blocks are blocks."""
+    if len(blocks) == 1:
+        return blocks[0] @ x
+    return np.concatenate([block @ x for block in blocks])
+
+
 def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
     """Full-weighting restriction R = P^T from (per_axis)^n interior nodes
     to (per_axis // 2)^n, in CSR with sorted column indices.
 
     Coarse node c of an axis is fine node 2c + 1 and reads fine nodes 2c,
-    2c + 1, 2c + 2 with weights 1/2, 1, 1/2. A row of R is the tensor
+    2c + 1, 2c + 2 with weights _FULL_WEIGHTING. A row of R is the tensor
     product of its axes' rows: fine corner (2c_0, ..., 2c_{n-1}) plus the
     3^n offsets in lexicographic order, which is increasing column. On an
     even axis the last coarse node has no fine node 2c + 2, and those
@@ -385,7 +511,7 @@ def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
     for _ in range(n):
         corner = np.add.outer(corner * per_axis, 2 * np.arange(coarse, dtype=idx_dtype)).ravel()
         offsets = np.add.outer(offsets * per_axis, np.arange(3, dtype=idx_dtype)).ravel()
-        weights = np.multiply.outer(weights, [0.5, 1.0, 0.5]).ravel()
+        weights = np.multiply.outer(weights, _FULL_WEIGHTING).ravel()
     cols = np.add.outer(corner, offsets)
     data = np.broadcast_to(weights, cols.shape)
     counts = np.full(rows, width)
@@ -401,26 +527,69 @@ def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(rows, per_axis**n))
 
 
-def _multigrid_levels(matrix: sp.csr_matrix, per_axis: int, n: int) -> tuple:
-    """Galerkin levels [(A, P, R, weighted inverse diagonal), ...] and the
+def _coarsen_axis(offsets: tuple, table: np.ndarray, axis: int) -> tuple:
+    """R A R^T for the full weighting R of one axis, on a column-layout
+    table of shape (offsets,) + grid shape; returns (offsets, table).
+
+    The weight of axis offset c at coarse column C sums _GALERKIN_TERMS[c]
+    over the fine weights at fine column 2C + b; a fine column past the end
+    of an even axis has no weight. Coarse columns whose row C - c is not a
+    node are set to 0, as the layout requires.
+    """
+    index = {offset: k for k, offset in enumerate(offsets)}
+    coarse_offsets = tuple(sorted(
+        {offset[:axis] + (c,) + offset[axis + 1:] for offset in offsets for c in (-1, 0, 1)}
+    ))
+    coarse = table.shape[1 + axis] // 2
+    shape = table.shape[1:axis + 1] + (coarse,) + table.shape[axis + 2:]
+    out = np.zeros((len(coarse_offsets),) + shape)
+    lead = (slice(None),) * axis
+    for weights, offset in zip(out, coarse_offsets):
+        for fine_o, b, w in _GALERKIN_TERMS[offset[axis]]:
+            k = index.get(offset[:axis] + (fine_o,) + offset[axis + 1:])
+            if k is not None:
+                fine = table[k][lead + (slice(b, 2 * coarse - 1 + b, 2),)]
+                weights[lead + (slice(0, fine.shape[axis]),)] += w * fine
+        if offset[axis]:
+            weights[lead + (0 if offset[axis] > 0 else -1,)] = 0.0
+    return coarse_offsets, out
+
+
+def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
+    """The coarse operator R A R^T, R = _restriction(per_axis, n), of a
+    column-layout table, in closed form one axis at a time:
+    R = R_0 R_1 ... R_{n-1}, each R_d restricting axis d alone."""
+    n = len(offsets[0])
+    table = table.reshape((len(offsets),) + (per_axis,) * n)
+    for axis in range(n):
+        offsets, table = _coarsen_axis(offsets, table, axis)
+    return offsets, table.reshape(len(offsets), -1)
+
+
+def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
+    """Galerkin levels [(A x, P, R, weighted inverse diagonal), ...] and the
     dense inverse of the coarsest level, the first with at most
     COARSEST_UNKNOWNS unknowns.
 
     P interpolates linearly from every other interior node on each axis (the
     boundary is a zero neighbour); R A P with R = P^T stays symmetric when A
-    is. _restriction builds R straight into CSR, and P is its transpose
-    view, so the V-cycle restricts through CSR rows. The transfer operators
-    are built anew for each solve and are freed with its hierarchy: building
-    them costs less than a millisecond at m = 129, and a cache of them would
-    outlive every solve in memory.
+    is. Each level keeps its operator as a column-layout table and applies
+    it through _dia_blocks; the next table is _galerkin of this one, and the
+    diagonal is the zero offset's row. _restriction builds R straight into
+    CSR, and P is its transpose view, so the V-cycle restricts through CSR
+    rows. The transfer operators are built anew for each solve and are
+    freed with its hierarchy: building them costs less than a millisecond
+    at m = 129, and a cache of them would outlive every solve in memory.
     """
+    n = len(offsets[0])
     levels = []
-    while matrix.shape[0] > COARSEST_UNKNOWNS:
+    while table.shape[1] > COARSEST_UNKNOWNS:
         R = _restriction(per_axis, n)
-        levels.append((matrix, R.T, R, JACOBI_WEIGHT / matrix.diagonal()))
-        matrix = R @ matrix @ R.T
+        apply = partial(_matvec, _dia_blocks(offsets, table, per_axis))
+        levels.append((apply, R.T, R, JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
+        offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
-    return levels, _dense_inverse(matrix)
+    return levels, _dense_inverse(_densify(offsets, table, per_axis))
 
 
 def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:
@@ -433,13 +602,13 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
     """
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    A, P, R, dinv = levels[k]
+    apply, P, R, dinv = levels[k]
     x = dinv * r
     for _ in range(SMOOTHING_SWEEPS - 1):
-        x += dinv * (r - A @ x)
-    x += P @ _vcycle(levels, coarse, R @ (r - A @ x), k + 1)
+        x += dinv * (r - apply(x))
+    x += P @ _vcycle(levels, coarse, R @ (r - apply(x)), k + 1)
     for _ in range(SMOOTHING_SWEEPS):
-        x += dinv * (r - A @ x)
+        x += dinv * (r - apply(x))
     return x
 
 
@@ -456,8 +625,9 @@ def _norm(x: np.ndarray) -> float:
     return _dot(x, x) ** 0.5
 
 
-def _cg(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
-    """Preconditioned CG from x = 0 until ||r|| < tol; returns (x, iterations)."""
+def _cg(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
+    """Preconditioned CG for apply(x) = rhs from x = 0 until ||r|| < tol;
+    returns (x, iterations)."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     for k in range(KRYLOV_MAXITER):
@@ -470,7 +640,7 @@ def _cg(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
         else:
             p *= rho / rho_prev
             p += z
-        q = matrix @ p
+        q = apply(p)
         alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
@@ -478,8 +648,9 @@ def _cg(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
     return x, KRYLOV_MAXITER
 
 
-def _gmres(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
-    """Right-preconditioned GMRES from x = 0 until |g[k+1]| <= tol.
+def _gmres(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
+    """Right-preconditioned GMRES for apply(x) = rhs from x = 0 until
+    |g[k+1]| <= tol.
 
     Modified Gram-Schmidt builds the basis one vector per iteration; Givens
     rotations keep the Hessenberg matrix upper triangular, so g[k+1] is the
@@ -491,7 +662,7 @@ def _gmres(matrix, rhs: np.ndarray, pre, tol: float) -> tuple:
     basis = [rhs / g[0]]
     columns, rotations = [], []  # triangular columns of H; (c, s) pairs
     for k in range(KRYLOV_MAXITER):
-        w = matrix @ pre(basis[k])
+        w = apply(pre(basis[k]))
         h = []
         for v in basis:
             h.append(_dot(w, v))
@@ -527,22 +698,23 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
     """
     system = assemble(problem)
     grid = system.grid
-    matrix, rhs = system.matrix, system.rhs
+    offsets, table, rhs = system.offsets, system.table, system.rhs
+    apply = partial(_matvec, _dia_blocks(offsets, table, grid.m - 2))
     method = "mg-cg" if system.symmetric else "mg-gmres"
     bnorm = _norm(rhs)
     x, iterations = np.zeros_like(rhs), 0  # the answer to zero data
     if bnorm > 0.0:
-        levels, coarse = _multigrid_levels(matrix, grid.m - 2, grid.n)
+        levels, coarse = _multigrid_levels(offsets, table, grid.m - 2)
         krylov = _cg if system.symmetric else _gmres
-        x, iterations = krylov(matrix, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
-    residual = _norm(rhs - matrix @ x) / (bnorm or 1.0)
+        x, iterations = krylov(apply, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
+    residual = _norm(rhs - apply(x)) / (bnorm or 1.0)
     diagnostics = {"method": method, "iterations": iterations, "residual": residual}
     if not np.isfinite(residual) or residual > SOLVE_RTOL:
         raise SolverStagnationError(
             f"{method} finished with relative residual {residual:.3e} > {SOLVE_RTOL}",
             diagnostics=diagnostics,
         )
-    diagnostics.update(symmetric=system.symmetric, unknowns=matrix.shape[0])
+    diagnostics.update(symmetric=system.symmetric, unknowns=rhs.size)
 
     full = problem.g.values.copy()
     full[grid.interior_mask(1)] = x

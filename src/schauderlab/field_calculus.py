@@ -37,16 +37,20 @@ class Field:
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         if valid is None:
+            # every node valid: one finiteness pass and one copy
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite values at valid nodes")
+            values = values.copy()
             valid = np.ones(grid.shape, dtype=bool)
         else:
             valid = np.asarray(valid, dtype=bool)
             if valid.shape != grid.shape:
                 raise ValueError("validity mask shape mismatch")
-        if not np.isfinite(values[valid]).all():
-            raise ValueError("non-finite values at valid nodes")
-        values = np.where(valid, values, 0.0)
+            if not np.isfinite(values[valid]).all():
+                raise ValueError("non-finite values at valid nodes")
+            values = np.where(valid, values, 0.0)
+            valid = valid.copy()
         values.setflags(write=False)
-        valid = valid.copy()
         valid.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -112,14 +116,20 @@ class VecField:
                 f"components shape {components.shape} != {(grid.n,) + grid.shape}"
             )
         if valid is None:
+            # every node valid: one finiteness pass and one copy
+            if not np.isfinite(components).all():
+                raise ValueError("non-finite components at valid nodes")
+            components = components.copy()
             valid = np.ones(grid.shape, dtype=bool)
         else:
             valid = np.asarray(valid, dtype=bool)
-        if not np.isfinite(components[:, valid]).all():
-            raise ValueError("non-finite components at valid nodes")
-        components = np.where(valid[None], components, 0.0)
+            if valid.shape != grid.shape:
+                raise ValueError("validity mask shape mismatch")
+            if not np.isfinite(components[:, valid]).all():
+                raise ValueError("non-finite components at valid nodes")
+            components = np.where(valid[None], components, 0.0)
+            valid = valid.copy()
         components.setflags(write=False)
-        valid = valid.copy()
         valid.setflags(write=False)
         self.grid = grid
         self.components = components

@@ -303,17 +303,22 @@ def test_nonsymmetric_iterative_path():
 
 
 
-@pytest.mark.parametrize("n, m, symmetric", [
-    (2, 23, True), (2, 65, True), (2, 257, True), (2, 257, False), (3, 33, True),
-])
-def test_iterations_independent_of_grid(n, m, symmetric):
+ITERATION_CASES = [(2, 23, True), (2, 65, True), (2, 257, True), (2, 257, False), (3, 33, True)]
+
+
+def _iteration_problem(n, m, symmetric):
     grid = make_grid(n, 1.0, m)
     rng = np.random.default_rng(m)
     prob = random_problem(grid, rng)
     if not symmetric:
         A = trig_coefficient_field(grid, rng, beta=0.2, symmetric=False)
         prob = EllipticProblem(A=A, f=prob.f, F=prob.F, g=prob.g, p=prob.p, q=prob.q)
-    sol = solve_dirichlet(prob)
+    return prob
+
+
+@pytest.mark.parametrize("n, m, symmetric", ITERATION_CASES)
+def test_iterations_independent_of_grid(n, m, symmetric):
+    sol = solve_dirichlet(_iteration_problem(n, m, symmetric))
     assert sol.diagnostics["symmetric"] == symmetric
     assert sol.diagnostics["iterations"] <= 20
     assert sol.diagnostics["residual"] <= SOLVE_RTOL
@@ -361,11 +366,12 @@ def test_nonsymmetric_peak_memory_near_symmetric():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
-@pytest.mark.parametrize("n, m", [(2, 5), (2, 9), (2, 11), (3, 5)])
+@pytest.mark.parametrize("n, m", [(2, 3), (2, 5), (2, 9), (2, 11), (3, 3), (3, 5)])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_coarsest_level_alone_is_an_exact_solve(n, m, symmetric):
     # at most COARSEST_UNKNOWNS unknowns: no smoothing level, and the
-    # preconditioner is the dense inverse, so one Krylov step solves
+    # preconditioner is the dense inverse, so one Krylov step solves; at
+    # m = 3 every offset but the zero one leaves the one-node axes
     grid = make_grid(n, 1.0, m)
     assert (m - 2) ** n <= elliptic_solver.COARSEST_UNKNOWNS
     rng = np.random.default_rng(m)
@@ -432,6 +438,114 @@ def test_restriction_matches_kron_reference(n, sizes):
         for name in ("indptr", "indices", "data"):
             got, want = getattr(R, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (per_axis, name)
+
+
+def _stencil_problem(n, m, kind):
+    grid = make_grid(n, 1.0, m)
+    rng = np.random.default_rng(m)
+    prob = random_problem(grid, rng)
+    if kind == "symmetric":
+        return prob
+    if kind == "identity":
+        A = CoefficientField.identity(grid)
+    else:
+        A = trig_coefficient_field(grid, rng, beta=0.2, symmetric=False)
+    return EllipticProblem(A=A, f=prob.f, F=prob.F, g=prob.g, p=prob.p, q=prob.q)
+
+
+STENCIL_GRIDS = [(2, 17), (2, 43), (2, 129), (3, 17), (3, 33)]
+STENCIL_KINDS = ["symmetric", "nonsymmetric", "identity"]
+
+
+@pytest.mark.parametrize("block_rows", [elliptic_solver.BLOCK_ROWS, 1000])
+@pytest.mark.parametrize("kind", STENCIL_KINDS)
+@pytest.mark.parametrize("n, m", STENCIL_GRIDS)
+def test_blocked_dia_matvec_is_the_csr_matvec(monkeypatch, n, m, kind, block_rows):
+    # byte for byte; 1000-row blocks split every grid above m = 17 (2-D)
+    # into several blocks and a shorter last one. x holds +0 and -0 too.
+    monkeypatch.setattr(elliptic_solver, "BLOCK_ROWS", block_rows)
+    system = assemble(_stencil_problem(n, m, kind))
+    blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
+    assert len(blocks) == -(-system.rhs.size // block_rows)
+    assert all(block.data is system.table for block in blocks)  # views, no copies
+    x = np.random.default_rng(0).standard_normal(system.rhs.size)
+    x[::5], x[1::7] = 0.0, -0.0
+    got = elliptic_solver._matvec(blocks, x)
+    assert got.tobytes() == (system.matrix @ x).tobytes()
+
+
+def _spgemm_levels(matrix, per_axis: int, n: int) -> tuple:
+    """The Galerkin hierarchy as sparse products build it: levels
+    [(A x, P, R, weighted inverse diagonal), ...] and the coarsest
+    operator, with R A R^T formed as (R @ A) @ R.T."""
+    levels = []
+    while matrix.shape[0] > elliptic_solver.COARSEST_UNKNOWNS:
+        R = elliptic_solver._restriction(per_axis, n)
+        levels.append((matrix.__matmul__, R.T, R, elliptic_solver.JACOBI_WEIGHT / matrix.diagonal()))
+        matrix = R @ matrix @ R.T
+        per_axis //= 2
+    return levels, matrix
+
+
+@pytest.mark.parametrize("kind", STENCIL_KINDS)
+@pytest.mark.parametrize("n, m", STENCIL_GRIDS)
+def test_closed_form_levels_match_spgemm_reference(n, m, kind):
+    # m = 43 coarsens 41 -> 20 -> 10, through an even per_axis
+    system = assemble(_stencil_problem(n, m, kind))
+    levels, coarsest = _spgemm_levels(system.matrix, m - 2, n)
+    references = [level[0].__self__ for level in levels[1:]] + [coarsest]
+    offsets, table, per_axis = system.offsets, system.table, m - 2
+    for ref in references:
+        offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
+        per_axis //= 2
+        got = elliptic_solver._csr(offsets, table, per_axis)
+        assert abs(got - ref).max() <= 1e-13 * abs(ref).max(), per_axis
+    assert np.array_equal(elliptic_solver._densify(offsets, table, per_axis), got.toarray())
+
+
+@pytest.mark.parametrize("n, m, symmetric", ITERATION_CASES)
+def test_iterations_equal_spgemm_reference(n, m, symmetric):
+    prob = _iteration_problem(n, m, symmetric)
+    system = assemble(prob)
+    levels, coarsest = _spgemm_levels(system.matrix, m - 2, n)
+    coarse = elliptic_solver._dense_inverse(coarsest.toarray())
+    krylov = elliptic_solver._cg if symmetric else elliptic_solver._gmres
+    _, iterations = krylov(
+        system.matrix.__matmul__,
+        system.rhs,
+        lambda r: elliptic_solver._vcycle(levels, coarse, r),
+        elliptic_solver.KRYLOV_RTOL * elliptic_solver._norm(system.rhs),
+    )
+    assert solve_dirichlet(prob).diagnostics["iterations"] == iterations
+
+
+def test_solve_builds_no_csr_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a solve built the CSR operator")
+
+    monkeypatch.setattr(elliptic_solver, "_csr", refuse)
+    for symmetric in (True, False):
+        sol = solve_dirichlet(_iteration_problem(2, 65, symmetric))
+        assert sol.diagnostics["residual"] <= SOLVE_RTOL
+
+
+def test_solve_peak_memory_within_table_multiple():
+    # The peak of a 2-D m = 257 nonsymmetric solve holds the operator table,
+    # the rhs, the GMRES basis and the hierarchy: 3.50 times the table and
+    # rhs bytes. A CSR copy of the operator and an R @ A intermediate, as
+    # the sparse-product hierarchy held, lift it to 4.14 times.
+    rng = np.random.default_rng(0)
+    prob = _nonsymmetric(random_problem(make_grid(2, 1.0, 257), rng), rng)
+    system = assemble(prob)
+    held = system.table.nbytes + system.rhs.nbytes
+    del system
+    tracemalloc.start()
+    try:
+        solve_dirichlet(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.8 * held, f"peak {peak / 1e6:.1f} MB = {peak / held:.2f} x table and rhs"
 
 
 def test_solve_leaves_no_memory_behind():

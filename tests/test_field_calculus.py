@@ -11,6 +11,7 @@ from schauderlab.errors import (
 from schauderlab.field_calculus import (
     Field,
     Mollifier,
+    VecField,
     central_difference,
     difference_quotient,
     gradient,
@@ -28,6 +29,28 @@ def zero_band(values, width):
         out[sl_lo] = 0.0
         out[sl_hi] = 0.0
     return out
+
+
+@pytest.mark.parametrize("cls", [Field, VecField])
+def test_field_construction_contract(cls, grid65):
+    lead = () if cls is Field else (grid65.n,)
+    values = np.random.default_rng(0).standard_normal(lead + grid65.shape)
+    values[..., 0, 0] = -0.0
+    field = cls(grid65, values)
+    stored = field.values if cls is Field else field.components
+    assert stored.tobytes() == values.tobytes() and not np.shares_memory(stored, values)
+    assert not stored.flags.writeable and field.valid.all()
+    bad = values.copy()
+    bad[..., 3, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        cls(grid65, bad)
+    valid = np.ones(grid65.shape, dtype=bool)
+    valid[3, 4] = False
+    masked = cls(grid65, bad, valid)  # an invalid node may hold anything; it is stored as 0
+    stored = masked.values if cls is Field else masked.components
+    assert not stored[..., 3, 4].any() and np.isfinite(stored).all()
+    with pytest.raises(ValueError, match="mask shape"):
+        cls(grid65, values, np.ones(grid65.m, dtype=bool))
 
 
 def test_quotient_linear_exact(grid65):
