@@ -3,12 +3,20 @@
 Integrals are plain Riemann sums h^n * sum over the region's valid nodes;
 Holder seminorms replace the continuum sup by the exact sup over node pairs,
 found by a dual-tree branch and bound (Gray & Moore 2000; Curtin et al. 2013).
-One pass returns the all-pairs sup, the first pair met that attains it and
-the widest pair within a relative ``TIE_RTOL`` of it, which blow-ups take.
-Cell-pair distances are floored at the grid spacing, the least distance
-between two nodes, so coinciding and touching cells prune like distant ones;
-fields with near-maximal quotients everywhere (an affine field at alpha = 1,
-a nearly homogeneous blow-up profile) still cost about as much as all pairs.
+One pass returns the all-pairs sup, the first pair in np.argwhere order that
+attains it and the widest pair within a relative ``TIE_RTOL`` of it, which
+blow-ups take. Cell-pair distances are floored at the grid spacing, the
+least distance between two nodes, so coinciding and touching cells prune
+like distant ones; fields with near-maximal quotients everywhere (an affine
+field at alpha = 1, a nearly homogeneous blow-up profile) still cost about
+as much as all pairs.
+The scan's memory is its pyramid plus one frontier chunk per level. The
+pyramid is built from the flat indices of the mask alone and holds each node
+once, Morton-ordered: its coordinates, samples, flat index and an int32 row
+id, then per coarser cell a box, the sample range and int32 extreme rows;
+that is about 58 B per node for a scalar field in 2-D and 3-D. The frontier
+descends in chunks of ``_CHUNK_PAIRS`` parent cell pairs, each expanding to
+at most 4^n child pairs.
 Derivatives inside norms are repeated pure central differences, so regions
 must leave a k-node margin to the box. Every fitted exponent goes through
 ``log_slope``, and every shell-maximum ladder through ``shell_peaks``.
@@ -31,9 +39,12 @@ from .field_calculus import Field, VecField, central_difference
 # benchmark is next extended.
 PAIR_SCAN_CUTOFF = 5000
 
-# Child cell pairs one chunk of the pair-scan frontier may expand into; bounds
-# the scan's working memory whatever the field.
-_MAX_EXPANSION = 1 << 19
+# Parent cell pairs in one chunk of the pair-scan frontier, in every
+# dimension. A chunk expands into at most 4^n child pairs per parent (2^17 in
+# 2-D, 2^19 in 3-D), which bounds the scan's scratch whatever the field.
+# Counting parents rather than child rows keeps 3-D chunks long enough: a
+# 2^17-row child budget there (2 048 parents) makes 3-D scans slower.
+_CHUNK_PAIRS = 8192
 
 # Relative slack on a cell pair's upper bound, so that rounding in the bound
 # never prunes a pair whose computed quotient would beat it.
@@ -107,37 +118,50 @@ def _merge(ufunc, vals, child, ids=None):
     return ext if ids is None else (ext, np.take_along_axis(ids, first, axis=0))
 
 
-def _pyramid(idx: np.ndarray, coords: np.ndarray, samples: np.ndarray) -> list:
-    """Max/min pyramid over Morton-ordered nodes. Level 0 holds single nodes,
-    each level above merges the cells of one aligned 2^n block, the top level
-    is the root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
-    per cell the bounding box of its nodes, the per-component sample range
-    with a node realizing each extreme, and its children as a run of the
-    level below."""
-    n = idx.shape[1]
-    rel = idx - idx.min(axis=0)
-    bits = int(rel.max()).bit_length()
+def _pyramid(mask: np.ndarray, axis: np.ndarray, u_vals) -> tuple:
+    """Max/min pyramid over the Morton-ordered nodes of ``mask``, built from
+    their flat grid indices alone. Returns (levels, node): ``node[r]`` is the
+    flat grid index of Morton row r, so rows compare like np.argwhere(mask)
+    rows once mapped. Level 0 holds single nodes, each level above merges
+    the cells of one aligned 2^n block, the top level is the root. A level
+    is (lo, hi, vmax, imax, vmin, imin, start, count): per cell the bounding
+    box of its nodes, the per-component sample range with the int32 Morton
+    row of a node realizing each extreme, and its children as a run of the
+    level below, starting at the int32 row ``start``."""
+    n, shape = mask.ndim, mask.shape
+    flat = np.flatnonzero(mask)
+    # per-axis index range of the mask, from its projections onto each axis
+    first, span = [], 0
+    for k in range(n):
+        on = np.flatnonzero(mask.any(axis=tuple(j for j in range(n) if j != k)))
+        first.append(on[0])
+        span = max(span, int(on[-1] - on[0]))
+    bits = span.bit_length()
+    strides = [math.prod(shape[k + 1 :]) for k in range(n)]
     # bit b of an index moves to bit b*n of the key; axis k adds its shift
     ramp = np.arange(1 << bits)
     spread = sum(((ramp >> b) & 1) << (b * n) for b in range(bits))
-    key = sum(spread[rel[:, k]] << k for k in range(n))
+    key = sum(spread[flat // strides[k] % shape[k] - first[k]] << k for k in range(n))
     order = np.argsort(key, kind="stable")
-    key, pts, vals = key[order], coords.take(order, axis=0), samples.take(order, axis=0)
-    ids = np.repeat(order[:, None], samples.shape[1], axis=1)
-    levels = [(pts, pts, vals, ids, vals, ids, None, None)]
+    key, node = key[order], flat[order]
+    del flat, order
+    pts = np.stack([axis[node // strides[k] % shape[k]] for k in range(n)], axis=1)
+    vals = np.stack([comp.take(node) for comp in u_vals.reshape(-1, mask.size)], axis=1)
+    rows = np.broadcast_to(np.arange(len(node), dtype=np.int32)[:, None], vals.shape)
+    levels = [(pts, pts, vals, rows, vals, rows, None, None)]
     for _ in range(bits):
         lo, hi, vmax, imax, vmin, imin = levels[-1][:6]
         key = key >> n
-        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1])).astype(np.int32)
         key = key[starts]
-        count = np.diff(np.append(starts, len(lo)))
+        count = np.diff(np.append(starts, np.int32(len(lo))))
         child = [starts + np.minimum(j, count - 1) for j in range(2**n)]
         levels.append((
             _merge(np.minimum, lo, child), _merge(np.maximum, hi, child),
             *_merge(np.maximum, vmax, child, imax), *_merge(np.minimum, vmin, child, imin),
             starts, count,
         ))
-    return levels
+    return levels, node
 
 
 def _row_norm(d: np.ndarray) -> np.ndarray:
@@ -171,30 +195,29 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
     the running one. The test is strict, so a constant field (best 0) prunes
     at the root and enumerates no pair.
 
-    The frontier is descended depth first in chunks, so memory stays
-    bounded, and the max is updated only on a strict gain, so ``best_pair``
-    is the first maximizer met. Among exactly tied maximizers, which one
-    that is depends on how the frontier falls into chunks, and so on the
-    pruning. ``wide_pair`` is the widest pair whose quotient is at least
+    The frontier is descended depth first in chunks of ``_CHUNK_PAIRS``
+    parent cell pairs, so memory stays bounded. Quotients are evaluated on
+    Morton rows of the pyramid; only node pairs at or above the running
+    floor are mapped to flat grid indices, which order like
+    ``np.argwhere(mask)`` rows. ``best_pair`` is the first pair in that
+    order whose quotient equals the max. It is tracked at level 0 only:
+    every pair attaining the final max reaches level 0 at or above every
+    running floor. So it does not depend on how the frontier falls into
+    chunks. ``wide_pair`` is the widest pair whose quotient is at least
     best * (1 - TIE_RTOL), ties in ``np.argwhere(mask)`` order. Node pairs
     at or above the running floor join a front kept in that order with
     strictly rising quotients: a candidate goes once it falls below the
     floor or a better-ordered one has at least its quotient, so an exact
-    tie keeps one. With best 0, ``wide_pair`` is ``best_pair``.
+    tie keeps one. With best 0 every pair ties, ``best_pair`` is the first
+    two nodes and ``wide_pair`` is ``best_pair``.
 
     Returns (best, best_pair, wide_pair), each pair the node indices
     (index_a, index_b) with a before b in ``np.argwhere(mask)`` order.
     """
-    idx = np.argwhere(mask)
-    if len(idx) < 2:
+    if np.count_nonzero(mask) < 2:
         raise EmptyRegionError("Holder seminorm needs at least two valid nodes")
-    # np.argwhere is column-major; row gathers want rows contiguous
-    coords = np.ascontiguousarray(grid.axis[idx])
-    if u_vals.ndim == grid.n:
-        samples = u_vals[mask][:, None]
-    else:
-        samples = np.stack([comp[mask] for comp in u_vals], axis=1)
-    levels = _pyramid(idx, coords, samples)
+    levels, node = _pyramid(mask, grid.axis, u_vals)
+    pts, vals = levels[0][0], levels[0][2]
     # Node-spacing floor: every computed node-pair distance is at least
     # ``spacing``. A coordinate difference along an axis where the two
     # indices differ is a float subtraction of sorted axis values, monotone
@@ -206,43 +229,52 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
     # pow and in the norm.
     spacing = float(np.diff(grid.axis).min())
 
-    def quotient(pa, pb):
-        # the distance is symmetric in (pa, pb) bit for bit: negation is exact
-        dist = _row_norm(coords.take(pa, axis=0) - coords.take(pb, axis=0))
+    def quotient(ra, rb):
+        # the distance is symmetric in (ra, rb) bit for bit: negation is exact
+        dist = _row_norm(pts.take(ra, axis=0) - pts.take(rb, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = _gap_norm(samples.take(pa, axis=0) - samples.take(pb, axis=0)) / dist**alpha
+            q = _gap_norm(vals.take(ra, axis=0) - vals.take(rb, axis=0)) / dist**alpha
         return np.where(dist > 0, q, 0.0), dist
 
-    node = levels[0][3][:, 0]  # node id of each level-0 row
     fan = 2**grid.n
-    ii, jj = np.repeat(np.arange(fan), fan), np.tile(np.arange(fan), fan)
-    chunk = _MAX_EXPANSION // fan**2
-    best, best_pair = 0.0, (0, 1)
+    ii = np.repeat(np.arange(fan, dtype=np.int32), fan)
+    jj = np.tile(np.arange(fan, dtype=np.int32), fan)
+    # best_pair as flat grid indices (fa < fb), and the quotient it attains
+    best, pair_q, best_pair = 0.0, -1.0, None
     front = (np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
-    stack = [(len(levels) - 1, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))]
+    root = np.zeros(1, dtype=np.int32)
+    stack = [(len(levels) - 1, root, root)]
     while stack:
         level, a, b = stack.pop()
+        # the stack holds int32 rows; take() would convert them on every call
+        a, b = a.astype(np.intp), b.astype(np.intp)
         lo, hi, vmax, imax, vmin, imin, start, count = levels[level]
         if level == 0:
-            pa, pb = node.take(a), node.take(b)
-            q, dist = quotient(pa, pb)
-            k = int(np.argmax(q))
-            if q[k] > best:
-                best, best_pair = float(q[k]), (pa[k], pb[k])
+            q, dist = quotient(a, b)
+            best = max(best, float(q.max()))
             floor = best * (1 - TIE_RTOL)
-            hit = q >= floor
-            if hit.any():
+            hit = np.flatnonzero(q >= floor)
+            if len(hit):
+                # only pairs at or above the floor are mapped to grid indices
+                fa, fb = node.take(a.take(hit)), node.take(b.take(hit))
+                fa, fb = np.minimum(fa, fb), np.maximum(fa, fb)
+                dist, q = dist.take(hit), q.take(hit)
+                top = q.max()
+                if top >= pair_q:
+                    # the first pair in argwhere order attaining ``top``
+                    at = np.flatnonzero(q == top)
+                    j = at[np.lexsort((fb.take(at), fa.take(at)))[0]]
+                    if top > pair_q or (fa[j], fb[j]) < best_pair:
+                        pair_q, best_pair = top, (fa[j], fb[j])
                 # merge into the tie front: widest first, then argwhere
                 # order; keep what is at or above the floor and beats the
                 # quotient of every better-ordered candidate
-                pa, pb = pa[hit], pb[hit]
-                cand = (dist[hit], np.minimum(pa, pb), np.maximum(pa, pb), q[hit])
-                dist, pa, pb, q = (np.concatenate(part) for part in zip(front, cand))
-                order = np.lexsort((pb, pa, -dist))
+                dist, fa, fb, q = (np.concatenate(part) for part in zip(front, (dist, fa, fb, q)))
+                order = np.lexsort((fb, fa, -dist))
                 order = order[q[order] >= floor]
                 lead = np.maximum.accumulate(q[order])
                 order = order[np.append(True, lead[1:] > lead[:-1])]
-                front = (dist[order], pa[order], pb[order], q[order])
+                front = (dist[order], fa[order], fb[order], q[order])
             continue
         lo_a, hi_a, vmax_a, vmin_a = (x.take(a, axis=0) for x in (lo, hi, vmax, vmin))
         lo_b, hi_b, vmax_b, vmin_b = (x.take(b, axis=0) for x in (lo, hi, vmax, vmin))
@@ -256,9 +288,7 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
         pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
         pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
         q, _ = quotient(pa, pb)
-        k = int(np.argmax(q))
-        if q[k] > best:
-            best, best_pair = float(q[k]), (pa[k], pb[k])
+        best = max(best, float(q.max()))
         keep = ub > best * (1 - TIE_RTOL)
         # children of the kept pairs, keeping a <= b: a cell paired with
         # itself yields each unordered child pair once, and no node is
@@ -267,17 +297,23 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
         ok = (ii < count.take(a)[:, None]) & (jj < count.take(b)[:, None])
         ok &= (a != b)[:, None] | ((ii < jj) if level == 1 else (ii <= jj))
         # np.nonzero(ok) by hand: each row of ok holds fan**2 = 2**(2n) flags
-        flat = np.flatnonzero(ok)
-        rows, k = flat >> 2 * grid.n, flat & (fan * fan - 1)
+        rows = np.flatnonzero(ok)
+        k = rows & (fan * fan - 1)
+        rows >>= 2 * grid.n
         ca, cb = start.take(a.take(rows)) + ii.take(k), start.take(b.take(rows)) + jj.take(k)
-        for s in reversed(range(0, len(ca), chunk)):
-            stack.append((level - 1, ca[s : s + chunk], cb[s : s + chunk]))
+        for s in reversed(range(0, len(ca), _CHUNK_PAIRS)):
+            stack.append((level - 1, ca[s : s + _CHUNK_PAIRS], cb[s : s + _CHUNK_PAIRS]))
 
-    # the front was last merged at or after the level-0 visit of the pair
-    # attaining the max, at the final floor, so it holds only final ties
-    best_pair = (idx[min(best_pair)], idx[max(best_pair)])
-    _, pa, pb, _ = front
-    return best, best_pair, ((idx[pa[0]], idx[pb[0]]) if len(pa) else best_pair)
+    # every pair attaining the final max reaches level 0 at or above the
+    # final floor, so best_pair is set unless best is 0, when every pair
+    # ties and the first two nodes are the first pair; the front was last
+    # merged at or after that pair's visit, so it holds only final ties
+    if best_pair is None:
+        best_pair = tuple(np.flatnonzero(mask)[:2])
+    _, fa, fb, _ = front
+    wide_pair = (fa[0], fb[0]) if len(fa) else best_pair
+    ids = np.stack(np.unravel_index([*best_pair, *wide_pair], mask.shape), axis=1)
+    return best, (ids[0], ids[1]), (ids[2], ids[3])
 
 
 def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
@@ -285,10 +321,10 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
 
     ``u_vals`` is a scalar grid array or a stack of vector components.
     Returns (value, (best_pair, wide_pair), "exhaustive") with the node
-    index pairs of ``_holder_pairs``: the first pair met attaining the
-    value, and the widest pair tied with it within ``TIE_RTOL``. Quotients
-    are computed from ``grid.axis`` coordinates, so ``best_pair`` realizes
-    the value exactly.
+    index pairs of ``_holder_pairs``: the first pair in np.argwhere order
+    attaining the value, and the widest pair tied with it within
+    ``TIE_RTOL``. Quotients are computed from ``grid.axis`` coordinates, so
+    ``best_pair`` realizes the value exactly.
     Typical fields prune to a near-linear number of cell pairs: with the
     node-spacing floor white noise evaluates under one candidate pair per
     node. Where nearly every pair comes close to the max nothing prunes: an

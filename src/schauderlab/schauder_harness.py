@@ -401,20 +401,21 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         steps = cfg.blowup_steps
     eta = cutoff(grid, cfg.r, cfg.R).eta
     W = eta * u
+    grad_w = gradient(W)
     if cfg.order == 0:
         scan_values = W.values
         region0 = ball_region(grid, 0.0, cfg.R)
     else:
         # one-node shrink keeps every gradient stencil inside the plateau,
         # so linear fields cancel exactly instead of seeing the ramp
-        scan_values = gradient(W).components
+        scan_values = grad_w.components
         region0 = ball_region(grid, 0.0, cfg.r - grid.h)
 
     spread = np.abs(u.values[region0.mask])
     if spread.size == 0 or spread.max() - spread.min() <= 1e-14 * max(1.0, spread.max()):
         raise NoBlowupPairError("field is constant on the blow-up region")
 
-    grad_w_sup = float(gradient(W).magnitude().values.max())
+    grad_w_sup = float(grad_w.magnitude().values.max())
     eta_lip = float(gradient(eta).magnitude().values.max())
     u_sup = float(np.abs(u.values).max())
 
@@ -431,7 +432,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
         scale_ref = max(grad_w_sup, u_sup, 1.0)
         degenerate = level <= DEGENERATE_SEMINORM_FLOOR * scale_ref
         # the widest pair within TIE_RTOL of the level; a degenerate level
-        # ties almost every pair, so it keeps the first maximizer met
+        # ties almost every pair, so it keeps the first maximizer in argwhere order
         ia_idx, ib_idx = top_pair if degenerate else wide_pair
         if not degenerate:
             qa = _local_quotient(scan_values, u.valid, grid.axis, tuple(ia_idx), cfg.alpha)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ def _all_pair_quotients(grid, mask, vals, alpha):
     return idx, i, j, dist, gap / dist**alpha
 
 
+def _scan_mask(grid, holes):
+    """The ball B(0, 0.8), or its intersection with a valid set full of
+    holes, as blow-ups intersect their scan balls with ``u.valid``. The
+    spike node of ``_tie_fields`` and its neighbours stay valid, so the
+    spike's max stays tied."""
+    mask = ball_region(grid, 0.0, 0.8).mask
+    if holes:
+        valid = np.random.default_rng(grid.m).random(grid.shape) > 0.3
+        valid[(slice(grid.m // 2, grid.m // 2 + 3),) * grid.n] = True
+        mask = mask & valid
+    return mask
+
+
 def _tie_fields(grid, alpha):
     x = grid.coords()
     radius = np.sqrt(sum(c * c for c in x))
@@ -209,7 +223,6 @@ def test_holder_pairs_wide_pair_is_first_widest_tie(n, m, alpha):
     # blow-ups take wide_pair, so it must be the first of the pairs within
     # TIE_RTOL of the max, widest first, then in np.argwhere(mask) order
     grid = make_grid(n, 1.0, m)
-    mask = ball_region(grid, 0.0, 0.8).mask
     fields = _tie_fields(grid, alpha)
     near = {}
     if alpha == 1.0:
@@ -221,16 +234,19 @@ def test_holder_pairs_wide_pair_is_first_widest_tie(n, m, alpha):
         for seed in (37, 38):
             noise = np.random.default_rng(seed).standard_normal(grid.shape)
             near[f"near-affine-{seed}"] = fields["affine"] + 1e-10 * noise
-    for name, vals in {**fields, **near}.items():
-        idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
-        hit = np.flatnonzero(q >= q.max() * (1 - TIE_RTOL))
-        first = hit[np.lexsort((j[hit], i[hit], -dist[hit]))][0]
-        best, _, (wa, wb) = _holder_pairs(grid, mask, vals, alpha)
-        assert best == q.max(), name
-        np.testing.assert_array_equal(wa, idx[i[first]], err_msg=name)
-        np.testing.assert_array_equal(wb, idx[j[first]], err_msg=name)
-        if name in fields:
-            assert (q == q.max()).sum() > 1, name  # the max is tied
+    for holes in (False, True):
+        mask = _scan_mask(grid, holes)
+        for name, vals in {**fields, **near}.items():
+            label = f"{name}, holes {holes}"
+            idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
+            hit = np.flatnonzero(q >= q.max() * (1 - TIE_RTOL))
+            first = hit[np.lexsort((j[hit], i[hit], -dist[hit]))][0]
+            best, _, (wa, wb) = _holder_pairs(grid, mask, vals, alpha)
+            assert best == q.max(), label
+            np.testing.assert_array_equal(wa, idx[i[first]], err_msg=label)
+            np.testing.assert_array_equal(wb, idx[j[first]], err_msg=label)
+            if name in fields:
+                assert (q == q.max()).sum() > 1, label  # the max is tied
 
 
 def test_holder_pairs_constant_field_prunes_at_root(monkeypatch):
@@ -253,18 +269,86 @@ def test_holder_pairs_constant_field_prunes_at_root(monkeypatch):
     np.testing.assert_array_equal(wide_pair, best_pair)
 
 
-@pytest.mark.parametrize("n, m, alpha", [(2, 17, 0.5), (2, 17, 1.0), (3, 9, 0.5)])
+@pytest.mark.parametrize("n, m, alpha", [(2, 17, 0.5), (2, 17, 1.0), (3, 9, 0.5), (3, 9, 1.0)])
 def test_holder_pairs_max_matches_brute_force_and_is_realized(n, m, alpha):
     grid = make_grid(n, 1.0, m)
-    mask = ball_region(grid, 0.0, 0.8).mask
+    fields = _tie_fields(grid, alpha)
+    # fields with one component per axis: the identity map, whose pairs all
+    # tie at alpha = 1 up to rounding, and white noise
+    fields["identity"] = np.stack(grid.coords())
+    fields["noise-vector"] = np.random.default_rng(m).standard_normal((n,) + grid.shape)
+    for holes in (False, True):
+        mask = _scan_mask(grid, holes)
+        for name, vals in fields.items():
+            label = f"{name}, holes {holes}"
+            idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
+            best, (ia, ib), _ = _holder_pairs(grid, mask, vals, alpha)
+            assert best == q.max(), label
+            rows = [int(np.flatnonzero((idx == point).all(axis=1))[0]) for point in (ia, ib)]
+            assert rows[0] < rows[1]
+            realized = q[(i == rows[0]) & (j == rows[1])]
+            assert realized.tolist() == [best], label
+
+
+@pytest.mark.parametrize("chunk", [1, 3, norm_engine._CHUNK_PAIRS])
+@pytest.mark.parametrize(
+    "n, m, alpha, holes", [(2, 17, 0.5, False), (2, 17, 1.0, True), (3, 9, 0.5, False)]
+)
+def test_holder_pairs_best_pair_is_first_maximizer_whatever_the_chunks(
+    n, m, alpha, holes, chunk, monkeypatch
+):
+    # best_pair is the first pair in np.argwhere(mask) order whose quotient
+    # equals the max; the depth-first frontier meets tied maximizers in an
+    # order that depends on its chunk size, so this pins the choice
+    monkeypatch.setattr(norm_engine, "_CHUNK_PAIRS", chunk)
+    grid = make_grid(n, 1.0, m)
+    mask = _scan_mask(grid, holes)
     for name, vals in _tie_fields(grid, alpha).items():
-        idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
-        best, (ia, ib), _ = _holder_pairs(grid, mask, vals, alpha)
-        assert best == q.max(), name
-        rows = [int(np.flatnonzero((idx == point).all(axis=1))[0]) for point in (ia, ib)]
-        assert rows[0] < rows[1]
-        realized = q[(i == rows[0]) & (j == rows[1])]
-        assert realized.tolist() == [best], name
+        idx, i, j, _, q = _all_pair_quotients(grid, mask, vals, alpha)
+        first = np.flatnonzero(q == q.max())[0]
+        _, (ia, ib), _ = _holder_pairs(grid, mask, vals, alpha)
+        np.testing.assert_array_equal(ia, idx[i[first]], err_msg=name)
+        np.testing.assert_array_equal(ib, idx[j[first]], err_msg=name)
+
+
+def _memory_case(name):
+    """(grid, ball radius, field values, alpha) of a scan-memory gate."""
+    if name == "cusp-2d":
+        grid = make_grid(2, 1.0, 513)
+        x, y = grid.coords()
+        values = np.sin(2 * x + y) * np.cos(x - 3 * y) + np.sqrt(np.hypot(x - 0.05, y + 0.03))
+        return grid, 0.8, values, 0.5
+    if name == "cusp-3d":
+        grid = make_grid(3, 1.0, 65)
+        x, y, z = grid.coords()
+        cusp = np.sqrt(np.sqrt((x - 0.05) ** 2 + (y + 0.03) ** 2 + z**2))
+        return grid, 0.8, np.sin(2 * x + y) * np.cos(x - 3 * z) + cusp, 0.5
+    grid = make_grid(2, 1.0, 129)
+    return grid, 0.6, grid.coords()[0], 1.0  # affine at alpha = 1: nothing prunes
+
+
+@pytest.mark.parametrize(
+    "name, nodes, bound",
+    [("cusp-2d", 131753, 130), ("cusp-3d", 70319, 200), ("affine-2d", 4637, 3000)],
+)
+def test_holder_scan_peak_memory_per_node(name, nodes, bound):
+    # Peak scan scratch in bytes per scanned node. The pyramid holds about
+    # 58 B per node for a scalar field (2-D and 3-D) and the frontier chunks
+    # the rest: 85, 153 and 1 651 B per node here. A scan that also holds
+    # the argwhere rows and a row-major copy of the nodes, and expands 2^19
+    # child pairs per 2-D chunk, peaks at 189, 241 and 7 710 B per node.
+    grid, radius, values, alpha = _memory_case(name)
+    u, region = Field(grid, values), ball_region(grid, 0.0, radius)
+    assert region.mask.sum() == nodes
+    small = make_grid(2, 1.0, 17)  # first-call allocations happen here
+    holder_seminorm(Field(small, small.coords()[0] ** 2), 0.5, ball_region(small, 0.0, 0.8))
+    tracemalloc.start()
+    try:
+        holder_seminorm(u, alpha, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * nodes, f"peak {peak / 1e6:.1f} MB = {peak / nodes:.0f} B/node"
 
 
 def test_holder_scan_prunes_white_noise_to_linear_work(monkeypatch):
