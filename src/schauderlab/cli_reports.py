@@ -27,22 +27,25 @@ from pathlib import Path
 import numpy as np
 
 from . import degiorgi, generators, liouville_lab
-from .caccioppoli import caccioppoli_check, empirical_constant, truncated_caccioppoli
-from .domain_grid import MIN_BAND_NODES, box_region, make_grid
+from .caccioppoli import caccioppoli_check, empirical_constant
+from .domain_grid import MIN_BAND_NODES, make_grid
 from .elliptic_solver import solve_dirichlet
 from .errors import (
     DegreeUndetectedError,
+    GridTooCoarseError,
+    KernelUnderResolvedError,
     NotHarmonicParametersError,
     NothingToPlotError,
     SchauderLabError,
 )
-from .field_calculus import Field, mollify
-from .norm_engine import lp_norm
+from .field_calculus import Field
 from .schauder_harness import (
     SchauderConfig,
     admissible_alpha,
     blowup_sequence,
     bootstrap_ckalpha,
+    check_eps_schedule,
+    inner_box,
     measure_pointwise_exponent,
     regularize_approximate,
     schauder_ratio,
@@ -60,7 +63,7 @@ PARAMS = {
     "schauder": {"s": 0.5, "ensemble": 10},
     "blowup": {"alpha": 0.5, "steps": 2},
     "bootstrap": {"k": 2, "alpha": 0.4},
-    "mollify": {"fields": 100, "eps_schedule": None},
+    "mollify": {"eps_schedule": None},
 }
 COMMANDS = tuple(PARAMS)
 CONFIG_KEYS = {"command", "seed", "resolution", "out", "params"}
@@ -107,6 +110,13 @@ def _between(key, lo, hi):
     return key, lambda p: lo < p[key] < hi, f"lie in ({lo}, {hi})"
 
 
+# 0 < r < R <= 1: the ball of radius R stays in the unit box
+_RADII = (
+    ("r", lambda p: 0 < p["r"] < p["R"], "satisfy 0 < r < R"),
+    ("R", lambda p: p["R"] <= 1, "be at most 1, the box half-width"),
+)
+
+
 # Range of each bounded param, checked on the completed params once their
 # types are: per command, (key, test, what the key must be).
 _RANGES = {
@@ -115,15 +125,8 @@ _RANGES = {
          lambda p: _ladder(p["resolutions"], True) and all(map(_odd_nodes, p["resolutions"])),
          "be at least two increasing odd whole numbers >= 3"),
     ),
-    "caccioppoli": (
-        _count("ensemble"),
-        ("r", lambda p: 0 < p["r"] < p["R"] <= 1, "satisfy 0 < r < R <= 1"),
-    ),
-    "degiorgi": (
-        _count("ensemble"),
-        ("r", lambda p: 0 < p["r"] < p["R"], "satisfy 0 < r < R"),
-        _count("k_max", 3),
-    ),
+    "caccioppoli": (_count("ensemble"), *_RADII),
+    "degiorgi": (_count("ensemble"), *_RADII, _count("k_max", 3)),
     "liouville": (
         ("scales", lambda p: p["scales"] is None or (
             isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
@@ -134,7 +137,6 @@ _RANGES = {
     "blowup": (_between("alpha", 0, 1), _count("steps")),
     "bootstrap": (("k", lambda p: p["k"] in (2, 3), "be 2 or 3"), _between("alpha", 0, 1)),
     "mollify": (
-        _count("fields"),
         ("eps_schedule", lambda p: p["eps_schedule"] is None or (
             _ladder(p["eps_schedule"], False) and p["eps_schedule"][-1] > 0),
          "be null or at least two strictly decreasing positive radii"),
@@ -147,11 +149,13 @@ def _least_resolution(command: str, p: dict) -> int:
     runner, 3 if it has none; degiorgi checks its ladder on its own.
 
     A cutoff band must span MIN_BAND_NODES spacings (caccioppoli, blowup,
-    bootstrap). Liouville's harmonic gate needs 5 nodes per axis, schauder
-    three populated shells in _SCHAUDER_SHELLS, and the default mollify
-    schedule an 8h kernel inside the 3/4 inner box; any mollify schedule
-    needs a 4h contraction kernel inside the box. Running each command at
-    every odd resolution from 3 up gives the same minima at the defaults.
+    bootstrap). Liouville's harmonic gate needs 5 nodes per axis and
+    schauder three populated shells in _SCHAUDER_SHELLS. A mollify kernel
+    must fit the margin of the inner box: the default schedule starts with
+    an 8h kernel, 7 nodes in radius; an explicit one has eps_0 > eps_1 >= 2h,
+    so its first kernel is at least 2 nodes in radius, and whether its own
+    kernels fit is checked on top. Running each command at every odd
+    resolution from 3 up gives the same minima at the defaults.
     """
     def spanning(band: float) -> int:
         m = 3
@@ -166,7 +170,10 @@ def _least_resolution(command: str, p: dict) -> int:
     if command == "bootstrap":
         return spanning(float(np.diff(np.geomspace(*_BOOTSTRAP_RADII, int(p["k"]) + 1)).min()))
     if command == "mollify":
-        return 51 if p["eps_schedule"] is None else 11
+        m = 3
+        while inner_box(make_grid(2, 1.0, m))[1] < (7 if p["eps_schedule"] is None else 2):
+            m += 2
+        return m
     return {"liouville": 5, "schauder": 13}.get(command, 3)
 
 
@@ -184,9 +191,10 @@ class ExperimentConfig:
     ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
     every param with a numeric default must be numbers (not bools),
     ``resolution`` an odd node count no smaller than _least_resolution and
-    every param in its _RANGES range; otherwise a ValueError names the key,
-    before any solve or output, as does a domain error for degiorgi
-    exponents or a ladder finer than 4h."""
+    every param in its _RANGES range, and an explicit mollify eps_schedule
+    must fit the grid; otherwise a ValueError names the key, before any
+    solve or output, as does a domain error for degiorgi exponents or a
+    ladder finer than 4h."""
 
     command: str
     out_dir: Path | None = None
@@ -221,6 +229,14 @@ class ExperimentConfig:
             p = self.params
             params = degiorgi.DeGiorgiParams(n=2, p=p["p"], q=p["q"], r=p["r"], R=p["R"], k_max=p["k_max"])
             params.require_resolved_ladder(make_grid(2, 1.0, self.resolution).h)
+        if self.command == "mollify" and self.params["eps_schedule"] is not None:
+            grid = make_grid(2, 1.0, self.resolution)
+            try:
+                check_eps_schedule(grid, self.params["eps_schedule"])
+            except (GridTooCoarseError, KernelUnderResolvedError, ValueError) as exc:
+                raise ValueError(
+                    f"mollify 'eps_schedule' does not fit resolution {self.resolution}: {exc}"
+                ) from exc
         if self.command == "liouville" and self.params["generator"] not in _LIOUVILLE_KINDS:
             raise ValueError(
                 f"unknown liouville generator {self.params['generator']!r}; known: {_LIOUVILLE_KINDS}"
@@ -355,27 +371,17 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     grid = make_grid(2, 1.0, m)
 
     def member(k):
-        # the report, the truncated ratio at the median level and (lam, Lam, L);
-        # the solution is dropped here
+        # the report and (lam, Lam, L); the solution is dropped here
         sol = solve_dirichlet(generators.random_problem(grid, np.random.default_rng([cfg.seed, k])))
         A = sol.problem.A
-        truncated = truncated_caccioppoli(sol, float(np.median(sol.u.values)), "plus", r, R)
-        return caccioppoli_check(sol, r, R), truncated.ratio, (A.lam, A.Lam, A.L)
+        return caccioppoli_check(sol, r, R), (A.lam, A.Lam, A.L)
 
-    results = _members(member, size)
-    constant, reports = empirical_constant([(rep, cert) for rep, _, cert in results])
+    constant, reports = empirical_constant(_members(member, size))
     tables = {
         "caccioppoli_reports.csv": _reports_csv(reports),
         "caccioppoli_reports.json": "[" + ",\n".join(rep.to_json() for rep in reports) + "]\n",
     }
-    verdict.ok(
-        "caccioppoli_ratios_finite",
-        all(math.isfinite(rep.ratio) for rep in reports),
-        f"{len(reports)} instances at m={m}",
-    )
     verdict.observed("caccioppoli_empirical_constant", f"max ratio {constant:.4f} over {size} instances")
-    trunc_ok = all(math.isfinite(ratio) for _, ratio, _ in results)
-    verdict.ok("truncated_caccioppoli_ratios_finite", trunc_ok, f"level = per-instance median, {size} instances")
     return {"constant": constant, "ensemble": size, "m": m}, tables
 
 
@@ -385,12 +391,6 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     params = degiorgi.DeGiorgiParams(
         n=2, p=float(cfg.params["p"]), q=float(cfg.params["q"]), r=float(cfg.params["r"]),
         R=float(cfg.params["R"]), k_max=int(cfg.params["k_max"]),
-    )
-    gamma = degiorgi.gamma_exponent(3, 2.0, 4.0, 6.0)
-    verdict.ok(
-        "gamma_formula_hand_value",
-        math.isclose(gamma, 1.0 / 6.0, rel_tol=1e-12),
-        f"gamma(n=3, tau=6, p=2, q=4) = {gamma!r} vs 1/6",
     )
     grid = make_grid(2, 1.0, m)
 
@@ -411,11 +411,10 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         return theta, report, degiorgi.truncation_sequence(u, params, sign="auto")
 
     rows = []
-    all_ok = all_mono = True
+    all_ok = True
     min_fit = float("inf")
     for k, (theta, report, trace) in enumerate(_members(verify, size)):
         all_ok &= report.verified
-        all_mono &= trace.monotone()
         if not math.isnan(trace.fitted_exponent):
             min_fit = min(min_fit, trace.fitted_exponent)
         else:
@@ -431,19 +430,7 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     names = ["instance", "theta", "sign", "verified", "fitted_exponent", "pairs"] + [
         f"E{j}" for j in range(params.k_max + 1)
     ]
-    tables = {
-        "degiorgi_traces.csv": csv_text(names, rows),
-        "degiorgi_summary.json": json.dumps(
-            {
-                "delta": delta, "delta_bound": bound, "gamma": params.gamma, "tau": params.tau,
-                "ensemble": size, "m": m, "min_fitted_exponent": min_fit,
-                "series_sums": params.series_sums,
-            },
-            indent=2,
-        ),
-    }
     verdict.ok("no_spike_all_instances", all_ok, f"{size} normalized instances, delta = {delta:.6g}")
-    verdict.ok("iteration_traces_monotone", all_mono, "E_{k+1} <= E_k on every trace")
     verdict.ok(
         "fitted_decay_superlinear",
         min_fit >= 1.0 + params.gamma / 2,
@@ -452,7 +439,11 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     clamp = "binds" if bound > degiorgi.DELTA_CEILING else "does not bind"
     verdict.observed("delta_calibrated", f"delta = {delta!r} frozen for this configuration; "
                      f"bound min (denom/sup)^2 = {bound!r}, clamp {degiorgi.DELTA_CEILING!r} {clamp}")
-    return {"delta": delta, "delta_bound": bound, "gamma": params.gamma, "min_fit": min_fit}, tables
+    summary = {
+        "delta": delta, "delta_bound": bound, "gamma": params.gamma, "tau": params.tau,
+        "ensemble": size, "m": m, "min_fit": min_fit, "series_sums": params.series_sums,
+    }
+    return summary, {"degiorgi_traces.csv": csv_text(names, rows)}
 
 
 def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
@@ -511,7 +502,7 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         )
         summary["degree"] = degree
     summary["max_window_slope"] = growth["max_slope"]
-    return summary, {"liouville_scan.csv": table, "liouville_summary.json": json.dumps(summary, indent=2)}
+    return summary, {"liouville_scan.csv": table}
 
 
 def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
@@ -536,8 +527,6 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         return schauder_ratio(solve_dirichlet(problem), scfg)
 
     reports = _members(member, size)
-    finite = all(math.isfinite(rep.ratio) for rep in reports)
-    verdict.ok("schauder_ratios_finite", finite, f"{size} rough-coefficient instances, alpha = {alpha}")
     verdict.observed(
         "schauder_max_ratio", f"{max(rep.ratio for rep in reports):.4f} at m = {m}"
     )
@@ -552,7 +541,6 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=_BLOWUP_RADII[0], R=_BLOWUP_RADII[1])
     record = blowup_sequence(u, scfg, steps=int(cfg.params["steps"]))
     step = record.steps[0]
-    centre = tuple(step.v.grid.m // 2 for _ in range(grid.n))
     rows = [
         {
             "step": k, "x": str(st.x), "y": str(st.y), "separation": st.separation,
@@ -562,7 +550,6 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         for k, st in enumerate(record.steps)
     ]
     table = csv_text(["step", "x", "y", "separation", "level", "v_seminorm", "fit"], rows)
-    verdict.ok("blowup_origin_pinned", step.v.values[centre] == 0.0, "v(0) = 0 exactly")
     verdict.ok(
         "blowup_seminorm_normalized", step.v_seminorm <= 1.05,
         f"[v] = {step.v_seminorm:.4f} <= 1.05",
@@ -587,12 +574,6 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
             rows.append({"level": level, "inequality": rep.inequality,
                          "lhs": rep.lhs, "rhs": rep.rhs_total, "ratio": rep.ratio})
     table = csv_text(["level", "inequality", "lhs", "rhs", "ratio"], rows)
-    finite = all(math.isfinite(row["ratio"]) for row in rows)
-    verdict.ok("bootstrap_levels_finite", finite, f"{len(rows)} stage estimates")
-    verdict.ok(
-        "bootstrap_assembly_consistent", report.consistent,
-        f"direct norm {report.assembled_norm:.4f} <= assembled bound {report.assembly_bound:.4f}",
-    )
     verdict.observed("bootstrap_chained_constant", f"{report.chained_constant:.4f}")
     return {"chained": report.chained_constant}, {"bootstrap_levels.csv": table}
 
@@ -600,18 +581,7 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     grid = make_grid(2, 1.0, m)
-    rng = np.random.default_rng(cfg.seed)
-    box = box_region(grid)
-    contraction_ok = True
-    trials = int(cfg.params["fields"])
-    for _ in range(trials):
-        g_field = Field(grid, rng.standard_normal(grid.shape))
-        smooth = mollify(g_field, 4 * grid.h)
-        contraction_ok &= (
-            lp_norm(smooth, 2, box).value <= lp_norm(g_field, 2, box).value
-        )
-    verdict.ok("mollifier_l2_contraction", contraction_ok, f"{trials} random fields, exact inequality")
-    problem = generators.random_problem(grid, rng, rough_alpha=0.4)
+    problem = generators.random_problem(grid, np.random.default_rng(cfg.seed), rough_alpha=0.4)
     schedule = cfg.params["eps_schedule"]
     if schedule is None:
         schedule = [8 * grid.h, 4 * grid.h, 2 * grid.h * 1.01]
@@ -620,8 +590,6 @@ def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     verdict.ok("approximation_h1_decreasing", record.decreasing,
                f"gaps {['%.3e' % row['h1_gap'] for row in record.rows]}")
     verdict.ok("approximation_l2_bound", record.l2_bound_ok, "||u_eps||_2 <= 2 ||u||_2")
-    verdict.ok("mollified_ellipticity_envelope", record.ellipticity_ok,
-               "lam_eps >= lam, Lam_eps <= Lam, L_eps <= L")
     return {"gaps": [row["h1_gap"] for row in record.rows]}, {"mollify_convergence.csv": table}
 
 
@@ -706,9 +674,9 @@ def emit_plots(report_dir) -> list:
             text = text.replace("{last}", str(len(header)))
         if "{slope}" in text:
             slope = ""
-            summary = report_dir / "liouville_summary.json"
+            summary = report_dir / "summary.json"
             if summary.exists():
-                slope = f"{json.loads(summary.read_text()).get('slope_k1', float('nan')):.3f}"
+                slope = f"{json.loads(summary.read_text())['summary'].get('slope_k1', float('nan')):.3f}"
             text = text.replace("{slope}", slope)
         (report_dir / script_name).write_text(text)
         written.append(script_name)

@@ -11,9 +11,10 @@ The operator is kept as a stencil table: one weight row per offset, in the
 column layout of ``scipy.sparse.dia_matrix``. A solve applies it through
 dia_matrix row blocks that view the one table, builds each coarser
 multigrid operator R A R^T from the finer table in closed form, one axis at
-a time, and densifies only the coarsest. No CSR copy of the operator and no
-product of two sparse matrices is formed; ``LinearSystem.matrix`` gives the
-CSR operator to a caller that asks for it.
+a time, and densifies only the coarsest, through its CSR of at most
+COARSEST_UNKNOWNS rows. No CSR copy of a finer operator and no product of
+two sparse matrices is formed; ``LinearSystem.matrix`` gives the CSR
+operator to a caller that asks for it.
 """
 
 from __future__ import annotations
@@ -450,18 +451,6 @@ def _dense_inverse(matrix: np.ndarray) -> np.ndarray:
     return work[:, size:].copy()
 
 
-def _densify(offsets: tuple, table: np.ndarray, per_axis: int) -> np.ndarray:
-    """Dense matrix of a column-layout table."""
-    size = table.shape[1]
-    dense = np.zeros((size, size))
-    columns = np.arange(size).reshape((per_axis,) * len(offsets[0]))
-    for offset, weights in zip(offsets, table):
-        reach = _reach(offset, per_axis)
-        cols = columns[reach].ravel()
-        dense[cols - _flat_shift(offset, per_axis), cols] = weights.reshape(columns.shape)[reach].ravel()
-    return dense
-
-
 def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
     """The operator of a column-layout table as row blocks of at most
     BLOCK_ROWS rows, each a dia_matrix view of the whole table.
@@ -589,7 +578,7 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple
         levels.append((apply, R.T, R, JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
         offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
-    return levels, _dense_inverse(_densify(offsets, table, per_axis))
+    return levels, _dense_inverse(_csr(offsets, table, per_axis).toarray())
 
 
 def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:

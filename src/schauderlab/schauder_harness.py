@@ -35,6 +35,7 @@ from .errors import (
 )
 from .field_calculus import (
     Field,
+    Mollifier,
     VecField,
     _band_clear,
     central_difference,
@@ -120,7 +121,6 @@ class SchauderConfig:
     r: float
     R: float
     q: float | None = None
-    blowup_steps: int = 3
 
     def __post_init__(self):
         if self.order not in (0, 1):
@@ -385,9 +385,9 @@ def _sample_window(field_values, grid: Grid, base, r_sep, window: Grid):
     return np.where(ok, vals, 0.0), ok
 
 
-def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> BlowupRecord:
+def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
     """Extract a blow-up sequence from one field by repeatedly shrinking the
-    pair-search region around the seminorm argmax.
+    pair-search region around the seminorm argmax, for at most ``steps`` steps.
 
     Order 0 rescales (eta u)(x_k + r_k x) around the Holder argmax pair of
     eta u over the support ball; order 1 works on grad(eta u) over the
@@ -397,8 +397,6 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int | None = None) -> 
     local Holder quotient (the more singular end).
     """
     grid = u.grid
-    if steps is None:
-        steps = cfg.blowup_steps
     eta = cutoff(grid, cfg.r, cfg.R).eta
     W = eta * u
     grad_w = gradient(W)
@@ -557,21 +555,44 @@ def restrict_problem_data(problem: EllipticProblem, u_boundary: Field, j: int):
     return _problem_on(sub, problem, restrict, Field(sub, restrict(u_boundary))), sub
 
 
-def regularize_approximate(problem: EllipticProblem, eps_schedule) -> ApproximationRecord:
-    """Mollify the data, solve on the inner box with the reference solution as
-    boundary data, and track the H^1 distance along the schedule.
+def inner_box(grid: Grid) -> tuple:
+    """(j, margin) of the inner box regularize_approximate solves on: it
+    spans j nodes on each side of the centre, j h at most 3/4 of the
+    half-width (the classical placement), and leaves margin = m // 2 - j
+    nodes to the boundary, which a kernel's node radius must not exceed."""
+    j = int(math.floor(0.75 * grid.half_width / grid.h + 1e-9))
+    return j, grid.m // 2 - j
 
-    The inner box mirrors the classical 3/4 placement; every mollified
-    coefficient inherits the ellipticity envelope (convex averaging), which
-    is re-certified and checked per epsilon.
-    """
-    grid = problem.grid
+
+def check_eps_schedule(grid: Grid, eps_schedule) -> list:
+    """The schedule as floats once regularize_approximate can run it: it
+    must be strictly decreasing (ValueError), every eps at least 2h
+    (KernelUnderResolvedError) and every kernel inside the inner box's
+    margin (GridTooCoarseError). No solve is made."""
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("epsilon schedule must be strictly decreasing")
+    _, margin = inner_box(grid)
+    for eps in eps_schedule:
+        if Mollifier(grid, eps).radius_nodes > margin:
+            raise GridTooCoarseError(
+                f"eps = {eps:.4g} kernel exceeds the {margin}-node margin of the inner box"
+            )
+    return eps_schedule
+
+
+def regularize_approximate(problem: EllipticProblem, eps_schedule) -> ApproximationRecord:
+    """Mollify the data, solve on the inner box with the reference solution as
+    boundary data, and track the H^1 distance along the schedule, which
+    check_eps_schedule vets before any solve.
+
+    Every mollified coefficient inherits the ellipticity envelope (convex
+    averaging), which is re-certified and checked per epsilon.
+    """
+    grid = problem.grid
+    eps_schedule = check_eps_schedule(grid, eps_schedule)
     reference = solve_dirichlet(problem)
-    j = int(math.floor(0.75 * grid.half_width / grid.h + 1e-9))
-    margin = grid.m // 2 - j
+    j, _ = inner_box(grid)
     inner_hw = j * grid.h
     sub = make_grid(grid.n, inner_hw, 2 * j + 1)
     ref_l2 = lp_norm(reference.u, 2, ball_region(grid, 0.0, grid.half_width)).value
@@ -581,10 +602,6 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule) -> Approximat
     rows = []
     ell_ok = True
     for eps in eps_schedule:
-        if int(np.ceil(eps / grid.h)) - 1 > margin:
-            raise GridTooCoarseError(
-                f"eps = {eps:.4g} kernel exceeds the {margin}-node margin of the inner box"
-            )
         # mollified data lives on the eps-interior; restrict to the inner box
         # before re-certifying ellipticity (zeros outside would fail the gate)
         sub_problem = _problem_on(

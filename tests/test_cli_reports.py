@@ -165,13 +165,12 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["degiorgi", "--config", str(path), "--out", str(tmp_path / key)]) == 2
         assert rule in capsys.readouterr().err
         assert not (tmp_path / key).exists()
-    # too coarse a resolution is rejected up front; a runner's own domain
-    # check mid-run leaves no output directory either, because run() makes
-    # it only after the runner returns
+    # too coarse a resolution, a kernel that leaves the inner box and a ball
+    # that leaves the box are rejected up front and leave no output directory
     rejected = [
         *({"command": c, "resolution": 9} for c in ("caccioppoli", "schauder", "blowup", "bootstrap", "mollify")),
         {"command": "liouville", "resolution": 3},
-        {"command": "mollify", "params": {"fields": 1, "eps_schedule": [0.9, 0.5]}},
+        {"command": "mollify", "params": {"eps_schedule": [0.9, 0.5]}},
         {"command": "caccioppoli", "params": {"ensemble": 2, "r": 0.9, "R": 0.95}},
         {"command": "degiorgi", "params": {"ensemble": 2, "R": 5}},
     ]
@@ -191,7 +190,7 @@ def test_main_exit_codes(tmp_path, capsys):
     ("bootstrap", {}, 43),
     ("bootstrap", {"k": 3}, 69),
     ("mollify", {}, 51),
-    ("mollify", {"fields": 3, "eps_schedule": [0.55, 0.45]}, 11),
+    ("mollify", {"eps_schedule": [0.55, 0.45]}, 11),
 ])
 def test_smallest_resolution(tmp_path, capsys, command, params, least):
     # one step below the smallest working resolution is a configuration
@@ -274,8 +273,8 @@ def test_degiorgi_retains_little_per_member(tmp_path):
 
 
 def test_caccioppoli_retains_little_per_member(tmp_path):
-    # Each member keeps its report, truncated ratio and certificate, a few kB;
-    # keeping its solution costs about 1.25 MB, its u alone 0.13 MB.
+    # Each member keeps its report and certificate, a few kB; keeping its
+    # solution costs about 1.25 MB, its u alone 0.13 MB.
     assert _peak_growth_per_member("caccioppoli", tmp_path) <= 0.1e6
 
 
@@ -367,7 +366,7 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     ({"command": "caccioppoli", "params": {"r": True}}, "r"),
     ({"command": "degiorgi", "params": {"ensemble": 0}}, "ensemble"),
     ({"command": "schauder", "params": {"ensemble": 0}}, "ensemble"),
-    ({"command": "mollify", "params": {"fields": -1}}, "fields"),
+    ({"command": "degiorgi", "params": {"R": 5}}, "R"),  # the ball leaves the box
     ({"command": "degiorgi", "params": {"k_max": -1}}, "k_max"),
     ({"command": "bootstrap", "params": {"k": 0}}, "k"),
     ({"command": "blowup", "params": {"steps": 0}}, "steps"),
@@ -381,6 +380,9 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     ({"command": "blowup", "params": {"alpha": 1.0}}, "alpha"),
     ({"command": "bootstrap", "params": {"alpha": 0}}, "alpha"),
     ({"command": "liouville", "params": {"scales": [-1, 0.5]}}, "scales"),
+    # the first kernel leaves the inner box's margin, and an eps falls below 2h
+    ({"command": "mollify", "params": {"eps_schedule": [0.3, 0.2, 0.19]}}, "eps_schedule"),
+    ({"command": "mollify", "resolution": 11, "params": {"eps_schedule": [0.2, 0.1]}}, "eps_schedule"),
 ])
 def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
     path = tmp_path / "cfg.json"

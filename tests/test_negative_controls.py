@@ -1,0 +1,48 @@
+"""Negative controls: configs that drive named CLI checks to FAIL.
+
+A PASS line is a measurement only if some input turns it into FAIL. Each
+config below makes exactly the named checks fail, and the command exits 1
+with every other check still printed.
+"""
+
+import json
+
+import pytest
+
+from schauderlab.cli_reports import main
+
+CONTROLS = [
+    # the saddle grows like |x|^2, above a growth tag of 1.5, and its
+    # detected degree 2 exceeds floor(1.5)
+    pytest.param(
+        {"command": "liouville", "params": {"gamma": 1.5}},
+        {"growth_tag_verified", "degree_within_growth_tag"},
+        id="liouville-growth-tag-below-field",
+    ),
+    # 33 -> 49 nodes is not a halving of h, so the error ratio reads 2.25,
+    # not the 4 of second order
+    pytest.param(
+        {"command": "solve", "params": {"resolutions": [33, 49]}},
+        {"manufactured_convergence_order"},
+        id="solve-ladder-not-halving",
+    ),
+    # e^{x} sin(y) grows faster than any polynomial, but no window slope
+    # reaches a growth tag of 100, so growth is not rejected
+    pytest.param(
+        {"command": "liouville", "params": {"generator": "counterexample", "gamma": 100}},
+        {"superpolynomial_growth_rejected"},
+        id="counterexample-growth-tag-too-high",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, failing", CONTROLS)
+def test_control_fails_exactly_the_named_checks(tmp_path, capsys, spec, failing):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, **spec}))
+    out = tmp_path / "r"
+    assert main([spec["command"], "--config", str(path), "--out", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == (out / "verdict.txt").read_text().splitlines()
+    statuses = {line.split()[1].rstrip(":"): line.split()[0] for line in printed}
+    assert {name for name, status in statuses.items() if status == "FAIL"} == failing

@@ -219,7 +219,7 @@ def test_blowup_takes_widest_tied_pair(cusp_record):
 def test_blowup_constant_rejected(grid65):
     cfg = SchauderConfig(order=0, alpha=0.5, p=4.0, q=8.0, r=0.2, R=0.8)
     with pytest.raises(NoBlowupPairError):
-        blowup_sequence(Field.full(grid65, 1.0), cfg)
+        blowup_sequence(Field.full(grid65, 1.0), cfg, steps=1)
 
 
 def test_blowup_order1_linear_cancellation(grid129):
