@@ -481,7 +481,7 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         verdict.ok(
             "superpolynomial_growth_rejected",
             not growth["verified"],
-            f"max window slope {growth['max_slope']:.2f} exceeds gamma = {gamma}",
+            f"max window slope {growth['max_slope']:.2f}, target > {_growth_limit(gamma)}",
         )
         try:
             liouville_lab.polynomial_degree_detect(fam)
@@ -493,16 +493,22 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     else:
         verdict.ok(
             "growth_tag_verified", growth["verified"],
-            f"max window slope {growth['max_slope']:.3f} <= gamma = {gamma}",
+            f"max window slope {growth['max_slope']:.3f}, target <= {_growth_limit(gamma)}",
         )
         degree = liouville_lab.polynomial_degree_detect(fam)
         verdict.ok(
             "degree_within_growth_tag", degree <= math.floor(gamma),
-            f"detected degree {degree} <= floor(gamma) = {math.floor(gamma)}",
+            f"detected degree {degree}, target <= floor(gamma) = {math.floor(gamma)}",
         )
         summary["degree"] = degree
     summary["max_window_slope"] = growth["max_slope"]
     return summary, {"liouville_scan.csv": table}
+
+
+def _growth_limit(gamma: float) -> str:
+    """The window-slope bound of ``verify_growth``, as printed in verdicts."""
+    slack = liouville_lab.GROWTH_SLOPE_SLACK
+    return f"gamma + {slack} = {gamma + slack:g}"
 
 
 def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:

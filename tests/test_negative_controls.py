@@ -46,3 +46,31 @@ def test_control_fails_exactly_the_named_checks(tmp_path, capsys, spec, failing)
     assert printed == (out / "verdict.txt").read_text().splitlines()
     statuses = {line.split()[1].rstrip(":"): line.split()[0] for line in printed}
     assert {name for name, status in statuses.items() if status == "FAIL"} == failing
+
+
+# A FAIL line states what was measured and what the gate asked for, so it
+# never reads as the gate holding.
+FAIL_LINES = [
+    pytest.param(
+        CONTROLS[0].values[0],
+        [
+            "FAIL growth_tag_verified: max window slope 2.000, target <= gamma + 0.02 = 1.52",
+            "FAIL degree_within_growth_tag: detected degree 2, target <= floor(gamma) = 1",
+        ],
+        id="liouville-growth-tag-below-field",
+    ),
+    pytest.param(
+        CONTROLS[2].values[0],
+        ["FAIL superpolynomial_growth_rejected: max window slope 22.72, target > gamma + 0.02 = 100.02"],
+        id="counterexample-growth-tag-too-high",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, lines", FAIL_LINES)
+def test_fail_lines_state_measurement_and_target(tmp_path, capsys, spec, lines):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, **spec}))
+    assert main([spec["command"], "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("FAIL")] == lines
