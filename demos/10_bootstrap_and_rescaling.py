@@ -29,7 +29,7 @@ print(f"chained constant (observed): {report.chained_constant:.4f}")
 
 print("\n== transporting the H^2 constant to radius t ==")
 for t in (1.0, 0.5, 0.25):
-    print(f"t = {t}:  C -> {rescale_estimate(1.0, t, 'h2')}")
+    print(f"t = {t}:  C -> {rescale_estimate(1.0, t)}")
 
 print("\n== zoomed solve equals the direct subgrid solve ==")
 reference = solve_dirichlet(problem)

@@ -130,8 +130,9 @@ _RANGES = {
     "liouville": (
         ("scales", lambda p: p["scales"] is None or (
             isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
-            and all(_is_number(r) and r > 0 for r in p["scales"])),
-         "be null or at least four positive radii"),
+            and all(_is_number(r) and r > 0 for r in p["scales"])
+            and len(set(p["scales"])) == len(p["scales"])),
+         "be null or at least four distinct positive radii"),
     ),
     "schauder": (_between("s", 0, 2), _count("ensemble")),
     "blowup": (_between("alpha", 0, 1), _count("steps")),
@@ -614,7 +615,8 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> Verdict:
     """Execute one experiment, then write its tables, summary.json and
     verdict.txt under ``cfg.out_dir``. The directory is made only once the
-    runner has returned, so a run that raises leaves no output behind."""
+    runner has returned, so a run that raises leaves no output behind.
+    summary.json is strict JSON: a non-finite number is written as null."""
     verdict = Verdict()
     summary, tables = _RUNNERS[cfg.command](cfg, verdict)
     payload = {
@@ -622,7 +624,8 @@ def run(cfg: ExperimentConfig) -> Verdict:
         "summary": summary,
         "checks": [{"status": s, "name": n, "detail": d} for s, n, d in verdict.checks],
     }
-    tables["summary.json"] = json.dumps(payload, indent=2)
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, +-Infinity: null
+    tables["summary.json"] = json.dumps(strict, indent=2, allow_nan=False)
     tables["verdict.txt"] = verdict.text()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in tables.items():
@@ -679,11 +682,9 @@ def emit_plots(report_dir) -> list:
             header = source.read_text().splitlines()[0].split(",")
             text = text.replace("{last}", str(len(header)))
         if "{slope}" in text:
-            slope = ""
             summary = report_dir / "summary.json"
-            if summary.exists():
-                slope = f"{json.loads(summary.read_text())['summary'].get('slope_k1', float('nan')):.3f}"
-            text = text.replace("{slope}", slope)
+            slope = json.loads(summary.read_text())["summary"].get("slope_k1") if summary.exists() else None
+            text = text.replace("{slope}", "" if slope is None else f"{slope:.3f}")
         (report_dir / script_name).write_text(text)
         written.append(script_name)
     if not written:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caccioppoli import EstimateReport
-from .domain_grid import ball_region, nested_radii, truncation_levels
+from .domain_grid import MIN_BAND_NODES, ball_region, nested_radii, truncation_levels
 from .errors import (
     CalibrationRequiredError,
     GridTooCoarseError,
@@ -107,10 +107,10 @@ class DeGiorgiParams:
         self.gamma = gamma_exponent(self.n, self.p, self.q, self.tau)
 
     def require_resolved_ladder(self, h: float) -> None:
-        """Raise unless the finest radius step (R - r) 2^-k_max spans 4h."""
+        """Raise unless the finest radius step (R - r) 2^-k_max spans MIN_BAND_NODES h."""
         step = (self.R - self.r) * 2.0 ** (-self.k_max)
-        if step < 4 * h:
-            raise GridTooCoarseError(f"r_kmax - r = {step:.4g} < 4h; shrink k_max or refine the grid")
+        if step < MIN_BAND_NODES * h:
+            raise GridTooCoarseError(f"r_kmax - r = {step:.4g} < {MIN_BAND_NODES}h; shrink k_max or refine the grid")
 
     @property
     def series_sums(self) -> tuple:

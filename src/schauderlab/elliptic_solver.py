@@ -8,13 +8,14 @@ assembled operator is symmetric to machine precision and summation-by-parts
 identities survive discretization up to O(h).
 
 The operator is kept as a stencil table: one weight row per offset, in the
-column layout of ``scipy.sparse.dia_matrix``. A solve applies it through
-dia_matrix row blocks that view the one table, builds each coarser
-multigrid operator R A R^T from the finer table in closed form, one axis at
-a time, and densifies only the coarsest, through its CSR of at most
-COARSEST_UNKNOWNS rows. No CSR copy of a finer operator and no product of
-two sparse matrices is formed; ``LinearSystem.matrix`` gives the CSR
-operator to a caller that asks for it.
+column layout of ``scipy.sparse.dia_matrix``, and every other form of it
+is derived from one dia_matrix view of that table (_dia). A solve applies
+row blocks of the view, builds each coarser multigrid operator R A R^T
+from the finer table in closed form, one axis at a time, and inverts the
+coarsest, of at most COARSEST_UNKNOWNS rows, from the view's dense array.
+No CSR copy of a finer operator and no product of two sparse matrices is
+formed; ``LinearSystem.matrix`` is scipy's CSR conversion of the whole
+view, for a caller that asks for it.
 """
 
 from __future__ import annotations
@@ -288,9 +289,10 @@ class LinearSystem:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The operator in CSR with the zero weights dropped; built from the
-        table the first time it is read. A solve never reads it."""
-        return _csr(self.offsets, self.table, self.grid.m - 2)
+        """The operator in CSR with the zero weights dropped: scipy's
+        conversion of the dia_matrix view a solve applies, made the first
+        time it is read. A solve never reads it."""
+        return _dia(self.offsets, self.table, self.grid.m - 2).tocsr()
 
 
 def _at(values: np.ndarray, offset: tuple) -> np.ndarray:
@@ -396,23 +398,6 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
     )
 
 
-def _csr(offsets: tuple, table: np.ndarray, per_axis: int) -> sp.csr_matrix:
-    """CSR of a column-layout table, with sorted columns and no stored zero."""
-    size = table.shape[1]
-    idx_dtype = np.int32 if table.size < 2**31 else np.int64
-    weights = np.zeros((size, len(offsets)))  # by row
-    cols = np.empty(weights.shape, dtype=idx_dtype)
-    for k, offset in enumerate(offsets):
-        shift = _flat_shift(offset, per_axis)
-        lo, hi = max(-shift, 0), min(size - shift, size)  # rows whose column i + shift exists
-        weights[lo:hi, k] = table[k, lo + shift : hi + shift]
-        cols[:, k] = np.arange(shift, size + shift, dtype=idx_dtype)
-    keep = weights != 0
-    indptr = np.zeros(size + 1, dtype=idx_dtype)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((weights[keep], cols[keep], indptr), shape=(size, size))
-
-
 @dataclass
 class DiscreteSolution:
     """Solution field plus the generating problem and solver diagnostics."""
@@ -451,24 +436,36 @@ def _dense_inverse(matrix: np.ndarray) -> np.ndarray:
     return work[:, size:].copy()
 
 
-def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
-    """The operator of a column-layout table as row blocks of at most
-    BLOCK_ROWS rows, each a dia_matrix view of the whole table.
+def _dia(offsets: tuple, table: np.ndarray, per_axis: int, start=0, rows=None) -> sp.dia_matrix:
+    """Rows start .. start + rows (default: the rest) of the operator of a
+    column-layout table, as a dia_matrix view of the table whose offsets
+    are the shifts, increasing as the table's rows run, plus start.
 
-    Block rows start..start + rows read the columns start + shift + (0 ..
-    rows), so a block's offsets are the shifts plus start. A product with
-    all blocks is the CSR product bit for bit: each row sums the same
-    weights in the same increasing-column order, and the extra zero
-    weights add +0 to a partial sum that starts at +0 and so is never -0.
-    On a one-node axis (m = 3) the offsets that leave the axis hold no
-    weight and their shifts would collide, so they are left out.
+    On an axis of one or two nodes (m = 3, or a coarse level of two)
+    distinct offsets can share a shift. A column y is reached through at
+    most one of them, since y - offset is a node for at most one, and the
+    others hold 0 there; so the view holds their exact sum, in a new array.
     """
-    kept = [k for k, offset in enumerate(offsets) if max(map(abs, offset)) < per_axis]
-    data = table if len(kept) == len(offsets) else table[kept]
-    shifts = np.array([_flat_shift(offsets[k], per_axis) for k in kept])
+    shifts, which = np.unique([_flat_shift(offset, per_axis) for offset in offsets], return_inverse=True)
+    size, data = table.shape[1], table
+    if shifts.size < len(offsets):
+        data = np.zeros((shifts.size, size))
+        np.add.at(data, which, table)
+    return sp.dia_matrix((data, shifts + start), shape=(size - start if rows is None else rows, size))
+
+
+def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
+    """The operator of a column-layout table as _dia row blocks of at most
+    BLOCK_ROWS rows, each a view of the whole table.
+
+    A product with all blocks is the CSR product bit for bit: each row sums
+    the same weights in the same increasing-column order, and the extra
+    zero weights add +0 to a partial sum that starts at +0 and so is never
+    -0.
+    """
     size = table.shape[1]
     return [
-        sp.dia_matrix((data, shifts + start), shape=(min(BLOCK_ROWS, size - start), size))
+        _dia(offsets, table, per_axis, start, min(BLOCK_ROWS, size - start))
         for start in range(0, size, BLOCK_ROWS)
     ]
 
@@ -578,7 +575,7 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple
         levels.append((apply, R.T, R, JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
         offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
-    return levels, _dense_inverse(_csr(offsets, table, per_axis).toarray())
+    return levels, _dense_inverse(_dia(offsets, table, per_axis).toarray())
 
 
 def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caccioppoli import EstimateReport
-from .domain_grid import Grid, ball_region, cutoff, make_grid
+from .domain_grid import MIN_BAND_NODES, Grid, ball_region, cutoff, make_grid
 from .elliptic_solver import (
     CoefficientField,
     DiscreteSolution,
@@ -664,8 +664,8 @@ def bootstrap_ckalpha(
     if not _holder_certified(problem, "F"):
         raise DataRegularityMissingError("bootstrap needs a Holder certificate on F")
     radii = np.geomspace(r, R, k + 1)
-    if any(b - a < 4 * grid.h for a, b in zip(radii[:-1], radii[1:])):
-        raise GridTooCoarseError("radius chain bands fall under 4h")
+    if any(b - a < MIN_BAND_NODES * grid.h for a, b in zip(radii[:-1], radii[1:])):
+        raise GridTooCoarseError(f"radius chain bands fall under {MIN_BAND_NODES}h")
 
     sol = solve_dirichlet(problem)
     levels = []
@@ -728,14 +728,12 @@ def bootstrap_ckalpha(
     )
 
 
-def rescale_estimate(C_unit: float, t: float, kind: str) -> float:
-    """Transport a unit-ball estimate constant to a ball of radius t; the
-    one kind, "h2", becomes C / t^2."""
+def rescale_estimate(C_unit: float, t: float) -> float:
+    """Transport a unit-ball H^2 estimate constant to a ball of radius t:
+    C / t^2."""
     if not 0 < t <= 1:
         raise ValueError(f"scale t must lie in (0, 1], got {t}")
-    if kind == "h2":
-        return C_unit / t**2
-    raise ValueError(f"unknown estimate kind {kind!r}")
+    return C_unit / t**2
 
 
 def rescale_problem(

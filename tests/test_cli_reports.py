@@ -144,6 +144,24 @@ def test_emit_plots(tmp_path):
     assert (tmp_path / "solve_convergence.gp").read_text().startswith("set datafile")
 
 
+def test_summary_writes_non_finite_as_null(tmp_path, monkeypatch):
+    def runner(cfg, verdict):
+        verdict.observed("probe", "non-finite summary")
+        summary = {"slope_k1": float("nan"), "min_fit": float("inf"), "nested": [{"x": -float("inf")}, 1.5]}
+        return summary, {"liouville_scan.csv": "order,scale,energy,slope,at_floor\r\n"}
+
+    monkeypatch.setitem(cli_reports._RUNNERS, "solve", runner)
+    run(ExperimentConfig(command="solve", out_dir=tmp_path))
+
+    def reject(name):
+        raise ValueError(name)
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)["summary"]
+    assert summary == {"slope_k1": None, "min_fit": None, "nested": [{"x": None}, 1.5]}
+    assert emit_plots(tmp_path) == ["liouville_scan.gp"]
+    assert "(fitted slope )" in (tmp_path / "liouville_scan.gp").read_text()
+
+
 def test_emit_plots_empty_dir(tmp_path):
     with pytest.raises(NothingToPlotError):
         emit_plots(tmp_path / "nothing")
@@ -383,6 +401,8 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     # the first kernel leaves the inner box's margin, and an eps falls below 2h
     ({"command": "mollify", "params": {"eps_schedule": [0.3, 0.2, 0.19]}}, "eps_schedule"),
     ({"command": "mollify", "resolution": 11, "params": {"eps_schedule": [0.2, 0.1]}}, "eps_schedule"),
+    # a repeated radius is a zero log-step in the window slopes
+    ({"command": "liouville", "resolution": 33, "params": {"scales": [1, 1, 2, 4]}}, "scales"),
 ])
 def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
     path = tmp_path / "cfg.json"

@@ -498,8 +498,37 @@ def test_closed_form_levels_match_spgemm_reference(n, m, kind):
     for ref in references:
         offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
         per_axis //= 2
-        got = elliptic_solver._csr(offsets, table, per_axis)
+        got = elliptic_solver._dia(offsets, table, per_axis).tocsr()
         assert abs(got - ref).max() <= 1e-13 * abs(ref).max(), per_axis
+
+
+def _geometric_dense(offsets: tuple, table, per_axis: int):
+    """The operator of a column-layout table entry by entry from the grid:
+    row x, column x + offset, wherever x + offset is a node."""
+    shape = (per_axis,) * len(offsets[0])
+    dense = np.zeros((table.shape[1],) * 2)
+    for x in np.ndindex(shape):
+        for offset, weights in zip(offsets, table):
+            y = tuple(a + o for a, o in zip(x, offset))
+            if all(0 <= b < per_axis for b in y):
+                col = np.ravel_multi_index(y, shape)
+                dense[np.ravel_multi_index(x, shape), col] = weights[col]
+    return dense
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (3, 7), (3, 13)])
+def test_dia_view_sums_offsets_that_share_a_shift(n, m):
+    # a one-node axis (m = 3); 3-D m = 7 and 13 coarsen to two nodes per axis
+    system = assemble(_stencil_problem(n, m, "nonsymmetric"))
+    offsets, table, per_axis = system.offsets, system.table, m - 2
+    while table.shape[1] > elliptic_solver.COARSEST_UNKNOWNS:
+        offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
+        per_axis //= 2
+    assert per_axis <= 2
+    view = elliptic_solver._dia(offsets, table, per_axis)
+    assert len(view.offsets) < len(offsets)
+    want = _geometric_dense(offsets, table, per_axis)
+    assert view.toarray().tobytes() == want.tobytes()  # through scipy's tocsr
 
 
 @pytest.mark.parametrize("n, m, symmetric", ITERATION_CASES)
@@ -519,17 +548,19 @@ def test_iterations_equal_spgemm_reference(n, m, symmetric):
 
 
 def test_solve_builds_no_csr_operator(monkeypatch):
-    # only the coarsest level goes through CSR, on its way to its dense inverse
-    csr = elliptic_solver._csr
+    # scipy's toarray goes through tocsr, so the densified coarsest level is
+    # the one CSR that a solve makes
+    calls = []
+    for cls in (sp.coo_matrix, sp.csc_matrix, sp.csr_matrix, sp.dia_matrix):
+        def recorded(self, *args, tocsr=cls.tocsr, **kwargs):
+            calls.append((type(self).__name__, self.shape[0]))
+            return tocsr(self, *args, **kwargs)
 
-    def coarsest_only(offsets, table, per_axis):
-        assert table.shape[1] <= elliptic_solver.COARSEST_UNKNOWNS, "a solve built the CSR operator"
-        return csr(offsets, table, per_axis)
-
-    monkeypatch.setattr(elliptic_solver, "_csr", coarsest_only)
+        monkeypatch.setattr(cls, "tocsr", recorded)
     for symmetric in (True, False):
         sol = solve_dirichlet(_iteration_problem(2, 65, symmetric))
         assert sol.diagnostics["residual"] <= SOLVE_RTOL
+    assert calls == [("dia_matrix", 49)] * 2  # the 7^2 coarsest level of each solve
 
 
 def test_solve_peak_memory_within_table_multiple():

@@ -395,18 +395,16 @@ def test_bootstrap_requires_certificates(grid129):
 
 
 def test_rescale_identity():
-    assert rescale_estimate(3.0, 1.0, "h2") == 3.0
+    assert rescale_estimate(3.0, 1.0) == 3.0
 
 
 def test_rescale_h2_quarter():
-    assert rescale_estimate(3.0, 0.5, "h2") == 12.0
+    assert rescale_estimate(3.0, 0.5) == 12.0
 
 
 def test_rescale_invalid_scale():
     with pytest.raises(ValueError):
-        rescale_estimate(1.0, 1.5, "h2")
-    with pytest.raises(ValueError):
-        rescale_estimate(1.0, 0.5, "h5")
+        rescale_estimate(1.0, 1.5)
 
 
 def test_rescale_paired_experiment(grid129):
