@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
@@ -191,11 +190,11 @@ class ExperimentConfig:
     """One experiment; ``params`` is completed from PARAMS[command] and
     ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
     every param with a numeric default must be numbers (not bools),
-    ``resolution`` an odd node count no smaller than _least_resolution and
-    every param in its _RANGES range, and an explicit mollify eps_schedule
-    must fit the grid; otherwise a ValueError names the key, before any
-    solve or output, as does a domain error for degiorgi exponents or a
-    ladder finer than 4h."""
+    ``seed`` a whole number >= 0, ``resolution`` an odd node count no
+    smaller than _least_resolution and every param in its _RANGES range,
+    and an explicit mollify eps_schedule must fit the grid; otherwise a
+    ValueError names the key, before any solve or output, as does a domain
+    error for degiorgi exponents or a ladder finer than 4h."""
 
     command: str
     out_dir: Path | None = None
@@ -213,6 +212,8 @@ class ExperimentConfig:
         for key, value in [("seed", self.seed), ("resolution", self.resolution), *numeric]:
             if not _is_number(value):
                 raise ValueError(f"{self.command} {key!r} must be a number, got {value!r}")
+        if not _whole(self.seed, 0):
+            raise ValueError(f"{self.command} 'seed' must be a whole number >= 0, got {self.seed!r}")
         if not _odd_nodes(self.resolution):
             raise ValueError(
                 f"{self.command} 'resolution' must be an odd whole number >= 3, got {self.resolution!r}"
@@ -309,26 +310,49 @@ class Verdict:
 # the summary.json payload and {file name: text}. Only run() writes files.
 
 
+# The task of the running _members pool, one pool at a time. Forked workers
+# inherit it, so the runners' closures are never pickled; only member
+# indices and results are. Spawned workers would need the closures pickled
+# and would re-import numpy and scipy, about 0.35 s each.
+_TASK = None
+
+
+def _run_task(k):
+    return _TASK(k)
+
+
 def _members(task, count: int) -> list:
-    """[task(0), ..., task(count - 1)], run on one thread per usable core.
+    """[task(0), ..., task(count - 1)], run on min(usable cores, count)
+    forked worker processes; with one, or where fork is unavailable, in
+    this process.
 
     Each task builds its member from its own child seed, so results do not
-    depend on the core count. They come back in member order, and a failure
-    raises the error of the lowest failing member, as a serial loop would.
-    scipy's sparse matrix-vector kernels and numpy ufuncs release the GIL,
-    but a solve also runs much Python between them, mostly on its small
-    coarse levels, so members overlap only in part: on a 2-vCPU Xeon VM,
-    16 solves at m = 129 ran 1.07x faster on two threads than on one, while
-    4 x 2000 bare operator products ran 1.6x faster. Each member should keep
-    only what later passes read, since memory, not time, grows with the
-    ensemble.
+    depend on the core count. They come back pickled, in member order, and
+    a failure raises the error of the lowest failing member, with its type
+    and attributes, as a serial loop would; queued members are cancelled.
+    A solve is a multigrid loop of many short numpy/scipy calls that hold
+    the GIL between them, so threads barely overlap: on a 2-vCPU Xeon VM,
+    32 solves at m = 129 ran 0.97-1.27x the speed of serial on two
+    threads, and 1.48-1.86x on two forked processes. While a pool is
+    alive, the parent and one child per worker are all resident; each
+    member should keep only what later passes read, since the parent's
+    memory grows with the ensemble by what the members return.
     """
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(task, range(count)))
+    import multiprocessing  # loaded only when an ensemble runs
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cores, count)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(task, range(count)))
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _TASK
+    _TASK = task
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_task, range(count)))  # cancels the rest on an error
+    finally:
+        _TASK = None
 
 
 def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> tuple:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from schauderlab.cli_reports import (
     run,
 )
 from schauderlab.domain_grid import make_grid
-from schauderlab.errors import NothingToPlotError, SolverStagnationError
+from schauderlab.errors import NotEllipticError, NothingToPlotError, SolverStagnationError
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -82,9 +83,9 @@ def _pin_to_one_core():
 
 def test_outputs_independent_of_blas_threads(tmp_path):
     # Solver reductions are summed in a fixed order, so the BLAS thread
-    # count cannot reach the last digits of any CSV. Ensemble members run on
-    # one thread per usable core from their own child seeds, so the core
-    # count cannot either: pinned to one core, each pool has one worker.
+    # count cannot reach the last digits of any CSV. Ensemble members run in
+    # one worker process per usable core from their own child seeds, so the
+    # core count cannot either: pinned to one core, they run in-process.
     configs = {"degiorgi": {"ensemble": 4}, "solve": {}, "caccioppoli": {}, "schauder": {"ensemble": 3}}
     commands = []
     for command, params in configs.items():
@@ -267,9 +268,55 @@ def test_lowest_failing_member_error_surfaces(tmp_path, capsys, monkeypatch):
     assert "member 1 stagnated" in err and "member 3" not in err
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores"
+)
+def test_members_run_outside_the_parent():
+    assert os.getpid() not in cli_reports._members(lambda k: os.getpid(), 4)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_members_run_in_process_on_one_core():
+    child = (
+        "import os\n"
+        "from schauderlab.cli_reports import _members\n"
+        "assert set(_members(lambda k: os.getpid(), 4)) == {os.getpid()}\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, preexec_fn=_pin_to_one_core,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("error, attributes", [
+    (SolverStagnationError("member 1 stagnated", {"iterations": 7, "residual": 0.5}),
+     {"diagnostics": {"iterations": 7, "residual": 0.5}}),
+    (NotEllipticError("member 1 not elliptic", node=(3, 4), eigenvalue=-0.25),
+     {"node": (3, 4), "eigenvalue": -0.25}),
+])
+def test_member_error_keeps_its_type_and_attributes(error, attributes):
+    def task(k):
+        if k == 1:
+            raise error
+        return k
+
+    assert cli_reports._members(lambda k: 2 * k, 3) == [0, 2, 4]
+    assert not multiprocessing.active_children()
+    with pytest.raises(type(error), match=str(error)) as caught:
+        cli_reports._members(task, 3)
+    assert {name: getattr(caught.value, name) for name in attributes} == attributes
+    assert not multiprocessing.active_children()
+    assert cli_reports._TASK is None
+
+
 def _peak_growth_per_member(command, tmp_path) -> float:
     """Traced peak of a 12-member run less that of a 4-member run, per extra
-    member, at m = 129. tracemalloc sees the allocations of every thread."""
+    member, at m = 129. tracemalloc sees this process only: with worker
+    processes, what the parent keeps per member, not a member's own
+    temporaries; pinned to one core, both."""
     peaks = {}
     for size in (4, 12):
         cfg = ExperimentConfig(command=command, out_dir=tmp_path / str(size), seed=1, params={"ensemble": size})
@@ -283,16 +330,17 @@ def _peak_growth_per_member(command, tmp_path) -> float:
 
 
 def test_degiorgi_retains_little_per_member(tmp_path):
-    # Pass 1 keeps (sup, denom, u, data norm) of each member; u is 0.13 MB
-    # at m = 129, and the growth reads 0.10-0.18 MB as the threads
-    # interleave. Keeping f and F as well costs about 0.56 MB, whole
-    # solutions with A and g about 1.3 MB.
+    # The parent keeps (sup, denom, u, data norm) of each pass-1 member; u
+    # is 0.13 MB at m = 129, and the growth reads 0.10-0.15 MB, with two
+    # worker processes or in-process. Keeping f and F as well costs about
+    # 0.56 MB, whole solutions with A and g about 1.3 MB.
     assert _peak_growth_per_member("degiorgi", tmp_path) <= 0.25e6
 
 
 def test_caccioppoli_retains_little_per_member(tmp_path):
-    # Each member keeps its report and certificate, a few kB; keeping its
-    # solution costs about 1.25 MB, its u alone 0.13 MB.
+    # The parent keeps each member's report and certificate, a few kB (the
+    # growth reads 1-2 kB); keeping its solution costs about 1.25 MB, its u
+    # alone 0.13 MB.
     assert _peak_growth_per_member("caccioppoli", tmp_path) <= 0.1e6
 
 
@@ -403,6 +451,8 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     ({"command": "mollify", "resolution": 11, "params": {"eps_schedule": [0.2, 0.1]}}, "eps_schedule"),
     # a repeated radius is a zero log-step in the window slopes
     ({"command": "liouville", "resolution": 33, "params": {"scales": [1, 1, 2, 4]}}, "scales"),
+    ({"command": "caccioppoli", "seed": 2.5}, "seed"),  # not run as seed 2
+    ({"command": "caccioppoli", "seed": -1}, "seed"),  # not left to the runner's generator
 ])
 def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
     path = tmp_path / "cfg.json"
