@@ -110,6 +110,9 @@ class BallRegion:
     center: tuple
     radius: float
     mask: np.ndarray = field(init=False, compare=False, repr=False)
+    # the Holder scan's Morton layout of ``mask``, set on the region's first
+    # scan by norm_engine and freed with the region
+    scan_layout: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         center = tuple(float(c) for c in self.center)
@@ -154,6 +157,7 @@ class BoxRegion:
 
     grid: Grid
     mask: np.ndarray = field(init=False, compare=False, repr=False)
+    scan_layout: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mask = np.ones(self.grid.shape, bool)

@@ -552,10 +552,11 @@ def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
     return offsets, table.reshape(len(offsets), -1)
 
 
-def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
+def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: list) -> tuple:
     """Galerkin levels [(A x, P, R, weighted inverse diagonal), ...] and the
     dense inverse of the coarsest level, the first with at most
-    COARSEST_UNKNOWNS unknowns.
+    COARSEST_UNKNOWNS unknowns. ``blocks`` are the finest level's
+    _dia_blocks, which the solve builds once for its own products.
 
     P interpolates linearly from every other interior node on each axis (the
     boundary is a zero neighbour); R A P with R = P^T stays symmetric when A
@@ -571,7 +572,9 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple
     levels = []
     while table.shape[1] > COARSEST_UNKNOWNS:
         R = _restriction(per_axis, n)
-        apply = partial(_matvec, _dia_blocks(offsets, table, per_axis))
+        if levels:
+            blocks = _dia_blocks(offsets, table, per_axis)
+        apply = partial(_matvec, blocks)
         levels.append((apply, R.T, R, JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
         offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
@@ -685,12 +688,13 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
     system = assemble(problem)
     grid = system.grid
     offsets, table, rhs = system.offsets, system.table, system.rhs
-    apply = partial(_matvec, _dia_blocks(offsets, table, grid.m - 2))
+    blocks = _dia_blocks(offsets, table, grid.m - 2)
+    apply = partial(_matvec, blocks)
     method = "mg-cg" if system.symmetric else "mg-gmres"
     bnorm = _norm(rhs)
     x, iterations = np.zeros_like(rhs), 0  # the answer to zero data
     if bnorm > 0.0:
-        levels, coarse = _multigrid_levels(offsets, table, grid.m - 2)
+        levels, coarse = _multigrid_levels(offsets, table, grid.m - 2, blocks)
         krylov = _cg if system.symmetric else _gmres
         x, iterations = krylov(apply, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
     residual = _norm(rhs - apply(x)) / (bnorm or 1.0)

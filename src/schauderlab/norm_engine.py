@@ -10,13 +10,25 @@ least distance between two nodes, so coinciding and touching cells prune
 like distant ones; fields with near-maximal quotients everywhere (an affine
 field at alpha = 1, a nearly homogeneous blow-up profile) still cost about
 as much as all pairs.
+Cell pairs from level ``_LOWER_BOUND_LEVEL`` up also evaluate the quotient
+of their realized extreme nodes, a lower bound that raises the running
+floor. No lower bound exceeds the max, and a pair that attains or ties the
+max has a quotient at or above every running floor, so it reaches level 0
+whichever lower bounds were evaluated: the level rule changes the work,
+never the result.
 The scan's memory is its pyramid plus one frontier chunk per level. The
-pyramid is built from the flat indices of the mask alone and holds each node
-once, Morton-ordered: its coordinates, samples, flat index and an int32 row
-id, then per coarser cell a box, the sample range and int32 extreme rows;
-that is about 58 B per node for a scalar field in 2-D and 3-D. The frontier
-descends in chunks of ``_CHUNK_PAIRS`` parent cell pairs, each expanding to
-at most 4^n child pairs.
+pyramid's mask-only half, its layout, holds each node once, Morton-ordered,
+in integers: the node's grid indices in the smallest unsigned type that
+holds them, then per coarser cell its child count and index box. That is
+about 4 B per node up to m = 256 and 7 B above, at most 8 B in 2-D and 9 B
+in 3-D. A region keeps the layout of its mask from its first scan on and
+frees it with itself; a field whose valid nodes do not fill the region
+builds its own. Each scan merges its samples over the layout: per node the
+coordinates, samples and an int32 flat index, per coarser cell the box
+coordinates, the sample range and, where lower bounds are evaluated, int32
+extreme rows; that is about 47 B per node for a scalar field in 2-D and
+3-D. The frontier descends in chunks of ``_CHUNK_PAIRS`` parent cell pairs,
+each expanding to at most 4^n child pairs.
 Derivatives inside norms are repeated pure central differences, so regions
 must leave a k-node margin to the box. Every fitted exponent goes through
 ``log_slope``, and every shell-maximum ladder through ``shell_peaks``.
@@ -49,6 +61,12 @@ _CHUNK_PAIRS = 8192
 # Relative slack on a cell pair's upper bound, so that rounding in the bound
 # never prunes a pair whose computed quotient would beat it.
 _BOUND_SLACK = 1e-12
+
+# Lowest pyramid level whose cell pairs evaluate the quotients of their
+# realized extreme nodes as a lower bound. Any level gives the same result;
+# below level 3 the evaluations cost more than the pruning they buy, in 2-D
+# and in 3-D.
+_LOWER_BOUND_LEVEL = 3
 
 # Relative band below the max in which a pair's quotient counts as tied.
 TIE_RTOL = 1e-9
@@ -103,91 +121,153 @@ def lp_norm_vec(F: VecField, p: float, region: BallRegion) -> NormValue:
     return lp_norm(F.magnitude(), p, region)
 
 
-def _merge(ufunc, vals, child, ids=None):
+def _merge(ufunc, vals, child):
     """Per-cell ``ufunc`` (np.minimum or np.maximum) of ``vals`` over the
     child rows ``child[j]`` of each cell, j = 0, 1, ...; a cell with fewer
-    children repeats its last, which neither extreme sees. With ``ids``, also
-    per component the id of the first row realizing the extreme. Folds left
-    like ``ufunc.reduceat``, so the extremes match it bit for bit."""
-    ext, first = vals.take(child[0], axis=0), child[0][:, None]
+    children repeats its last, which neither extreme sees. Folds left like
+    ``ufunc.reduceat``, so the extremes match it bit for bit."""
+    ext = vals.take(child[0], axis=0)
     for rows in child[1:]:
-        nxt = ufunc(ext, vals.take(rows, axis=0))
-        if ids is not None:
-            first = np.where(nxt != ext, rows[:, None], first)
-        ext = nxt
-    return ext if ids is None else (ext, np.take_along_axis(ids, first, axis=0))
+        ufunc(ext, vals.take(rows, axis=0), out=ext)
+    return ext
 
 
-def _pyramid(mask: np.ndarray, axis: np.ndarray, u_vals) -> tuple:
-    """Max/min pyramid over the Morton-ordered nodes of ``mask``, built from
-    their flat grid indices alone. Returns (levels, node): ``node[r]`` is the
-    flat grid index of Morton row r, so rows compare like np.argwhere(mask)
-    rows once mapped. Level 0 holds single nodes, each level above merges
-    the cells of one aligned 2^n block, the top level is the root. A level
-    is (lo, hi, vmax, imax, vmin, imin, start, count): per cell the bounding
-    box of its nodes, the per-component sample range with the int32 Morton
-    row of a node realizing each extreme, and its children as a run of the
-    level below, starting at the int32 row ``start``."""
-    n, shape = mask.ndim, mask.shape
-    flat = np.flatnonzero(mask)
-    # per-axis index range of the mask, from its projections onto each axis
+def _first_ids(vals, ids, ext, first, size):
+    """Per cell and component the id of the first row realizing ``ext`` in
+    the cell's run of ``size`` rows of ``vals`` from row ``first``. Runs of
+    Morton rows nest, so with Morton-row ids this is the first node of the
+    cell realizing the extreme, as a left fold over the levels between
+    would find it."""
+    hit = vals == np.repeat(ext, size, axis=0)
+    out = np.empty(ext.shape, dtype=np.int32)
+    for k in range(ext.shape[1]):
+        at = np.flatnonzero(hit[:, k])
+        out[:, k] = ids[:, k].take(at[np.searchsorted(at, first)])
+    return out
+
+
+def _layout(mask: np.ndarray) -> tuple:
+    """Morton layout of the nodes of ``mask``, in integers and from the mask
+    alone. Returns (index, levels): ``index[r]`` holds the grid indices of
+    the node in Morton row r. Each aligned 2^n block of cells of one level
+    merges into a cell of the next, up to the root; ``levels`` holds per
+    coarser level (count, lo, hi): per cell the number of its children, a
+    run of the level below in order, and the index box of its nodes."""
+    n = mask.ndim
+    # the mask's bounding box, from its projections onto each axis, grown
+    # to a cube of side 2^bits
     first, span = [], 0
     for k in range(n):
         on = np.flatnonzero(mask.any(axis=tuple(j for j in range(n) if j != k)))
-        first.append(on[0])
+        first.append(int(on[0]))
         span = max(span, int(on[-1] - on[0]))
     bits = span.bit_length()
-    strides = [math.prod(shape[k + 1 :]) for k in range(n)]
-    # bit b of an index moves to bit b*n of the key; axis k adds its shift
-    ramp = np.arange(1 << bits)
+    side = 1 << bits
+    dtype = np.int32 if side**n <= 2**31 else np.intp
+    # bit b of an index moves to bit b*n of the key; axis k adds its shift.
+    # perm[key] is the cube's raster index of the node with that key, so
+    # the mask's keys come out sorted from one pass over the cube
+    ramp = np.arange(side, dtype=dtype)
     spread = sum(((ramp >> b) & 1) << (b * n) for b in range(bits))
-    key = sum(spread[flat // strides[k] % shape[k] - first[k]] << k for k in range(n))
-    order = np.argsort(key, kind="stable")
-    key, node = key[order], flat[order]
-    del flat, order
-    pts = np.stack([axis[node // strides[k] % shape[k]] for k in range(n)], axis=1)
-    vals = np.stack([comp.take(node) for comp in u_vals.reshape(-1, mask.size)], axis=1)
-    rows = np.broadcast_to(np.arange(len(node), dtype=np.int32)[:, None], vals.shape)
-    levels = [(pts, pts, vals, rows, vals, rows, None, None)]
+    key = sum((spread << k).reshape((-1,) + (1,) * (n - 1 - k)) for k in range(n))
+    perm = np.empty(side**n, dtype=dtype)
+    perm[np.ravel(key)] = np.arange(side**n, dtype=dtype)
+    cube = np.zeros((side,) * n, dtype=bool)
+    cube[tuple(slice(0, min(side, m - f)) for f, m in zip(first, mask.shape))] = mask[
+        tuple(slice(f, f + side) for f in first)
+    ]
+    key = np.flatnonzero(cube.ravel().take(perm)).astype(dtype)
+    raster = perm.take(key)
+    del perm, cube
+    index = np.empty((len(key), n), dtype=np.min_scalar_type(max(mask.shape) - 1))
+    for k in range(n):
+        index[:, k] = (raster >> (bits * (n - 1 - k))) & (side - 1)
+        index[:, k] += first[k]
+    levels, lo, hi = [], index, index
     for _ in range(bits):
-        lo, hi, vmax, imax, vmin, imin = levels[-1][:6]
         key = key >> n
-        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1])).astype(np.int32)
-        key = key[starts]
-        count = np.diff(np.append(starts, np.int32(len(lo))))
-        child = [starts + np.minimum(j, count - 1) for j in range(2**n)]
-        levels.append((
-            _merge(np.minimum, lo, child), _merge(np.maximum, hi, child),
-            *_merge(np.maximum, vmax, child, imax), *_merge(np.minimum, vmin, child, imin),
-            starts, count,
-        ))
+        start = np.flatnonzero(np.append(True, key[1:] != key[:-1])).astype(np.int32)
+        key = key[start]
+        count = np.diff(np.append(start, np.int32(len(lo)))).astype(np.uint8)
+        child = [start + np.minimum(j, count - 1) for j in range(2**n)]
+        lo, hi = _merge(np.minimum, lo, child), _merge(np.maximum, hi, child)
+        levels.append((count, lo, hi))
+    return index, levels
+
+
+def _layout_bytes(layout) -> int:
+    """Bytes held by the arrays of a ``_layout``."""
+    index, levels = layout
+    return index.nbytes + sum(a.nbytes for level in levels for a in level)
+
+
+def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
+    """Max/min pyramid of ``u_vals`` over a ``_layout``. Returns (levels,
+    node): ``node[r]`` is the flat grid index of Morton row r, so rows
+    compare like np.argwhere(mask) rows once mapped. Level 0 holds single
+    nodes, each level above merges the children of its cells, the top level
+    is the root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
+    per cell the bounding box of its nodes, the per-component sample range
+    with the int32 Morton row of a node realizing each extreme, and its
+    children as the run of ``count`` cells of the level below from the
+    int32 row ``start``. ``axis`` is strictly increasing, so its values at
+    the layout's index boxes are the boxes of the node coordinates bit for
+    bit."""
+    index, coarse = layout
+    n, m = index.shape[1], axis.size
+    node = index[:, 0].astype(np.int32 if m**n <= 2**31 else np.intp)
+    for k in range(1, n):
+        node = node * m + index[:, k]
+    coords = [axis.take(index[:, k]) for k in range(n)]
+    vals = np.stack([comp.take(node) for comp in u_vals.reshape(-1, m**n)], axis=1)
+    rows = np.broadcast_to(np.arange(len(node), dtype=np.int32)[:, None], vals.shape)
+    levels = [(coords, None, vals, rows, vals, rows, None, None)]
+    first = rows[:, 0]  # the first node of each cell, as a Morton row
+    for level, (count, lo, hi) in enumerate(coarse, 1):
+        below = levels[-1]
+        start = np.cumsum(count, dtype=np.int32) - count
+        child = [start + np.minimum(j, count - 1) for j in range(2**n)]
+        first = first.take(start)
+        vmax, vmin = _merge(np.maximum, below[2], child), _merge(np.minimum, below[4], child)
+        imax = imin = None
+        if level >= _LOWER_BOUND_LEVEL:
+            # only lower bounds read the ids: from the level below, or
+            # from the nodes on the first level that has them
+            if below[3] is None:
+                below, runs = levels[0], (first, np.diff(np.append(first, len(node))))
+            else:
+                runs = (start, count)
+            imax = _first_ids(below[2], below[3], vmax, *runs)
+            imin = _first_ids(below[4], below[5], vmin, *runs)
+        levels.append((axis.take(lo), axis.take(hi), vmax, imax, vmin, imin, start, count))
     return levels, node
 
 
-def _row_norm(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: the sequential sum of squares of
-    np.linalg.norm(d, axis=1), bit for bit, without its slow short-axis
+def _norm(cols) -> np.ndarray:
+    """Euclidean norm of vectors given by their component columns: the
+    sequential sum of squares of np.linalg.norm(d, axis=1) over the rows d
+    of the columns' stack, bit for bit, without its slow short-axis
     reduction."""
-    sq = d * d
-    total = sq[:, 0]
-    for k in range(1, d.shape[1]):
-        total = total + sq[:, k]
+    total = cols[0] * cols[0]
+    for d in cols[1:]:
+        total = total + d * d
     return np.sqrt(total)
 
 
 def _gap_norm(d: np.ndarray) -> np.ndarray:
     """|v_a - v_b| for scalar samples (one column), Euclidean norm otherwise."""
-    return np.abs(d[:, 0]) if d.shape[1] == 1 else _row_norm(d)
+    return np.abs(d[:, 0]) if d.shape[1] == 1 else _norm(d.T)
 
 
-def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
+def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     """Dual-tree branch and bound over the node pairs of ``mask``.
 
     A cell pair (A, B) of the pyramid is bounded above by
     |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha,
     with dist(A, B) the box gap floored at the grid spacing, so the bound is
-    finite also for a cell paired with itself or a touching one, and below
-    by the quotient of its realized extreme nodes. One pruning rule: a cell
+    finite also for a cell paired with itself or a touching one, and, from
+    level ``_LOWER_BOUND_LEVEL`` up, below by the quotient of its realized
+    extreme nodes. One pruning rule: a cell
     pair is kept iff its bound exceeds the running tie floor
     best * (1 - TIE_RTOL), and kept pairs split into child pairs down to
     single nodes. No pair tied with the final max is lost, since its bound
@@ -211,13 +291,16 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
     tie keeps one. With best 0 every pair ties, ``best_pair`` is the first
     two nodes and ``wide_pair`` is ``best_pair``.
 
+    ``layout`` is the ``_layout`` of ``mask``, built here when not given.
     Returns (best, best_pair, wide_pair), each pair the node indices
     (index_a, index_b) with a before b in ``np.argwhere(mask)`` order.
     """
     if np.count_nonzero(mask) < 2:
         raise EmptyRegionError("Holder seminorm needs at least two valid nodes")
-    levels, node = _pyramid(mask, grid.axis, u_vals)
-    pts, vals = levels[0][0], levels[0][2]
+    if layout is None:
+        layout = _layout(mask)
+    levels, node = _pyramid(layout, grid.axis, u_vals)
+    coords, vals = levels[0][0], levels[0][2]
     # Node-spacing floor: every computed node-pair distance is at least
     # ``spacing``. A coordinate difference along an axis where the two
     # indices differ is a float subtraction of sorted axis values, monotone
@@ -230,15 +313,21 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
     spacing = float(np.diff(grid.axis).min())
 
     def quotient(ra, rb):
-        # the distance is symmetric in (ra, rb) bit for bit: negation is exact
-        dist = _row_norm(pts.take(ra, axis=0) - pts.take(rb, axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = _gap_norm(vals.take(ra, axis=0) - vals.take(rb, axis=0)) / dist**alpha
-        return np.where(dist > 0, q, 0.0), dist
+        # of distinct nodes, so dist >= spacing > 0; the distance is
+        # symmetric in (ra, rb) bit for bit: negation is exact
+        dist = _norm([x.take(ra) - x.take(rb) for x in coords])
+        return _gap_norm(vals.take(ra, axis=0) - vals.take(rb, axis=0)) / dist**alpha, dist
 
+    # child slot pairs (ii, jj) of a cell pair, and which of them exist:
+    # row (count_a * (fan + 1) + count_b) * 2 + (a == b) of flags[level == 1]
+    # marks the slots below both child counts that keep a <= b, strictly at
+    # level 1, where a slot pair (i, i) of a self pair is one node twice
     fan = 2**grid.n
     ii = np.repeat(np.arange(fan, dtype=np.int32), fan)
     jj = np.tile(np.arange(fan, dtype=np.int32), fan)
+    n_a, n_b, same = np.meshgrid(np.arange(fan + 1), np.arange(fan + 1), [False, True], indexing="ij")
+    fits = (ii < n_a[..., None]) & (jj < n_b[..., None])
+    flags = [(fits & (~same[..., None] | rule)).reshape(-1, fan * fan) for rule in (ii <= jj, ii < jj)]
     # best_pair as flat grid indices (fa < fb), and the quotient it attains
     best, pair_q, best_pair = 0.0, -1.0, None
     front = (np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
@@ -279,28 +368,27 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
         lo_a, hi_a, vmax_a, vmin_a = (x.take(a, axis=0) for x in (lo, hi, vmax, vmin))
         lo_b, hi_b, vmax_b, vmin_b = (x.take(b, axis=0) for x in (lo, hi, vmax, vmin))
         gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
-        dist = np.maximum(_row_norm(gap), spacing)
+        dist = np.maximum(_norm(gap.T), spacing)
         up_ab, up_ba = vmax_a - vmin_b, vmax_b - vmin_a
         spread = (1.0 + _BOUND_SLACK) * _gap_norm(np.maximum(up_ab, up_ba))
         ub = spread / dist**alpha
-        # imax[a, ka] etc., as takes from the flattened (cells, k) tables
-        ka, kb, nc = up_ab.argmax(axis=1), up_ba.argmax(axis=1), vmax.shape[1]
-        pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
-        pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
-        q, _ = quotient(pa, pb)
-        best = max(best, float(q.max()))
+        if level >= _LOWER_BOUND_LEVEL:
+            # imax[a, ka] etc., as takes from the flattened (cells, k) tables
+            ka, kb, nc = up_ab.argmax(axis=1), up_ba.argmax(axis=1), vmax.shape[1]
+            pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
+            pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
+            # a cell's max and min may sit on one node, a pair of quotient 0
+            distinct = pa != pb
+            q, _ = quotient(pa[distinct], pb[distinct])
+            best = float(q.max(initial=best))
         keep = ub > best * (1 - TIE_RTOL)
         # children of the kept pairs, keeping a <= b: a cell paired with
         # itself yields each unordered child pair once, and no node is
         # paired with itself
         a, b = a[keep], b[keep]
-        ok = (ii < count.take(a)[:, None]) & (jj < count.take(b)[:, None])
-        ok &= (a != b)[:, None] | ((ii < jj) if level == 1 else (ii <= jj))
-        # np.nonzero(ok) by hand: each row of ok holds fan**2 = 2**(2n) flags
-        rows = np.flatnonzero(ok)
-        k = rows & (fan * fan - 1)
-        rows >>= 2 * grid.n
-        ca, cb = start.take(a.take(rows)) + ii.take(k), start.take(b.take(rows)) + jj.take(k)
+        code = (count.take(a).astype(np.intp) * (fan + 1) + count.take(b)) * 2 + (a == b)
+        at = np.flatnonzero(flags[level == 1].take(code, axis=0))
+        ca, cb = (start.take(a)[:, None] + ii).take(at), (start.take(b)[:, None] + jj).take(at)
         for s in reversed(range(0, len(ca), _CHUNK_PAIRS)):
             stack.append((level - 1, ca[s : s + _CHUNK_PAIRS], cb[s : s + _CHUNK_PAIRS]))
 
@@ -316,10 +404,11 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float):
     return best, (ids[0], ids[1]), (ids[2], ids[3])
 
 
-def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
+def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     """Exact sup over the node pairs of ``mask`` of |u(x) - u(y)| / |x - y|^alpha.
 
-    ``u_vals`` is a scalar grid array or a stack of vector components.
+    ``u_vals`` is a scalar grid array or a stack of vector components;
+    ``layout`` is the ``_layout`` of ``mask`` if the caller holds one.
     Returns (value, (best_pair, wide_pair), "exhaustive") with the node
     index pairs of ``_holder_pairs``: the first pair in np.argwhere order
     attaining the value, and the widest pair tied with it within
@@ -332,7 +421,7 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float):
     nearly homogeneous blow-up window profiles. Those cost about as much as
     the exhaustive O(N^2) scan, in bounded memory.
     """
-    best, best_pair, wide_pair = _holder_pairs(grid, mask, u_vals, alpha)
+    best, best_pair, wide_pair = _holder_pairs(grid, mask, u_vals, alpha, layout)
     return best, (best_pair, wide_pair), "exhaustive"
 
 
@@ -340,7 +429,15 @@ def _holder_norm(u_vals, valid, region: BallRegion, alpha: float, params: dict) 
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = region.grid
-    value, ((ia, ib), _), _ = _holder_scan_mask(grid, region.mask & valid, u_vals, alpha)
+    mask = region.mask & valid
+    # a field valid on the whole region scans on the region's layout, built
+    # on its first such scan; one that cuts into it builds its own
+    layout = None
+    if np.array_equal(mask, region.mask) and np.count_nonzero(mask) >= 2:
+        if region.scan_layout is None:
+            object.__setattr__(region, "scan_layout", _layout(region.mask))
+        layout = region.scan_layout
+    value, ((ia, ib), _), _ = _holder_scan_mask(grid, mask, u_vals, alpha, layout)
     return NormValue(
         "HolderSemi", params, region.center, region.radius, value,
         argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])),

@@ -409,8 +409,10 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
         scan_values = grad_w.components
         region0 = ball_region(grid, 0.0, cfg.r - grid.h)
 
-    spread = np.abs(u.values[region0.mask])
-    if spread.size == 0 or spread.max() - spread.min() <= 1e-14 * max(1.0, spread.max()):
+    # the signed range, so that a field of one magnitude and both signs
+    # (a +-1 step) is not taken for a constant
+    vals = u.values[region0.mask]
+    if vals.size == 0 or np.ptp(vals) <= 1e-14 * max(1.0, float(np.abs(vals).max())):
         raise NoBlowupPairError("field is constant on the blow-up region")
 
     grad_w_sup = float(grad_w.magnitude().values.max())

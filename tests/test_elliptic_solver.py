@@ -600,6 +600,28 @@ def test_solve_leaves_no_memory_behind():
     assert left <= 20e3, left
 
 
+def test_solve_builds_each_levels_dia_blocks_once(monkeypatch):
+    # the Krylov products and the finest multigrid level share one set of
+    # blocks: one _dia_blocks call per level, finest first
+    per_axis, depth = [], []
+    dia_blocks, multigrid_levels = elliptic_solver._dia_blocks, elliptic_solver._multigrid_levels
+
+    def counting(offsets, table, size):
+        per_axis.append(size)
+        return dia_blocks(offsets, table, size)
+
+    def recording(*args):
+        levels, coarse = multigrid_levels(*args)
+        depth.append(len(levels))
+        return levels, coarse
+
+    monkeypatch.setattr(elliptic_solver, "_dia_blocks", counting)
+    monkeypatch.setattr(elliptic_solver, "_multigrid_levels", recording)
+    solve_dirichlet(random_problem(make_grid(2, 1.0, 65), np.random.default_rng(4)))
+    assert per_axis == [63, 31, 15]
+    assert depth == [len(per_axis)]
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_zero_data_zero_solution(grid65, symmetric):
     zero = Field.zeros(grid65)

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from schauderlab import norm_engine
 from schauderlab.domain_grid import ball_region, make_grid
 from schauderlab.errors import EmptyRegionError, StencilOverflowError
-from schauderlab.field_calculus import Field, gradient
+from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.norm_engine import (
     TIE_RTOL,
     _holder_pairs,
@@ -369,6 +370,144 @@ def test_holder_scan_prunes_white_noise_to_linear_work(monkeypatch):
     monkeypatch.setattr(norm_engine, "_gap_norm", counting)
     holder_seminorm(u, 0.5, ball_region(grid, 0.0, 0.8))
     assert sum(rows) <= 1.5 * mask.sum()
+
+
+def test_holder_scan_prunes_off_node_cusp_without_leaf_lower_bounds(monkeypatch):
+    # deterministic cost guard: an off-node square-root cusp evaluates
+    # 158 586 gap rows here. Lower bounds at levels 1 or 2 (274 038 and
+    # 202 142 rows) or weaker pruning break the ceiling, without any timing
+    grid = make_grid(2, 1.0, 257)
+    region = ball_region(grid, 0.0, 0.8)
+    assert region.count == 32937
+    x, y = grid.coords()
+    u = Field(grid, np.sqrt(np.hypot(x - 0.05, y + 0.03)))
+    rows = []
+    gap_norm = norm_engine._gap_norm
+
+    def counting(d):
+        rows.append(len(d))
+        return gap_norm(d)
+
+    monkeypatch.setattr(norm_engine, "_gap_norm", counting)
+    holder_seminorm(u, 0.5, region)
+    assert sum(rows) <= 175000
+
+
+@pytest.mark.parametrize("level", [1, 2, 4, 99])
+@pytest.mark.parametrize("n, m, alpha", [(2, 17, 0.5), (2, 33, 1.0), (3, 9, 0.5)])
+def test_holder_pairs_do_not_depend_on_the_lower_bound_levels(n, m, alpha, level, monkeypatch):
+    # a lower bound only raises the running floor toward the max, so the
+    # levels that evaluate one (99: none) change the work, never the result
+    grid = make_grid(n, 1.0, m)
+    fields = _tie_fields(grid, alpha)
+    fields["noise"] = np.random.default_rng(m).standard_normal(grid.shape)
+    if alpha == 1.0:
+        fields["near-affine"] = grid.coords()[0] + 1e-10 * fields["noise"]
+    for holes in (False, True):
+        mask = _scan_mask(grid, holes)
+        for name, vals in fields.items():
+            expected = _holder_pairs(grid, mask, vals, alpha)
+            with monkeypatch.context() as patch:
+                patch.setattr(norm_engine, "_LOWER_BOUND_LEVEL", level)
+                got = _holder_pairs(grid, mask, vals, alpha)
+            assert got[0] == expected[0], name
+            np.testing.assert_array_equal(got[1:], expected[1:], err_msg=name)
+
+
+def _layout_fields(grid):
+    """An off-node square-root cusp, white noise and a vector field whose
+    first component is the cusp."""
+    x = grid.coords()
+    cusp = np.sqrt(np.sqrt(sum((c - 0.03 * (k + 1)) ** 2 for k, c in enumerate(x))))
+    noise = np.random.default_rng(grid.m).standard_normal(grid.shape)
+    return Field(grid, cusp), Field(grid, noise), VecField(grid, np.stack([cusp, *x[1:]]))
+
+
+@pytest.mark.parametrize("n, m, radius", [(2, 33, 0.8), (3, 13, 0.8)])
+def test_holder_region_layout_reuse_matches_fresh_region_and_brute_force(n, m, radius):
+    # scans after the first run on the layout the region holds; each must
+    # give the value and pair of a fresh, equal region and of brute force
+    grid = make_grid(n, 1.0, m)
+    region = ball_region(grid, 0.0, radius)
+    idx = np.argwhere(region.mask)
+    for u in _layout_fields(grid):
+        scan = holder_seminorm if isinstance(u, Field) else holder_seminorm_vec
+        held = scan(u, 0.5, region)
+        assert region.scan_layout is not None
+        fresh_region = ball_region(grid, 0.0, radius)
+        assert fresh_region == region and fresh_region.scan_layout is None
+        fresh = scan(u, 0.5, fresh_region)
+        assert held.value == fresh.value
+        assert held.argmax_pair == fresh.argmax_pair
+        oracle, (i, j) = brute_force_seminorm(u, 0.5, region)
+        assert held.value == pytest.approx(oracle, rel=1e-12)
+        assert held.argmax_pair == (tuple(grid.axis[idx[i]]), tuple(grid.axis[idx[j]]))
+
+
+@pytest.mark.parametrize("n, m", [(2, 33), (3, 13)])
+def test_holder_field_cut_by_valid_does_not_use_region_layout(n, m, monkeypatch):
+    # a field invalid on part of the region scans mask & valid on a layout
+    # of its own, whether or not the region already holds one
+    grid = make_grid(n, 1.0, m)
+    cusp, _, _ = _layout_fields(grid)
+    hole = np.sqrt(sum(c * c for c in grid.coords())) > 0.25
+    cut = Field(grid, cusp.values, valid=hole)
+    layouts = []
+    pyramid = norm_engine._pyramid
+
+    def recording(layout, axis, u_vals):
+        layouts.append(layout)
+        return pyramid(layout, axis, u_vals)
+
+    monkeypatch.setattr(norm_engine, "_pyramid", recording)
+    region = ball_region(grid, 0.0, 0.8)
+    first = holder_seminorm(cut, 0.5, region)
+    assert region.scan_layout is None
+    holder_seminorm(cusp, 0.5, region)
+    held = region.scan_layout
+    assert layouts[-1] is held
+    again = holder_seminorm(cut, 0.5, region)
+    assert layouts[-1] is not held and region.scan_layout is held
+    assert (again.value, again.argmax_pair) == (first.value, first.argmax_pair)
+    _, _, _, _, q = _all_pair_quotients(grid, region.mask & hole, cut.values, 0.5)
+    assert first.value == q.max()
+
+
+@pytest.mark.parametrize("n, m, radius", [(2, 257, 0.8), (3, 65, 0.6)])
+def test_holder_region_layout_is_freed_with_the_region(n, m, radius):
+    grid = make_grid(n, 1.0, m)
+    u = Field(grid, np.random.default_rng(5).standard_normal(grid.shape))
+    small = make_grid(n, 1.0, 9)  # first-call allocations happen here
+    holder_seminorm(Field(small, small.coords()[0] ** 2), 0.5, ball_region(small, 0.0, 0.8))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        region = ball_region(grid, 0.0, radius)
+        holder_seminorm(u, 0.5, region)
+        held = norm_engine._layout_bytes(region.scan_layout)
+        assert tracemalloc.get_traced_memory()[0] - before >= held > 100e3
+        del region
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left <= 20e3, left
+
+
+@pytest.mark.parametrize(
+    "n, m, budget", [(2, 17, 8), (2, 129, 8), (2, 257, 8), (2, 513, 8), (3, 17, 9), (3, 65, 9)]
+)
+def test_holder_region_layout_bytes_per_node_within_budget(n, m, budget):
+    # what a region holds after a scan: its grid indices in the smallest
+    # unsigned type, and per coarser cell a child count and an index box
+    grid = make_grid(n, 1.0, m)
+    for radius in (0.1, 0.3, 0.6, 0.9):
+        region = ball_region(grid, (0.013,) * n, radius)
+        if region.count < 2:
+            continue
+        holder_seminorm(Field(grid, grid.coords()[0]), 0.5, region)
+        per_node = norm_engine._layout_bytes(region.scan_layout) / region.count
+        assert per_node <= budget, (radius, per_node)
 
 
 def test_holder_refinement_stability_smooth():

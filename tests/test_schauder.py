@@ -222,6 +222,18 @@ def test_blowup_constant_rejected(grid65):
         blowup_sequence(Field.full(grid65, 1.0), cfg, steps=1)
 
 
+def test_blowup_sign_changing_step_is_not_constant(grid65):
+    # |u| is 1 everywhere, yet u jumps by 2 across x = 1e-4: twice the jump,
+    # and so twice the level, of the {0, 1} step
+    cfg = SchauderConfig(order=0, alpha=0.5, p=4.0, q=8.0, r=0.2, R=0.8)
+    x = grid65.coords()[0]
+    signed = blowup_sequence(Field(grid65, np.where(x >= 1e-4, 1.0, -1.0)), cfg, steps=1)
+    step01 = blowup_sequence(Field(grid65, np.where(x >= 1e-4, 1.0, 0.0)), cfg, steps=1)
+    assert step01.steps[0].level == pytest.approx(5.657, abs=1e-3)
+    assert signed.steps[0].level == pytest.approx(2 * step01.steps[0].level, rel=1e-12)
+    assert not signed.steps[0].degenerate
+
+
 def test_blowup_order1_linear_cancellation(grid129):
     u = Field.from_function(grid129, lambda x, y: 2.0 * x - y + 0.3)
     cfg = SchauderConfig(order=1, alpha=0.5, p=4.0, q=8.0, r=0.5, R=0.9)
