@@ -123,7 +123,7 @@ def lp_norm_vec(F: VecField, p: float, region: BallRegion) -> NormValue:
 
 def _merge(ufunc, vals, child):
     """Per-cell ``ufunc`` (np.minimum or np.maximum) of ``vals`` over the
-    child rows ``child[j]`` of each cell, j = 0, 1, ...; a cell with fewer
+    child rows ``child[j]`` of each cell, j = 0 .. 2^n - 1; a cell with fewer
     children repeats its last, which neither extreme sees. Folds left like
     ``ufunc.reduceat``, so the extremes match it bit for bit."""
     ext = vals.take(child[0], axis=0)
@@ -138,10 +138,9 @@ def _first_ids(vals, ids, ext, first, size):
     Morton rows nest, so with Morton-row ids this is the first node of the
     cell realizing the extreme, as a left fold over the levels between
     would find it."""
-    hit = vals == np.repeat(ext, size, axis=0)
     out = np.empty(ext.shape, dtype=np.int32)
     for k in range(ext.shape[1]):
-        at = np.flatnonzero(hit[:, k])
+        at = np.flatnonzero(vals[:, k] == np.repeat(ext[:, k], size))
         out[:, k] = ids[:, k].take(at[np.searchsorted(at, first)])
     return out
 
@@ -189,7 +188,7 @@ def _layout(mask: np.ndarray) -> tuple:
         start = np.flatnonzero(np.append(True, key[1:] != key[:-1])).astype(np.int32)
         key = key[start]
         count = np.diff(np.append(start, np.int32(len(lo)))).astype(np.uint8)
-        child = [start + np.minimum(j, count - 1) for j in range(2**n)]
+        child = start + np.minimum(np.arange(2**n, dtype=np.int32)[:, None], count - 1)
         lo, hi = _merge(np.minimum, lo, child), _merge(np.maximum, hi, child)
         levels.append((count, lo, hi))
     return index, levels
@@ -219,14 +218,17 @@ def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
     for k in range(1, n):
         node = node * m + index[:, k]
     coords = [axis.take(index[:, k]) for k in range(n)]
-    vals = np.stack([comp.take(node) for comp in u_vals.reshape(-1, m**n)], axis=1)
+    vals = np.empty((len(node), u_vals.size // m**n))
+    for k, comp in enumerate(u_vals.reshape(-1, m**n)):
+        # the rows are in range, so "clip" only spares take() a buffer
+        np.take(comp, node, out=vals[:, k], mode="clip")
     rows = np.broadcast_to(np.arange(len(node), dtype=np.int32)[:, None], vals.shape)
     levels = [(coords, None, vals, rows, vals, rows, None, None)]
     first = rows[:, 0]  # the first node of each cell, as a Morton row
     for level, (count, lo, hi) in enumerate(coarse, 1):
         below = levels[-1]
         start = np.cumsum(count, dtype=np.int32) - count
-        child = [start + np.minimum(j, count - 1) for j in range(2**n)]
+        child = start + np.minimum(np.arange(2**n, dtype=np.int32)[:, None], count - 1)
         first = first.take(start)
         vmax, vmin = _merge(np.maximum, below[2], child), _merge(np.minimum, below[4], child)
         imax = imin = None
