@@ -432,10 +432,11 @@ def _holder_norm(u_vals, valid, region: BallRegion, alpha: float, params: dict) 
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = region.grid
     mask = region.mask & valid
-    # a field valid on the whole region scans on the region's layout, built
-    # on its first such scan; one that cuts into it builds its own
+    # a field valid on the whole region (mask holds as many nodes as the
+    # region) scans on the region's layout, built on its first such scan;
+    # one that cuts into it builds its own
     layout = None
-    if np.array_equal(mask, region.mask) and np.count_nonzero(mask) >= 2:
+    if np.count_nonzero(mask) == np.count_nonzero(region.mask) >= 2:
         if region.scan_layout is None:
             object.__setattr__(region, "scan_layout", _layout(region.mask))
         layout = region.scan_layout
