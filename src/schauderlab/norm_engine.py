@@ -194,22 +194,18 @@ def _layout(mask: np.ndarray) -> tuple:
     return index, levels
 
 
-def _layout_bytes(layout) -> int:
-    """Bytes held by the arrays of a ``_layout``."""
-    index, levels = layout
-    return index.nbytes + sum(a.nbytes for level in levels for a in level)
-
-
 def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
     """Max/min pyramid of ``u_vals`` over a ``_layout``. Returns (levels,
     node): ``node[r]`` is the flat grid index of Morton row r, so rows
     compare like np.argwhere(mask) rows once mapped. Level 0 holds single
-    nodes, each level above merges the children of its cells, the top level
-    is the root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
+    nodes, with per-axis coordinate columns in place of the boxes; each
+    level above merges the children of its cells, the top level is the
+    root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
     per cell the bounding box of its nodes, the per-component sample range
-    with the int32 Morton row of a node realizing each extreme, and its
-    children as the run of ``count`` cells of the level below from the
-    int32 row ``start``. ``axis`` is strictly increasing, so its values at
+    with, from level ``_LOWER_BOUND_LEVEL`` up (None below), the int32
+    Morton row of the first node realizing each extreme, and its children
+    as the run of ``count`` cells of the level below from the int32 row
+    ``start``. ``axis`` is strictly increasing, so its values at
     the layout's index boxes are the boxes of the node coordinates bit for
     bit."""
     index, coarse = layout
@@ -269,10 +265,9 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     with dist(A, B) the box gap floored at the grid spacing, so the bound is
     finite also for a cell paired with itself or a touching one, and, from
     level ``_LOWER_BOUND_LEVEL`` up, below by the quotient of its realized
-    extreme nodes. One pruning rule: a cell
-    pair is kept iff its bound exceeds the running tie floor
-    best * (1 - TIE_RTOL), and kept pairs split into child pairs down to
-    single nodes. No pair tied with the final max is lost, since its bound
+    extreme nodes. One pruning rule: a cell pair is kept iff its bound
+    exceeds the running tie floor best * (1 - TIE_RTOL), and kept pairs
+    split into child pairs down to single nodes. No pair tied with the final max is lost, since its bound
     exceeds its quotient, which is at least the final floor and so at least
     the running one. The test is strict, so a constant field (best 0) prunes
     at the root and enumerates no pair.
@@ -315,7 +310,7 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     spacing = float(np.diff(grid.axis).min())
 
     def quotient(ra, rb):
-        # of distinct nodes, so dist >= spacing > 0; the distance is
+        # pairs of distinct nodes, so dist >= spacing > 0; the distance is
         # symmetric in (ra, rb) bit for bit: negation is exact
         dist = _norm([x.take(ra) - x.take(rb) for x in coords])
         return _gap_norm(vals.take(ra, axis=0) - vals.take(rb, axis=0)) / dist**alpha, dist
