@@ -10,12 +10,13 @@ least distance between two nodes, so coinciding and touching cells prune
 like distant ones; fields with near-maximal quotients everywhere (an affine
 field at alpha = 1, a nearly homogeneous blow-up profile) still cost about
 as much as all pairs.
-Cell pairs from level ``_LOWER_BOUND_LEVEL`` up also evaluate the quotient
-of their realized extreme nodes, a lower bound that raises the running
-floor. No lower bound exceeds the max, and a pair that attains or ties the
-max has a quotient at or above every running floor, so it reaches level 0
-whichever lower bounds were evaluated: the level rule changes the work,
-never the result.
+Kept cell pairs from level ``_LOWER_BOUND_LEVEL`` up also evaluate the
+quotient of their realized extreme nodes, a lower bound that raises the
+running floor; a pruned pair's quotients are at most its bound, so at most
+the floor, and it is not evaluated. No lower bound exceeds the max, and a
+pair that attains or ties the max has a quotient at or above every running
+floor, so it reaches level 0 whichever lower bounds were evaluated: the
+level rule changes the work, never the result.
 The scan's memory is its pyramid plus one frontier chunk per level. The
 pyramid's mask-only half, its layout, holds each node once, Morton-ordered,
 in integers: the node's grid indices in the smallest unsigned type that
@@ -263,9 +264,9 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     A cell pair (A, B) of the pyramid is bounded above by
     |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha,
     with dist(A, B) the box gap floored at the grid spacing, so the bound is
-    finite also for a cell paired with itself or a touching one, and, from
-    level ``_LOWER_BOUND_LEVEL`` up, below by the quotient of its realized
-    extreme nodes. One pruning rule: a cell pair is kept iff its bound
+    finite also for a cell paired with itself or a touching one, and, for
+    kept pairs from level ``_LOWER_BOUND_LEVEL`` up, below by the quotient
+    of its realized extreme nodes. One pruning rule: a cell pair is kept iff its bound
     exceeds the running tie floor best * (1 - TIE_RTOL), and kept pairs
     split into child pairs down to single nodes. No pair tied with the final max is lost, since its bound
     exceeds its quotient, which is at least the final floor and so at least
@@ -369,16 +370,20 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
         up_ab, up_ba = vmax_a - vmin_b, vmax_b - vmin_a
         spread = (1.0 + _BOUND_SLACK) * _gap_norm(np.maximum(up_ab, up_ba))
         ub = spread / dist**alpha
-        if level >= _LOWER_BOUND_LEVEL:
-            # imax[a, ka] etc., as takes from the flattened (cells, k) tables
-            ka, kb, nc = up_ab.argmax(axis=1), up_ba.argmax(axis=1), vmax.shape[1]
-            pa = np.concatenate([imax.take(a * nc + ka), imax.take(b * nc + kb)])
-            pb = np.concatenate([imin.take(b * nc + ka), imin.take(a * nc + kb)])
+        keep = ub > best * (1 - TIE_RTOL)
+        if level >= _LOWER_BOUND_LEVEL and keep.any():
+            # only a kept pair can raise the floor: the quotients of a pruned
+            # one are at most its bound, so at most the floor
+            ka, kb, nc = up_ab[keep].argmax(axis=1), up_ba[keep].argmax(axis=1), vmax.shape[1]
+            la, lb = a[keep], b[keep]
+            # imax[la, ka] etc., as takes from the flattened (cells, k) tables
+            pa = np.concatenate([imax.take(la * nc + ka), imax.take(lb * nc + kb)])
+            pb = np.concatenate([imin.take(lb * nc + ka), imin.take(la * nc + kb)])
             # a cell's max and min may sit on one node, a pair of quotient 0
             distinct = pa != pb
             q, _ = quotient(pa[distinct], pb[distinct])
             best = float(q.max(initial=best))
-        keep = ub > best * (1 - TIE_RTOL)
+            keep = ub > best * (1 - TIE_RTOL)
         # children of the kept pairs, keeping a <= b: a cell paired with
         # itself yields each unordered child pair once, and no node is
         # paired with itself

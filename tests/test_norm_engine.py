@@ -374,8 +374,9 @@ def test_holder_scan_prunes_white_noise_to_linear_work(monkeypatch):
 
 def test_holder_scan_prunes_off_node_cusp_without_leaf_lower_bounds(monkeypatch):
     # deterministic cost guard: an off-node square-root cusp evaluates
-    # 158 586 gap rows here. Lower bounds at levels 1 or 2 (274 038 and
-    # 202 142 rows) or weaker pruning break the ceiling, without any timing
+    # 127 440 gap rows here. Lower bounds from level 1 (137 920 rows), on
+    # every visited cell pair rather than the kept ones (274 038 from level
+    # 1), or none at all (781 405) break the ceiling, without any timing
     grid = make_grid(2, 1.0, 257)
     region = ball_region(grid, 0.0, 0.8)
     assert region.count == 32937
@@ -390,7 +391,7 @@ def test_holder_scan_prunes_off_node_cusp_without_leaf_lower_bounds(monkeypatch)
 
     monkeypatch.setattr(norm_engine, "_gap_norm", counting)
     holder_seminorm(u, 0.5, region)
-    assert sum(rows) <= 175000
+    assert sum(rows) <= 135000
 
 
 @pytest.mark.parametrize("level", [1, 2, 4, 99])
