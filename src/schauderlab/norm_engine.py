@@ -26,7 +26,7 @@ in 3-D. A region keeps the layout of its mask from its first scan on and
 frees it with itself; a field whose valid nodes do not fill the region
 builds its own. Each scan merges its samples over the layout: per node the
 coordinates, samples and an int32 flat index, per coarser cell the box
-coordinates, the sample range and, where lower bounds are evaluated, int32
+coordinates, the sample range and, where lower bounds are evaluated, the
 extreme rows; that is about 47 B per node for a scalar field in 2-D and
 3-D. The frontier descends in chunks of ``_CHUNK_PAIRS`` parent cell pairs,
 each expanding to at most 4^n child pairs.
@@ -139,7 +139,7 @@ def _first_ids(vals, ids, ext, first, size):
     Morton rows nest, so with Morton-row ids this is the first node of the
     cell realizing the extreme, as a left fold over the levels between
     would find it."""
-    out = np.empty(ext.shape, dtype=np.int32)
+    out = np.empty(ext.shape, dtype=np.intp)
     for k in range(ext.shape[1]):
         at = np.flatnonzero(vals[:, k] == np.repeat(ext[:, k], size))
         out[:, k] = ids[:, k].take(at[np.searchsorted(at, first)])
@@ -189,7 +189,7 @@ def _layout(mask: np.ndarray) -> tuple:
         start = np.flatnonzero(np.append(True, key[1:] != key[:-1])).astype(np.int32)
         key = key[start]
         count = np.diff(np.append(start, np.int32(len(lo)))).astype(np.uint8)
-        child = start + np.minimum(np.arange(2**n, dtype=np.int32)[:, None], count - 1)
+        child = start + np.minimum(np.arange(2**n)[:, None], count - 1)
         lo, hi = _merge(np.minimum, lo, child), _merge(np.maximum, hi, child)
         levels.append((count, lo, hi))
     return index, levels
@@ -203,8 +203,8 @@ def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
     level above merges the children of its cells, the top level is the
     root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
     per cell the bounding box of its nodes, the per-component sample range
-    with, from level ``_LOWER_BOUND_LEVEL`` up (None below), the int32
-    Morton row of the first node realizing each extreme, and its children
+    with, from level ``_LOWER_BOUND_LEVEL`` up (None below), the Morton
+    row of the first node realizing each extreme, and its children
     as the run of ``count`` cells of the level below from the int32 row
     ``start``. ``axis`` is strictly increasing, so its values at
     the layout's index boxes are the boxes of the node coordinates bit for
@@ -225,7 +225,7 @@ def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
     for level, (count, lo, hi) in enumerate(coarse, 1):
         below = levels[-1]
         start = np.cumsum(count, dtype=np.int32) - count
-        child = start + np.minimum(np.arange(2**n, dtype=np.int32)[:, None], count - 1)
+        child = start + np.minimum(np.arange(2**n)[:, None], count - 1)
         first = first.take(start)
         vmax, vmin = _merge(np.maximum, below[2], child), _merge(np.minimum, below[4], child)
         imax = imin = None
