@@ -154,35 +154,30 @@ def _layout(mask: np.ndarray) -> tuple:
     coarser level (count, lo, hi): per cell the number of its children, a
     run of the level below in order, and the index box of its nodes."""
     n = mask.ndim
-    # the mask's bounding box, from its projections onto each axis, grown
-    # to a cube of side 2^bits
-    first, span = [], 0
+    # the mask's bounding box, from its projections onto each axis
+    first, last = [], []
     for k in range(n):
         on = np.flatnonzero(mask.any(axis=tuple(j for j in range(n) if j != k)))
         first.append(int(on[0]))
-        span = max(span, int(on[-1] - on[0]))
-    bits = span.bit_length()
-    side = 1 << bits
-    dtype = np.int32 if side**n <= 2**31 else np.intp
-    # bit b of an index moves to bit b*n of the key; axis k adds its shift.
-    # perm[key] is the cube's raster index of the node with that key, so
-    # the mask's keys come out sorted from one pass over the cube
-    ramp = np.arange(side, dtype=dtype)
+        last.append(int(on[-1]))
+    box = mask[tuple(slice(f, l + 1) for f, l in zip(first, last))]
+    bits = max(l - f for f, l in zip(first, last)).bit_length()
+    dtype = np.int32 if n * bits < 31 else np.intp
+    # bit b of an index moves to bit b*n of the key; axis k adds its shift
+    ramp = np.arange(max(box.shape), dtype=dtype)
     spread = sum(((ramp >> b) & 1) << (b * n) for b in range(bits))
-    key = sum((spread << k).reshape((-1,) + (1,) * (n - 1 - k)) for k in range(n))
-    perm = np.empty(side**n, dtype=dtype)
-    perm[np.ravel(key)] = np.arange(side**n, dtype=dtype)
-    cube = np.zeros((side,) * n, dtype=bool)
-    cube[tuple(slice(0, min(side, m - f)) for f, m in zip(first, mask.shape))] = mask[
-        tuple(slice(f, f + side) for f in first)
-    ]
-    key = np.flatnonzero(cube.ravel().take(perm)).astype(dtype)
-    raster = perm.take(key)
-    del perm, cube
+    key = sum((spread[:size] << k).reshape((-1,) + (1,) * (n - 1 - k)) for k, size in enumerate(box.shape))
+    # the node at raster position j of the box has key key[j]; marking each
+    # key with j and reading the key space in order sorts them, with no sort
+    at = np.full(1 << (n * bits), -1, dtype=dtype)
+    at[key[box]] = np.arange(np.count_nonzero(box), dtype=dtype)
+    used = at >= 0
+    order, key = at[used], np.flatnonzero(used).astype(dtype)
+    del at, used
     index = np.empty((len(key), n), dtype=np.min_scalar_type(max(mask.shape) - 1))
-    for k in range(n):
-        index[:, k] = (raster >> (bits * (n - 1 - k))) & (side - 1)
-        index[:, k] += first[k]
+    for k, size in enumerate(box.shape):
+        axis_k = np.arange(first[k], first[k] + size).reshape((-1,) + (1,) * (n - 1 - k))
+        index[:, k] = np.broadcast_to(axis_k, box.shape)[box].take(order)
     levels, lo, hi = [], index, index
     for _ in range(bits):
         key = key >> n
