@@ -167,8 +167,9 @@ def _layout(mask: np.ndarray) -> tuple:
     ramp = np.arange(max(box.shape), dtype=dtype)
     spread = sum(((ramp >> b) & 1) << (b * n) for b in range(bits))
     key = sum((spread[:size] << k).reshape((-1,) + (1,) * (n - 1 - k)) for k, size in enumerate(box.shape))
-    # the node at raster position j of the box has key key[j]; marking each
-    # key with j and reading the key space in order sorts them, with no sort
+    # the j-th node of the box in raster order has key key[box][j]; writing
+    # j at that key and reading the key space in order gives the Morton
+    # order, with no sort
     at = np.full(1 << (n * bits), -1, dtype=dtype)
     at[key[box]] = np.arange(np.count_nonzero(box), dtype=dtype)
     used = at >= 0
