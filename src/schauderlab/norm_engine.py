@@ -197,14 +197,13 @@ def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
     compare like np.argwhere(mask) rows once mapped. Level 0 holds single
     nodes, with per-axis coordinate columns in place of the boxes; each
     level above merges the children of its cells, the top level is the
-    root. A level is (lo, hi, vmax, imax, vmin, imin, start, count):
-    per cell the bounding box of its nodes, the per-component sample range
-    with, from level ``_LOWER_BOUND_LEVEL`` up (None below), the Morton
-    row of the first node realizing each extreme, and its children
-    as the run of ``count`` cells of the level below from the int32 row
-    ``start``. ``axis`` is strictly increasing, so its values at
-    the layout's index boxes are the boxes of the node coordinates bit for
-    bit."""
+    root. A level is (lo, hi, vmax, imax, vmin, imin, start, count): per
+    cell the bounding box of its nodes, the per-component sample range
+    with, from level ``_LOWER_BOUND_LEVEL`` up (None below), the Morton row
+    of the first node realizing each extreme, and its children as the run
+    of ``count`` cells of the level below from the int32 row ``start``.
+    ``axis`` is strictly increasing, so its values at the layout's index
+    boxes are the boxes of the node coordinates bit for bit."""
     index, coarse = layout
     n, m = index.shape[1], axis.size
     node = index[:, 0].astype(np.int32 if m**n <= 2**31 else np.intp)
