@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
@@ -27,14 +28,13 @@ import numpy as np
 
 from . import degiorgi, generators, liouville_lab
 from .caccioppoli import caccioppoli_check, empirical_constant
-from .domain_grid import MIN_BAND_NODES, make_grid
+from .domain_grid import MIN_BAND_NODES, Grid, make_grid
 from .elliptic_solver import solve_dirichlet
 from .errors import (
     DegreeUndetectedError,
     GridTooCoarseError,
     KernelUnderResolvedError,
     NotHarmonicParametersError,
-    NothingToPlotError,
     SchauderLabError,
 )
 from .field_calculus import Field
@@ -50,21 +50,6 @@ from .schauder_harness import (
     schauder_ratio,
 )
 
-# The ``params`` keys each command's runner reads, with their defaults; any
-# other key is rejected. None marks a default the runner derives: the
-# liouville gamma and scales depend on the generator, the mollify schedule
-# on the grid spacing.
-PARAMS = {
-    "solve": {"resolutions": (65, 129, 257)},
-    "caccioppoli": {"ensemble": 8, "r": 0.5, "R": 0.95},
-    "degiorgi": {"ensemble": 50, "p": 2.0, "q": 4.0, "r": 0.5, "R": 1.0, "k_max": 3},
-    "liouville": {"generator": "saddle", "a": (1.0, 0.0), "b": (0.0, 1.0), "gamma": None, "scales": None},
-    "schauder": {"s": 0.5, "ensemble": 10},
-    "blowup": {"alpha": 0.5, "steps": 2},
-    "bootstrap": {"k": 2, "alpha": 0.4},
-    "mollify": {"eps_schedule": None},
-}
-COMMANDS = tuple(PARAMS)
 CONFIG_KEYS = {"command", "seed", "resolution", "out", "params"}
 
 _LIOUVILLE_GENERATORS = {
@@ -79,6 +64,30 @@ _LIOUVILLE_KINDS = (*_LIOUVILLE_GENERATORS, "counterexample")
 _SCHAUDER_SHELLS = (0.03, 0.4)
 _BLOWUP_RADII = (0.2, 0.8)
 _BOOTSTRAP_RADII = (0.25, 0.8)
+
+
+@dataclass(frozen=True)
+class CommandSpec:
+    """What one subcommand is; SPECS holds one per command.
+
+    ``params`` maps the keys the runner reads to their defaults, None for
+    one the runner derives (the liouville gamma and scales from the
+    generator, the mollify schedule from the grid spacing); any other key is
+    rejected. ``ranges`` holds (key, test, what the key must be) for each
+    bounded param. ``least_resolution(params)`` is the smallest resolution
+    that passes the runner's grid-size checks, and ``check(cfg)`` raises on
+    anything else the runner would reject, before any solve.
+    ``runner(cfg, verdict)`` records its lines in the verdict and returns
+    (summary, tables): the summary.json payload and {file name: text}.
+    ``checks`` are the PASS/FAIL names the runner may record.
+    """
+
+    params: dict
+    ranges: tuple
+    runner: Callable
+    checks: tuple = ()
+    least_resolution: Callable = lambda p: 3
+    check: Callable | None = None
 
 
 def _is_number(value) -> bool:
@@ -116,65 +125,17 @@ _RADII = (
 )
 
 
-# Range of each bounded param, checked on the completed params once their
-# types are: per command, (key, test, what the key must be).
-_RANGES = {
-    "solve": (
-        ("resolutions",
-         lambda p: _ladder(p["resolutions"], True) and all(map(_odd_nodes, p["resolutions"])),
-         "be at least two increasing odd whole numbers >= 3"),
-    ),
-    "caccioppoli": (_count("ensemble"), *_RADII),
-    "degiorgi": (_count("ensemble"), *_RADII, _count("k_max", 3)),
-    "liouville": (
-        ("scales", lambda p: p["scales"] is None or (
-            isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
-            and all(_is_number(r) and r > 0 for r in p["scales"])
-            and len(set(p["scales"])) == len(p["scales"])),
-         "be null or at least four distinct positive radii"),
-    ),
-    "schauder": (_between("s", 0, 2), _count("ensemble")),
-    "blowup": (_between("alpha", 0, 1), _count("steps")),
-    "bootstrap": (("k", lambda p: p["k"] in (2, 3), "be 2 or 3"), _between("alpha", 0, 1)),
-    "mollify": (
-        ("eps_schedule", lambda p: p["eps_schedule"] is None or (
-            _ladder(p["eps_schedule"], False) and p["eps_schedule"][-1] > 0),
-         "be null or at least two strictly decreasing positive radii"),
-    ),
-}
+def _least(fits) -> int:
+    """The smallest odd resolution m >= 3 whose grid ``fits``."""
+    m = 3
+    while not fits(make_grid(2, 1.0, m)):
+        m += 2
+    return m
 
 
-def _least_resolution(command: str, p: dict) -> int:
-    """Smallest resolution that passes the grid-size checks of the command's
-    runner, 3 if it has none; degiorgi checks its ladder on its own.
-
-    A cutoff band must span MIN_BAND_NODES spacings (caccioppoli, blowup,
-    bootstrap). Liouville's harmonic gate needs 5 nodes per axis and
-    schauder three populated shells in _SCHAUDER_SHELLS. A mollify kernel
-    must fit the margin of the inner box: the default schedule starts with
-    an 8h kernel, 7 nodes in radius; an explicit one has eps_0 > eps_1 >= 2h,
-    so its first kernel is at least 2 nodes in radius, and whether its own
-    kernels fit is checked on top. Running each command at every odd
-    resolution from 3 up gives the same minima at the defaults.
-    """
-    def spanning(band: float) -> int:
-        m = 3
-        while band < MIN_BAND_NODES * make_grid(2, 1.0, m).h:
-            m += 2
-        return m
-
-    if command == "caccioppoli":
-        return spanning(p["R"] - p["r"])
-    if command == "blowup":
-        return spanning(_BLOWUP_RADII[1] - _BLOWUP_RADII[0])
-    if command == "bootstrap":
-        return spanning(float(np.diff(np.geomspace(*_BOOTSTRAP_RADII, int(p["k"]) + 1)).min()))
-    if command == "mollify":
-        m = 3
-        while inner_box(make_grid(2, 1.0, m))[1] < (7 if p["eps_schedule"] is None else 2):
-            m += 2
-        return m
-    return {"liouville": 5, "schauder": 13}.get(command, 3)
+def _spanning(band: float) -> int:
+    """The least resolution at which a cutoff band spans MIN_BAND_NODES spacings."""
+    return _least(lambda grid: band >= MIN_BAND_NODES * grid.h)
 
 
 def _reject_unknown(kind: str, spec, known) -> None:
@@ -187,14 +148,13 @@ def _reject_unknown(kind: str, spec, known) -> None:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment; ``params`` is completed from PARAMS[command] and
-    ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution`` and
-    every param with a numeric default must be numbers (not bools),
+    """One experiment; ``params`` is completed from SPECS[command].params
+    and ``out_dir`` defaults to reports/<command>. ``seed``, ``resolution``
+    and every param with a numeric default must be numbers (not bools),
     ``seed`` a whole number >= 0, ``resolution`` an odd node count no
-    smaller than _least_resolution and every param in its _RANGES range,
-    and an explicit mollify eps_schedule must fit the grid; otherwise a
-    ValueError names the key, before any solve or output, as does a domain
-    error for degiorgi exponents or a ladder finer than 4h."""
+    smaller than the command's least_resolution, every param in its range
+    and the command's check must pass; otherwise a ValueError names the key,
+    before any solve or output, as does a domain error from the check."""
 
     command: str
     out_dir: Path | None = None
@@ -205,10 +165,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; known: {COMMANDS}")
-        _reject_unknown(f"{self.command} params", self.params, PARAMS[self.command])
-        self.params = {**PARAMS[self.command], **self.params}
-        defaults = PARAMS[self.command]
-        numeric = [(key, self.params[key]) for key in defaults if _is_number(defaults[key])]
+        spec = SPECS[self.command]
+        _reject_unknown(f"{self.command} params", self.params, spec.params)
+        self.params = {**spec.params, **self.params}
+        numeric = [(key, self.params[key]) for key, default in spec.params.items() if _is_number(default)]
         for key, value in [("seed", self.seed), ("resolution", self.resolution), *numeric]:
             if not _is_number(value):
                 raise ValueError(f"{self.command} {key!r} must be a number, got {value!r}")
@@ -218,33 +178,24 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.command} 'resolution' must be an odd whole number >= 3, got {self.resolution!r}"
             )
-        for key, test, what in _RANGES[self.command]:
+        for key, test, what in spec.ranges:
             if not test(self.params):
                 raise ValueError(f"{self.command} {key!r} must {what}, got {self.params[key]!r}")
-        least = _least_resolution(self.command, self.params)
+        least = spec.least_resolution(self.params)
         if self.resolution < least:
             raise ValueError(
                 f"{self.command} 'resolution' must be at least {least} for these params, "
                 f"got {self.resolution!r}"
             )
-        if self.command == "degiorgi":  # the runner's exponents and 4h ladder, before any solve
-            p = self.params
-            params = degiorgi.DeGiorgiParams(n=2, p=p["p"], q=p["q"], r=p["r"], R=p["R"], k_max=p["k_max"])
-            params.require_resolved_ladder(make_grid(2, 1.0, self.resolution).h)
-        if self.command == "mollify" and self.params["eps_schedule"] is not None:
-            grid = make_grid(2, 1.0, self.resolution)
-            try:
-                check_eps_schedule(grid, self.params["eps_schedule"])
-            except (GridTooCoarseError, KernelUnderResolvedError, ValueError) as exc:
-                raise ValueError(
-                    f"mollify 'eps_schedule' does not fit resolution {self.resolution}: {exc}"
-                ) from exc
-        if self.command == "liouville" and self.params["generator"] not in _LIOUVILLE_KINDS:
-            raise ValueError(
-                f"unknown liouville generator {self.params['generator']!r}; known: {_LIOUVILLE_KINDS}"
-            )
+        if spec.check is not None:
+            spec.check(self)
         self.out_dir = Path("reports", self.command) if self.out_dir is None else Path(self.out_dir)
         self.seed, self.resolution = int(self.seed), int(self.resolution)
+
+    @property
+    def grid(self) -> Grid:
+        """The run's grid: the unit box at ``resolution`` nodes per axis."""
+        return make_grid(2, 1.0, self.resolution)
 
 
 def load_config(path=None, overrides=None, command=None) -> ExperimentConfig:
@@ -285,12 +236,18 @@ def _reports_csv(reports) -> str:
 
 @dataclass
 class Verdict:
+    """The check lines of one run; ``declared`` holds the PASS/FAIL names
+    its command may record, and ok() rejects any other."""
+
+    declared: tuple
     checks: list = dfield(default_factory=list)
 
     def record(self, status: str, name: str, detail: str) -> None:
         self.checks.append((status, name, detail))
 
     def ok(self, name: str, passed: bool, detail: str) -> None:
+        if name not in self.declared:
+            raise LookupError(f"check {name!r} is not declared; declared: {self.declared}")
         self.record("PASS" if passed else "FAIL", name, detail)
 
     def observed(self, name: str, detail: str) -> None:
@@ -306,8 +263,7 @@ class Verdict:
 
 # -- experiments --------------------------------------------------------------
 #
-# Each runner records its checks in the verdict and returns (summary, tables):
-# the summary.json payload and {file name: text}. Only run() writes files.
+# Runners as CommandSpec describes them. Only run() writes files.
 
 
 # The task of the running _members pool, one pool at a time. Forked workers
@@ -329,7 +285,8 @@ def _members(task, count: int) -> list:
     Each task builds its member from its own child seed, so results do not
     depend on the core count. They come back pickled, in member order, and
     a failure raises the error of the lowest failing member, with its type
-    and attributes, as a serial loop would; queued members are cancelled.
+    and attributes, as a serial loop would; the workers are then stopped,
+    so members still running end with it.
     A solve is a multigrid loop of many short numpy/scipy calls that hold
     the GIL between them, so threads barely overlap: on a 2-vCPU Xeon VM,
     32 solves at m = 129 ran 0.97-1.27x the speed of serial on two
@@ -344,13 +301,12 @@ def _members(task, count: int) -> list:
     workers = min(cores, count)
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return list(map(task, range(count)))
-    from concurrent.futures import ProcessPoolExecutor
 
     global _TASK
     _TASK = task
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_task, range(count)))  # cancels the rest on an error
+        with multiprocessing.get_context("fork").Pool(workers) as pool:  # its exit terminates the workers
+            return list(pool.imap(_run_task, range(count)))
     finally:
         _TASK = None
 
@@ -380,8 +336,7 @@ def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         all(3.5 <= r <= 4.5 for r in ratios),
         f"refinement ratios {['%.3f' % r for r in ratios]} target [3.5, 4.5]",
     )
-    grid = make_grid(2, 1.0, cfg.resolution)
-    prob, exact = generators.harmonic_saddle_problem(grid)
+    prob, exact = generators.harmonic_saddle_problem(cfg.grid)
     sol = solve_dirichlet(prob)
     err = float(np.abs(sol.u.values - exact.values).max())
     verdict.ok("exact_discrete_harmonic", err <= 1e-10, f"max error {err:.3e} <= 1e-10")
@@ -393,7 +348,7 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     size = int(cfg.params["ensemble"])
     r = float(cfg.params["r"])
     R = float(cfg.params["R"])
-    grid = make_grid(2, 1.0, m)
+    grid = cfg.grid
 
     def member(k):
         # the report and (lam, Lam, L); the solution is dropped here
@@ -410,14 +365,23 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     return {"constant": constant, "ensemble": size, "m": m}, tables
 
 
+def _degiorgi(cfg: ExperimentConfig) -> degiorgi.DeGiorgiParams:
+    """The runner's De Giorgi parameters, with their exponents and 4h ladder
+    checked. p and q are passed as given, so that a rejection quotes them
+    as the config wrote them."""
+    params = degiorgi.DeGiorgiParams(
+        n=2, p=cfg.params["p"], q=cfg.params["q"], r=cfg.params["r"], R=cfg.params["R"],
+        k_max=int(cfg.params["k_max"]),
+    )
+    params.require_resolved_ladder(cfg.grid.h)
+    return params
+
+
 def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     size = int(cfg.params["ensemble"])
-    params = degiorgi.DeGiorgiParams(
-        n=2, p=float(cfg.params["p"]), q=float(cfg.params["q"]), r=float(cfg.params["r"]),
-        R=float(cfg.params["R"]), k_max=int(cfg.params["k_max"]),
-    )
-    grid = make_grid(2, 1.0, m)
+    params = _degiorgi(cfg)
+    grid = cfg.grid
 
     def train(k):
         # (sup, denom, u, ||f||_p + ||F||_q): the problem is dropped with the solution here
@@ -469,6 +433,13 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         "ensemble": size, "m": m, "min_fit": min_fit, "series_sums": params.series_sums,
     }
     return summary, {"degiorgi_traces.csv": csv_text(names, rows)}
+
+
+def _check_liouville(cfg: ExperimentConfig) -> None:
+    if cfg.params["generator"] not in _LIOUVILLE_KINDS:
+        raise ValueError(
+            f"unknown liouville generator {cfg.params['generator']!r}; known: {_LIOUVILLE_KINDS}"
+        )
 
 
 def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
@@ -539,7 +510,7 @@ def _growth_limit(gamma: float) -> str:
 def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     m = cfg.resolution
     s = float(cfg.params["s"])
-    grid = make_grid(2, 1.0, m)
+    grid = cfg.grid
     prob, exact = generators.radial_singular_problem(grid, s)
     sol = solve_dirichlet(prob)
     measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), *_SCHAUDER_SHELLS)
@@ -565,9 +536,8 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 
 
 def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
-    m = cfg.resolution
     alpha = float(cfg.params["alpha"])
-    grid = make_grid(2, 1.0, m)
+    grid = cfg.grid
     u = Field(grid, grid.radius_from(np.zeros(grid.n)) ** alpha)
     scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=_BLOWUP_RADII[0], R=_BLOWUP_RADII[1])
     record = blowup_sequence(u, scfg, steps=int(cfg.params["steps"]))
@@ -594,10 +564,7 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 
 
 def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
-    m = cfg.resolution
-    grid = make_grid(2, 1.0, m)
-    rng = np.random.default_rng(cfg.seed)
-    problem = generators.random_problem(grid, rng, beta=0.15, p=4.0, q=8.0)
+    problem = generators.random_problem(cfg.grid, np.random.default_rng(cfg.seed), beta=0.15, p=4.0, q=8.0)
     report = bootstrap_ckalpha(problem, int(cfg.params["k"]), float(cfg.params["alpha"]), *_BOOTSTRAP_RADII)
     rows = []
     for level, reps in enumerate(report.levels, start=1):
@@ -609,9 +576,18 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     return {"chained": report.chained_constant}, {"bootstrap_levels.csv": table}
 
 
+def _check_mollify(cfg: ExperimentConfig) -> None:
+    if cfg.params["eps_schedule"] is not None:
+        try:
+            check_eps_schedule(cfg.grid, cfg.params["eps_schedule"])
+        except (GridTooCoarseError, KernelUnderResolvedError, ValueError) as exc:
+            raise ValueError(
+                f"mollify 'eps_schedule' does not fit resolution {cfg.resolution}: {exc}"
+            ) from exc
+
+
 def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
-    m = cfg.resolution
-    grid = make_grid(2, 1.0, m)
+    grid = cfg.grid
     problem = generators.random_problem(grid, np.random.default_rng(cfg.seed), rough_alpha=0.4)
     schedule = cfg.params["eps_schedule"]
     if schedule is None:
@@ -624,16 +600,94 @@ def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     return {"gaps": [row["h1_gap"] for row in record.rows]}, {"mollify_convergence.csv": table}
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "caccioppoli": _run_caccioppoli,
-    "degiorgi": _run_degiorgi,
-    "liouville": _run_liouville,
-    "schauder": _run_schauder,
-    "blowup": _run_blowup,
-    "bootstrap": _run_bootstrap,
-    "mollify": _run_mollify,
+# One record per command, in the order of COMMANDS. Least resolutions: a
+# cutoff band must span MIN_BAND_NODES spacings (caccioppoli, blowup,
+# bootstrap). Liouville's harmonic gate needs 5 nodes per axis and schauder
+# three populated shells in _SCHAUDER_SHELLS. A mollify kernel must fit the
+# margin of the inner box: the default schedule starts with an 8h kernel, 7
+# nodes in radius; an explicit one has eps_0 > eps_1 >= 2h, so its first
+# kernel is at least 2 nodes in radius, and its check tests the rest.
+# degiorgi's check tests its ladder. Running each command at every odd
+# resolution from 3 up gives the same minima at the defaults.
+SPECS = {
+    "solve": CommandSpec(
+        params={"resolutions": (65, 129, 257)},
+        ranges=(
+            ("resolutions",
+             lambda p: _ladder(p["resolutions"], True) and all(map(_odd_nodes, p["resolutions"])),
+             "be at least two increasing odd whole numbers >= 3"),
+        ),
+        runner=_run_solve,
+        checks=("manufactured_convergence_order", "exact_discrete_harmonic"),
+    ),
+    "caccioppoli": CommandSpec(
+        params={"ensemble": 8, "r": 0.5, "R": 0.95},
+        ranges=(_count("ensemble"), *_RADII),
+        runner=_run_caccioppoli,
+        least_resolution=lambda p: _spanning(p["R"] - p["r"]),
+    ),
+    "degiorgi": CommandSpec(
+        params={"ensemble": 50, "p": 2.0, "q": 4.0, "r": 0.5, "R": 1.0, "k_max": 3},
+        ranges=(_count("ensemble"), *_RADII, _count("k_max", 3)),
+        runner=_run_degiorgi,
+        checks=("no_spike_all_instances", "fitted_decay_superlinear"),
+        check=_degiorgi,
+    ),
+    "liouville": CommandSpec(
+        params={"generator": "saddle", "a": (1.0, 0.0), "b": (0.0, 1.0), "gamma": None, "scales": None},
+        ranges=(
+            ("scales", lambda p: p["scales"] is None or (
+                isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
+                and all(_is_number(r) and r > 0 for r in p["scales"])
+                and len(set(p["scales"])) == len(p["scales"])),
+             "be null or at least four distinct positive radii"),
+        ),
+        runner=_run_liouville,
+        checks=(
+            "harmonic_residual_gate", "superpolynomial_growth_rejected", "degree_undetected",
+            "growth_tag_verified", "degree_within_growth_tag",
+        ),
+        least_resolution=lambda p: 5,
+        check=_check_liouville,
+    ),
+    "schauder": CommandSpec(
+        params={"s": 0.5, "ensemble": 10},
+        ranges=(_between("s", 0, 2), _count("ensemble")),
+        runner=_run_schauder,
+        checks=("singular_family_threshold_exponent",),
+        least_resolution=lambda p: 13,
+    ),
+    "blowup": CommandSpec(
+        params={"alpha": 0.5, "steps": 2},
+        ranges=(_between("alpha", 0, 1), _count("steps")),
+        runner=_run_blowup,
+        checks=("blowup_seminorm_normalized", "blowup_growth_exponent"),
+        least_resolution=lambda p: _spanning(_BLOWUP_RADII[1] - _BLOWUP_RADII[0]),
+    ),
+    "bootstrap": CommandSpec(
+        params={"k": 2, "alpha": 0.4},
+        ranges=(("k", lambda p: p["k"] in (2, 3), "be 2 or 3"), _between("alpha", 0, 1)),
+        runner=_run_bootstrap,
+        least_resolution=lambda p: _spanning(
+            float(np.diff(np.geomspace(*_BOOTSTRAP_RADII, int(p["k"]) + 1)).min())
+        ),
+    ),
+    "mollify": CommandSpec(
+        params={"eps_schedule": None},
+        ranges=(
+            ("eps_schedule", lambda p: p["eps_schedule"] is None or (
+                _ladder(p["eps_schedule"], False) and p["eps_schedule"][-1] > 0),
+             "be null or at least two strictly decreasing positive radii"),
+        ),
+        runner=_run_mollify,
+        checks=("approximation_h1_decreasing", "approximation_l2_bound"),
+        least_resolution=lambda p: _least(
+            lambda grid: inner_box(grid)[1] >= (7 if p["eps_schedule"] is None else 2)
+        ),
+        check=_check_mollify,
+    ),
 }
+COMMANDS = tuple(SPECS)
 
 
 def run(cfg: ExperimentConfig) -> Verdict:
@@ -641,8 +695,9 @@ def run(cfg: ExperimentConfig) -> Verdict:
     verdict.txt under ``cfg.out_dir``. The directory is made only once the
     runner has returned, so a run that raises leaves no output behind.
     summary.json is strict JSON: a non-finite number is written as null."""
-    verdict = Verdict()
-    summary, tables = _RUNNERS[cfg.command](cfg, verdict)
+    spec = SPECS[cfg.command]
+    verdict = Verdict(spec.checks)
+    summary, tables = spec.runner(cfg, verdict)
     payload = {
         "command": cfg.command, "seed": cfg.seed, "resolution": cfg.resolution,
         "summary": summary,
@@ -655,65 +710,6 @@ def run(cfg: ExperimentConfig) -> Verdict:
     for name, text in tables.items():
         (cfg.out_dir / name).write_text(text, encoding="utf-8", newline="")
     return verdict
-
-
-# -- plot script emission ------------------------------------------------------
-
-_PLOTTABLE = {
-    "degiorgi_traces.csv": (
-        "degiorgi_traces.gp",
-        """set datafile separator ','
-set logscale y
-set xlabel 'iteration k'
-set ylabel 'level-set energy E_k'
-set title 'Truncation iteration traces'
-plot for [col=7:{last}] 'degiorgi_traces.csv' using (column(0)):col skip 1 with linespoints notitle
-""",
-    ),
-    "liouville_scan.csv": (
-        "liouville_scan.gp",
-        """set datafile separator ','
-set logscale xy
-set xlabel 'scale R'
-set ylabel 'derivative energy'
-set title 'Derivative energy vs scale (fitted slope {slope})'
-plot 'liouville_scan.csv' using 2:3 skip 1 with points notitle
-""",
-    ),
-    "solve_convergence.csv": (
-        "solve_convergence.gp",
-        """set datafile separator ','
-set logscale xy
-set xlabel 'nodes per axis m'
-set ylabel 'max error'
-set title 'Manufactured-solution convergence'
-plot 'solve_convergence.csv' using 1:2 skip 1 with linespoints notitle
-""",
-    ),
-}
-
-
-def emit_plots(report_dir) -> list:
-    """Write gnuplot scripts next to the tables they visualize."""
-    report_dir = Path(report_dir)
-    written = []
-    for table, (script_name, template) in _PLOTTABLE.items():
-        source = report_dir / table
-        if not source.exists():
-            continue
-        text = template
-        if "{last}" in text:
-            header = source.read_text().splitlines()[0].split(",")
-            text = text.replace("{last}", str(len(header)))
-        if "{slope}" in text:
-            summary = report_dir / "summary.json"
-            slope = json.loads(summary.read_text())["summary"].get("slope_k1") if summary.exists() else None
-            text = text.replace("{slope}", "" if slope is None else f"{slope:.3f}")
-        (report_dir / script_name).write_text(text)
-        written.append(script_name)
-    if not written:
-        raise NothingToPlotError(f"no plottable tables under {report_dir}")
-    return written
 
 
 # -- command line ---------------------------------------------------------------
@@ -731,14 +727,9 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", type=Path, default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--resolution", type=int, default=None)
-    plots = sub.add_parser("plots")
-    plots.add_argument("--out", type=Path, required=True)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "plots":
-            emit_plots(args.out)
-            return 0
         cfg = load_config(
             args.config,
             {"out": args.out, "seed": args.seed, "resolution": args.resolution},

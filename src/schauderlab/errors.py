@@ -103,7 +103,3 @@ class NotHarmonicParametersError(SchauderLabError):
 
 class CalibrationRequiredError(SchauderLabError):
     """Smallness threshold not calibrated for this configuration."""
-
-
-class NothingToPlotError(SchauderLabError):
-    """Report directory holds no plottable tables."""

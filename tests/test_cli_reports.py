@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import multiprocessing
@@ -12,18 +13,9 @@ from pathlib import Path
 import pytest
 
 from schauderlab import cli_reports, generators, norm_engine
-from schauderlab.cli_reports import (
-    _RUNNERS,
-    PARAMS,
-    ExperimentConfig,
-    Verdict,
-    emit_plots,
-    load_config,
-    main,
-    run,
-)
+from schauderlab.cli_reports import SPECS, ExperimentConfig, Verdict, load_config, main, run
 from schauderlab.domain_grid import make_grid
-from schauderlab.errors import NotEllipticError, NothingToPlotError, SolverStagnationError
+from schauderlab.errors import NotEllipticError, SolverStagnationError
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -134,24 +126,13 @@ def test_liouville_counterexample_verdict(tmp_path):
     assert statuses["degree_undetected"] == "PASS"
 
 
-def test_emit_plots(tmp_path):
-    cfg = ExperimentConfig(
-        command="solve", out_dir=tmp_path, seed=0, resolution=65,
-        params={"resolutions": [33, 65]},
-    )
-    run(cfg)
-    written = emit_plots(tmp_path)
-    assert "solve_convergence.gp" in written
-    assert (tmp_path / "solve_convergence.gp").read_text().startswith("set datafile")
-
-
 def test_summary_writes_non_finite_as_null(tmp_path, monkeypatch):
     def runner(cfg, verdict):
         verdict.observed("probe", "non-finite summary")
         summary = {"slope_k1": float("nan"), "min_fit": float("inf"), "nested": [{"x": -float("inf")}, 1.5]}
         return summary, {"liouville_scan.csv": "order,scale,energy,slope,at_floor\r\n"}
 
-    monkeypatch.setitem(cli_reports._RUNNERS, "solve", runner)
+    monkeypatch.setitem(SPECS, "solve", dataclasses.replace(SPECS["solve"], runner=runner))
     run(ExperimentConfig(command="solve", out_dir=tmp_path))
 
     def reject(name):
@@ -159,13 +140,6 @@ def test_summary_writes_non_finite_as_null(tmp_path, monkeypatch):
 
     summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)["summary"]
     assert summary == {"slope_k1": None, "min_fit": None, "nested": [{"x": None}, 1.5]}
-    assert emit_plots(tmp_path) == ["liouville_scan.gp"]
-    assert "(fitted slope )" in (tmp_path / "liouville_scan.gp").read_text()
-
-
-def test_emit_plots_empty_dir(tmp_path):
-    with pytest.raises(NothingToPlotError):
-        emit_plots(tmp_path / "nothing")
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -268,11 +242,31 @@ def test_lowest_failing_member_error_surfaces(tmp_path, capsys, monkeypatch):
     assert "member 1 stagnated" in err and "member 3" not in err
 
 
-@pytest.mark.skipif(
+_needs_two_cores = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores"
 )
+
+
+@_needs_two_cores
 def test_members_run_outside_the_parent():
     assert os.getpid() not in cli_reports._members(lambda k: os.getpid(), 4)
+    assert not multiprocessing.active_children()
+
+
+@_needs_two_cores
+def test_member_error_stops_the_running_members():
+    # member 0 fails at once; the members already handed to a worker must
+    # not sleep out their second before the error surfaces
+    def task(k):
+        if k == 0:
+            raise SolverStagnationError("member 0 stagnated")
+        time.sleep(1.0)
+        return k
+
+    start = time.perf_counter()
+    with pytest.raises(SolverStagnationError, match="member 0"):
+        cli_reports._members(task, 12)
+    assert time.perf_counter() - start < 0.5
     assert not multiprocessing.active_children()
 
 
@@ -464,10 +458,11 @@ def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, sp
 
 
 def test_param_keys_are_the_keys_each_runner_reads():
-    assert set(PARAMS) == set(_RUNNERS)
-    for command, runner in _RUNNERS.items():
-        read = set(re.findall(r'cfg\.params\["(\w+)"\]', inspect.getsource(runner)))
-        assert read == set(PARAMS[command]), command
+    # a runner reads its params itself or through its command's check
+    for command, spec in SPECS.items():
+        source = "".join(inspect.getsource(f) for f in (spec.runner, spec.check) if f is not None)
+        read = set(re.findall(r'cfg\.params\["(\w+)"\]', source))
+        assert read == set(spec.params), command
 
 
 def test_one_log_slope_and_one_shell_scan_in_src():
@@ -488,8 +483,30 @@ def test_one_log_slope_and_one_shell_scan_in_src():
 
 
 def test_verdict_failure_sets_exit_flag():
-    verdict = Verdict()
+    verdict = Verdict(("alpha", "beta"))
     verdict.ok("alpha", True, "fine")
     verdict.ok("beta", False, "broken")
     verdict.observed("gamma", "0.5")
     assert verdict.failed
+
+
+def test_verdict_rejects_an_undeclared_check(tmp_path, monkeypatch):
+    verdict = Verdict(("alpha",))
+    with pytest.raises(LookupError, match="beta"):
+        verdict.ok("beta", True, "fine")
+    assert verdict.checks == []
+
+    def runner(cfg, verdict):
+        verdict.ok("undeclared", True, "fine")
+        return {}, {}
+
+    monkeypatch.setitem(SPECS, "solve", dataclasses.replace(SPECS["solve"], runner=runner))
+    with pytest.raises(LookupError, match="undeclared"):
+        run(ExperimentConfig(command="solve", out_dir=tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+
+
+def test_declared_checks_are_the_names_each_runner_records():
+    for command, spec in SPECS.items():
+        recorded = re.findall(r'verdict\.ok\(\s*"(\w+)"', inspect.getsource(spec.runner))
+        assert set(recorded) == set(spec.checks), command

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from schauderlab.cli_reports import PARAMS, main
+from schauderlab.cli_reports import SPECS, main
 
 # key: (valid values, invalid values)
 _POOLS = {
@@ -55,10 +55,11 @@ def _value(draw, key):
 
 @st.composite
 def _configs(draw):
-    command = draw(st.sampled_from(sorted(PARAMS)))
-    keys = draw(st.lists(st.sampled_from(list(PARAMS[command])), unique=True, max_size=3))
+    command = draw(st.sampled_from(sorted(SPECS)))
+    params = SPECS[command].params
+    keys = draw(st.lists(st.sampled_from(list(params)), unique=True, max_size=3))
     # the defaults of these keys are too large or too slow for m <= 33
-    keys += [key for key in _ALWAYS if key in PARAMS[command] and key not in keys]
+    keys += [key for key in _ALWAYS if key in params and key not in keys]
     if draw(st.integers(0, 9)) == 9:
         keys.append("typo")
     spec = {"command": command, "params": {key: _value(draw, key) for key in keys}}
