@@ -22,6 +22,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +193,10 @@ class ExperimentConfig:
         self.out_dir = Path("reports", self.command) if self.out_dir is None else Path(self.out_dir)
         self.seed, self.resolution = int(self.seed), int(self.resolution)
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
-        """The run's grid: the unit box at ``resolution`` nodes per axis."""
+        """The run's grid: the unit box at ``resolution`` nodes per axis,
+        built once per config."""
         return make_grid(2, 1.0, self.resolution)
 
 
@@ -286,7 +288,8 @@ def _members(task, count: int) -> list:
     depend on the core count. They come back pickled, in member order, and
     a failure raises the error of the lowest failing member, with its type
     and attributes, as a serial loop would; the workers are then stopped,
-    so members still running end with it.
+    so members still running end with it. A worker killed from outside
+    (say by the OOM killer) raises RuntimeError within about 0.1 s.
     A solve is a multigrid loop of many short numpy/scipy calls that hold
     the GIL between them, so threads barely overlap: on a 2-vCPU Xeon VM,
     32 solves at m = 129 ran 0.97-1.27x the speed of serial on two
@@ -304,9 +307,20 @@ def _members(task, count: int) -> list:
 
     global _TASK
     _TASK = task
+    before = set(multiprocessing.active_children())
     try:
         with multiprocessing.get_context("fork").Pool(workers) as pool:  # its exit terminates the workers
-            return list(pool.imap(_run_task, range(count)))
+            staff = set(multiprocessing.active_children()) - before
+            pending = pool.imap(_run_task, range(count))
+            results = []
+            while len(results) < count:
+                try:
+                    results.append(pending.next(timeout=0.1))
+                except multiprocessing.TimeoutError:
+                    # Pool replaces a killed worker but drops its task, which would never come back
+                    if not all(worker.is_alive() for worker in staff):
+                        raise RuntimeError("an ensemble worker process died before its member returned") from None
+            return results
     finally:
         _TASK = None
 
@@ -366,15 +380,13 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 
 
 def _degiorgi(cfg: ExperimentConfig) -> degiorgi.DeGiorgiParams:
-    """The runner's De Giorgi parameters, with their exponents and 4h ladder
-    checked. p and q are passed as given, so that a rejection quotes them
+    """The runner's De Giorgi parameters; building them checks the
+    exponents. p and q are passed as given, so that a rejection quotes them
     as the config wrote them."""
-    params = degiorgi.DeGiorgiParams(
+    return degiorgi.DeGiorgiParams(
         n=2, p=cfg.params["p"], q=cfg.params["q"], r=cfg.params["r"], R=cfg.params["R"],
         k_max=int(cfg.params["k_max"]),
     )
-    params.require_resolved_ladder(cfg.grid.h)
-    return params
 
 
 def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
@@ -631,7 +643,7 @@ SPECS = {
         ranges=(_count("ensemble"), *_RADII, _count("k_max", 3)),
         runner=_run_degiorgi,
         checks=("no_spike_all_instances", "fitted_decay_superlinear"),
-        check=_degiorgi,
+        check=lambda cfg: _degiorgi(cfg).require_resolved_ladder(cfg.grid.h),
     ),
     "liouville": CommandSpec(
         params={"generator": "saddle", "a": (1.0, 0.0), "b": (0.0, 1.0), "gamma": None, "scales": None},

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -266,7 +267,24 @@ def test_member_error_stops_the_running_members():
     start = time.perf_counter()
     with pytest.raises(SolverStagnationError, match="member 0"):
         cli_reports._members(task, 12)
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 1.0
+    assert not multiprocessing.active_children()
+
+
+@_needs_two_cores
+def test_member_killed_from_outside_raises_promptly():
+    # a worker killed by a signal (as the OOM killer would) loses its member;
+    # the run must raise rather than wait for it forever
+    def task(k):
+        if k == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.05)
+        return k
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker process died"):
+        cli_reports._members(task, 6)
+    assert time.perf_counter() - start < 2.0
     assert not multiprocessing.active_children()
 
 
@@ -458,9 +476,12 @@ def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, sp
 
 
 def test_param_keys_are_the_keys_each_runner_reads():
-    # a runner reads its params itself or through its command's check
+    # a runner reads its params itself, through its command's check, or
+    # through a module helper that either hands the config to
     for command, spec in SPECS.items():
         source = "".join(inspect.getsource(f) for f in (spec.runner, spec.check) if f is not None)
+        helpers = set(re.findall(r"\b(_\w+)\(cfg\)", source))
+        source += "".join(inspect.getsource(getattr(cli_reports, name)) for name in helpers)
         read = set(re.findall(r'cfg\.params\["(\w+)"\]', source))
         assert read == set(spec.params), command
 
