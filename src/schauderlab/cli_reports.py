@@ -195,8 +195,7 @@ class ExperimentConfig:
 
     @cached_property
     def grid(self) -> Grid:
-        """The run's grid: the unit box at ``resolution`` nodes per axis,
-        built once per config."""
+        """The run's grid, built once: the unit box at ``resolution`` nodes per axis."""
         return make_grid(2, 1.0, self.resolution)
 
 
@@ -288,8 +287,7 @@ def _members(task, count: int) -> list:
     depend on the core count. They come back pickled, in member order, and
     a failure raises the error of the lowest failing member, with its type
     and attributes, as a serial loop would; the workers are then stopped,
-    so members still running end with it. A worker killed from outside
-    (say by the OOM killer) raises RuntimeError within about 0.1 s.
+    so members still running end with it; a killed worker raises RuntimeError.
     A solve is a multigrid loop of many short numpy/scipy calls that hold
     the GIL between them, so threads barely overlap: on a 2-vCPU Xeon VM,
     32 solves at m = 129 ran 0.97-1.27x the speed of serial on two
@@ -316,8 +314,7 @@ def _members(task, count: int) -> list:
             while len(results) < count:
                 try:
                     results.append(pending.next(timeout=0.1))
-                except multiprocessing.TimeoutError:
-                    # Pool replaces a killed worker but drops its task, which would never come back
+                except multiprocessing.TimeoutError:  # Pool replaces a killed worker but drops its member
                     if not all(worker.is_alive() for worker in staff):
                         raise RuntimeError("an ensemble worker process died before its member returned") from None
             return results
@@ -380,9 +377,8 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 
 
 def _degiorgi(cfg: ExperimentConfig) -> degiorgi.DeGiorgiParams:
-    """The runner's De Giorgi parameters; building them checks the
-    exponents. p and q are passed as given, so that a rejection quotes them
-    as the config wrote them."""
+    """The runner's De Giorgi parameters, exponents checked; p and q pass as
+    given, so that a rejection quotes them as the config wrote them."""
     return degiorgi.DeGiorgiParams(
         n=2, p=cfg.params["p"], q=cfg.params["q"], r=cfg.params["r"], R=cfg.params["R"],
         k_max=int(cfg.params["k_max"]),
