@@ -23,7 +23,7 @@ problem, exact = radial_singular_problem(grid, 0.5)
 sol = solve_dirichlet(problem)
 print("solver error vs closed form:", np.abs(sol.u.values - exact.values).max())
 measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), 0.03, 0.4)
-print(f"measured Holder exponent at the origin: {measured['exponent']:.4f}  (2 - s = 1.5)")
+print(f"measured Holder exponent at the origin: {measured:.4f}  (2 - s = 1.5)")
 
 print("\n== estimate ratios on rough-Holder coefficients ==")
 cfg = SchauderConfig(order=0, alpha=0.7 * gate.raw, p=4.0, q=8.0, r=0.3, R=0.8)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .domain_grid import ball_region, cutoff
+from .domain_grid import ball_region, check_radii, cutoff
 from .errors import IncompatibleEnsembleError
 from .field_calculus import gradient
 from .norm_engine import lp_norm, lp_norm_vec
@@ -74,17 +74,21 @@ class EstimateReport:
         )
 
 
-def _radii_check(sol, r: float, R: float):
-    grid = sol.grid
-    if not 0 < r < R <= grid.half_width * (1 + 1e-12):
-        raise ValueError(f"need 0 < r < R <= {grid.half_width}, got ({r}, {R})")
-    # same resolvability rule as the cutoff the inequality's proof consumes
-    cutoff(grid, r, R)
+def rhs_terms(sol, p: float, q: float | None, region) -> dict:
+    """{u_l2: ||u||_2, f_lp: ||f||_p, F_lq: ||F||_q} of a solution and its
+    data on ``region``, in this order: the right-hand side that the interior
+    estimates of De Giorgi and Schauder (order 0) share, summed by them left
+    to right. q = None leaves out F_lq."""
+    terms = {"u_l2": lp_norm(sol.u, 2, region).value, "f_lp": lp_norm(sol.problem.f, p, region).value}
+    if q is not None:
+        terms["F_lq"] = lp_norm_vec(sol.problem.F, q, region).value
+    return terms
 
 
 def caccioppoli_check(sol, r: float, R: float) -> EstimateReport:
     """||grad u||_{L2(B_r)} vs (R-r)^-1 ||u||_{L2(B_R)} + ||f||_2 + ||F||_2."""
-    _radii_check(sol, r, R)
+    # the radii the cutoff of the inequality's proof needs
+    check_radii(r, R, sol.grid)
     grid = sol.grid
     inner, outer = ball_region(grid, 0.0, r), ball_region(grid, 0.0, R)
     lhs = lp_norm_vec(gradient(sol.u), 2, inner).value
@@ -111,7 +115,6 @@ def truncated_caccioppoli(sol, b: float, sign: str, r: float, rho: float) -> Est
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign}")
-    _radii_check(sol, r, rho)
     grid = sol.grid
     eta = cutoff(grid, r, rho).eta
     u = sol.u

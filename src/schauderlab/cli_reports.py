@@ -104,6 +104,11 @@ def _odd_nodes(m) -> bool:
     return _whole(m, 3) and m % 2 == 1
 
 
+def _numbers(values, count: int) -> bool:
+    """A list of ``count`` numbers."""
+    return isinstance(values, (list, tuple)) and len(values) == count and all(map(_is_number, values))
+
+
 def _ladder(values, rising: bool) -> bool:
     """At least two numbers, strictly increasing (or decreasing)."""
     if not isinstance(values, (list, tuple)) or len(values) < 2 or not all(map(_is_number, values)):
@@ -217,22 +222,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def csv_text(fieldnames, rows) -> str:
-    """An RFC 4180 table (CRLF line ends): the header, then one line per row."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_fmt(row[name]) for name in fieldnames])
-    return out.getvalue()
-
-
-def _reports_csv(reports) -> str:
-    """EstimateReport rows: the first row's columns, then any others sorted."""
-    rows = [rep.to_row() for rep in reports]
+def csv_text(rows) -> str:
+    """An RFC 4180 table (CRLF line ends) of dict rows: the header, the
+    first row's keys and then any other keys sorted, then one line per row."""
     names = list(rows[0]) if rows else []
     names += sorted({k for row in rows for k in row} - set(names))
-    return csv_text(names, rows)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([_fmt(row[name]) for name in names])
+    return out.getvalue()
 
 
 @dataclass
@@ -335,12 +335,12 @@ def _run_solve(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         rows.append(
             {
                 "m": m, "max_err": err,
+                "ratio": errors[-2] / err if len(errors) > 1 else float("nan"),
                 "iterations": sol.diagnostics["iterations"],
                 "residual": sol.diagnostics["residual"],
-                "ratio": errors[-2] / err if len(errors) > 1 else float("nan"),
             }
         )
-    table = csv_text(["m", "max_err", "ratio", "iterations", "residual"], rows)
+    table = csv_text(rows)
     ratios = [row["ratio"] for row in rows[1:]]
     verdict.ok(
         "manufactured_convergence_order",
@@ -369,7 +369,7 @@ def _run_caccioppoli(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 
     constant, reports = empirical_constant(_members(member, size))
     tables = {
-        "caccioppoli_reports.csv": _reports_csv(reports),
+        "caccioppoli_reports.csv": csv_text([rep.to_row() for rep in reports]),
         "caccioppoli_reports.json": "[" + ",\n".join(rep.to_json() for rep in reports) + "]\n",
     }
     verdict.observed("caccioppoli_empirical_constant", f"max ratio {constant:.4f} over {size} instances")
@@ -392,16 +392,16 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     grid = cfg.grid
 
     def train(k):
-        # (sup, denom, u, ||f||_p + ||F||_q): the problem is dropped with the solution here
+        # ((sup, denom, ||f||_p + ||F||_q), u): the problem is dropped with the solution here
         sol = solve_dirichlet(generators.sup_bound_problem(grid, np.random.default_rng([cfg.seed, k])))
-        return (*degiorgi.training_ratio(sol, params), sol.u, degiorgi.data_norm(sol, params))
+        return degiorgi.training_ratio(sol, params), sol.u
 
     members = _members(train, size)
-    delta, bound = degiorgi.calibrate_delta([member[:2] for member in members], params)
+    delta, bound = degiorgi.calibrate_delta([ratio for ratio, _ in members], params)
 
     def verify(k):
         # sqrt(delta) over the pass-1 denom: the bits normalization_factor gives
-        _, denom, u, data_norm = members[k]
+        (_, denom, data_norm), u = members[k]
         theta = math.sqrt(delta) / denom
         u = theta * u
         report = degiorgi.no_spike_verify(u, theta * data_norm, params)
@@ -424,9 +424,6 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         for j, e in enumerate(trace.E):
             row[f"E{j}"] = float(e)
         rows.append(row)
-    names = ["instance", "theta", "sign", "verified", "fitted_exponent", "pairs"] + [
-        f"E{j}" for j in range(params.k_max + 1)
-    ]
     verdict.ok("no_spike_all_instances", all_ok, f"{size} normalized instances, delta = {delta:.6g}")
     verdict.ok(
         "fitted_decay_superlinear",
@@ -440,7 +437,7 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         "delta": delta, "delta_bound": bound, "gamma": params.gamma, "tau": params.tau,
         "ensemble": size, "m": m, "min_fit": min_fit, "series_sums": params.series_sums,
     }
-    return summary, {"degiorgi_traces.csv": csv_text(names, rows)}
+    return summary, {"degiorgi_traces.csv": csv_text(rows)}
 
 
 def _check_liouville(cfg: ExperimentConfig) -> None:
@@ -466,10 +463,9 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     if cfg.params["scales"] is not None:
         scales = cfg.params["scales"]
     fam = liouville_lab.growth_family(gen, gamma, scales=scales, m=m)
-    gate = fam.harmonic_gate()
     verdict.ok(
         "harmonic_residual_gate",
-        gate["passed"],
+        fam.harmonic_gate(),
         f"{kind}: residual O(h^2) at scales {list(fam.scales)}",
     )
     for k in (1, 2, 3):
@@ -479,7 +475,7 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
                          "slope": scan.slope, "at_floor": scan.at_floor})
         summary[f"slope_k{k}"] = scan.slope
         summary[f"floor_k{k}"] = scan.at_floor
-    table = csv_text(["order", "scale", "energy", "slope", "at_floor"], rows)
+    table = csv_text(rows)
     growth = liouville_lab.verify_growth(fam)
     if kind == "counterexample":
         verdict.ok(
@@ -525,8 +521,8 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     target = 2.0 - s
     verdict.ok(
         "singular_family_threshold_exponent",
-        abs(measured["exponent"] - target) <= 0.05 * target,
-        f"measured {measured['exponent']:.4f} vs 2 - s = {target}",
+        abs(measured - target) <= 0.05 * target,
+        f"measured {measured:.4f} vs 2 - s = {target}",
     )
     size = int(cfg.params["ensemble"])
     alpha = 0.7 * admissible_alpha(grid.n, 4.0, 8.0).raw
@@ -540,7 +536,8 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     verdict.observed(
         "schauder_max_ratio", f"{max(rep.ratio for rep in reports):.4f} at m = {m}"
     )
-    return {"exponent": measured["exponent"], "alpha": alpha}, {"schauder_reports.csv": _reports_csv(reports)}
+    table = csv_text([rep.to_row() for rep in reports])
+    return {"exponent": measured, "alpha": alpha}, {"schauder_reports.csv": table}
 
 
 def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
@@ -558,7 +555,7 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         }
         for k, st in enumerate(record.steps)
     ]
-    table = csv_text(["step", "x", "y", "separation", "level", "v_seminorm", "fit"], rows)
+    table = csv_text(rows)
     verdict.ok(
         "blowup_seminorm_normalized", step.v_seminorm <= 1.05,
         f"[v] = {step.v_seminorm:.4f} <= 1.05",
@@ -579,7 +576,7 @@ def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         for rep in reps:
             rows.append({"level": level, "inequality": rep.inequality,
                          "lhs": rep.lhs, "rhs": rep.rhs_total, "ratio": rep.ratio})
-    table = csv_text(["level", "inequality", "lhs", "rhs", "ratio"], rows)
+    table = csv_text(rows)
     verdict.observed("bootstrap_chained_constant", f"{report.chained_constant:.4f}")
     return {"chained": report.chained_constant}, {"bootstrap_levels.csv": table}
 
@@ -601,7 +598,7 @@ def _run_mollify(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     if schedule is None:
         schedule = [8 * grid.h, 4 * grid.h, 2 * grid.h * 1.01]
     record = regularize_approximate(problem, schedule)
-    table = csv_text(["eps", "h1_gap", "l2", "lam_eps", "L_eps", "iterations"], record.rows)
+    table = csv_text(record.rows)
     verdict.ok("approximation_h1_decreasing", record.decreasing,
                f"gaps {['%.3e' % row['h1_gap'] for row in record.rows]}")
     verdict.ok("approximation_l2_bound", record.l2_bound_ok, "||u_eps||_2 <= 2 ||u||_2")
@@ -644,6 +641,9 @@ SPECS = {
     "liouville": CommandSpec(
         params={"generator": "saddle", "a": (1.0, 0.0), "b": (0.0, 1.0), "gamma": None, "scales": None},
         ranges=(
+            ("gamma", lambda p: p["gamma"] is None or _is_number(p["gamma"]) and math.isfinite(p["gamma"]),
+             "be null or a finite number"),
+            *((key, lambda p, key=key: _numbers(p[key], 2), "be two numbers") for key in ("a", "b")),
             ("scales", lambda p: p["scales"] is None or (
                 isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
                 and all(_is_number(r) and r > 0 for r in p["scales"])

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caccioppoli import EstimateReport
-from .domain_grid import MIN_BAND_NODES, ball_region, nested_radii, truncation_levels
+from .caccioppoli import EstimateReport, rhs_terms
+from .domain_grid import MIN_BAND_NODES, ball_region, check_radii, nested_radii, truncation_levels
+from .elliptic_solver import require_admissible
 from .errors import (
     CalibrationRequiredError,
     GridTooCoarseError,
     InadmissibleExponentsError,
     PreconditionFailureError,
 )
-from .norm_engine import log_slope, lp_norm, lp_norm_vec
+from .norm_engine import log_slope, lp_norm
 
 # Nodal slack for almost-everywhere conclusions: max u <= 1 + NO_SPIKE_SLACK*h.
 NO_SPIKE_SLACK = 2.0
@@ -37,19 +38,11 @@ TAU_SAFETY_2D = 1.25
 DELTA_CEILING = 1.0 - 1e-9
 
 
-def _require_admissible(n: int, p: float, q: float) -> None:
-    """Raise unless p > n/2 and q > n, naming the failing exponent."""
-    if not p > n / 2:
-        raise InadmissibleExponentsError(f"need p > n/2 = {n / 2}, got {p}", failing_term="p")
-    if not q > n:
-        raise InadmissibleExponentsError(f"need q > n = {n}, got {q}", failing_term="q")
-
-
 def default_tau(n: int, p: float, q: float) -> float:
     """Sobolev exponent 2n/(n-2) for n >= 3; for n = 2 the smallest value
     meeting both strict constraints, widened by a safety factor. The
     exponents are checked first, so p = 1 or q = 2 never divides by zero."""
-    _require_admissible(n, p, q)
+    require_admissible(n, p, q)
     if n >= 3:
         return 2.0 * n / (n - 2.0)
     return TAU_SAFETY_2D * max(2.0 * p / (p - 1.0), 2.0 * q / (q - 2.0))
@@ -57,7 +50,7 @@ def default_tau(n: int, p: float, q: float) -> float:
 
 def gamma_exponent(n: int, p: float, q: float, tau: float) -> float:
     """Iteration gain min{1 - 2/tau, 2 - 4/tau - 2/p, 1 - 2/tau - 2/q} > 0."""
-    _require_admissible(n, p, q)
+    require_admissible(n, p, q)
     if n >= 3 and not math.isclose(tau, 2.0 * n / (n - 2.0), rel_tol=1e-12):
         raise InadmissibleExponentsError(
             f"n = {n} requires tau = 2n/(n-2) = {2 * n / (n - 2)}, got {tau}", failing_term="tau"
@@ -98,8 +91,7 @@ class DeGiorgiParams:
     def __post_init__(self):
         if self.tau is None:
             self.tau = default_tau(self.n, self.p, self.q)
-        if not 0 < self.r < self.R:
-            raise ValueError(f"need 0 < r < R, got ({self.r}, {self.R})")
+        check_radii(self.r, self.R)
         if self.k_max < 3:
             raise ValueError(f"k_max must be >= 3, got {self.k_max}")
         if self.delta is not None and not 0 < self.delta < 1:
@@ -150,6 +142,13 @@ def _fit_decay_exponent(E: np.ndarray):
     return slope, len(pairs)
 
 
+def _positive_energy(u: np.ndarray, level: float, mask: np.ndarray) -> float:
+    """sum over ``mask`` of (u - level)_+^2, unscaled: energies multiply it
+    by h^n, while the sign="auto" comparison must not, since the scaling
+    can round a strict inequality into a tie."""
+    return float((np.maximum(u - level, 0.0)[mask] ** 2).sum())
+
+
 def truncation_sequence(u, params: DeGiorgiParams, sign: str = "plus") -> IterationTrace:
     """Energies E_k = sum_{B_{r_k}} (u - b_k)_+^2 h^n of the Field ``u`` down
     the nested ladders.
@@ -170,16 +169,13 @@ def truncation_sequence(u, params: DeGiorgiParams, sign: str = "plus") -> Iterat
     dist = grid.radius_from(np.zeros(grid.n))
     if sign == "auto":
         outer = dist < params.R
-        plus_mass = float((np.maximum(u, 0.0)[outer] ** 2).sum())
-        minus_mass = float((np.maximum(-u, 0.0)[outer] ** 2).sum())
-        sign = "plus" if plus_mass >= minus_mass else "minus"
+        sign = "plus" if _positive_energy(u, 0.0, outer) >= _positive_energy(-u, 0.0, outer) else "minus"
     if sign == "minus":
         u = -u
 
     E = np.empty(params.k_max + 1)
     for k in range(params.k_max + 1):
-        v = np.maximum(u - b[k], 0.0)
-        E[k] = float((v[dist < radii[k]] ** 2).sum() * hn)
+        E[k] = _positive_energy(u, b[k], dist < radii[k]) * hn
 
     counts = np.zeros(params.k_max, dtype=np.int64)
     for k in range(params.k_max):
@@ -195,13 +191,6 @@ def truncation_sequence(u, params: DeGiorgiParams, sign: str = "plus") -> Iterat
 
 @dataclass
 class NoSpikeReport:
-    delta: float
-    data_norm: float
-    e0_plus: float
-    e0_minus: float
-    max_u: float
-    min_u: float
-    tol: float
     plus_verified: bool
     minus_verified: bool
 
@@ -229,8 +218,8 @@ def no_spike_verify(u, data_norm: float, params: DeGiorgiParams) -> NoSpikeRepor
         raise PreconditionFailureError(f"data norms {data_norm:.4g} exceed 1")
     hn = grid.h**grid.n
     u = u.values
-    e0_plus = float((np.maximum(u, 0.0)[outer.mask] ** 2).sum() * hn)
-    e0_minus = float((np.maximum(-u, 0.0)[outer.mask] ** 2).sum() * hn)
+    e0_plus = _positive_energy(u, 0.0, outer.mask) * hn
+    e0_minus = _positive_energy(-u, 0.0, outer.mask) * hn
     # normalized positive solutions sit exactly at E_0 = delta; allow rounding
     ceiling = params.delta * (1.0 + 1e-9)
     if e0_plus > ceiling or e0_minus > ceiling:
@@ -238,42 +227,29 @@ def no_spike_verify(u, data_norm: float, params: DeGiorgiParams) -> NoSpikeRepor
             f"level-zero energies ({e0_plus:.4g}, {e0_minus:.4g}) exceed delta = {params.delta:.4g}"
         )
     tol = NO_SPIKE_SLACK * grid.h
-    max_u = float(u[inner.mask].max())
-    min_u = float(u[inner.mask].min())
     return NoSpikeReport(
-        delta=params.delta,
-        data_norm=data_norm,
-        e0_plus=e0_plus,
-        e0_minus=e0_minus,
-        max_u=max_u,
-        min_u=min_u,
-        tol=tol,
-        plus_verified=max_u <= 1.0 + tol,
-        minus_verified=min_u >= -1.0 - tol,
+        plus_verified=float(u[inner.mask].max()) <= 1.0 + tol,
+        minus_verified=float(u[inner.mask].min()) >= -1.0 - tol,
     )
+
+
+def _outer_terms(sol, params: DeGiorgiParams) -> dict:
+    """The rhs_terms ||u||_2, ||f||_p, ||F||_q of ``sol`` on the outer ball."""
+    return rhs_terms(sol, params.p, params.q, ball_region(sol.grid, 0.0, params.R))
 
 
 def data_norm(sol, params: DeGiorgiParams) -> float:
     """||f||_p + ||F||_q of the data of ``sol`` on the outer ball: the
     hypothesis no_spike_verify checks against 1."""
-    outer = ball_region(sol.grid, 0.0, params.R)
-    return lp_norm(sol.problem.f, params.p, outer).value + lp_norm_vec(sol.problem.F, params.q, outer).value
-
-
-def _denom(sol, params: DeGiorgiParams, outer) -> float:
-    """||u||_2 + ||f||_p + ||F||_q on the region ``outer``, summed left to right."""
-    return (
-        lp_norm(sol.u, 2, outer).value
-        + lp_norm(sol.problem.f, params.p, outer).value
-        + lp_norm_vec(sol.problem.F, params.q, outer).value
-    )
+    _, f_lp, F_lq = _outer_terms(sol, params).values()
+    return f_lp + F_lq
 
 
 def normalization_factor(sol, params: DeGiorgiParams) -> float:
     """theta = sqrt(delta) / (||u||_2 + ||f||_p + ||F||_q) on the outer ball."""
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
-    return math.sqrt(params.delta) / _denom(sol, params, ball_region(sol.grid, 0.0, params.R))
+    return math.sqrt(params.delta) / sum(_outer_terms(sol, params).values())
 
 
 def normalize_solution(sol, params: DeGiorgiParams):
@@ -283,16 +259,17 @@ def normalize_solution(sol, params: DeGiorgiParams):
 
 
 def training_ratio(sol, params: DeGiorgiParams) -> tuple:
-    """(sup, denom) of one training member: ||u||_inf on the inner ball and
-    ||u||_2 + ||f||_p + ||F||_q on the outer ball."""
-    inner = ball_region(sol.grid, 0.0, params.r)
-    outer = ball_region(sol.grid, 0.0, params.R)
-    return lp_norm(sol.u, np.inf, inner).value, _denom(sol, params, outer)
+    """(sup, denom, data norm) of one training member: ||u||_inf on the
+    inner ball, ||u||_2 + ||f||_p + ||F||_q on the outer ball, and its part
+    ||f||_p + ||F||_q, which data_norm gives, from one evaluation of each."""
+    u_l2, f_lp, F_lq = _outer_terms(sol, params).values()
+    sup = lp_norm(sol.u, np.inf, ball_region(sol.grid, 0.0, params.r)).value
+    return sup, u_l2 + f_lp + F_lq, f_lp + F_lq
 
 
 def calibrate_delta(ratios, params: DeGiorgiParams) -> tuple:
-    """Closed-form calibration on the ``training_ratio`` pairs (sup, denom)
-    of a training ensemble; returns (delta, bound).
+    """Closed-form calibration on the ``training_ratio`` triples (sup,
+    denom, data norm) of a training ensemble; returns (delta, bound).
 
     bound = min (denom/sup)^2 over the members with sup > 0 is the largest
     delta with sqrt(delta) sup/denom <= 1 on each. delta = min(bound,
@@ -300,14 +277,14 @@ def calibrate_delta(ratios, params: DeGiorgiParams) -> tuple:
     also stored on ``params``."""
     if not ratios:
         raise ValueError("calibrate_delta needs at least one training member")
-    for k, (_, denom) in enumerate(ratios):
+    for k, (_, denom, _) in enumerate(ratios):
         if denom == 0:
             raise PreconditionFailureError(f"training member {k} has zero data norm; it cannot be normalized")
 
     def passes(delta: float) -> bool:
-        return all(math.sqrt(delta) * sup / denom <= 1.0 for sup, denom in ratios)
+        return all(math.sqrt(delta) * sup / denom <= 1.0 for sup, denom, _ in ratios)
 
-    bound = min(((denom / sup) ** 2 for sup, denom in ratios if sup > 0), default=math.inf)
+    bound = min(((denom / sup) ** 2 for sup, denom, _ in ratios if sup > 0), default=math.inf)
     delta = min(bound, DELTA_CEILING)
     while not passes(delta):
         delta = float(np.nextafter(delta, 0.0))
@@ -320,16 +297,12 @@ def linf_bound(sol, params: DeGiorgiParams) -> EstimateReport:
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
     grid = sol.grid
-    inner = ball_region(grid, 0.0, params.r)
-    outer = ball_region(grid, 0.0, params.R)
-    lhs = lp_norm(sol.u, np.inf, inner).value
+    lhs = lp_norm(sol.u, np.inf, ball_region(grid, 0.0, params.r)).value
+    terms = _outer_terms(sol, params)
+    denom = sum(terms.values())
     factor = 1.0 / math.sqrt(params.delta)
-    comps = {
-        "u_l2": factor * lp_norm(sol.u, 2, outer).value,
-        "f_lp": factor * lp_norm(sol.problem.f, params.p, outer).value,
-        "F_lq": factor * lp_norm_vec(sol.problem.F, params.q, outer).value,
-    }
-    theta = normalization_factor(sol, params) if sum(comps.values()) > 0 else None
+    comps = {name: factor * value for name, value in terms.items()}
+    theta = math.sqrt(params.delta) / denom if denom > 0 else None
     return EstimateReport(
         "linf_bound", lhs, comps, (params.r, params.R), grid.m,
         sol.problem.fingerprint(),

@@ -180,14 +180,28 @@ def box_region(grid: Grid) -> BoxRegion:
     return BoxRegion(grid=grid)
 
 
+def check_radii(r: float, R: float, grid: Grid | None = None) -> None:
+    """Raise unless 0 < r < R and, on a ``grid``, B_R stays in the box and
+    the band R - r spans MIN_BAND_NODES spacings, as a cutoff needs."""
+    if not 0 < r < R:
+        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
+    if grid is None:
+        return
+    if R > grid.half_width * (1.0 + 1e-12):
+        raise RegionEscapesDomainError(f"outer radius {R} exceeds half_width {grid.half_width}")
+    if R - r < MIN_BAND_NODES * grid.h:
+        raise UnresolvableCutoffError(
+            f"band R-r = {R - r:.6g} thinner than {MIN_BAND_NODES}h = {MIN_BAND_NODES * grid.h:.6g}"
+        )
+
+
 def nested_radii(r: float, R: float, k_max: int) -> np.ndarray:
     """Radius ladder r_k = (R - r) 2^{-k} + r for k = 0..k_max.
 
     Strictly decreasing from r_0 = R toward the limit r; consecutive gaps
     satisfy r_k - r_{k+1} = 2^{-(k+1)}(R - r) exactly.
     """
-    if not 0 < r < R:
-        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
+    check_radii(r, R)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     k = np.arange(k_max + 1)
@@ -223,14 +237,7 @@ def cutoff(grid: Grid, r: float, R: float) -> Cutoff:
     """
     from .field_calculus import Field
 
-    if not 0 < r < R:
-        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
-    if R > grid.half_width * (1.0 + 1e-12):
-        raise RegionEscapesDomainError(f"outer radius {R} exceeds half_width {grid.half_width}")
-    if R - r < MIN_BAND_NODES * grid.h:
-        raise UnresolvableCutoffError(
-            f"band R-r = {R - r:.6g} thinner than {MIN_BAND_NODES}h = {MIN_BAND_NODES * grid.h:.6g}"
-        )
+    check_radii(r, R, grid)
     t = np.clip((grid.radius_from(np.zeros(grid.n)) - r) / (R - r), 0.0, 1.0)
     eta = 1.0 - t * t * (3.0 - 2.0 * t)
     return Cutoff(r=r, R=R, eta=Field(grid, eta))

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .domain_grid import Grid
-from .errors import NotEllipticError, SolverStagnationError, SupportViolationError
+from .errors import InadmissibleExponentsError, NotEllipticError, SolverStagnationError, SupportViolationError
 from .field_calculus import Field, VecField, _band_clear, divergence, gradient
 
 # Required relative algebraic residual of any returned solution.
@@ -222,6 +222,15 @@ def validate_ellipticity(A: CoefficientField) -> tuple:
     return lam, Lam, L
 
 
+def require_admissible(n: int, p: float, q: float) -> None:
+    """Raise unless p > n/2 and q > n, the hypothesis of every interior
+    estimate on (f, F), naming the failing exponent."""
+    if not p > n / 2:
+        raise InadmissibleExponentsError(f"need p > n/2 = {n / 2}, got {p}", failing_term="p")
+    if not q > n:
+        raise InadmissibleExponentsError(f"need q > n = {n}, got {q}", failing_term="q")
+
+
 @dataclass
 class EllipticProblem:
     """Data bundle (A, f, F, Dirichlet boundary g, integrability exponents).
@@ -245,10 +254,7 @@ class EllipticProblem:
         for part in (self.f, self.F, self.g):
             if part.grid != grid:
                 raise ValueError("problem data must share one grid")
-        if not self.p > grid.n / 2:
-            raise ValueError(f"need p > n/2 = {grid.n / 2}, got {self.p}")
-        if not self.q > grid.n:
-            raise ValueError(f"need q > n = {grid.n}, got {self.q}")
+        require_admissible(grid.n, self.p, self.q)
 
     @property
     def grid(self) -> Grid:
@@ -412,9 +418,7 @@ class DiscreteSolution:
 
     def scaled(self, c: float) -> "DiscreteSolution":
         """Exact by linearity: c*u solves the problem with data scaled by c."""
-        diag = dict(self.diagnostics)
-        diag["scaled_by"] = diag.get("scaled_by", 1.0) * c
-        return DiscreteSolution(u=c * self.u, problem=self.problem.scaled(c), diagnostics=diag)
+        return DiscreteSolution(u=c * self.u, problem=self.problem.scaled(c), diagnostics=dict(self.diagnostics))
 
 
 def _dense_inverse(matrix: np.ndarray) -> np.ndarray:

@@ -59,8 +59,9 @@ class IncompatibleEnsembleError(SchauderLabError):
     """Ensemble members disagree on grid or ellipticity certification."""
 
 
-class InadmissibleExponentsError(SchauderLabError):
-    """Integrability exponents outside the admissible range."""
+class InadmissibleExponentsError(SchauderLabError, ValueError):
+    """Integrability exponents outside the admissible range; also a
+    ValueError, as for any malformed argument."""
 
     def __init__(self, message, failing_term=None):
         super().__init__(message)

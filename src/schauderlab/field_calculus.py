@@ -23,6 +23,25 @@ from .errors import (
 )
 
 
+def _frozen(data: np.ndarray, valid, shape: tuple, what: str) -> tuple:
+    """(data, valid) of a Field (``what`` "values") or a VecField
+    ("components") on nodes of ``shape``, read-only: data must be finite at
+    the valid nodes and is stored as 0.0 elsewhere; valid=None marks every
+    node valid, at the cost of one finiteness pass and one copy."""
+    if valid is None:
+        finite, data, valid = np.isfinite(data).all(), data.copy(), np.ones(shape, dtype=bool)
+    else:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != shape:
+            raise ValueError("validity mask shape mismatch")
+        finite, data, valid = np.isfinite(data[..., valid]).all(), np.where(valid, data, 0.0), valid.copy()
+    if not finite:
+        raise ValueError(f"non-finite {what} at valid nodes")
+    data.setflags(write=False)
+    valid.setflags(write=False)
+    return data, valid
+
+
 class Field:
     """Scalar nodal samples on a grid, immutable after construction.
 
@@ -36,25 +55,8 @@ class Field:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-        if valid is None:
-            # every node valid: one finiteness pass and one copy
-            if not np.isfinite(values).all():
-                raise ValueError("non-finite values at valid nodes")
-            values = values.copy()
-            valid = np.ones(grid.shape, dtype=bool)
-        else:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != grid.shape:
-                raise ValueError("validity mask shape mismatch")
-            if not np.isfinite(values[valid]).all():
-                raise ValueError("non-finite values at valid nodes")
-            values = np.where(valid, values, 0.0)
-            valid = valid.copy()
-        values.setflags(write=False)
-        valid.setflags(write=False)
         self.grid = grid
-        self.values = values
-        self.valid = valid
+        self.values, self.valid = _frozen(values, valid, grid.shape, "values")
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "Field":
@@ -115,25 +117,8 @@ class VecField:
             raise ValueError(
                 f"components shape {components.shape} != {(grid.n,) + grid.shape}"
             )
-        if valid is None:
-            # every node valid: one finiteness pass and one copy
-            if not np.isfinite(components).all():
-                raise ValueError("non-finite components at valid nodes")
-            components = components.copy()
-            valid = np.ones(grid.shape, dtype=bool)
-        else:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != grid.shape:
-                raise ValueError("validity mask shape mismatch")
-            if not np.isfinite(components[:, valid]).all():
-                raise ValueError("non-finite components at valid nodes")
-            components = np.where(valid[None], components, 0.0)
-            valid = valid.copy()
-        components.setflags(write=False)
-        valid.setflags(write=False)
         self.grid = grid
-        self.components = components
-        self.valid = valid
+        self.components, self.valid = _frozen(components, valid, grid.shape, "components")
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VecField":

@@ -90,26 +90,17 @@ class GrowthFamily:
             self._cache[scale] = Field.from_function(grid, self.generator)
         return self._cache[scale]
 
-    def harmonic_gate(self) -> dict:
+    def harmonic_gate(self) -> bool:
         """Accept the generator if each scale's Laplacian residual is at
         machine floor or contracts like h^2 under one refinement."""
-        out = {"scales": [], "passed": True}
         for scale in self.scales:
             u = self.field_at(scale)
             res = harmonic_residual(u)
-            sup = float(np.abs(u.values).max())
-            rel = res / max(sup, 1.0)
-            entry = {"scale": scale, "residual": res, "relative": rel}
-            if rel > 1e-10:
-                fine_grid = make_grid(self.dimension, scale, 2 * self.m - 1)
-                fine = Field.from_function(fine_grid, self.generator)
-                entry["refined_ratio"] = res / max(harmonic_residual(fine), 1e-300)
-                entry["ok"] = entry["refined_ratio"] >= HARMONIC_RATIO_FLOOR
-            else:
-                entry["ok"] = True
-            out["passed"] &= entry["ok"]
-            out["scales"].append(entry)
-        return out
+            if res / max(float(np.abs(u.values).max()), 1.0) > 1e-10:
+                fine = Field.from_function(make_grid(self.dimension, scale, 2 * self.m - 1), self.generator)
+                if not res / max(harmonic_residual(fine), 1e-300) >= HARMONIC_RATIO_FLOOR:
+                    return False
+        return True
 
 
 def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, n: int = 2) -> GrowthFamily:
@@ -211,23 +202,17 @@ def verify_growth(family: GrowthFamily) -> dict:
     sups = np.asarray(sups)
     scales = np.asarray(family.scales)
     if np.all(sups == 0.0):
-        return {"verified": True, "max_slope": 0.0, "slopes": np.zeros(len(sups) - 1)}
+        return {"verified": True, "max_slope": 0.0}
     _, slopes = log_slope(scales, np.maximum(sups, 1e-300))
     max_slope = float(slopes.max())
-    return {
-        "verified": max_slope <= family.gamma + GROWTH_SLOPE_SLACK,
-        "max_slope": max_slope,
-        "slopes": slopes,
-        "sups": sups,
-    }
+    return {"verified": max_slope <= family.gamma + GROWTH_SLOPE_SLACK, "max_slope": max_slope}
 
 
 def polynomial_degree_detect(family: GrowthFamily) -> int:
     """Smallest k whose derivative energies sit at the machine floor on every
     scale, minus one. Requires the harmonic gate; superpolynomial fields
     raise (no admissible k up to the cap)."""
-    gate = family.harmonic_gate()
-    if not gate["passed"]:
+    if not family.harmonic_gate():
         raise NotHarmonicParametersError("family fails the harmonic residual gate")
     for k in range(1, DERIVATIVE_ORDER_CAP + 1):
         scan = derivative_energy_scan(family, k)

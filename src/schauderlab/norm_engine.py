@@ -78,15 +78,8 @@ MIN_REGION_NODES = 1
 
 @dataclass
 class NormValue:
-    """One evaluated norm: kind, parameters, region and the value itself.
+    """One evaluated norm; for Holder seminorms also a node pair attaining it."""
 
-    For Holder seminorms a node pair attaining the value is recorded too.
-    """
-
-    kind: str
-    params: dict
-    region_center: tuple
-    region_radius: float
     value: float
     argmax_pair: tuple | None = None
 
@@ -114,7 +107,7 @@ def lp_norm(u: Field, p: float, region: BallRegion) -> NormValue:
         value = float((np.abs(vals) ** p).sum() * hn) ** (1.0 / p)
     else:
         raise ValueError(f"exponent must be >= 1 or inf, got {p}")
-    return NormValue("Lp", {"p": p}, region.center, region.radius, value)
+    return NormValue(value)
 
 
 def lp_norm_vec(F: VecField, p: float, region: BallRegion) -> NormValue:
@@ -422,7 +415,7 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
     return best, (best_pair, wide_pair), "exhaustive"
 
 
-def _holder_norm(u_vals, valid, region: BallRegion, alpha: float, params: dict) -> NormValue:
+def _holder_norm(u_vals, valid, region: BallRegion, alpha: float) -> NormValue:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = region.grid
@@ -436,10 +429,7 @@ def _holder_norm(u_vals, valid, region: BallRegion, alpha: float, params: dict) 
             object.__setattr__(region, "scan_layout", _layout(region.mask))
         layout = region.scan_layout
     value, ((ia, ib), _), _ = _holder_scan_mask(grid, mask, u_vals, alpha, layout)
-    return NormValue(
-        "HolderSemi", params, region.center, region.radius, value,
-        argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])),
-    )
+    return NormValue(value, argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])))
 
 
 def holder_seminorm(u: Field, alpha: float, region: BallRegion) -> NormValue:
@@ -448,12 +438,12 @@ def holder_seminorm(u: Field, alpha: float, region: BallRegion) -> NormValue:
     A lower bound of the continuum seminorm by construction; the argmax pair
     is recorded on the result.
     """
-    return _holder_norm(u.values, u.valid, region, alpha, {"alpha": alpha})
+    return _holder_norm(u.values, u.valid, region, alpha)
 
 
 def holder_seminorm_vec(F: VecField, alpha: float, region: BallRegion) -> NormValue:
     """Vector-valued variant: differences measured in the Euclidean norm."""
-    return _holder_norm(F.components, F.valid, region, alpha, {"alpha": alpha, "vector": True})
+    return _holder_norm(F.components, F.valid, region, alpha)
 
 
 def multiindices(n: int, order: int):
@@ -505,7 +495,7 @@ def ck_alpha_norm(u: Field, k: int, alpha: float, region: BallRegion) -> NormVal
             if order == k:
                 top_semis.append(holder_seminorm(d, alpha, region).value)
     total += sum(top_semis)
-    return NormValue("CkAlpha", {"k": k, "alpha": alpha}, region.center, region.radius, total)
+    return NormValue(total)
 
 
 def _multinomial(beta: tuple) -> float:
@@ -527,7 +517,7 @@ def hk_norm(u: Field, k: int, region: BallRegion) -> NormValue:
         for beta in multiindices(u.grid.n, order):
             d = derivative_field(u, beta)
             total += _multinomial(beta) * lp_norm(d, 2, region).value ** 2
-    return NormValue("Hk", {"k": k}, region.center, region.radius, math.sqrt(total))
+    return NormValue(math.sqrt(total))
 
 
 def log_slope(x, y):

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caccioppoli import EstimateReport
-from .domain_grid import MIN_BAND_NODES, Grid, ball_region, cutoff, make_grid
+from .caccioppoli import EstimateReport, rhs_terms
+from .domain_grid import MIN_BAND_NODES, Grid, ball_region, check_radii, cutoff, make_grid
 from .elliptic_solver import (
     CoefficientField,
     DiscreteSolution,
     EllipticProblem,
+    require_admissible,
     solve_dirichlet,
 )
 from .errors import (
@@ -50,7 +51,6 @@ from .norm_engine import (
     holder_seminorm_vec,
     log_slope,
     lp_norm,
-    lp_norm_vec,
     shell_peaks,
 )
 
@@ -97,10 +97,7 @@ def admissible_alpha(n: int, p: float, q: float | None = None, order: int = 0) -
     if order == 0:
         if q is None:
             raise InadmissibleExponentsError("order 0 needs both p and q")
-        if not p > n / 2:
-            raise InadmissibleExponentsError(f"need p > n/2 = {n / 2}, got {p}", failing_term="p")
-        if not q > n:
-            raise InadmissibleExponentsError(f"need q > n = {n}, got {q}", failing_term="q")
+        require_admissible(n, p, q)
         raw = min(2.0 - n / p, 1.0 - n / q)
     elif order == 1:
         if not p > n:
@@ -127,8 +124,7 @@ class SchauderConfig:
             raise ValueError("order must be 0 or 1")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0 < self.r < self.R:
-            raise ValueError(f"need 0 < r < R, got ({self.r}, {self.R})")
+        check_radii(self.r, self.R)
 
     def check_admissible(self, n: int) -> None:
         """Admissibility depends on the dimension, so it is gated at use."""
@@ -168,13 +164,8 @@ def schauder_ratio(sol: DiscreteSolution, cfg: SchauderConfig) -> EstimateReport
     if cfg.order == 1 and not _holder_certified(sol.problem, "F"):
         raise DataRegularityMissingError("order-1 estimate needs a Holder certificate on F")
     lhs = ck_alpha_norm(sol.u, cfg.order, cfg.alpha, inner).value
-    comps = {
-        "u_l2": lp_norm(sol.u, 2, outer).value,
-        "f_lp": lp_norm(sol.problem.f, cfg.p, outer).value,
-    }
-    if cfg.order == 0:
-        comps["F_lq"] = lp_norm_vec(sol.problem.F, cfg.q, outer).value
-    else:
+    comps = rhs_terms(sol, cfg.p, cfg.q if cfg.order == 0 else None, outer)
+    if cfg.order == 1:
         comps["F_c0a"] = _holder_norm_vec(sol.problem.F, cfg.alpha, outer)
     return EstimateReport(
         f"schauder_c{cfg.order}alpha", lhs, comps, (cfg.r, cfg.R), grid.m,
@@ -183,7 +174,7 @@ def schauder_ratio(sol: DiscreteSolution, cfg: SchauderConfig) -> EstimateReport
     )
 
 
-def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> dict:
+def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> float:
     """Holder exponent of u at a point by shell regression on grid nodes.
 
     Fits the slope of log max_{shell} |u(x) - u(point)| against log radius
@@ -199,7 +190,7 @@ def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> d
     if len(peaks) < 3:
         raise InsufficientShellsError(f"only {len(peaks)} populated shells in [{r_min}, {r_max}]")
     slope, _ = log_slope(*zip(*peaks))
-    return {"exponent": slope, "shells": len(peaks)}
+    return slope
 
 
 def _differentiated_source(A: CoefficientField, i: int, grad_u: np.ndarray, f: Field, F: VecField):
@@ -256,7 +247,6 @@ class GrowthFit:
 
     exponent: float
     violation: bool
-    shells: list
     compliant_trivially: bool = False
 
 
@@ -264,8 +254,9 @@ def growth_fit(v: Field, alpha: float, order: int = 0) -> GrowthFit:
     """Least-squares slope of log shell-max against log radius.
 
     Shells form a geometric ladder from 4 lattice spacings up to the window
-    radius; the fit uses shells inside the unit ball (where the companion
-    direction lives) while the growth-bound check
+    radius; the fit uses the nonzero shells inside the unit ball (where the
+    companion direction lives), and fewer than three of them raise, while
+    the growth-bound check
     |v| <= |x|^alpha (order 0) or (2/(1+alpha))|x|^{1+alpha} (order 1) is
     flagged on every shell with 10% headroom.
     """
@@ -284,17 +275,15 @@ def growth_fit(v: Field, alpha: float, order: int = 0) -> GrowthFit:
     if not v.valid.any():
         raise InsufficientShellsError("window holds no valid samples")
     if np.abs(v.values[v.valid]).max() <= 1e-13:
-        return GrowthFit(float("nan"), False, rows, compliant_trivially=True)
+        return GrowthFit(float("nan"), False, compliant_trivially=True)
     if len(rows) < 3:
         raise InsufficientShellsError(f"only {len(rows)} populated shells")
     violation = any(row["peak"] > row["bound"] * GROWTH_VIOLATION_HEADROOM for row in rows)
     fit_rows = [row for row in rows if row["radius"] <= fit_radius * 1.0001 and row["peak"] > 0]
     if len(fit_rows) < 3:
-        fit_rows = [row for row in rows if row["peak"] > 0]
-    if len(fit_rows) < 3:
-        raise InsufficientShellsError("too few nonzero shells for a slope")
+        raise InsufficientShellsError(f"only {len(fit_rows)} nonzero shells within radius {fit_radius} for a slope")
     slope, _ = log_slope([r["radius"] for r in fit_rows], [r["peak"] for r in fit_rows])
-    return GrowthFit(slope, violation, rows)
+    return GrowthFit(slope, violation)
 
 
 @dataclass
@@ -450,7 +439,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
             step = BlowupStep(
                 x=x, y=y, separation=r_sep, level=0.0, xi=xi, v=zero,
                 v_seminorm=0.0, vw_gap=0.0, vw_gap_bound=0.0, interp_tol=0.0,
-                fit=GrowthFit(float("nan"), False, [], compliant_trivially=True),
+                fit=GrowthFit(float("nan"), False, compliant_trivially=True),
                 degenerate=True,
             )
             record.steps.append(step)
@@ -514,17 +503,16 @@ class ApproximationRecord:
     """Mollify-and-resolve convergence log for one problem."""
 
     rows: list
-    reference_l2: float
-    inner_half_width: float
     decreasing: bool
     l2_bound_ok: bool
     ellipticity_ok: bool
 
 
-def _restrict_values(values: np.ndarray, grid: Grid, j: int) -> np.ndarray:
+def _inner_grid(grid: Grid, j: int) -> tuple:
+    """The grid of the inner box of j nodes on each side of the centre, and
+    the index of that box in the arrays of ``grid``."""
     c = grid.m // 2
-    sl = (slice(c - j, c + j + 1),) * grid.n
-    return values[sl]
+    return make_grid(grid.n, j * grid.h, 2 * j + 1), (slice(c - j, c + j + 1),) * grid.n
 
 
 def _problem_on(sub: Grid, problem: EllipticProblem, sample, g: Field, t: float = 1.0) -> EllipticProblem:
@@ -548,13 +536,8 @@ def _problem_on(sub: Grid, problem: EllipticProblem, sample, g: Field, t: float 
 
 def restrict_problem_data(problem: EllipticProblem, u_boundary: Field, j: int):
     """Slice problem data to the inner box of j nodes around the center."""
-    grid = problem.grid
-    sub = make_grid(grid.n, j * grid.h, 2 * j + 1)
-
-    def restrict(fld: Field) -> np.ndarray:
-        return _restrict_values(fld.values, grid, j)
-
-    return _problem_on(sub, problem, restrict, Field(sub, restrict(u_boundary))), sub
+    sub, box = _inner_grid(problem.grid, j)
+    return _problem_on(sub, problem, lambda fld: fld.values[box], Field(sub, u_boundary.values[box])), sub
 
 
 def inner_box(grid: Grid) -> tuple:
@@ -594,21 +577,17 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule) -> Approximat
     grid = problem.grid
     eps_schedule = check_eps_schedule(grid, eps_schedule)
     reference = solve_dirichlet(problem)
-    j, _ = inner_box(grid)
-    inner_hw = j * grid.h
-    sub = make_grid(grid.n, inner_hw, 2 * j + 1)
+    sub, box = _inner_grid(grid, inner_box(grid)[0])
     ref_l2 = lp_norm(reference.u, 2, ball_region(grid, 0.0, grid.half_width)).value
-    ref_inner = Field(sub, _restrict_values(reference.u.values, grid, j))
-    ball = ball_region(sub, 0.0, inner_hw)
+    ref_inner = Field(sub, reference.u.values[box])
+    ball = ball_region(sub, 0.0, sub.half_width)
 
     rows = []
     ell_ok = True
     for eps in eps_schedule:
         # mollified data lives on the eps-interior; restrict to the inner box
         # before re-certifying ellipticity (zeros outside would fail the gate)
-        sub_problem = _problem_on(
-            sub, problem, lambda fld: _restrict_values(mollify(fld, eps).values, grid, j), ref_inner
-        )
+        sub_problem = _problem_on(sub, problem, lambda fld: mollify(fld, eps).values[box], ref_inner)
         ell_ok &= (
             sub_problem.A.lam >= problem.A.lam - 1e-10
             and sub_problem.A.Lam <= problem.A.Lam + 1e-10
@@ -628,8 +607,6 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule) -> Approximat
     gaps = [row["h1_gap"] for row in rows]
     return ApproximationRecord(
         rows=rows,
-        reference_l2=ref_l2,
-        inner_half_width=inner_hw,
         decreasing=all(b < a for a, b in zip(gaps, gaps[1:])),
         l2_bound_ok=all(row["l2"] <= 2.0 * ref_l2 + 1e-12 for row in rows),
         ellipticity_ok=bool(ell_ok),

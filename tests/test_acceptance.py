@@ -166,7 +166,7 @@ def test_criterion_06_liouville():
         counterexample_generator((1.0, 0.0), (0.0, 1.0)), gamma=10.0,
         scales=DISCRIMINATION_SCALES, m=257,
     )
-    gate_ok = exp_fam.harmonic_gate()["passed"]
+    gate_ok = exp_fam.harmonic_gate()
     growth_rejected = True
     for gamma in (0.5, 1.0, 2.0, 4.0, 7.0, 10.0):
         exp_fam.gamma = gamma
@@ -181,7 +181,7 @@ def test_criterion_07_schauder_threshold():
     grid = make_grid(2, 1.0, 257)
     problem, _ = radial_singular_problem(grid, 0.5)
     sol = solve_dirichlet(problem)
-    measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), 0.03, 0.4)["exponent"]
+    measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), 0.03, 0.4)
     exponent_ok = abs(measured - 1.5) <= 0.05 * 1.5
 
     alpha = 0.7 * 0.75  # 0.7 * threshold for (p, q) = (4, 8)

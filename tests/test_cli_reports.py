@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import hashlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
@@ -11,10 +14,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from schauderlab import cli_reports, generators, norm_engine
-from schauderlab.cli_reports import SPECS, ExperimentConfig, Verdict, load_config, main, run
+from schauderlab import caccioppoli, cli_reports, domain_grid, elliptic_solver, field_calculus, generators, norm_engine
+from schauderlab.cli_reports import COMMANDS, SPECS, ExperimentConfig, Verdict, load_config, main, run
 from schauderlab.domain_grid import make_grid
 from schauderlab.errors import NotEllipticError, SolverStagnationError
 
@@ -111,6 +116,44 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert outputs[0].keys() == other.keys()
         differing = [str(name) for name in outputs[0] if outputs[0][name] != other[name]]
         assert not differing
+
+
+# sha256 of each command's outputs at --seed 1 and its defaults: for each
+# file of the output tree in sorted order its relative path and bytes, then
+# stdout and the exit code. Recorded with these numpy and scipy versions;
+# the last bits of a number may differ under others.
+_DIGEST_VERSIONS = ("2.4.6", "1.17.1")
+_DEFAULT_DIGESTS = {
+    "solve": "b4849d16a3d056b945b04bcbf3c9657d895774d955e9b51a5371b341eaaacd7f",
+    "caccioppoli": "da8e0ca105c01b93c206619461d7fe3edaa15eec3cf419321e5d8586413f16ac",
+    "degiorgi": "77b94d4043e619eb21b53a8463bb7c4f1ced29bdfb6d0bc1ed2ad81c19541110",
+    "liouville": "011171a565ba4b1846f481ae5be142a0de6218acd8f261c4d0ca0b15a63ccb62",
+    "schauder": "7e7dea7b589872ff67f74767842f566266da65e37e0f183ec799f2b67db534cf",
+    "blowup": "85d12b06712b6bfc4de505ad1cceae9d15d92e47f1c3aa4e1d77d57e33de0c9e",
+    "bootstrap": "24d1443758d8446e93746db6fd7dde6bd5ee6b0089c07bce45fe8a5d459c702f",
+    "mollify": "b4f8cd5e5b888cfc7d3bc13fbf83f8fcc9292216f33d54aa2f414a29b3a7b702",
+}
+
+
+def test_default_outputs_match_recorded_digests(tmp_path):
+    versions = (np.__version__, scipy.__version__)
+    assert versions == _DIGEST_VERSIONS, (
+        f"digests recorded with numpy {_DIGEST_VERSIONS[0]} and scipy {_DIGEST_VERSIONS[1]}, "
+        f"running numpy {versions[0]} and scipy {versions[1]}"
+    )
+    moved = []
+    for command in COMMANDS:
+        out, stdout = tmp_path / command, io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--seed", "1", "--out", str(out)])
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        digest.update(stdout.getvalue().encode() + b"\0" + str(code).encode())
+        if digest.hexdigest() != _DEFAULT_DIGESTS[command]:
+            moved.append(command)
+    assert not moved
 
 
 def test_liouville_counterexample_verdict(tmp_path):
@@ -465,6 +508,12 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     ({"command": "liouville", "resolution": 33, "params": {"scales": [1, 1, 2, 4]}}, "scales"),
     ({"command": "caccioppoli", "seed": 2.5}, "seed"),  # not run as seed 2
     ({"command": "caccioppoli", "seed": -1}, "seed"),  # not left to the runner's generator
+    # not run as gamma = 1.0, not a float() error, not a floor() overflow, not a matmul shape error
+    ({"command": "liouville", "resolution": 33, "params": {"gamma": True}}, "gamma"),
+    ({"command": "liouville", "resolution": 33, "params": {"gamma": "x"}}, "gamma"),
+    ({"command": "liouville", "resolution": 33, "params": {"gamma": float("inf")}}, "gamma"),
+    ({"command": "liouville", "resolution": 33, "params": {"generator": "counterexample", "a": [1, 0, 0]}}, "a"),
+    ({"command": "liouville", "resolution": 33, "params": {"generator": "counterexample", "b": [0, True]}}, "b"),
 ])
 def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
     path = tmp_path / "cfg.json"
@@ -488,11 +537,18 @@ def test_param_keys_are_the_keys_each_runner_reads():
 
 def test_one_log_slope_and_one_shell_scan_in_src():
     # every fitted exponent goes through log_slope and every shell-maximum
-    # ladder through shell_peaks; no module keeps a copy of either
+    # ladder through shell_peaks; no module keeps a copy of either. Nor of
+    # the exponent hypothesis p > n/2, q > n, the radius pair 0 < r < R, the
+    # right-hand side ||u||_2 + ||f||_p + ||F||_q or the Field and VecField
+    # validation.
     src = "".join(p.read_text() for p in sorted(Path(norm_engine.__file__).parent.glob("*.py")))
     for needle, owner in (
         ("polyfit", norm_engine.log_slope),
         ("(dist > lo) & (dist <= hi)", norm_engine.shell_peaks),
+        ("need p > n/2", elliptic_solver.require_admissible),
+        ("not 0 < r < R", domain_grid.check_radii),
+        ('"F_lq"', caccioppoli.rhs_terms),
+        ("at valid nodes", field_calculus._frozen),
     ):
         assert src.count(needle) == inspect.getsource(owner).count(needle) == 1, needle
     # every Holder scan enters through _holder_scan_mask, the one entry
