@@ -104,9 +104,13 @@ def _odd_nodes(m) -> bool:
     return _whole(m, 3) and m % 2 == 1
 
 
-def _numbers(values, count: int) -> bool:
-    """A list of ``count`` numbers."""
-    return isinstance(values, (list, tuple)) and len(values) == count and all(map(_is_number, values))
+def _finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _finite_numbers(values, count: int) -> bool:
+    """A list of ``count`` finite numbers."""
+    return isinstance(values, (list, tuple)) and len(values) == count and all(map(_finite, values))
 
 
 def _ladder(values, rising: bool) -> bool:
@@ -641,12 +645,11 @@ SPECS = {
     "liouville": CommandSpec(
         params={"generator": "saddle", "a": (1.0, 0.0), "b": (0.0, 1.0), "gamma": None, "scales": None},
         ranges=(
-            ("gamma", lambda p: p["gamma"] is None or _is_number(p["gamma"]) and math.isfinite(p["gamma"]),
-             "be null or a finite number"),
-            *((key, lambda p, key=key: _numbers(p[key], 2), "be two numbers") for key in ("a", "b")),
+            ("gamma", lambda p: p["gamma"] is None or _finite(p["gamma"]), "be null or a finite number"),
+            *((key, lambda p, key=key: _finite_numbers(p[key], 2), "be two finite numbers") for key in ("a", "b")),
             ("scales", lambda p: p["scales"] is None or (
                 isinstance(p["scales"], (list, tuple)) and len(p["scales"]) >= 4
-                and all(_is_number(r) and r > 0 for r in p["scales"])
+                and all(_finite(r) and r > 0 for r in p["scales"])
                 and len(set(p["scales"])) == len(p["scales"])),
              "be null or at least four distinct positive radii"),
         ),

@@ -27,15 +27,17 @@ def _frozen(data: np.ndarray, valid, shape: tuple, what: str) -> tuple:
     """(data, valid) of a Field (``what`` "values") or a VecField
     ("components") on nodes of ``shape``, read-only: data must be finite at
     the valid nodes and is stored as 0.0 elsewhere; valid=None marks every
-    node valid, at the cost of one finiteness pass and one copy."""
+    node valid. Either way one finiteness pass runs over one new array, the
+    data with 0.0 at the invalid nodes; a boolean index of the valid nodes
+    would cost several times that."""
     if valid is None:
-        finite, data, valid = np.isfinite(data).all(), data.copy(), np.ones(shape, dtype=bool)
+        data, valid = data.copy(), np.ones(shape, dtype=bool)
     else:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != shape:
             raise ValueError("validity mask shape mismatch")
-        finite, data, valid = np.isfinite(data[..., valid]).all(), np.where(valid, data, 0.0), valid.copy()
-    if not finite:
+        data, valid = np.where(valid, data, 0.0), valid.copy()
+    if not np.isfinite(data).all():
         raise ValueError(f"non-finite {what} at valid nodes")
     data.setflags(write=False)
     valid.setflags(write=False)

@@ -508,12 +508,16 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     ({"command": "liouville", "resolution": 33, "params": {"scales": [1, 1, 2, 4]}}, "scales"),
     ({"command": "caccioppoli", "seed": 2.5}, "seed"),  # not run as seed 2
     ({"command": "caccioppoli", "seed": -1}, "seed"),  # not left to the runner's generator
-    # not run as gamma = 1.0, not a float() error, not a floor() overflow, not a matmul shape error
+    # not run as gamma = 1.0, not a float() error, not a floor() overflow, not a matmul shape error,
+    # not a field of infinities
     ({"command": "liouville", "resolution": 33, "params": {"gamma": True}}, "gamma"),
     ({"command": "liouville", "resolution": 33, "params": {"gamma": "x"}}, "gamma"),
     ({"command": "liouville", "resolution": 33, "params": {"gamma": float("inf")}}, "gamma"),
     ({"command": "liouville", "resolution": 33, "params": {"generator": "counterexample", "a": [1, 0, 0]}}, "a"),
     ({"command": "liouville", "resolution": 33, "params": {"generator": "counterexample", "b": [0, True]}}, "b"),
+    ({"command": "liouville", "resolution": 33,
+      "params": {"generator": "counterexample", "a": [float("inf"), 0], "b": [0, float("inf")]}}, "a"),
+    ({"command": "liouville", "resolution": 33, "params": {"scales": [1, 2, 4, float("inf")]}}, "scales"),
 ])
 def test_wrong_typed_or_empty_config_exits_2_before_writing(tmp_path, capsys, spec, key):
     path = tmp_path / "cfg.json"
