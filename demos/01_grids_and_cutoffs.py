@@ -31,6 +31,6 @@ print("b_k:", truncation_levels(4))
 print("\n== cutoff: 1 on B_r, 0 outside B_R, certified slope ==")
 g = make_grid(2, 1.0, 257)
 for r, R in ((0.5, 1.0), (0.3, 0.6)):
-    eta = cutoff(g, r, R).eta
+    eta = cutoff(g, r, R)
     slope = gradient(eta).magnitude().values.max()
     print(f"r={r}, R={R}:  max |grad eta| = {slope:.4f}  <=  2/(R-r) = {2 / (R - r):.4f}")

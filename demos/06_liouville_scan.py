@@ -8,11 +8,11 @@ every polynomial growth tag once the scale ladder reaches far enough.
 
 import numpy as np
 
-from schauderlab import derivative_energy_scan, growth_family, polynomial_degree_detect, verify_growth
+from schauderlab import GrowthFamily, derivative_energy_scan, polynomial_degree_detect, verify_growth
 from schauderlab.liouville_lab import DISCRIMINATION_SCALES, counterexample_generator
 
 print("== degree-2 harmonic polynomial x^2 - y^2 (tag gamma = 2) ==")
-fam = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
+fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
 print("harmonic gate passed:", fam.harmonic_gate())
 scan = derivative_energy_scan(fam, 1)
 print("first-derivative energies over B(R/2):")
@@ -24,7 +24,7 @@ print("detected degree:", polynomial_degree_detect(fam), " growth tag verified:"
       verify_growth(fam)["verified"])
 
 print("\n== superpolynomial counterexample e^x sin(y) ==")
-exp_fam = growth_family(counterexample_generator((1, 0), (0, 1)), gamma=10.0,
+exp_fam = GrowthFamily(counterexample_generator((1, 0), (0, 1)), gamma=10.0,
                         scales=DISCRIMINATION_SCALES, m=129)
 print("harmonic gate passed:", exp_fam.harmonic_gate())
 scan = derivative_energy_scan(exp_fam, 1)

@@ -12,10 +12,10 @@ from schauderlab import SchauderConfig, admissible_alpha, make_grid, measure_poi
 from schauderlab.generators import radial_singular_problem, random_problem
 
 print("== admissible exponent thresholds ==")
-gate = admissible_alpha(2, 4.0, 8.0, order=0)
-print(f"order 0, (p, q) = (4, 8):  alpha <= min(2 - n/p, 1 - n/q) = {gate.raw}")
-gate1 = admissible_alpha(2, 4.0, order=1)
-print(f"order 1, p = 4:            alpha <= 1 - n/p = {gate1.raw}")
+threshold = admissible_alpha(2, 4.0, 8.0, order=0)
+print(f"order 0, (p, q) = (4, 8):  alpha <= min(2 - n/p, 1 - n/q) = {threshold}")
+threshold1 = admissible_alpha(2, 4.0, order=1)
+print(f"order 1, p = 4:            alpha <= 1 - n/p = {threshold1}")
 
 print("\n== the singular radial family attains the threshold ==")
 grid = make_grid(2, 1.0, 257)
@@ -26,7 +26,7 @@ measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), 0.03, 0.4)
 print(f"measured Holder exponent at the origin: {measured:.4f}  (2 - s = 1.5)")
 
 print("\n== estimate ratios on rough-Holder coefficients ==")
-cfg = SchauderConfig(order=0, alpha=0.7 * gate.raw, p=4.0, q=8.0, r=0.3, R=0.8)
+cfg = SchauderConfig(order=0, alpha=0.7 * threshold, p=4.0, q=8.0, r=0.3, R=0.8)
 for m in (65, 129):
     g = make_grid(2, 1.0, m)
     ratios = []

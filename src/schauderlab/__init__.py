@@ -10,10 +10,8 @@ estimate ratios with their sharp exponent thresholds.
 """
 
 from .domain_grid import (
-    BallRegion,
-    BoxRegion,
-    Cutoff,
     Grid,
+    Region,
     ball_region,
     box_region,
     cutoff,
@@ -38,7 +36,6 @@ from .norm_engine import (
     hk_norm,
     holder_seminorm,
     lp_norm,
-    lp_norm_vec,
 )
 from .elliptic_solver import (
     CoefficientField,
@@ -70,7 +67,6 @@ from .degiorgi import (
 from .liouville_lab import (
     GrowthFamily,
     derivative_energy_scan,
-    growth_family,
     harmonic_residual,
     polynomial_degree_detect,
     verify_growth,

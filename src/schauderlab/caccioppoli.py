@@ -17,7 +17,7 @@ import numpy as np
 from .domain_grid import ball_region, check_radii, cutoff
 from .errors import IncompatibleEnsembleError
 from .field_calculus import gradient
-from .norm_engine import lp_norm, lp_norm_vec
+from .norm_engine import lp_norm
 
 RATIO_FLOOR = 1e-300
 
@@ -81,7 +81,7 @@ def rhs_terms(sol, p: float, q: float | None, region) -> dict:
     to right. q = None leaves out F_lq."""
     terms = {"u_l2": lp_norm(sol.u, 2, region).value, "f_lp": lp_norm(sol.problem.f, p, region).value}
     if q is not None:
-        terms["F_lq"] = lp_norm_vec(sol.problem.F, q, region).value
+        terms["F_lq"] = lp_norm(sol.problem.F.magnitude(), q, region).value
     return terms
 
 
@@ -91,11 +91,11 @@ def caccioppoli_check(sol, r: float, R: float) -> EstimateReport:
     check_radii(r, R, sol.grid)
     grid = sol.grid
     inner, outer = ball_region(grid, 0.0, r), ball_region(grid, 0.0, R)
-    lhs = lp_norm_vec(gradient(sol.u), 2, inner).value
+    lhs = lp_norm(gradient(sol.u).magnitude(), 2, inner).value
     comps = {
         "u_over_band": lp_norm(sol.u, 2, outer).value / (R - r),
         "f": lp_norm(sol.problem.f, 2, outer).value,
-        "F": lp_norm_vec(sol.problem.F, 2, outer).value,
+        "F": lp_norm(sol.problem.F.magnitude(), 2, outer).value,
     }
     return EstimateReport(
         "caccioppoli", lhs, comps, (r, R), grid.m, sol.problem.fingerprint()
@@ -116,7 +116,7 @@ def truncated_caccioppoli(sol, b: float, sign: str, r: float, rho: float) -> Est
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign}")
     grid = sol.grid
-    eta = cutoff(grid, r, rho).eta
+    eta = cutoff(grid, r, rho)
     u = sol.u
     v = u.clip_positive_part(b) if sign == "plus" else u.clip_negative_part(b)
     pos = v.values > 0.0

@@ -295,10 +295,14 @@ def _members(task, count: int) -> list:
     A solve is a multigrid loop of many short numpy/scipy calls that hold
     the GIL between them, so threads barely overlap: on a 2-vCPU Xeon VM,
     32 solves at m = 129 ran 0.97-1.27x the speed of serial on two
-    threads, and 1.48-1.86x on two forked processes. While a pool is
-    alive, the parent and one child per worker are all resident; each
-    member should keep only what later passes read, since the parent's
-    memory grows with the ensemble by what the members return.
+    threads, and 1.48-1.86x on two forked processes. A pass that makes no
+    solve runs in the command's process instead: on the same VM the
+    degiorgi verify pass (50 members) took 41-57 ms in process and
+    54-68 ms on two forked workers, less in process in each of 12 paired
+    runs. While a pool is alive, the parent and one child per worker are
+    all resident; each member should keep only what later passes read,
+    since the parent's memory grows with the ensemble by what the members
+    return.
     """
     import multiprocessing  # loaded only when an ensemble runs
 
@@ -403,18 +407,17 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     members = _members(train, size)
     delta, bound = degiorgi.calibrate_delta([ratio for ratio, _ in members], params)
 
-    def verify(k):
-        # sqrt(delta) over the pass-1 denom: the bits normalization_factor gives
-        (_, denom, data_norm), u = members[k]
-        theta = math.sqrt(delta) / denom
-        u = theta * u
-        report = degiorgi.no_spike_verify(u, theta * data_norm, params)
-        return theta, report, degiorgi.truncation_sequence(u, params, sign="auto")
-
     rows = []
     all_ok = True
     min_fit = float("inf")
-    for k, (theta, report, trace) in enumerate(_members(verify, size)):
+    # the verify pass makes no solve, so it runs in this process: forking a
+    # pool for it costs more than it saves
+    for k, ((_, denom, data_norm), u) in enumerate(members):
+        # sqrt(delta) over the pass-1 denom: the bits normalize_solution gives
+        theta = math.sqrt(delta) / denom
+        u = theta * u
+        report = degiorgi.no_spike_verify(u, theta * data_norm, params)
+        trace = degiorgi.truncation_sequence(u, params, sign="auto")
         all_ok &= report.verified
         if not math.isnan(trace.fitted_exponent):
             min_fit = min(min_fit, trace.fitted_exponent)
@@ -466,7 +469,7 @@ def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         gamma = float(cfg.params["gamma"])
     if cfg.params["scales"] is not None:
         scales = cfg.params["scales"]
-    fam = liouville_lab.growth_family(gen, gamma, scales=scales, m=m)
+    fam = liouville_lab.GrowthFamily(gen, gamma, scales=scales, m=m)
     verdict.ok(
         "harmonic_residual_gate",
         fam.harmonic_gate(),
@@ -529,7 +532,7 @@ def _run_schauder(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
         f"measured {measured:.4f} vs 2 - s = {target}",
     )
     size = int(cfg.params["ensemble"])
-    alpha = 0.7 * admissible_alpha(grid.n, 4.0, 8.0).raw
+    alpha = 0.7 * admissible_alpha(grid.n, 4.0, 8.0)
     scfg = SchauderConfig(order=0, alpha=alpha, p=4.0, q=8.0, r=0.3, R=0.8)
 
     def member(k):

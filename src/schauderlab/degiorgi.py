@@ -77,7 +77,8 @@ def gamma_exponent(n: int, p: float, q: float, tau: float) -> float:
 
 @dataclass
 class DeGiorgiParams:
-    """Exponents, radii and iteration depth for one truncation run."""
+    """Exponents, radii and iteration depth for one truncation run; the
+    Sobolev exponent ``tau`` and the gain ``gamma`` are derived from n, p, q."""
 
     n: int
     p: float
@@ -85,12 +86,10 @@ class DeGiorgiParams:
     r: float
     R: float
     k_max: int = 4
-    tau: float | None = None
     delta: float | None = None
 
     def __post_init__(self):
-        if self.tau is None:
-            self.tau = default_tau(self.n, self.p, self.q)
+        self.tau = default_tau(self.n, self.p, self.q)
         check_radii(self.r, self.R)
         if self.k_max < 3:
             raise ValueError(f"k_max must be >= 3, got {self.k_max}")
@@ -245,16 +244,12 @@ def data_norm(sol, params: DeGiorgiParams) -> float:
     return f_lp + F_lq
 
 
-def normalization_factor(sol, params: DeGiorgiParams) -> float:
-    """theta = sqrt(delta) / (||u||_2 + ||f||_p + ||F||_q) on the outer ball."""
+def normalize_solution(sol, params: DeGiorgiParams):
+    """Scale (u, f, F, g) by theta = sqrt(delta) / (||u||_2 + ||f||_p +
+    ||F||_q) on the outer ball; exact by linearity of the solution map."""
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
-    return math.sqrt(params.delta) / sum(_outer_terms(sol, params).values())
-
-
-def normalize_solution(sol, params: DeGiorgiParams):
-    """Scale (u, f, F, g) by theta; exact by linearity of the solution map."""
-    theta = normalization_factor(sol, params)
+    theta = math.sqrt(params.delta) / sum(_outer_terms(sol, params).values())
     return sol.scaled(theta), theta
 
 

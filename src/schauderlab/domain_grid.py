@@ -9,6 +9,7 @@ smoothed radial cutoff fields with a certified discrete gradient bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,12 +99,13 @@ def make_grid(n: int, half_width: float, m: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class BallRegion:
+class Region:
     """Strict-inequality node mask of the ball |x - center| < radius.
 
     Strictness keeps nested families genuinely nested at every resolution.
-    The ball must be contained in the open box (faces may be touched only
-    by the sphere itself, never by selected nodes).
+    Build one with :func:`ball_region`, which keeps the ball inside the open
+    box (faces may be touched only by the sphere itself, never by selected
+    nodes), or :func:`box_region`, whose infinite radius selects every node.
     """
 
     grid: Grid
@@ -115,19 +117,7 @@ class BallRegion:
     scan_layout: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        object.__setattr__(self, "center", center)
-        if len(center) != self.grid.n:
-            raise ValueError(f"center must have {self.grid.n} components")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        w = self.grid.half_width
-        reach = max(abs(c) for c in center) + self.radius
-        if reach > w * (1.0 + 1e-12):
-            raise RegionEscapesDomainError(
-                f"ball B({center}, {self.radius}) reaches {reach:.6g} > half_width {w}"
-            )
-        mask = self.grid.radius_from(center) < self.radius
+        mask = self.grid.radius_from(self.center) < self.radius
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
@@ -140,44 +130,27 @@ class BallRegion:
         return np.argwhere(self.mask)
 
 
-def ball_region(grid: Grid, center, radius: float) -> BallRegion:
+def ball_region(grid: Grid, center, radius: float) -> Region:
     """Ball mask; a scalar ``center`` is shorthand for that value on every axis."""
     if np.ndim(center) == 0:
-        center = (float(center),) * grid.n
-    return BallRegion(grid=grid, center=tuple(center), radius=float(radius))
+        center = (center,) * grid.n
+    center, radius = tuple(float(c) for c in center), float(radius)
+    if len(center) != grid.n:
+        raise ValueError(f"center must have {grid.n} components")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    w = grid.half_width
+    reach = max(abs(c) for c in center) + radius
+    if reach > w * (1.0 + 1e-12):
+        raise RegionEscapesDomainError(
+            f"ball B({center}, {radius}) reaches {reach:.6g} > half_width {w}"
+        )
+    return Region(grid=grid, center=center, radius=radius)
 
 
-@dataclass(frozen=True)
-class BoxRegion:
-    """The whole box as a measurement region.
-
-    Duck-compatible with :class:`BallRegion` where norms are concerned;
-    ``radius`` reports the half-width for labeling purposes.
-    """
-
-    grid: Grid
-    mask: np.ndarray = field(init=False, compare=False, repr=False)
-    scan_layout: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        mask = np.ones(self.grid.shape, bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def center(self) -> tuple:
-        return (0.0,) * self.grid.n
-
-    @property
-    def radius(self) -> float:
-        return self.grid.half_width
-
-    def node_indices(self) -> np.ndarray:
-        return np.argwhere(self.mask)
-
-
-def box_region(grid: Grid) -> BoxRegion:
-    return BoxRegion(grid=grid)
+def box_region(grid: Grid) -> Region:
+    """The whole box: the region of infinite radius about the origin."""
+    return Region(grid=grid, center=(0.0,) * grid.n, radius=math.inf)
 
 
 def check_radii(r: float, R: float, grid: Grid | None = None) -> None:
@@ -216,28 +189,18 @@ def truncation_levels(k_max: int) -> np.ndarray:
     return 1.0 - np.exp2(-k.astype(float))
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Radial cutoff: 1 on B_r, 0 outside B_R, cubic-smoothstep ramp between.
-
-    The nodal field satisfies the sandwich chi(B_r) <= eta <= chi(B_R) and the
-    discrete gradient bound max |grad_h eta| <= 2/(R-r) + CUTOFF_GRAD_SLACK*h.
-    """
-
-    r: float
-    R: float
-    eta: "Field"  # noqa: F821 - field_calculus imports this module
-
-
-def cutoff(grid: Grid, r: float, R: float) -> Cutoff:
-    """Radially nonincreasing cutoff with a resolvable transition band.
+def cutoff(grid: Grid, r: float, R: float):
+    """Radial cutoff Field eta: 1 on B_r, 0 outside B_R, a cubic-smoothstep
+    ramp between, over a resolvable transition band.
 
     Profile: eta = 1 - s(t) with s the cubic smoothstep of t = (|x|-r)/(R-r),
     clipped to [0, 1]. Plateau and support values are exact (1.0 and 0.0).
+    The nodal field satisfies the sandwich chi(B_r) <= eta <= chi(B_R) and the
+    discrete gradient bound max |grad_h eta| <= 2/(R-r) + CUTOFF_GRAD_SLACK*h.
     """
     from .field_calculus import Field
 
     check_radii(r, R, grid)
     t = np.clip((grid.radius_from(np.zeros(grid.n)) - r) / (R - r), 0.0, 1.0)
     eta = 1.0 - t * t * (3.0 - 2.0 * t)
-    return Cutoff(r=r, R=R, eta=Field(grid, eta))
+    return Field(grid, eta)

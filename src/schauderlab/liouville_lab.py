@@ -80,9 +80,12 @@ class GrowthFamily:
     _cache: dict = dfield(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if len(self.scales) < 4:
-            raise InsufficientScalesError(f"need >= 4 scales, got {len(self.scales)}")
         self.scales = tuple(sorted(float(s) for s in self.scales))
+        distinct = len(set(self.scales))
+        if distinct < 4:
+            raise InsufficientScalesError(f"need >= 4 distinct scales, got {distinct}")
+        if not all(s > 0 for s in self.scales):
+            raise ValueError(f"scales must be positive, got {self.scales}")
 
     def field_at(self, scale: float) -> Field:
         if scale not in self._cache:
@@ -101,10 +104,6 @@ class GrowthFamily:
                 if not res / max(harmonic_residual(fine), 1e-300) >= HARMONIC_RATIO_FLOOR:
                     return False
         return True
-
-
-def growth_family(generator, gamma: float, scales=DEFAULT_SCALES, m: int = 257, n: int = 2) -> GrowthFamily:
-    return GrowthFamily(generator=generator, gamma=gamma, scales=tuple(scales), m=m, dimension=n)
 
 
 def counterexample_generator(a, b):
@@ -159,8 +158,6 @@ def derivative_energy_scan(family: GrowthFamily, k: int) -> EnergyScan:
     """
     if k > DERIVATIVE_ORDER_CAP:
         raise ValueError(f"derivative order capped at {DERIVATIVE_ORDER_CAP}")
-    if len(family.scales) < 4:
-        raise InsufficientScalesError("need at least four scales")
     scales = np.asarray(family.scales)
     # radii[i][j] = R_i / 2^j and E[i][j] the order-j energy on that ball, j = 0..k
     radii = [[R * 2.0**-j for j in range(k + 1)] for R in scales]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_grid import BallRegion
+from .domain_grid import Region
 from .errors import EmptyRegionError, StencilOverflowError
 from .field_calculus import Field, VecField, central_difference
 
@@ -84,7 +84,7 @@ class NormValue:
     argmax_pair: tuple | None = None
 
 
-def _region_values(u: Field, region: BallRegion):
+def _region_values(u: Field, region: Region):
     if u.grid != region.grid:
         raise ValueError("field and region live on different grids")
     mask = region.mask & u.valid
@@ -96,7 +96,7 @@ def _region_values(u: Field, region: BallRegion):
     return mask
 
 
-def lp_norm(u: Field, p: float, region: BallRegion) -> NormValue:
+def lp_norm(u: Field, p: float, region: Region) -> NormValue:
     """(sum_region |u|^p h^n)^(1/p); nodal max for p = inf."""
     mask = _region_values(u, region)
     vals = u.values[mask]
@@ -108,11 +108,6 @@ def lp_norm(u: Field, p: float, region: BallRegion) -> NormValue:
     else:
         raise ValueError(f"exponent must be >= 1 or inf, got {p}")
     return NormValue(value)
-
-
-def lp_norm_vec(F: VecField, p: float, region: BallRegion) -> NormValue:
-    """L^p norm of the pointwise Euclidean magnitude |F|."""
-    return lp_norm(F.magnitude(), p, region)
 
 
 def _merge(ufunc, vals, child):
@@ -415,7 +410,7 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
     return best, (best_pair, wide_pair), "exhaustive"
 
 
-def _holder_norm(u_vals, valid, region: BallRegion, alpha: float) -> NormValue:
+def _holder_norm(u_vals, valid, region: Region, alpha: float) -> NormValue:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = region.grid
@@ -432,7 +427,7 @@ def _holder_norm(u_vals, valid, region: BallRegion, alpha: float) -> NormValue:
     return NormValue(value, argmax_pair=(tuple(grid.axis[ia]), tuple(grid.axis[ib])))
 
 
-def holder_seminorm(u: Field, alpha: float, region: BallRegion) -> NormValue:
+def holder_seminorm(u: Field, alpha: float, region: Region) -> NormValue:
     """sup over node pairs of |u(x) - u(y)| / |x - y|^alpha, exact.
 
     A lower bound of the continuum seminorm by construction; the argmax pair
@@ -441,7 +436,7 @@ def holder_seminorm(u: Field, alpha: float, region: BallRegion) -> NormValue:
     return _holder_norm(u.values, u.valid, region, alpha)
 
 
-def holder_seminorm_vec(F: VecField, alpha: float, region: BallRegion) -> NormValue:
+def holder_seminorm_vec(F: VecField, alpha: float, region: Region) -> NormValue:
     """Vector-valued variant: differences measured in the Euclidean norm."""
     return _holder_norm(F.components, F.valid, region, alpha)
 
@@ -457,7 +452,7 @@ def multiindices(n: int, order: int):
     return out
 
 
-def _check_margin(region: BallRegion, margin: int):
+def _check_margin(region: Region, margin: int):
     if margin == 0:
         return
     m = region.grid.m
@@ -479,7 +474,7 @@ def derivative_field(u: Field, beta: tuple) -> Field:
     return out
 
 
-def ck_alpha_norm(u: Field, k: int, alpha: float, region: BallRegion) -> NormValue:
+def ck_alpha_norm(u: Field, k: int, alpha: float, region: Region) -> NormValue:
     """sum_{|beta| <= k} sup |D^beta u| + sum_{|beta| = k} [D^beta u]_alpha."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"order k must be 0..3, got {k}")
@@ -506,7 +501,7 @@ def _multinomial(beta: tuple) -> float:
     return float(num)
 
 
-def hk_norm(u: Field, k: int, region: BallRegion) -> NormValue:
+def hk_norm(u: Field, k: int, region: Region) -> NormValue:
     """(sum_{j<=k} ||D^j u||_2^2)^(1/2) with the full-derivative-tensor
     convention: each multiindex weighted by its multinomial multiplicity."""
     if k < 0:

@@ -25,6 +25,7 @@ from .elliptic_solver import (
     EllipticProblem,
     require_admissible,
     solve_dirichlet,
+    weak_residual,
 )
 from .errors import (
     DataRegularityMissingError,
@@ -76,36 +77,23 @@ BLOWUP_WINDOW_RADIUS = 2.0
 BLOWUP_WINDOW_M = 65
 
 
-@dataclass
-class AdmissibleAlpha:
-    """Exponent threshold: raw formula value and its cap at the open unit bound."""
-
-    raw: float
-    capped: bool
-
-    def admits(self, alpha: float) -> bool:
-        return 0 < alpha < 1 and alpha <= self.raw
-
-
-def admissible_alpha(n: int, p: float, q: float | None = None, order: int = 0) -> AdmissibleAlpha:
+def admissible_alpha(n: int, p: float, q: float | None = None, order: int = 0) -> float:
     """Largest admissible Holder exponent for the interior estimates.
 
     order 0: alpha <= min(2 - n/p, 1 - n/q), needing p > n/2 and q > n;
-    order 1: alpha <= 1 - n/p, needing p > n. The raw formula value can
-    reach or exceed 1; the open constraint alpha < 1 is reported as a cap.
+    order 1: alpha <= 1 - n/p, needing p > n. The formula value can reach
+    or exceed 1, where the open constraint alpha < 1 binds instead.
     """
     if order == 0:
         if q is None:
             raise InadmissibleExponentsError("order 0 needs both p and q")
         require_admissible(n, p, q)
-        raw = min(2.0 - n / p, 1.0 - n / q)
-    elif order == 1:
+        return min(2.0 - n / p, 1.0 - n / q)
+    if order == 1:
         if not p > n:
             raise InadmissibleExponentsError(f"need p > n = {n}, got {p}", failing_term="p")
-        raw = 1.0 - n / p
-    else:
-        raise ValueError(f"order must be 0 or 1, got {order}")
-    return AdmissibleAlpha(raw=raw, capped=raw >= 1.0)
+        return 1.0 - n / p
+    raise ValueError(f"order must be 0 or 1, got {order}")
 
 
 @dataclass
@@ -128,10 +116,10 @@ class SchauderConfig:
 
     def check_admissible(self, n: int) -> None:
         """Admissibility depends on the dimension, so it is gated at use."""
-        gate = admissible_alpha(n, self.p, self.q, self.order)
-        if not gate.admits(self.alpha):
+        threshold = admissible_alpha(n, self.p, self.q, self.order)
+        if not self.alpha <= threshold:
             raise InadmissibleExponentsError(
-                f"alpha = {self.alpha} exceeds threshold {gate.raw:.4g} "
+                f"alpha = {self.alpha} exceeds threshold {threshold:.4g} "
                 f"for order {self.order}, p = {self.p}, q = {self.q}"
             )
 
@@ -214,6 +202,7 @@ def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> f
     |sum A grad u_i . grad phi + sum (d_i A grad u + f e_i + d_i F) . grad phi| h^n.
 
     The f e_i term realizes d_i f = div(f e_i) and vanishes when f = 0.
+    This is ``weak_residual`` of u_i for f = 0 and F = the source.
     phi must vanish on a 3-node boundary band (all derivative stencils then
     see only valid nodes where phi is live). O(h) for smooth data.
 
@@ -221,24 +210,17 @@ def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> f
     ``_differentiated_source``, whose source terms ``bootstrap_ckalpha``
     reads and no other test pins.
     """
-    grid = sol.grid
-    if sol.problem.A.lipschitz_bound is None:
+    prob = sol.problem
+    if prob.A.lipschitz_bound is None:
         raise DataRegularityMissingError("differentiated equation needs Lipschitz A")
-    if "F_lipschitz" not in sol.problem.certificates and np.abs(sol.problem.F.components).max() > 0:
+    if "F_lipschitz" not in prob.certificates and np.abs(prob.F.components).max() > 0:
         raise DataRegularityMissingError("differentiated equation needs differentiable F")
     if not _band_clear(phi, 3):
         raise SupportViolationError("phi must vanish on the outer three node layers")
-    hn = grid.h**grid.n
-    u_i = central_difference(sol.u, i)
-    grad_ui = gradient(u_i)
-    gphi = gradient(phi).components
-    a_grad = np.einsum("ab...,b...->a...", sol.problem.A.entries, grad_ui.components)
-    live = grad_ui.valid
-    t1 = float((a_grad * gphi)[:, live].sum()) * hn
-    prob = sol.problem
-    source, _ = _differentiated_source(prob.A, i, gradient(sol.u).components, prob.f, prob.F)
-    t2 = float((source * gphi)[:, live].sum()) * hn
-    return abs(t1 + t2)
+    source, valid = _differentiated_source(prob.A, i, gradient(sol.u).components, prob.f, prob.F)
+    zero = Field.zeros(sol.grid)
+    differentiated = EllipticProblem(prob.A, zero, VecField(sol.grid, source, valid), zero)
+    return weak_residual(central_difference(sol.u, i), differentiated, phi)
 
 
 @dataclass
@@ -386,7 +368,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
     local Holder quotient (the more singular end).
     """
     grid = u.grid
-    eta = cutoff(grid, cfg.r, cfg.R).eta
+    eta = cutoff(grid, cfg.r, cfg.R)
     W = eta * u
     grad_w = gradient(W)
     if cfg.order == 0:

@@ -31,9 +31,9 @@ from schauderlab.generators import (
 )
 from schauderlab.liouville_lab import (
     DISCRIMINATION_SCALES,
+    GrowthFamily,
     counterexample_generator,
     derivative_energy_scan,
-    growth_family,
     verify_growth,
 )
 from schauderlab.norm_engine import lp_norm
@@ -155,14 +155,14 @@ def test_criterion_05_degiorgi():
 
 
 def test_criterion_06_liouville():
-    saddle = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
+    saddle = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
     scan1 = derivative_energy_scan(saddle, 1)
     slope_ok = abs(scan1.slope - 4.0) <= 0.05 * 4.0
     scan0 = derivative_energy_scan(saddle, 0)
     scan3 = derivative_energy_scan(saddle, 3)
     floor_ok = bool(np.all(scan3.energies <= 1e-12 * scan0.energies))
 
-    exp_fam = growth_family(
+    exp_fam = GrowthFamily(
         counterexample_generator((1.0, 0.0), (0.0, 1.0)), gamma=10.0,
         scales=DISCRIMINATION_SCALES, m=257,
     )

@@ -65,7 +65,7 @@ def test_truncated_constant_half():
     grid = make_grid(2, 1.0, 129)
     sol = constant_solution(grid, 0.5)
     report = truncated_caccioppoli(sol, 0.0, "plus", 0.5, 0.9)
-    eta = cutoff(grid, 0.5, 0.9).eta
+    eta = cutoff(grid, 0.5, 0.9)
     hn = grid.h**2
     ramp = 0.25 * float((gradient(eta).components**2).sum() * hn)
     assert report.rhs_components["v_grad_eta"] == pytest.approx(ramp, rel=1e-12)

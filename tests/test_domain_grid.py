@@ -105,25 +105,25 @@ def test_truncation_levels_ladder():
 
 
 def test_cutoff_plateau_and_support_exact(grid257):
-    co = cutoff(grid257, 0.5, 1.0)
+    eta = cutoff(grid257, 0.5, 1.0)
     dist = grid257.radius_from(np.zeros(2))
-    assert np.all(co.eta.values[dist <= 0.5] == 1.0)
-    assert np.all(co.eta.values[dist >= 1.0] == 0.0)
-    assert np.all((0.0 <= co.eta.values) & (co.eta.values <= 1.0))
+    assert np.all(eta.values[dist <= 0.5] == 1.0)
+    assert np.all(eta.values[dist >= 1.0] == 0.0)
+    assert np.all((0.0 <= eta.values) & (eta.values <= 1.0))
 
 
 def test_cutoff_sandwich(grid129):
-    co = cutoff(grid129, 0.4, 0.8)
+    eta = cutoff(grid129, 0.4, 0.8)
     inner = ball_region(grid129, 0.0, 0.4)
     outer = ball_region(grid129, 0.0, 0.8)
-    assert np.all(co.eta.values[inner.mask] == 1.0)
-    assert np.all(co.eta.values[~outer.mask] == 0.0)
+    assert np.all(eta.values[inner.mask] == 1.0)
+    assert np.all(eta.values[~outer.mask] == 0.0)
 
 
 def test_cutoff_radially_nonincreasing(grid129):
-    co = cutoff(grid129, 0.3, 0.9)
+    eta = cutoff(grid129, 0.3, 0.9)
     mid = grid129.m // 2
-    line = co.eta.values[mid, mid:]
+    line = eta.values[mid, mid:]
     assert np.all(np.diff(line) <= 1e-15)
 
 
@@ -131,8 +131,8 @@ def test_cutoff_gradient_bound(grid257):
     # oracle: discrete gradient scan against 2/(R-r) + c h
     from schauderlab.domain_grid import CUTOFF_GRAD_SLACK
 
-    co = cutoff(grid257, 0.5, 1.0)
-    measured = gradient(co.eta).magnitude().values.max()
+    eta = cutoff(grid257, 0.5, 1.0)
+    measured = gradient(eta).magnitude().values.max()
     assert measured <= 2.0 / 0.5 + CUTOFF_GRAD_SLACK * grid257.h
 
 

@@ -10,9 +10,9 @@ from schauderlab.errors import (
 from schauderlab.field_calculus import Field
 from schauderlab.liouville_lab import (
     DISCRIMINATION_SCALES,
+    GrowthFamily,
     counterexample_generator,
     derivative_energy_scan,
-    growth_family,
     harmonic_residual,
     polynomial_degree_detect,
     verify_growth,
@@ -40,12 +40,18 @@ def test_residual_second_order_refinement():
 
 def test_family_needs_four_scales():
     with pytest.raises(InsufficientScalesError):
-        growth_family(lambda x, y: x, gamma=1.0, scales=(1.0, 2.0, 4.0))
+        GrowthFamily(lambda x, y: x, gamma=1.0, scales=(1.0, 2.0, 4.0))
+    # four distinct positive ones: a repeated scale divides by log(1) = 0 in
+    # the window slopes, and a negative one names no grid
+    with pytest.raises(InsufficientScalesError):
+        GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, scales=(1, 1, 2, 4), m=33)
+    with pytest.raises(ValueError, match="scales must be positive"):
+        GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, scales=(1, 2, 4, -8), m=33)
 
 
 def test_saddle_energy_scan_matches_closed_form():
     # oracle: integral of |grad(x^2-y^2)|^2 = 4 rho^2 over B_rho is 2 pi rho^4
-    fam = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
+    fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
     scan = derivative_energy_scan(fam, 1)
     for scale, energy in zip(scan.scales, scan.energies):
         assert abs(energy / (2 * np.pi * (scale / 2) ** 4) - 1.0) < 0.01
@@ -53,7 +59,7 @@ def test_saddle_energy_scan_matches_closed_form():
 
 
 def test_saddle_third_derivatives_at_floor():
-    fam = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
+    fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
     scan0 = derivative_energy_scan(fam, 0)
     scan3 = derivative_energy_scan(fam, 3)
     assert scan3.at_floor
@@ -61,7 +67,7 @@ def test_saddle_third_derivatives_at_floor():
 
 
 def test_chained_links_scale_stable():
-    fam = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
+    fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
     scan = derivative_energy_scan(fam, 1)
     links = [row[0] for row in scan.chain_ratios]
     spread = max(links) / min(links)
@@ -69,18 +75,18 @@ def test_chained_links_scale_stable():
 
 
 def test_exp_family_window_slopes_increase():
-    fam = growth_family(counterexample_generator((1, 0), (0, 1)), gamma=10.0, m=129)
+    fam = GrowthFamily(counterexample_generator((1, 0), (0, 1)), gamma=10.0, m=129)
     scan = derivative_energy_scan(fam, 1)
     assert np.all(np.diff(scan.window_slopes) > 0)
 
 
 def test_degree_detect_saddle():
-    fam = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
+    fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
     assert polynomial_degree_detect(fam) == 2
 
 
 def test_degree_detect_linear_within_tag():
-    fam = growth_family(lambda x, y: 0.7 * x - 0.2 * y + 0.3, gamma=1.5, m=129)
+    fam = GrowthFamily(lambda x, y: 0.7 * x - 0.2 * y + 0.3, gamma=1.5, m=129)
     degree = polynomial_degree_detect(fam)
     assert degree == 1
     assert degree <= int(np.floor(1.5))
@@ -88,14 +94,14 @@ def test_degree_detect_linear_within_tag():
 
 
 def test_degree_detect_constant():
-    fam = growth_family(lambda x, y: np.full_like(x, 2.0), gamma=0.5, m=129)
+    fam = GrowthFamily(lambda x, y: np.full_like(x, 2.0), gamma=0.5, m=129)
     assert polynomial_degree_detect(fam) == 0
     assert verify_growth(fam)["verified"]
 
 
 def test_constancy_case_sublinear_tag():
     # any harmonic family with verified gamma < 1 must detect degree 0
-    fam = growth_family(lambda x, y: np.full_like(x, -1.3), gamma=0.9, m=129)
+    fam = GrowthFamily(lambda x, y: np.full_like(x, -1.3), gamma=0.9, m=129)
     assert verify_growth(fam)["verified"]
     assert polynomial_degree_detect(fam) == 0
 
@@ -122,18 +128,18 @@ def test_counterexample_rejects_bad_parameters():
 def test_counterexample_discrimination_all_gammas():
     gen = counterexample_generator((1.0, 0.0), (0.0, 1.0))
     for gamma in (0.5, 2.0, 5.0, 10.0):
-        fam = growth_family(gen, gamma=gamma, scales=DISCRIMINATION_SCALES, m=129)
+        fam = GrowthFamily(gen, gamma=gamma, scales=DISCRIMINATION_SCALES, m=129)
         assert fam.harmonic_gate()
         assert not verify_growth(fam)["verified"]
-    fam = growth_family(gen, gamma=10.0, scales=DISCRIMINATION_SCALES, m=129)
+    fam = GrowthFamily(gen, gamma=10.0, scales=DISCRIMINATION_SCALES, m=129)
     with pytest.raises(DegreeUndetectedError):
         polynomial_degree_detect(fam)
 
 
 def test_saddle_growth_tag_sharp():
-    ok = growth_family(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
+    ok = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=129)
     assert verify_growth(ok)["verified"]
-    too_small = growth_family(lambda x, y: x**2 - y**2, gamma=1.9, m=129)
+    too_small = GrowthFamily(lambda x, y: x**2 - y**2, gamma=1.9, m=129)
     assert not verify_growth(too_small)["verified"]
 
 
@@ -153,7 +159,7 @@ def test_constant_coefficient_smoke_case():
         yy = (vals[1:-1, 2:] - 2 * vals[c] + vals[1:-1, :-2]) / h**2
         return float(np.abs(a11 * xx + a22 * yy).max())
 
-    fam = growth_family(gen, gamma=2.0, m=129)
+    fam = GrowthFamily(gen, gamma=2.0, m=129)
     for scale in fam.scales:
         assert weighted_residual(fam.field_at(scale)) <= 1e-10
     scan = derivative_energy_scan(fam, 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from schauderlab import norm_engine
-from schauderlab.domain_grid import ball_region, make_grid
+from schauderlab.domain_grid import ball_region, box_region, make_grid
 from schauderlab.errors import EmptyRegionError, StencilOverflowError
 from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.norm_engine import (
@@ -20,7 +20,6 @@ from schauderlab.norm_engine import (
     holder_seminorm_vec,
     log_slope,
     lp_norm,
-    lp_norm_vec,
     shell_peaks,
 )
 
@@ -162,7 +161,7 @@ def test_holder_affine_alpha_one_within_one_gib():
     child = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from schauderlab.domain_grid import ball_region, make_grid
+from schauderlab.domain_grid import ball_region, box_region, make_grid
 from schauderlab.field_calculus import Field
 from schauderlab.norm_engine import holder_seminorm
 grid = make_grid(2, 1.0, 129)
@@ -446,6 +445,29 @@ def test_holder_region_layout_reuse_matches_fresh_region_and_brute_force(n, m, r
 
 
 @pytest.mark.parametrize("n, m", [(2, 33), (3, 13)])
+def test_box_region_is_not_a_ball_region_and_keeps_its_layout(n, m):
+    # the box selects every node; the inscribed ball B(0, w) drops the
+    # faces, so the two regions differ though both are one Region type
+    grid = make_grid(n, 1.0, m)
+    box = box_region(grid)
+    ball = ball_region(grid, 0.0, grid.half_width)
+    assert box != ball and box == box_region(grid)
+    assert box.mask.all() and not ball.mask.all()
+    idx = np.argwhere(box.mask)
+    for u in _layout_fields(grid):
+        scan = holder_seminorm if isinstance(u, Field) else holder_seminorm_vec
+        first = scan(u, 0.5, box)
+        held = box.scan_layout
+        assert held is not None
+        again = scan(u, 0.5, box)
+        assert box.scan_layout is held
+        assert (again.value, again.argmax_pair) == (first.value, first.argmax_pair)
+        oracle, (i, j) = brute_force_seminorm(u, 0.5, box)
+        assert first.value == pytest.approx(oracle, rel=1e-12)
+        assert first.argmax_pair == (tuple(grid.axis[idx[i]]), tuple(grid.axis[idx[j]]))
+
+
+@pytest.mark.parametrize("n, m", [(2, 33), (3, 13)])
 def test_holder_field_cut_by_valid_does_not_use_region_layout(n, m, monkeypatch):
     # a field invalid on part of the region scans mask & valid on a layout
     # of its own, whether or not the region already holds one
@@ -592,7 +614,7 @@ def test_h2_saddle_hessian_part(grid257):
     u = Field.from_function(grid257, lambda x, y: x**2 - y**2)
     region = ball_region(grid257, 0.0, 0.5)
     total_sq = hk_norm(u, 2, region).value ** 2
-    grad_sq = lp_norm_vec(gradient(u), 2, region).value ** 2
+    grad_sq = lp_norm(gradient(u).magnitude(), 2, region).value ** 2
     l2_sq = lp_norm(u, 2, region).value ** 2
     hess_part = total_sq - grad_sq - l2_sq
     assert abs(hess_part / (8 * np.pi * 0.25) - 1.0) < 0.01

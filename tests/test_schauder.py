@@ -36,23 +36,21 @@ from schauderlab.schauder_harness import restrict_problem_data
 
 
 def test_admissible_alpha_order0():
-    gate = admissible_alpha(2, 4.0, 8.0, order=0)
-    assert gate.raw == pytest.approx(0.75)
-    assert not gate.capped
+    assert admissible_alpha(2, 4.0, 8.0, order=0) == pytest.approx(0.75)
 
 
 def test_admissible_alpha_order1():
-    gate = admissible_alpha(2, 4.0, order=1)
-    assert gate.raw == pytest.approx(0.5)
+    assert admissible_alpha(2, 4.0, order=1) == pytest.approx(0.5)
 
 
 def test_admissible_alpha_cap_reported():
-    # the q-term keeps the order-0 raw value below 1; the cap is reported
-    # separately
-    gate = admissible_alpha(2, 100.0, 100.0, order=0)
-    assert gate.raw == pytest.approx(0.98)
-    assert not gate.capped
-    assert gate.admits(0.9) and not gate.admits(0.99)
+    # the q-term keeps the order-0 threshold below 1, so it, not the open
+    # bound alpha < 1, decides admissibility
+    threshold = admissible_alpha(2, 100.0, 100.0, order=0)
+    assert threshold == pytest.approx(0.98) and threshold < 1.0
+    SchauderConfig(order=0, alpha=0.9, p=100.0, q=100.0, r=0.3, R=0.8).check_admissible(2)
+    with pytest.raises(InadmissibleExponentsError):
+        SchauderConfig(order=0, alpha=0.99, p=100.0, q=100.0, r=0.3, R=0.8).check_admissible(2)
 
 
 def test_admissible_alpha_invalid_exponents():
@@ -198,7 +196,7 @@ def test_blowup_takes_widest_tied_pair(cusp_record):
     # oracle: every pair of the order-0 search ball, eta u, within 1e-9 of
     # the max quotient; step 0 must use the widest of them
     grid = make_grid(2, 1.0, 129)
-    W = cutoff(grid, 0.2, 0.8).eta.values * grid.radius_from(np.zeros(2)) ** 0.5
+    W = cutoff(grid, 0.2, 0.8).values * grid.radius_from(np.zeros(2)) ** 0.5
     mask = ball_region(grid, 0.0, 0.8).mask
     coords, vals = grid.axis[np.argwhere(mask)], W[mask]
 
