@@ -25,7 +25,7 @@ print("detected degree:", polynomial_degree_detect(fam), " growth tag verified:"
 
 print("\n== superpolynomial counterexample e^x sin(y) ==")
 exp_fam = GrowthFamily(counterexample_generator((1, 0), (0, 1)), gamma=10.0,
-                        scales=DISCRIMINATION_SCALES, m=129)
+                       scales=DISCRIMINATION_SCALES, m=129)
 print("harmonic gate passed:", exp_fam.harmonic_gate())
 scan = derivative_energy_scan(exp_fam, 1)
 print("window slopes grow without bound:", np.array2string(scan.window_slopes, precision=2))
