@@ -9,7 +9,7 @@ stay under one stable empirical constant.
 import numpy as np
 
 from schauderlab import caccioppoli_check, empirical_constant, make_grid, solve_dirichlet, truncated_caccioppoli
-from schauderlab.generators import harmonic_saddle_problem, random_ensemble
+from schauderlab.generators import harmonic_saddle_problem, random_problem
 
 print("== closed-form instance: u = x^2 - y^2, (r, R) = (1/2, 0.95) ==")
 grid = make_grid(2, 1.0, 257)
@@ -23,7 +23,7 @@ print(f"realized ratio: {report.ratio:.4f}")
 
 print("\n== empirical constant over a certified random ensemble ==")
 grid = make_grid(2, 1.0, 65)
-sols = [solve_dirichlet(p) for p in random_ensemble(grid, 10, seed=5)]
+sols = [solve_dirichlet(random_problem(grid, np.random.default_rng([5, k]))) for k in range(10)]
 constant, reports = empirical_constant(
     [(caccioppoli_check(s, 0.5, 0.95), (s.problem.A.lam, s.problem.A.Lam, s.problem.A.L)) for s in sols]
 )

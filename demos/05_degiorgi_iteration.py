@@ -6,9 +6,11 @@ energies E_k to zero superlinearly -- the computable core of the L2-to-sup
 bound.
 """
 
+import numpy as np
+
 from schauderlab import DeGiorgiParams, calibrate_delta, data_norm, gamma_exponent, linf_bound, make_grid, no_spike_verify, normalize_solution, solve_dirichlet, training_ratio, truncation_sequence
 from schauderlab.degiorgi import DELTA_CEILING
-from schauderlab.generators import sup_bound_ensemble
+from schauderlab.generators import sup_bound_problem
 
 print("== the iteration gain gamma ==")
 print("gamma(n=3, tau=6, p=2, q=4) =", gamma_exponent(3, 2.0, 4.0, 6.0), "(= 1/6)")
@@ -18,7 +20,7 @@ params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
 print(f"2d configuration: tau = {params.tau:.3f}, gamma = {params.gamma:.3f}")
 
 print("\n== calibrating delta on a 12-instance training ensemble ==")
-sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid, 12, seed=7)]
+sols = [solve_dirichlet(sup_bound_problem(grid, np.random.default_rng([7, k]))) for k in range(12)]
 delta, bound = calibrate_delta([training_ratio(s, params) for s in sols], params)
 print(f"frozen delta = {delta:.6g}")
 print(f"closed-form bound min (denom/sup)^2 = {bound:.4f}; the clamp below 1 {'binds' if bound > DELTA_CEILING else 'does not bind'}")

@@ -21,12 +21,12 @@ from .domain_grid import (
 )
 from .field_calculus import (
     Field,
-    Mollifier,
     VecField,
     central_difference,
     difference_quotient,
     divergence,
     gradient,
+    mollifier_weights,
     mollify,
     summation_by_parts_residual,
 )

@@ -10,7 +10,7 @@ maximal ratio over ensembles with a common ellipticity certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
@@ -24,7 +24,9 @@ RATIO_FLOOR = 1e-300
 
 @dataclass
 class EstimateReport:
-    """One verified inequality instance: lhs, labeled rhs parts, ratio."""
+    """One verified inequality instance: lhs, labeled rhs parts, ratio.
+
+    ``ratio`` is lhs / rhs_total (0 when lhs is 0), set at construction."""
 
     inequality: str
     lhs: float
@@ -32,17 +34,15 @@ class EstimateReport:
     radii: tuple
     resolution: int
     fingerprint: str
+    ratio: float = dfield(init=False)
     extra: dict = dfield(default_factory=dict)
+
+    def __post_init__(self):
+        self.ratio = 0.0 if self.lhs == 0.0 else self.lhs / max(self.rhs_total, RATIO_FLOOR)
 
     @property
     def rhs_total(self) -> float:
         return float(sum(self.rhs_components.values()))
-
-    @property
-    def ratio(self) -> float:
-        if self.lhs == 0.0:
-            return 0.0
-        return self.lhs / max(self.rhs_total, RATIO_FLOOR)
 
     def to_row(self) -> dict:
         row = {
@@ -60,18 +60,7 @@ class EstimateReport:
         return row
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "inequality": self.inequality,
-                "lhs": self.lhs,
-                "rhs_components": self.rhs_components,
-                "radii": list(self.radii),
-                "resolution": self.resolution,
-                "fingerprint": self.fingerprint,
-                "ratio": self.ratio,
-                "extra": self.extra,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def rhs_terms(sol, p: float, q: float | None, region) -> dict:

@@ -447,13 +447,6 @@ def _run_degiorgi(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     return summary, {"degiorgi_traces.csv": csv_text(rows)}
 
 
-def _check_liouville(cfg: ExperimentConfig) -> None:
-    if cfg.params["generator"] not in _LIOUVILLE_KINDS:
-        raise ValueError(
-            f"unknown liouville generator {cfg.params['generator']!r}; known: {_LIOUVILLE_KINDS}"
-        )
-
-
 def _run_liouville(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
     kind = cfg.params["generator"]
     m = cfg.resolution
@@ -655,6 +648,7 @@ SPECS = {
                 and all(_finite(r) and r > 0 for r in p["scales"])
                 and len(set(p["scales"])) == len(p["scales"])),
              "be null or at least four distinct positive radii"),
+            ("generator", lambda p: p["generator"] in _LIOUVILLE_KINDS, f"be one of {_LIOUVILLE_KINDS}"),
         ),
         runner=_run_liouville,
         checks=(
@@ -662,7 +656,6 @@ SPECS = {
             "growth_tag_verified", "degree_within_growth_tag",
         ),
         least_resolution=lambda p: 5,
-        check=_check_liouville,
     ),
     "schauder": CommandSpec(
         params={"s": 0.5, "ensemble": 10},

@@ -268,8 +268,11 @@ class EllipticProblem:
         return digest.hexdigest()[:12]
 
     def scaled(self, c: float) -> "EllipticProblem":
-        """Same operator, data (f, F, g) scaled by c; the solution scales too."""
-        certs = dict(self.certificates)
+        """Same operator, data (f, F, g) scaled by c; the solution scales too.
+
+        Every certificate bounds a norm or seminorm of f or F, so each is
+        multiplied by |c|."""
+        certs = {key: abs(c) * bound for key, bound in self.certificates.items()}
         return EllipticProblem(
             A=self.A, f=c * self.f, F=c * self.F, g=c * self.g,
             p=self.p, q=self.q, certificates=certs,
@@ -291,7 +294,6 @@ class LinearSystem:
     table: np.ndarray
     rhs: np.ndarray
     grid: Grid
-    symmetric: bool
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -398,10 +400,7 @@ def assemble(problem: EllipticProblem) -> LinearSystem:
             if o:
                 weights[(slice(None),) * axis + (0 if o > 0 else -1,)] = 0.0
 
-    symmetric = problem.A.is_symmetric
-    return LinearSystem(
-        offsets=offsets, table=table.reshape(len(offsets), -1), rhs=rhs, grid=grid, symmetric=symmetric
-    )
+    return LinearSystem(offsets=offsets, table=table.reshape(len(offsets), -1), rhs=rhs, grid=grid)
 
 
 @dataclass
@@ -694,12 +693,12 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
     offsets, table, rhs = system.offsets, system.table, system.rhs
     blocks = _dia_blocks(offsets, table, grid.m - 2)
     apply = partial(_matvec, blocks)
-    method = "mg-cg" if system.symmetric else "mg-gmres"
+    method = "mg-cg" if problem.A.is_symmetric else "mg-gmres"
     bnorm = _norm(rhs)
     x, iterations = np.zeros_like(rhs), 0  # the answer to zero data
     if bnorm > 0.0:
         levels, coarse = _multigrid_levels(offsets, table, grid.m - 2, blocks)
-        krylov = _cg if system.symmetric else _gmres
+        krylov = _cg if problem.A.is_symmetric else _gmres
         x, iterations = krylov(apply, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
     residual = _norm(rhs - apply(x)) / (bnorm or 1.0)
     diagnostics = {"method": method, "iterations": iterations, "residual": residual}
@@ -708,7 +707,7 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
             f"{method} finished with relative residual {residual:.3e} > {SOLVE_RTOL}",
             diagnostics=diagnostics,
         )
-    diagnostics.update(symmetric=system.symmetric, unknowns=rhs.size)
+    diagnostics.update(symmetric=problem.A.is_symmetric, unknowns=rhs.size)
 
     full = problem.g.values.copy()
     full[grid.interior_mask(1)] = x

@@ -268,37 +268,31 @@ def divergence(F: VecField) -> Field:
     return total
 
 
-class Mollifier:
+def mollifier_weights(grid: Grid, eps: float) -> np.ndarray:
     """Unit-mass bump kernel exp(-1/(1 - |x/eps|^2)) sampled on grid offsets.
 
     The kernel is nonnegative, radially nonincreasing, supported strictly in
     the eps-ball, and renormalized so its discrete mass (sum times h^n) is 1
-    to machine precision: ``weights`` holds kernel values times h^n, which
-    sum to 1.
+    to machine precision: the read-only array of (2s + 1)^n offsets holds
+    kernel values times h^n, which sum to 1; its radius in nodes is
+    s = len(weights) // 2.
     """
-
-    __slots__ = ("grid", "eps", "weights", "radius_nodes")
-
-    def __init__(self, grid: Grid, eps: float):
-        if eps < 2.0 * grid.h:
-            raise KernelUnderResolvedError(
-                f"eps = {eps:.6g} below 2h = {2 * grid.h:.6g}"
-            )
-        if eps >= grid.half_width:
-            raise ValueError("kernel support must sit strictly inside the box")
-        self.grid = grid
-        self.eps = float(eps)
-        s = int(np.ceil(eps / grid.h)) - 1
-        offs = np.arange(-s, s + 1) * grid.h
-        mesh = np.meshgrid(*([offs] * grid.n), indexing="ij")
-        rho2 = sum(c**2 for c in mesh) / eps**2
-        w = np.zeros(mesh[0].shape)
-        inside = rho2 < 1.0
-        w[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
-        w /= w.sum()
-        w.setflags(write=False)
-        self.weights = w
-        self.radius_nodes = s
+    if eps < 2.0 * grid.h:
+        raise KernelUnderResolvedError(
+            f"eps = {eps:.6g} below 2h = {2 * grid.h:.6g}"
+        )
+    if eps >= grid.half_width:
+        raise ValueError("kernel support must sit strictly inside the box")
+    s = int(np.ceil(eps / grid.h)) - 1
+    offs = np.arange(-s, s + 1) * grid.h
+    mesh = np.meshgrid(*([offs] * grid.n), indexing="ij")
+    rho2 = sum(c**2 for c in mesh) / eps**2
+    w = np.zeros(mesh[0].shape)
+    inside = rho2 < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
+    w /= w.sum()
+    w.setflags(write=False)
+    return w
 
 
 def mollify(g: Field, eps: float) -> Field:
@@ -307,14 +301,14 @@ def mollify(g: Field, eps: float) -> Field:
     Discrete Young inequality holds exactly: for every p >= 1 the L^p norm of
     the result over its valid set is at most the L^p norm of g over the box.
     """
-    moll = Mollifier(g.grid, eps)
+    weights = mollifier_weights(g.grid, eps)
     # a convolution is a correlation with the flipped kernel; taps at or
     # below machine epsilon are dropped, and the sum runs in tap order
-    w = moll.weights[(slice(None, None, -1),) * g.grid.n]
+    w = weights[(slice(None, None, -1),) * g.grid.n]
     taps = np.abs(w) > np.finfo(float).eps
     out = np.zeros(g.grid.shape)
     for view, w_k in zip(_shifted_views(g.values, taps), w[taps]):
         out += view * w_k
-    ok = erode(g.valid, moll.weights > 0)
+    ok = erode(g.valid, weights > 0)
     return Field(g.grid, np.where(ok, out, 0.0), ok)
 

@@ -224,14 +224,6 @@ def random_problem(
     )
 
 
-def random_ensemble(grid: Grid, size: int, seed: int, **kwargs) -> list:
-    """Independent instances from one seed; member k uses child seed (seed, k)."""
-    return [
-        random_problem(grid, np.random.default_rng([seed, k]), **kwargs)
-        for k in range(size)
-    ]
-
-
 def bump_field(grid: Grid, radius: float, center=None, height: float = 1.0) -> Field:
     """Smooth compactly supported bump exp(1 - 1/(1 - |x-c|^2/radius^2))."""
     if center is None:
@@ -262,7 +254,3 @@ def sup_bound_problem(grid: Grid, rng) -> EllipticProblem:
         height=rng.uniform(0.2, 0.5) * abs(level) * np.sign(level),
     )
     return EllipticProblem(A=A, f=f, F=VecField.zeros(grid), g=gb, p=2.0, q=4.0)
-
-
-def sup_bound_ensemble(grid: Grid, size: int, seed: int) -> list:
-    return [sup_bound_problem(grid, np.random.default_rng([seed, k])) for k in range(size)]

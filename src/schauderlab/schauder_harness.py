@@ -37,11 +37,11 @@ from .errors import (
 )
 from .field_calculus import (
     Field,
-    Mollifier,
     VecField,
     _band_clear,
     central_difference,
     gradient,
+    mollifier_weights,
     mollify,
 )
 from .norm_engine import (
@@ -541,7 +541,7 @@ def check_eps_schedule(grid: Grid, eps_schedule) -> list:
         raise ValueError("epsilon schedule must be strictly decreasing")
     _, margin = inner_box(grid)
     for eps in eps_schedule:
-        if Mollifier(grid, eps).radius_nodes > margin:
+        if len(mollifier_weights(grid, eps)) // 2 > margin:
             raise GridTooCoarseError(
                 f"eps = {eps:.4g} kernel exceeds the {margin}-node margin of the inner box"
             )

@@ -24,10 +24,9 @@ from schauderlab.elliptic_solver import solve_dirichlet
 from schauderlab.generators import (
     harmonic_saddle_problem,
     radial_singular_problem,
-    random_ensemble,
     random_problem,
     sine_forcing_problem,
-    sup_bound_ensemble,
+    sup_bound_problem,
 )
 from schauderlab.liouville_lab import (
     DISCRIMINATION_SCALES,
@@ -119,7 +118,7 @@ def test_criterion_04_caccioppoli():
     constants = {}
     for m in (129, 257):
         g = make_grid(2, 1.0, m)
-        sols = [solve_dirichlet(p) for p in random_ensemble(g, 50, seed=2024)]
+        sols = [solve_dirichlet(random_problem(g, np.random.default_rng([2024, k]))) for k in range(50)]
         constants[m], _ = empirical_constant(
             [(caccioppoli_check(s, 0.5, 0.95), (s.problem.A.lam, s.problem.A.Lam, s.problem.A.L)) for s in sols]
         )
@@ -136,7 +135,7 @@ def test_criterion_05_degiorgi():
 
     grid = make_grid(2, 1.0, 129)
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
-    sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid, 50, seed=7)]
+    sols = [solve_dirichlet(sup_bound_problem(grid, np.random.default_rng([7, k]))) for k in range(50)]
     calibrate_delta([training_ratio(sol, params) for sol in sols], params)
     verified = monotone = True
     min_fit = float("inf")

@@ -10,7 +10,7 @@ from schauderlab.domain_grid import cutoff, make_grid
 from schauderlab.errors import IncompatibleEnsembleError
 from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, solve_dirichlet
-from schauderlab.generators import harmonic_saddle_problem, random_ensemble
+from schauderlab.generators import harmonic_saddle_problem, random_problem
 
 
 def constant_solution(grid, c):
@@ -94,7 +94,7 @@ def test_truncated_minus_side(grid65):
 
 
 def test_truncated_holds_on_ensemble(grid65):
-    sols = [solve_dirichlet(p) for p in random_ensemble(grid65, 6, seed=3)]
+    sols = [solve_dirichlet(random_problem(grid65, np.random.default_rng([3, k]))) for k in range(6)]
     for sol in sols:
         b = float(np.median(sol.u.values))
         report = truncated_caccioppoli(sol, b, "plus", 0.4, 0.8)
@@ -109,7 +109,7 @@ def test_empirical_constant_zero_solution(grid65):
 
 
 def test_empirical_constant_homogeneous(grid65):
-    sols = [solve_dirichlet(p) for p in random_ensemble(grid65, 4, seed=9)]
+    sols = [solve_dirichlet(random_problem(grid65, np.random.default_rng([9, k]))) for k in range(4)]
     c1, reports1 = empirical_constant(_members(sols, 0.4, 0.8))
     scaled = [s.scaled(10.0) for s in sols]
     c2, reports2 = empirical_constant(_members(scaled, 0.4, 0.8))
@@ -138,7 +138,7 @@ def test_empirical_constant_empty_rejected():
 
 def test_empirical_constant_common_certificate(grid65):
     # every report carries the least lam and the largest Lam and L
-    sols = [solve_dirichlet(p) for p in random_ensemble(grid65, 3, seed=9)]
+    sols = [solve_dirichlet(random_problem(grid65, np.random.default_rng([9, k]))) for k in range(3)]
     _, reports = empirical_constant(_members(sols, 0.4, 0.8))
     for k, rep in enumerate(reports):
         assert rep.extra["instance"] == k and rep.extra["size"] == 3
@@ -150,10 +150,10 @@ def test_empirical_constant_common_certificate(grid65):
 def test_universality_across_textures(grid65):
     # same ellipticity envelope, different coefficient textures: constants
     # within a factor 3 of one another
-    low = [solve_dirichlet(p) for p in random_ensemble(grid65, 6, seed=1, beta=0.2)]
+    low = [solve_dirichlet(random_problem(grid65, np.random.default_rng([1, k]), beta=0.2)) for k in range(6)]
     rough = [
-        solve_dirichlet(p)
-        for p in random_ensemble(grid65, 6, seed=2, beta=0.2, rough_alpha=0.5)
+        solve_dirichlet(random_problem(grid65, np.random.default_rng([2, k]), beta=0.2, rough_alpha=0.5))
+        for k in range(6)
     ]
     c_low, _ = empirical_constant(_members(low, 0.4, 0.8))
     c_rough, _ = empirical_constant(_members(rough, 0.4, 0.8))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -156,6 +157,21 @@ def test_default_outputs_match_recorded_digests(tmp_path):
     assert not moved
 
 
+@pytest.mark.parametrize("command, kwargs", [("caccioppoli", {}), ("schauder", {"rough_alpha": 0.6})])
+def test_member_k_is_built_from_child_seed(tmp_path, command, kwargs):
+    # member k of a run at --seed s is random_problem on default_rng([s, k])
+    out = tmp_path / command
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--seed", "1", "--out", str(out)]) == 0
+    with open(out / f"{command}_reports.csv", newline="") as table:
+        fingerprints = [row["fingerprint"] for row in csv.DictReader(table)]
+    grid = make_grid(2, 1.0, ExperimentConfig(command).resolution)
+    assert fingerprints == [
+        generators.random_problem(grid, np.random.default_rng([1, k]), **kwargs).fingerprint()
+        for k in range(SPECS[command].params["ensemble"])
+    ]
+
+
 def test_liouville_counterexample_verdict(tmp_path):
     # m = 129 keeps the coarsest scale inside the h^2 regime of the gate
     cfg = ExperimentConfig(
@@ -264,10 +280,7 @@ def test_lowest_failing_member_error_surfaces(tmp_path, capsys, monkeypatch):
     # cores member 3 fails first; member 1's error must surface, with the
     # exit code a serial loop gave it.
     grid = make_grid(2, 1.0, 129)
-    failing = {
-        problem.fingerprint(): k
-        for k, problem in enumerate(generators.sup_bound_ensemble(grid, 4, 1)) if k in (1, 3)
-    }
+    failing = {generators.sup_bound_problem(grid, np.random.default_rng([1, k])).fingerprint(): k for k in (1, 3)}
     solve = cli_reports.solve_dirichlet
 
     def flaky_solve(problem):

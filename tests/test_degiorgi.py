@@ -25,7 +25,7 @@ from schauderlab.errors import (
 )
 from schauderlab.field_calculus import Field, VecField
 from schauderlab.elliptic_solver import CoefficientField, DiscreteSolution, EllipticProblem, solve_dirichlet
-from schauderlab.generators import sup_bound_ensemble
+from schauderlab.generators import sup_bound_problem
 from schauderlab.norm_engine import lp_norm
 
 
@@ -194,7 +194,7 @@ def test_data_norm_scales_with_the_data(grid129):
     # the degiorgi command scales pass 1's data norm by theta instead of
     # measuring the scaled data again
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
-    sol = solve_dirichlet(sup_bound_ensemble(grid129, 1, seed=3)[0])
+    sol = solve_dirichlet(sup_bound_problem(grid129, np.random.default_rng([3, 0])))
     norm = data_norm(sol, params)
     outer = ball_region(grid129, 0.0, params.R)
     assert norm == lp_norm(sol.problem.f, 2.0, outer).value > 0.0  # F = 0 in this family
@@ -204,7 +204,7 @@ def test_data_norm_scales_with_the_data(grid129):
 
 def test_calibrated_ensemble_verifies(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3)
-    sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid129, 8, seed=4)]
+    sols = [solve_dirichlet(sup_bound_problem(grid129, np.random.default_rng([4, k]))) for k in range(8)]
     delta, bound = calibrate_delta([training_ratio(sol, params) for sol in sols], params)
     # this family never comes near a spike: the clamp below 1 binds
     assert bound > 1.0
@@ -247,7 +247,7 @@ def test_calibrate_delta_rejects_empty_ensemble():
 
 def test_normalization_scale_equivariance(grid129):
     params = DeGiorgiParams(n=2, p=2.0, q=4.0, r=0.5, R=1.0, k_max=3, delta=0.3)
-    sols = [solve_dirichlet(p) for p in sup_bound_ensemble(grid129, 2, seed=6)]
+    sols = [solve_dirichlet(sup_bound_problem(grid129, np.random.default_rng([6, k]))) for k in range(2)]
     sol = sols[0]
     n1, theta1 = normalize_solution(sol, params)
     n2, theta2 = normalize_solution(sol.scaled(10.0), params)

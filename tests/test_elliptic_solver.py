@@ -17,6 +17,7 @@ from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.elliptic_solver import (
     SOLVE_RTOL,
     CoefficientField,
+    DiscreteSolution,
     EllipticProblem,
     assemble,
     solve_dirichlet,
@@ -271,6 +272,18 @@ def test_solution_map_linear(rng, grid65):
     sol = solve_dirichlet(prob)
     sol3 = solve_dirichlet(prob.scaled(3.0))
     assert np.abs(sol3.u.values - 3.0 * sol.u.values).max() < 1e-8
+
+
+def test_scaled_problem_scales_its_certificates(rng, grid65):
+    # every data certificate bounds a norm of f or F, homogeneous of degree 1
+    prob = random_problem(grid65, rng)
+    certs = dict(prob.certificates)
+    for scaled in (prob.scaled(-2.5), DiscreteSolution(Field.zeros(grid65), prob).scaled(-2.5).problem):
+        assert scaled.certificates == {key: 2.5 * bound for key, bound in certs.items()}
+        assert np.abs(scaled.f.values).max() <= scaled.certificates["f_sup"]
+        assert np.abs(scaled.F.components).max() <= scaled.certificates["F_sup"]
+        assert np.abs(gradient(scaled.f).components).max() <= scaled.certificates["f_lipschitz"]
+    assert prob.certificates == certs
 
 
 def test_nonsymmetric_solve(grid65):
