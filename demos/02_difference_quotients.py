@@ -26,7 +26,7 @@ phi_vals[:3, :] = phi_vals[-3:, :] = 0.0
 phi_vals[:, :3] = phi_vals[:, -3:] = 0.0
 phi = Field(grid, phi_vals)
 res = summation_by_parts_residual(u, phi, 0, 2 * grid.h)
-scale = lp_norm(u, 2, box_region(grid)).value * lp_norm(phi, 2, box_region(grid)).value
+scale = lp_norm(u, 2, box_region(grid)) * lp_norm(phi, 2, box_region(grid))
 print(f"relative residual: {res / scale:.2e}  (machine precision)")
 
 print("\n== quotient L2 bound: ||D_h u|| <= (2/|h|) ||u|| ==")
@@ -34,8 +34,8 @@ inner, outer = ball_region(grid, 0.0, 0.5), ball_region(grid, 0.0, 0.9)
 for steps in (1, 2, 4):
     h = steps * grid.h
     d = difference_quotient(u, 0, h)
-    lhs = lp_norm(d, 2, inner).value
-    rhs = 2.0 / h * lp_norm(u, 2, outer).value
+    lhs = lp_norm(d, 2, inner)
+    rhs = 2.0 / h * lp_norm(u, 2, outer)
     print(f"|h| = {steps}h:  {lhs:9.3f} <= {rhs:9.3f}")
 
 print("\n== quotients approach the derivative at rate O(h) ==")
@@ -45,5 +45,5 @@ for m in (33, 65, 129):
     exact = Field.from_function(g, lambda x, y: 2 * np.cos(2 * x) * np.cos(y))
     d = difference_quotient(smooth, 0, g.h)
     gap = Field(g, d.values - exact.values, d.valid)
-    err = lp_norm(gap, 2, ball_region(g, 0.0, 0.5)).value
+    err = lp_norm(gap, 2, ball_region(g, 0.0, 0.5))
     print(f"m={m:4d}  ||D_h u - du||_2 = {err:.5f}")

@@ -19,8 +19,8 @@ print("== exact L2 contraction on white-noise fields ==")
 for trial in range(3):
     g = Field(grid, rng.standard_normal(grid.shape))
     smooth = mollify(g, 4 * grid.h)
-    print(f"trial {trial}: ||g_eps||_2 = {lp_norm(smooth, 2, box).value:.4f}  "
-          f"<=  ||g||_2 = {lp_norm(g, 2, box).value:.4f}")
+    print(f"trial {trial}: ||g_eps||_2 = {lp_norm(smooth, 2, box):.4f}  "
+          f"<=  ||g||_2 = {lp_norm(g, 2, box):.4f}")
 
 print("\n== approximation scheme on rough-Holder coefficients ==")
 grid = make_grid(2, 1.0, 129)

@@ -68,9 +68,9 @@ def rhs_terms(sol, p: float, q: float | None, region) -> dict:
     data on ``region``, in this order: the right-hand side that the interior
     estimates of De Giorgi and Schauder (order 0) share, summed by them left
     to right. q = None leaves out F_lq."""
-    terms = {"u_l2": lp_norm(sol.u, 2, region).value, "f_lp": lp_norm(sol.problem.f, p, region).value}
+    terms = {"u_l2": lp_norm(sol.u, 2, region), "f_lp": lp_norm(sol.problem.f, p, region)}
     if q is not None:
-        terms["F_lq"] = lp_norm(sol.problem.F.magnitude(), q, region).value
+        terms["F_lq"] = lp_norm(sol.problem.F.magnitude(), q, region)
     return terms
 
 
@@ -80,11 +80,11 @@ def caccioppoli_check(sol, r: float, R: float) -> EstimateReport:
     check_radii(r, R, sol.grid)
     grid = sol.grid
     inner, outer = ball_region(grid, 0.0, r), ball_region(grid, 0.0, R)
-    lhs = lp_norm(gradient(sol.u).magnitude(), 2, inner).value
+    lhs = lp_norm(gradient(sol.u).magnitude(), 2, inner)
     comps = {
-        "u_over_band": lp_norm(sol.u, 2, outer).value / (R - r),
-        "f": lp_norm(sol.problem.f, 2, outer).value,
-        "F": lp_norm(sol.problem.F.magnitude(), 2, outer).value,
+        "u_over_band": lp_norm(sol.u, 2, outer) / (R - r),
+        "f": lp_norm(sol.problem.f, 2, outer),
+        "F": lp_norm(sol.problem.F.magnitude(), 2, outer),
     }
     return EstimateReport(
         "caccioppoli", lhs, comps, (r, R), grid.m, sol.problem.fingerprint()

@@ -258,7 +258,7 @@ def training_ratio(sol, params: DeGiorgiParams) -> tuple:
     inner ball, ||u||_2 + ||f||_p + ||F||_q on the outer ball, and its part
     ||f||_p + ||F||_q, which data_norm gives, from one evaluation of each."""
     u_l2, f_lp, F_lq = _outer_terms(sol, params).values()
-    sup = lp_norm(sol.u, np.inf, ball_region(sol.grid, 0.0, params.r)).value
+    sup = lp_norm(sol.u, np.inf, ball_region(sol.grid, 0.0, params.r))
     return sup, u_l2 + f_lp + F_lq, f_lp + F_lq
 
 
@@ -292,7 +292,7 @@ def linf_bound(sol, params: DeGiorgiParams) -> EstimateReport:
     if params.delta is None:
         raise CalibrationRequiredError("delta not calibrated; run calibrate_delta first")
     grid = sol.grid
-    lhs = lp_norm(sol.u, np.inf, ball_region(grid, 0.0, params.r)).value
+    lhs = lp_norm(sol.u, np.inf, ball_region(grid, 0.0, params.r))
     terms = _outer_terms(sol, params)
     denom = sum(terms.values())
     factor = 1.0 / math.sqrt(params.delta)

@@ -125,10 +125,6 @@ class Region:
     def count(self) -> int:
         return int(self.mask.sum())
 
-    def node_indices(self) -> np.ndarray:
-        """(count, n) integer grid indices of the selected nodes."""
-        return np.argwhere(self.mask)
-
 
 def ball_region(grid: Grid, center, radius: float) -> Region:
     """Ball mask; a scalar ``center`` is shorthand for that value on every axis."""

@@ -89,16 +89,20 @@ class CoefficientField:
 
     Carries certified ellipticity constants: lam and Lam are the extreme
     nodal eigenvalues of the symmetric part, L the nodal sup of |a_ij|.
-    Optional regularity certificates (Lipschitz or Holder bounds on the
-    entries) gate the estimates that need them.
+    Optional regularity certificates, fixed at construction, gate the
+    estimates that need them: ``lipschitz`` bounds the Lipschitz constant of
+    every entry, and ``holder = (alpha, bound)`` bounds every entry's
+    C^{0,alpha} seminorm.
     """
 
     __slots__ = (
         "grid", "entries", "lam", "Lam", "L", "is_symmetric",
-        "lipschitz_bound", "holder_alpha", "holder_bound",
+        "lipschitz_bound", "holder",
     )
 
-    def __init__(self, grid: Grid, entries):
+    def __init__(self, grid: Grid, entries, lipschitz: float | None = None, holder: tuple | None = None):
+        if holder is not None and not 0 < holder[0] <= 1:
+            raise ValueError("certificate exponent must lie in (0, 1]")
         entries = np.asarray(entries, dtype=float)
         if entries.shape != (grid.n, grid.n) + grid.shape:
             raise ValueError(
@@ -116,16 +120,15 @@ class CoefficientField:
             for i in range(grid.n)
             for j in range(i)
         )
-        self.lipschitz_bound = None
-        self.holder_alpha = None
-        self.holder_bound = None
+        self.lipschitz_bound = None if lipschitz is None else float(lipschitz)
+        self.holder = None if holder is None else (float(holder[0]), float(holder[1]))
 
     @classmethod
     def identity(cls, grid: Grid) -> "CoefficientField":
         e = np.zeros((grid.n, grid.n) + grid.shape)
         for i in range(grid.n):
             e[i, i] = 1.0
-        return cls(grid, e)
+        return cls(grid, e, lipschitz=0.0)
 
     @classmethod
     def from_constant(cls, grid: Grid, matrix) -> "CoefficientField":
@@ -134,16 +137,7 @@ class CoefficientField:
         for i in range(grid.n):
             for j in range(grid.n):
                 e[i, j] = matrix[i, j]
-        return cls(grid, e)
-
-    def set_lipschitz_certificate(self, bound: float) -> None:
-        self.lipschitz_bound = float(bound)
-
-    def set_holder_certificate(self, alpha: float, bound: float) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("certificate exponent must lie in (0, 1]")
-        self.holder_alpha = float(alpha)
-        self.holder_bound = float(bound)
+        return cls(grid, e, lipschitz=0.0)
 
 
 def _screen_eigenvalues(ent: np.ndarray, L: float) -> tuple:

@@ -193,14 +193,7 @@ def erode(valid: np.ndarray, footprint: np.ndarray) -> np.ndarray:
 
 def _band_clear(phi: Field, width_nodes: int) -> bool:
     """True iff phi vanishes on a band of the given node width at every face."""
-    m = phi.grid.m
-    w = width_nodes
-    for ax in range(phi.grid.n):
-        lo = (slice(None),) * ax + (slice(0, w),)
-        hi = (slice(None),) * ax + (slice(m - w, m),)
-        if np.any(phi.values[lo] != 0.0) or np.any(phi.values[hi] != 0.0):
-            return False
-    return True
+    return not np.any(phi.values[~phi.grid.interior_mask(width_nodes)] != 0.0)
 
 
 def summation_by_parts_residual(u: Field, phi: Field, j: int, h_step: float) -> float:

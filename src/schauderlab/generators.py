@@ -120,34 +120,39 @@ def _trig_sum(grid: Grid, rng, terms: int, amplitude: float, max_freq: float):
     return _plane_waves(grid, amps, omegas, phases), lip
 
 
-def trig_coefficient_field(
-    grid: Grid,
-    rng,
-    beta: float = 0.2,
-    symmetric: bool = True,
-    holder_alpha: float | None = None,
-) -> CoefficientField:
-    """Identity plus smooth trig perturbations with |B_ij| <= beta nodewise."""
-    if not 0 <= beta < 1.0 / grid.n:
-        raise ValueError(f"amplitude budget must satisfy beta < 1/n, got {beta}")
+def _perturbed_identity(grid: Grid, symmetric: bool, entry):
+    """Identity plus one perturbation per entry, drawn by ``entry()`` as
+    (values, bound) in row-major order; a symmetric field mirrors the upper
+    triangle. Returns (entries, the largest per-entry bound)."""
     n = grid.n
     entries = np.zeros((n, n) + grid.shape)
-    lip = 0.0
+    bound = 0.0
     for i in range(n):
         for j in range(n):
             if symmetric and j < i:
                 entries[i, j] = entries[j, i]
                 continue
-            vals, lij = _trig_sum(grid, rng, TRIG_TERMS, beta, TRIG_MAX_FREQ)
-            entries[i, j] = vals
-            lip = max(lip, lij)
+            entries[i, j], b = entry()
+            bound = max(bound, b)
     for i in range(n):
         entries[i, i] += 1.0
-    A = CoefficientField(grid, entries)
-    A.set_lipschitz_certificate(lip)
-    if holder_alpha is not None:
-        A.set_holder_certificate(holder_alpha, lip**holder_alpha * (2 * beta) ** (1 - holder_alpha))
-    return A
+    return entries, bound
+
+
+def trig_coefficient_field(
+    grid: Grid,
+    rng,
+    beta: float = 0.2,
+    symmetric: bool = True,
+) -> CoefficientField:
+    """Identity plus smooth trig perturbations with |B_ij| <= beta nodewise,
+    certified Lipschitz."""
+    if not 0 <= beta < 1.0 / grid.n:
+        raise ValueError(f"amplitude budget must satisfy beta < 1/n, got {beta}")
+    entries, lip = _perturbed_identity(
+        grid, symmetric, lambda: _trig_sum(grid, rng, TRIG_TERMS, beta, TRIG_MAX_FREQ)
+    )
+    return CoefficientField(grid, entries, lipschitz=lip)
 
 
 def rough_holder_coefficient_field(
@@ -161,31 +166,23 @@ def rough_holder_coefficient_field(
     min-interpolated between slope and sup.
     """
     n = grid.n
-    entries = np.zeros((n, n) + grid.shape)
     amp0 = beta / sum(4.0 ** (-k * alpha) for k in range(ROUGH_OCTAVES))
-    holder_bound = 0.0
-    for i in range(n):
-        for j in range(n):
-            if j < i:
-                entries[i, j] = entries[j, i]
-                continue
-            amps, omegas, phases = [], [], []
-            bound = 0.0
-            for k in range(ROUGH_OCTAVES):
-                amp = amp0 * 4.0 ** (-k * alpha)
-                omega = 4.0**k * rng.uniform(0.7, 1.3, size=n) * np.sign(rng.uniform(-1, 1, size=n))
-                amps.append(amp)
-                omegas.append(omega)
-                phases.append(rng.uniform(0, 2 * np.pi))
-                lip_k = amp * float(np.linalg.norm(omega))
-                bound += lip_k**alpha * (2 * amp) ** (1 - alpha)
-            entries[i, j] = _plane_waves(grid, amps, omegas, phases)
-            holder_bound = max(holder_bound, bound)
-    for i in range(n):
-        entries[i, i] += 1.0
-    A = CoefficientField(grid, entries)
-    A.set_holder_certificate(alpha, holder_bound)
-    return A
+
+    def octaves():
+        amps, omegas, phases = [], [], []
+        bound = 0.0
+        for k in range(ROUGH_OCTAVES):
+            amp = amp0 * 4.0 ** (-k * alpha)
+            omega = 4.0**k * rng.uniform(0.7, 1.3, size=n) * np.sign(rng.uniform(-1, 1, size=n))
+            amps.append(amp)
+            omegas.append(omega)
+            phases.append(rng.uniform(0, 2 * np.pi))
+            lip_k = amp * float(np.linalg.norm(omega))
+            bound += lip_k**alpha * (2 * amp) ** (1 - alpha)
+        return _plane_waves(grid, amps, omegas, phases), bound
+
+    entries, bound = _perturbed_identity(grid, True, octaves)
+    return CoefficientField(grid, entries, holder=(alpha, bound))
 
 
 def random_problem(
@@ -202,7 +199,7 @@ def random_problem(
     problem's certificate dict (Holder bounds follow by interpolation).
     """
     if rough_alpha is None:
-        A = trig_coefficient_field(grid, rng, beta=beta, holder_alpha=0.5)
+        A = trig_coefficient_field(grid, rng, beta=beta)
     else:
         A = rough_holder_coefficient_field(grid, rng, alpha=rough_alpha, beta=beta)
     f_amp = rng.uniform(0.5, 2.0)

@@ -65,7 +65,7 @@ def harmonic_residual(u: Field) -> float:
 
 @dataclass
 class GrowthFamily:
-    """One closed-form generator sampled on boxes of increasing half-width.
+    """One closed-form generator sampled on 2-D boxes of increasing half-width.
 
     ``gamma`` is the claimed growth tag |u| <= C (1 + |x|)^gamma. Fields are
     cached per scale; every field must pass the harmonic gate before the
@@ -76,7 +76,6 @@ class GrowthFamily:
     gamma: float
     scales: tuple = DEFAULT_SCALES
     m: int = 257
-    dimension: int = 2
     _cache: dict = dfield(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class GrowthFamily:
 
     def field_at(self, scale: float) -> Field:
         if scale not in self._cache:
-            grid = make_grid(self.dimension, scale, self.m)
+            grid = make_grid(2, scale, self.m)
             self._cache[scale] = Field.from_function(grid, self.generator)
         return self._cache[scale]
 
@@ -100,7 +99,7 @@ class GrowthFamily:
             u = self.field_at(scale)
             res = harmonic_residual(u)
             if res / max(float(np.abs(u.values).max()), 1.0) > 1e-10:
-                fine = Field.from_function(make_grid(self.dimension, scale, 2 * self.m - 1), self.generator)
+                fine = Field.from_function(make_grid(2, scale, 2 * self.m - 1), self.generator)
                 if not res / max(harmonic_residual(fine), 1e-300) >= HARMONIC_RATIO_FLOOR:
                     return False
         return True
@@ -156,8 +155,8 @@ def derivative_energy_scan(family: GrowthFamily, k: int) -> EnergyScan:
         ratio_j = ||D^{j+1}u||^2_{B_{rho/2}} * (rho/2)^2 / ||D^j u||^2_{B_rho},
     rho = R / 2^j, whose scale stability witnesses the decay chain.
     """
-    if k > DERIVATIVE_ORDER_CAP:
-        raise ValueError(f"derivative order capped at {DERIVATIVE_ORDER_CAP}")
+    if not 0 <= k <= DERIVATIVE_ORDER_CAP:
+        raise ValueError(f"derivative order must be 0..{DERIVATIVE_ORDER_CAP}, got {k}")
     scales = np.asarray(family.scales)
     # radii[i][j] = R_i / 2^j and E[i][j] the order-j energy on that ball, j = 0..k
     radii = [[R * 2.0**-j for j in range(k + 1)] for R in scales]
@@ -195,7 +194,7 @@ def verify_growth(family: GrowthFamily) -> dict:
     for scale in family.scales:
         u = family.field_at(scale)
         region = ball_region(u.grid, 0.0, scale)
-        sups.append(lp_norm(u, np.inf, region).value)
+        sups.append(lp_norm(u, np.inf, region))
     sups = np.asarray(sups)
     scales = np.asarray(family.scales)
     if np.all(sups == 0.0):

@@ -126,7 +126,7 @@ class SchauderConfig:
 
 def _holder_norm_vec(F: VecField, alpha: float, region) -> float:
     """max over components of sup + seminorm (vector C^{0,alpha} norm)."""
-    return max(ck_alpha_norm(F.component(j), 0, alpha, region).value for j in range(F.grid.n))
+    return max(ck_alpha_norm(F.component(j), 0, alpha, region) for j in range(F.grid.n))
 
 
 def _holder_certified(problem: EllipticProblem, name: str) -> bool:
@@ -151,7 +151,7 @@ def schauder_ratio(sol: DiscreteSolution, cfg: SchauderConfig) -> EstimateReport
     outer = ball_region(grid, 0.0, cfg.R)
     if cfg.order == 1 and not _holder_certified(sol.problem, "F"):
         raise DataRegularityMissingError("order-1 estimate needs a Holder certificate on F")
-    lhs = ck_alpha_norm(sol.u, cfg.order, cfg.alpha, inner).value
+    lhs = ck_alpha_norm(sol.u, cfg.order, cfg.alpha, inner)
     comps = rhs_terms(sol, cfg.p, cfg.q if cfg.order == 0 else None, outer)
     if cfg.order == 1:
         comps["F_c0a"] = _holder_norm_vec(sol.problem.F, cfg.alpha, outer)
@@ -286,8 +286,6 @@ class BlowupStep:
 
 @dataclass
 class BlowupRecord:
-    order: int
-    alpha: float
     steps: list
 
     @property
@@ -390,7 +388,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
     eta_lip = float(gradient(eta).magnitude().values.max())
     u_sup = float(np.abs(u.values).max())
 
-    record = BlowupRecord(order=cfg.order, alpha=cfg.alpha, steps=[])
+    record = BlowupRecord(steps=[])
     centre = np.zeros(grid.n)
     radius = region0.radius
     for _ in range(steps):
@@ -560,7 +558,7 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule) -> Approximat
     eps_schedule = check_eps_schedule(grid, eps_schedule)
     reference = solve_dirichlet(problem)
     sub, box = _inner_grid(grid, inner_box(grid)[0])
-    ref_l2 = lp_norm(reference.u, 2, ball_region(grid, 0.0, grid.half_width)).value
+    ref_l2 = lp_norm(reference.u, 2, ball_region(grid, 0.0, grid.half_width))
     ref_inner = Field(sub, reference.u.values[box])
     ball = ball_region(sub, 0.0, sub.half_width)
 
@@ -577,8 +575,8 @@ def regularize_approximate(problem: EllipticProblem, eps_schedule) -> Approximat
         )
         approx = solve_dirichlet(sub_problem)
         diff = approx.u - ref_inner
-        h1 = hk_norm(diff, 1, ball).value
-        l2 = lp_norm(approx.u, 2, ball).value
+        h1 = hk_norm(diff, 1, ball)
+        l2 = lp_norm(approx.u, 2, ball)
         rows.append(
             {
                 "eps": eps, "h1_gap": h1, "l2": l2,
@@ -620,8 +618,10 @@ def bootstrap_ckalpha(
     if k not in (2, 3):
         raise ValueError(f"bootstrap supports k in (2, 3), got {k}")
     grid = problem.grid
-    if problem.A.holder_bound is None:
-        raise DataRegularityMissingError("bootstrap needs a Holder certificate on A")
+    # a Lipschitz A is C^{0,alpha} for every alpha: [a]_alpha <= Lip^alpha (2L)^(1-alpha)
+    A = problem.A
+    if A.lipschitz_bound is None and (A.holder is None or A.holder[0] < alpha):
+        raise DataRegularityMissingError(f"bootstrap needs A Lipschitz or certified C^{{0,{alpha}}}")
     if not _holder_certified(problem, "F"):
         raise DataRegularityMissingError("bootstrap needs a Holder certificate on F")
     radii = np.geomspace(r, R, k + 1)
@@ -650,9 +650,9 @@ def bootstrap_ckalpha(
                 )
                 src_valid = grad_field.valid & dF_valid
                 G = VecField(grid, np.where(src_valid[None], source, 0.0), src_valid)
-                lhs = ck_alpha_norm(u_i, 1, alpha, inner_reg).value
+                lhs = ck_alpha_norm(u_i, 1, alpha, inner_reg)
                 comps = {
-                    "u_l2": lp_norm(u_i, 2, outer_reg).value,
+                    "u_l2": lp_norm(u_i, 2, outer_reg),
                     "G_c0a": _holder_norm_vec(G, alpha, outer_reg),
                 }
                 reports.append(
@@ -667,20 +667,20 @@ def bootstrap_ckalpha(
         current = next_fields
 
     inner = ball_region(grid, 0.0, float(radii[0]))
-    assembled = ck_alpha_norm(sol.u, k, alpha, inner).value
-    bound = lp_norm(sol.u, np.inf, inner).value
+    assembled = ck_alpha_norm(sol.u, k, alpha, inner)
+    bound = lp_norm(sol.u, np.inf, inner)
     if k == 2:
         for i in range(grid.n):
-            bound += ck_alpha_norm(central_difference(sol.u, i), 1, alpha, inner).value
+            bound += ck_alpha_norm(central_difference(sol.u, i), 1, alpha, inner)
     else:
         for i in range(grid.n):
             u_i = central_difference(sol.u, i)
-            bound += lp_norm(u_i, np.inf, inner).value
+            bound += lp_norm(u_i, np.inf, inner)
             for j2 in range(grid.n):
-                bound += ck_alpha_norm(central_difference(u_i, j2), 1, alpha, inner).value
+                bound += ck_alpha_norm(central_difference(u_i, j2), 1, alpha, inner)
     rhs0 = (
-        lp_norm(sol.u, 2, ball_region(grid, 0.0, R)).value
-        + ck_alpha_norm(problem.f, max(k - 2, 0), alpha, ball_region(grid, 0.0, R)).value
+        lp_norm(sol.u, 2, ball_region(grid, 0.0, R))
+        + ck_alpha_norm(problem.f, max(k - 2, 0), alpha, ball_region(grid, 0.0, R))
         + _holder_norm_vec(problem.F, alpha, ball_region(grid, 0.0, R))
     )
     chained = assembled / max(rhs0, 1e-300)

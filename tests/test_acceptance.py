@@ -87,8 +87,8 @@ def test_criterion_03_difference_quotient_lemma():
         steps = 1 + trial % 4
         h = steps * grid.h * (1 if trial % 3 else -1)
         d = difference_quotient(u, axis, h)
-        lhs = lp_norm(d, 2, inner).value
-        rhs = (2.0 / abs(h)) * lp_norm(u, 2, outer).value
+        lhs = lp_norm(d, 2, inner)
+        rhs = (2.0 / abs(h)) * lp_norm(u, 2, outer)
         bound_ok &= lhs <= rhs * (1 + 1e-12)
 
         phi_vals = rng.standard_normal(grid.shape)
@@ -100,7 +100,7 @@ def test_criterion_03_difference_quotient_lemma():
             phi_vals[hi] = 0.0
         phi = Field(grid, phi_vals)
         res = summation_by_parts_residual(u, phi, axis, h)
-        scale = lp_norm(u, 2, box).value * lp_norm(phi, 2, box).value
+        scale = lp_norm(u, 2, box) * lp_norm(phi, 2, box)
         identity_ok &= res <= 1e-12 * scale
     elapsed = time.time() - start
     ok = bound_ok and identity_ok and elapsed <= 10.0
@@ -227,7 +227,7 @@ def test_criterion_09_mollification():
     for _ in range(100):
         g = Field(grid65, rng.standard_normal(grid65.shape))
         smooth = mollify(g, 4 * grid65.h)
-        contraction_ok &= lp_norm(smooth, 2, box).value <= lp_norm(g, 2, box).value
+        contraction_ok &= lp_norm(smooth, 2, box) <= lp_norm(g, 2, box)
 
     grid = make_grid(2, 1.0, 257)
     problem = random_problem(grid, np.random.default_rng(21), rough_alpha=0.4, beta=0.2)

@@ -197,7 +197,7 @@ def test_data_norm_scales_with_the_data(grid129):
     sol = solve_dirichlet(sup_bound_problem(grid129, np.random.default_rng([3, 0])))
     norm = data_norm(sol, params)
     outer = ball_region(grid129, 0.0, params.R)
-    assert norm == lp_norm(sol.problem.f, 2.0, outer).value > 0.0  # F = 0 in this family
+    assert norm == lp_norm(sol.problem.f, 2.0, outer) > 0.0  # F = 0 in this family
     for theta in (0.3, 2.5):
         assert data_norm(sol.scaled(theta), params) == pytest.approx(theta * norm, rel=1e-13)
 
@@ -228,7 +228,7 @@ def test_calibrate_delta_unclamped_spike(grid129, c):
     delta, bound = calibrate_delta([training_ratio(sol, params)], params)
     assert bound == pytest.approx(grid129.h**2, rel=1e-12)
     assert np.nextafter(np.nextafter(bound, 0.0), 0.0) <= delta <= bound < DELTA_CEILING
-    denom = lp_norm(sol.u, 2, ball_region(grid129, 0.0, params.R)).value  # zero f and F
+    denom = lp_norm(sol.u, 2, ball_region(grid129, 0.0, params.R))  # zero f and F
     assert math.sqrt(delta) * c / denom <= 1.0  # the calibration check passes at delta
 
 
@@ -264,7 +264,7 @@ def test_linf_bound_report(grid129):
     assert report.extra["delta"] == 0.25
     # rhs equals delta^{-1/2} when the data norms sum to one
     outer = ball_region(grid129, 0.0, 1.0)
-    u_norm = lp_norm(sol.u, 2, outer).value
+    u_norm = lp_norm(sol.u, 2, outer)
     scaled = sol.scaled(1.0 / u_norm)
     report1 = linf_bound(scaled, params)
     assert report1.rhs_total == pytest.approx(1.0 / math.sqrt(0.25), rel=1e-12)

@@ -39,6 +39,19 @@ def test_validate_identity(grid65):
     assert (A.lam, A.Lam, A.L) == (1.0, 1.0, 1.0)
 
 
+def test_certificates_are_fixed_at_construction(grid65):
+    assert not [name for name in dir(CoefficientField) if name.startswith("set_")]
+    assert CoefficientField.identity(grid65).lipschitz_bound == 0.0
+    assert CoefficientField.from_constant(grid65, [[2.0, 0.3], [0.3, 1.0]]).lipschitz_bound == 0.0
+    entries = CoefficientField.identity(grid65).entries
+    plain = CoefficientField(grid65, entries)
+    assert (plain.lipschitz_bound, plain.holder) == (None, None)
+    assert CoefficientField(grid65, entries, holder=(1, 2)).holder == (1.0, 2.0)
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match="certificate exponent"):
+            CoefficientField(grid65, entries, holder=(alpha, 1.0))
+
+
 def test_validate_diagonal(grid65):
     A = CoefficientField.from_constant(grid65, [[1.0, 0.0], [0.0, 2.0]])
     assert (A.lam, A.Lam, A.L) == (1.0, 2.0, 2.0)
@@ -703,7 +716,7 @@ def test_weak_residual_constant_solution(grid65):
     sol = solve_dirichlet(prob)
     phi = bump_field(grid65, 0.5)
     box = box_region(grid65)
-    scale = lp_norm(sol.u, 2, box).value * hk_norm(phi, 1, ball_region(grid65, 0.0, 0.6)).value
+    scale = lp_norm(sol.u, 2, box) * hk_norm(phi, 1, ball_region(grid65, 0.0, 0.6))
     assert weak_residual(sol.u, prob, phi) <= 1e-12 * scale
 
 
@@ -733,8 +746,8 @@ def test_bilinear_bound(rng, grid65):
     box = box_region(grid65)
     rhs = (
         2 * prob.A.L
-        * lp_norm(gradient(sol.u).magnitude(), 2, box).value
-        * lp_norm(gradient(phi).magnitude(), 2, box).value
+        * lp_norm(gradient(sol.u).magnitude(), 2, box)
+        * lp_norm(gradient(phi).magnitude(), 2, box)
     )
     assert lhs <= rhs * (1 + 1e-12)
 
@@ -748,6 +761,6 @@ def test_coercivity(rng, grid65):
     a_grad = np.einsum("ij...,j...->i...", A.entries, gphi)
     quad = float((a_grad * gphi).sum()) * hn
     box = box_region(grid65)
-    grad_sq = lp_norm(gradient(phi).magnitude(), 2, box).value ** 2
-    h1_sq = hk_norm(phi, 1, ball_region(grid65, 0.0, 0.9)).value ** 2
+    grad_sq = lp_norm(gradient(phi).magnitude(), 2, box) ** 2
+    h1_sq = hk_norm(phi, 1, ball_region(grid65, 0.0, 0.9)) ** 2
     assert quad >= A.lam * grad_sq - 5.0 * grid65.h * h1_sq

@@ -98,7 +98,7 @@ def test_summation_by_parts_identity(seed, steps, axis):
     phi = Field(grid, zero_band(r.standard_normal(grid.shape), steps))
     res = summation_by_parts_residual(u, phi, axis, steps * grid.h)
     box = box_region(grid)
-    scale = lp_norm(u, 2, box).value * lp_norm(phi, 2, box).value
+    scale = lp_norm(u, 2, box) * lp_norm(phi, 2, box)
     assert res <= 1e-12 * max(scale, 1e-30)
 
 
@@ -123,8 +123,8 @@ def test_quotient_l2_bound(rng, grid65):
         for s in (1, -1, 3):
             h = s * grid65.h
             d = difference_quotient(u, 1, h)
-            lhs = lp_norm(d, 2, ball_region(grid65, 0.0, r)).value
-            rhs = (2.0 / abs(h)) * lp_norm(u, 2, ball_region(grid65, 0.0, R)).value
+            lhs = lp_norm(d, 2, ball_region(grid65, 0.0, r))
+            rhs = (2.0 / abs(h)) * lp_norm(u, 2, ball_region(grid65, 0.0, R))
             assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -139,9 +139,9 @@ def test_quotient_approaches_derivative():
         d = difference_quotient(u, 0, grid.h)
         inner = ball_region(grid, 0.0, 0.5)
         diff = Field(grid, d.values - du.values, d.valid)
-        errs.append(lp_norm(diff, 2, inner).value)
-        lhs = lp_norm(d, 2, inner).value
-        rhs = lp_norm(du, 2, ball_region(grid, 0.0, 0.9)).value
+        errs.append(lp_norm(diff, 2, inner))
+        lhs = lp_norm(d, 2, inner)
+        rhs = lp_norm(du, 2, ball_region(grid, 0.0, 0.9))
         assert lhs <= rhs + 8.0 * grid.h  # C from the third-derivative bound
     assert errs[0] / errs[1] > 1.7 and errs[1] / errs[2] > 1.7
 
@@ -197,7 +197,7 @@ def test_mollify_lp_contraction_exact(seed, p):
     g = Field(grid, r.standard_normal(grid.shape))
     out = mollify(g, 4 * grid.h)
     box = box_region(grid)
-    assert lp_norm(out, p, box).value <= lp_norm(g, p, box).value
+    assert lp_norm(out, p, box) <= lp_norm(g, p, box)
 
 
 def test_mollify_under_resolved_rejected(grid65):

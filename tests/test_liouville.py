@@ -58,6 +58,13 @@ def test_saddle_energy_scan_matches_closed_form():
     assert abs(scan.slope - 4.0) <= 0.05 * 4.0
 
 
+def test_energy_scan_rejects_orders_outside_the_cap():
+    fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=33)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="derivative order"):
+            derivative_energy_scan(fam, k)
+
+
 def test_saddle_third_derivatives_at_floor():
     fam = GrowthFamily(lambda x, y: x**2 - y**2, gamma=2.0, m=257)
     scan0 = derivative_energy_scan(fam, 0)

@@ -46,7 +46,7 @@ def brute_force_seminorm(u, alpha, region):
 
 def test_lp_constant_matches_area(grid257):
     region = ball_region(grid257, 0.0, 0.5)
-    value = lp_norm(Field.full(grid257, 3.0), 2, region).value
+    value = lp_norm(Field.full(grid257, 3.0), 2, region)
     target = 3.0 * np.sqrt(np.pi * 0.25)
     assert abs(value / target - 1.0) < 0.01
 
@@ -54,13 +54,13 @@ def test_lp_constant_matches_area(grid257):
 def test_lp_zero_every_exponent(grid65):
     region = ball_region(grid65, 0.0, 0.5)
     for p in (1, 2, 7.5, np.inf):
-        assert lp_norm(Field.zeros(grid65), p, region).value == 0.0
+        assert lp_norm(Field.zeros(grid65), p, region) == 0.0
 
 
 def test_lp_saddle_closed_form(grid257):
     # oracle: polar integration of (x^2-y^2)^2 over B_1 gives pi/6
     u = Field.from_function(grid257, lambda x, y: x**2 - y**2)
-    value = lp_norm(u, 2, ball_region(grid257, 0.0, 1.0)).value
+    value = lp_norm(u, 2, ball_region(grid257, 0.0, 1.0))
     assert abs(value / np.sqrt(np.pi / 6) - 1.0) < 0.01
 
 
@@ -553,10 +553,10 @@ def test_norm_chain_holder_vs_lipschitz(grid65):
     u = Field.from_function(grid65, lambda x, y: np.cos(2 * x) + 0.5 * y)
     region = ball_region(grid65, 0.0, 0.5)
     alpha = 0.5
-    c_alpha = ck_alpha_norm(u, 0, alpha, region).value
-    c_lip = ck_alpha_norm(u, 0, 1.0, region).value
+    c_alpha = ck_alpha_norm(u, 0, alpha, region)
+    c_lip = ck_alpha_norm(u, 0, 1.0, region)
     diam_slack = (2 * 0.5) ** (1 - alpha)
-    sup = lp_norm(u, np.inf, region).value
+    sup = lp_norm(u, np.inf, region)
     semi_lip = c_lip - sup
     assert c_alpha <= sup + diam_slack * semi_lip + 1e-12
 
@@ -565,8 +565,8 @@ def test_ck_linear(grid65):
     a, b = (0.7, -0.4), 0.2
     u = Field.from_function(grid65, lambda x, y: a[0] * x + a[1] * y + b)
     region = ball_region(grid65, 0.0, 0.5)
-    value = ck_alpha_norm(u, 1, 0.5, region).value
-    sup = lp_norm(u, np.inf, region).value
+    value = ck_alpha_norm(u, 1, 0.5, region)
+    sup = lp_norm(u, np.inf, region)
     assert value == pytest.approx(sup + abs(a[0]) + abs(a[1]), abs=1e-10)
 
 
@@ -574,19 +574,19 @@ def test_ck_cubic_top_seminorm_vanishes(grid65):
     # oracle: third derivatives of a cubic are constant, seminorm 0
     u = Field.from_function(grid65, lambda x, y: x**3 - 3 * x * y**2)
     region = ball_region(grid65, 0.0, 0.5)
-    with_semi = ck_alpha_norm(u, 3, 0.5, region).value
+    with_semi = ck_alpha_norm(u, 3, 0.5, region)
     sups_only = 0.0
     from schauderlab.norm_engine import derivative_field, multiindices
 
     for order in range(4):
         for beta in multiindices(2, order):
-            sups_only += lp_norm(derivative_field(u, beta), np.inf, region).value
+            sups_only += lp_norm(derivative_field(u, beta), np.inf, region)
     assert with_semi == pytest.approx(sups_only, abs=1e-8)
 
 
 def test_ck_zero(grid65):
     region = ball_region(grid65, 0.0, 0.5)
-    assert ck_alpha_norm(Field.zeros(grid65), 2, 0.5, region).value == 0.0
+    assert ck_alpha_norm(Field.zeros(grid65), 2, 0.5, region) == 0.0
 
 
 def test_ck_stencil_overflow(grid65):
@@ -595,27 +595,81 @@ def test_ck_stencil_overflow(grid65):
         ck_alpha_norm(Field.zeros(grid65), 2, 0.5, region)
 
 
+def test_norms_are_floats_and_holder_pairs_realize_their_values(grid65):
+    u = Field.from_function(grid65, lambda x, y: np.hypot(x - 0.05, y + 0.03) ** 0.5)
+    region = ball_region(grid65, 0.0, 0.5)
+    for value in (lp_norm(u, 2, region), lp_norm(u, np.inf, region), hk_norm(u, 1, region),
+                  ck_alpha_norm(u, 1, 0.5, region)):
+        assert type(value) is float
+    for field, values in ((u, u.values[None]), (gradient(u), gradient(u).components)):
+        scan = holder_seminorm if isinstance(field, Field) else holder_seminorm_vec
+        nv = scan(field, 0.5, region)
+        assert isinstance(nv, norm_engine.NormValue) and type(nv.value) is float
+        a, b = (tuple(np.rint((np.asarray(x) + 1.0) / grid65.h).astype(int)) for x in nv.argmax_pair)
+        diff = np.linalg.norm(values[(slice(None),) + a] - values[(slice(None),) + b])
+        dist = np.linalg.norm(np.subtract(nv.argmax_pair[0], nv.argmax_pair[1]))
+        assert diff / dist**0.5 == pytest.approx(nv.value, rel=1e-12)
+
+
+def _face_distance(grid):
+    """Per node, the least number of nodes to a face, node by node."""
+    dist = np.empty(grid.shape, dtype=int)
+    for node in np.ndindex(grid.shape):
+        dist[node] = min(min(i, grid.m - 1 - i) for i in node)
+    return dist
+
+
+@pytest.mark.parametrize("n, m", [(2, 9), (3, 7)])
+def test_face_band_checks_agree_with_brute_force(n, m):
+    from schauderlab.field_calculus import _band_clear
+
+    grid = make_grid(n, 1.0, m)
+    dist = _face_distance(grid)
+    regions = [box_region(grid), ball_region(grid, (grid.h / 3,) * n, grid.h / 4)]
+    regions += [ball_region(grid, 0.0, r * grid.h) for r in (0.5, 1.5, 2.5, m // 2)]
+    for width in (0, 1, 2, m // 2, m // 2 + 1):
+        band = dist < width
+        for support in range(m // 2 + 2):
+            # nonzero at distance >= support from every face, -0.0 on one face node
+            values = np.where(dist >= support, 1.0 + dist, 0.0)
+            values[(0,) * n] = -0.0
+            assert _band_clear(Field(grid, values), width) == (not np.any(values[band] != 0.0))
+        for region in regions:
+            if (region.mask & band).any():
+                with pytest.raises(StencilOverflowError):
+                    norm_engine._check_margin(region, width)
+            else:
+                norm_engine._check_margin(region, width)
+
+
+def test_empty_region_raises_from_the_norm(grid65):
+    shifted = ball_region(grid65, (grid65.h / 3, 0.0), grid65.h / 4)
+    for norm in (lambda u: ck_alpha_norm(u, 2, 0.5, shifted), lambda u: hk_norm(u, 1, shifted)):
+        with pytest.raises(EmptyRegionError):
+            norm(Field.zeros(grid65))
+
+
 def test_h1_linear_closed_form(grid257):
     a = (0.7, -0.4)
     u = Field.from_function(grid257, lambda x, y: a[0] * x + a[1] * y)
     region = ball_region(grid257, 0.0, 0.5)
-    h1 = hk_norm(u, 1, region).value
-    l2 = lp_norm(u, 2, region).value
+    h1 = hk_norm(u, 1, region)
+    l2 = lp_norm(u, 2, region)
     target = np.sqrt(l2**2 + (a[0] ** 2 + a[1] ** 2) * np.pi * 0.25)
     assert abs(h1 / target - 1.0) < 0.01
 
 
 def test_hk_zero(grid65):
-    assert hk_norm(Field.zeros(grid65), 2, ball_region(grid65, 0.0, 0.5)).value == 0.0
+    assert hk_norm(Field.zeros(grid65), 2, ball_region(grid65, 0.0, 0.5)) == 0.0
 
 
 def test_h2_saddle_hessian_part(grid257):
     # oracle: |D^2(x^2-y^2)|^2 = 4+0+0+4 = 8 pointwise
     u = Field.from_function(grid257, lambda x, y: x**2 - y**2)
     region = ball_region(grid257, 0.0, 0.5)
-    total_sq = hk_norm(u, 2, region).value ** 2
-    grad_sq = lp_norm(gradient(u).magnitude(), 2, region).value ** 2
-    l2_sq = lp_norm(u, 2, region).value ** 2
+    total_sq = hk_norm(u, 2, region) ** 2
+    grad_sq = lp_norm(gradient(u).magnitude(), 2, region) ** 2
+    l2_sq = lp_norm(u, 2, region) ** 2
     hess_part = total_sq - grad_sq - l2_sq
     assert abs(hess_part / (8 * np.pi * 0.25) - 1.0) < 0.01
 
@@ -625,8 +679,8 @@ def test_norms_monotone_in_region(rng, grid65):
     small = ball_region(grid65, 0.0, 0.3)
     large = ball_region(grid65, 0.0, 0.6)
     for p in (1, 2, np.inf):
-        assert lp_norm(u, p, small).value <= lp_norm(u, p, large).value
-    assert hk_norm(u, 1, small).value <= hk_norm(u, 1, large).value
+        assert lp_norm(u, p, small) <= lp_norm(u, p, large)
+    assert hk_norm(u, 1, small) <= hk_norm(u, 1, large)
 
 
 @pytest.mark.parametrize("points", [2, 3, 4, 6])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +109,6 @@ def test_radial_family_ratio_finite_for_admissible_alpha():
 
 def test_derivative_equation_exact_quadratic(grid129):
     prob, _ = harmonic_saddle_problem(grid129)
-    prob.A.set_lipschitz_certificate(0.0)
     sol = solve_dirichlet(prob)
     phi = bump_field(grid129, 0.5)
     assert derivative_equation_residual(sol, 0, phi) <= 1e-10
@@ -116,7 +116,6 @@ def test_derivative_equation_exact_quadratic(grid129):
 
 def test_derivative_equation_zero_test_function(grid129):
     prob, _ = harmonic_saddle_problem(grid129)
-    prob.A.set_lipschitz_certificate(0.0)
     sol = solve_dirichlet(prob)
     assert derivative_equation_residual(sol, 0, Field.zeros(grid129)) == 0.0
 
@@ -132,7 +131,6 @@ def test_derivative_equation_refinement():
 
 def test_derivative_equation_support_gate(grid65):
     prob, _ = harmonic_saddle_problem(grid65)
-    prob.A.set_lipschitz_certificate(0.0)
     sol = solve_dirichlet(prob)
     with pytest.raises(SupportViolationError):
         derivative_equation_residual(sol, 0, Field.full(grid65, 1.0))
@@ -358,7 +356,6 @@ def test_bootstrap_cubic_exact(grid129):
         F=VecField.zeros(grid129), g=gb, p=4.0, q=8.0,
         certificates={"F_lipschitz": 0.0, "F_sup": 0.0},
     )
-    prob.A.set_holder_certificate(0.4, 0.0)
     report = bootstrap_ckalpha(prob, 3, 0.4, 0.25, 0.8)
     assert report.consistent
     for level in report.levels:
@@ -368,9 +365,9 @@ def test_bootstrap_cubic_exact(grid129):
 
     sol = solve_dirichlet(prob)
     inner = ball_region(grid129, 0.0, 0.25)
-    full = ck_alpha_norm(sol.u, 3, 0.4, inner).value
+    full = ck_alpha_norm(sol.u, 3, 0.4, inner)
     sups = sum(
-        lp_norm(derivative_field(sol.u, beta), np.inf, inner).value
+        lp_norm(derivative_field(sol.u, beta), np.inf, inner)
         for order in range(4)
         for beta in multiindices(2, order)
     )
@@ -383,7 +380,6 @@ def test_bootstrap_zero_solution(grid129):
         F=VecField.zeros(grid129), g=Field.zeros(grid129), p=4.0, q=8.0,
         certificates={"F_lipschitz": 0.0, "F_sup": 0.0},
     )
-    prob.A.set_holder_certificate(0.4, 0.0)
     report = bootstrap_ckalpha(prob, 2, 0.4, 0.25, 0.8)
     for level in report.levels:
         for rep in level:
@@ -399,9 +395,17 @@ def test_bootstrap_smooth_problem_consistent(grid129):
 
 def test_bootstrap_requires_certificates(grid129):
     prob = random_problem(grid129, np.random.default_rng(5), p=4.0, q=8.0)
-    prob.A.holder_bound = None
+    prob = replace(prob, A=CoefficientField(grid129, prob.A.entries))
     with pytest.raises(DataRegularityMissingError):
         bootstrap_ckalpha(prob, 2, 0.4, 0.25, 0.8)
+
+
+def test_bootstrap_requires_holder_exponent_at_least_alpha(grid129):
+    # the order-1 estimate at alpha needs A in C^{0,alpha}; a C^{0,0.3}
+    # certificate does not cover alpha = 0.45
+    prob = random_problem(grid129, np.random.default_rng(3), rough_alpha=0.3, beta=0.15)
+    with pytest.raises(DataRegularityMissingError):
+        bootstrap_ckalpha(prob, 2, 0.45, 0.25, 0.8)
 
 
 def test_rescale_identity():
