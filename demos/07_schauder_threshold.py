@@ -31,6 +31,6 @@ for m in (65, 129):
     g = make_grid(2, 1.0, m)
     ratios = []
     for k in range(6):
-        prob = random_problem(g, np.random.default_rng([3, k]), rough_alpha=0.6, p=4.0, q=8.0)
+        prob = random_problem(g, np.random.default_rng([3, k]), rough_alpha=0.6)
         ratios.append(schauder_ratio(solve_dirichlet(prob), cfg).ratio)
     print(f"m={m:4d}  max ratio {max(ratios):.4f} at alpha = {cfg.alpha:.3f}")

@@ -14,7 +14,7 @@ from schauderlab.generators import random_problem
 from schauderlab.schauder_harness import rescale_problem, restrict_problem_data
 
 grid = make_grid(2, 1.0, 129)
-problem = random_problem(grid, np.random.default_rng(31), beta=0.15, p=4.0, q=8.0)
+problem = random_problem(grid, np.random.default_rng(31), beta=0.15)
 
 print("== bootstrap to C^{2,alpha} ==")
 report = bootstrap_ckalpha(problem, 2, 0.4, 0.25, 0.8)

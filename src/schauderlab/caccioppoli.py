@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain_grid import ball_region, check_radii, cutoff
 from .errors import IncompatibleEnsembleError
-from .field_calculus import gradient
+from .field_calculus import Field, gradient
 from .norm_engine import lp_norm
 
 RATIO_FLOOR = 1e-300
@@ -107,7 +107,7 @@ def truncated_caccioppoli(sol, b: float, sign: str, r: float, rho: float) -> Est
     grid = sol.grid
     eta = cutoff(grid, r, rho)
     u = sol.u
-    v = u.clip_positive_part(b) if sign == "plus" else u.clip_negative_part(b)
+    v = Field(grid, np.maximum(u.values - b if sign == "plus" else b - u.values, 0.0), u.valid)
     pos = v.values > 0.0
     hn = grid.h**grid.n
     grad_eta_v = gradient(eta * v)

@@ -569,7 +569,7 @@ def _run_blowup(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
 
 
 def _run_bootstrap(cfg: ExperimentConfig, verdict: Verdict) -> tuple:
-    problem = generators.random_problem(cfg.grid, np.random.default_rng(cfg.seed), beta=0.15, p=4.0, q=8.0)
+    problem = generators.random_problem(cfg.grid, np.random.default_rng(cfg.seed), beta=0.15)
     report = bootstrap_ckalpha(problem, int(cfg.params["k"]), float(cfg.params["alpha"]), *_BOOTSTRAP_RADII)
     rows = []
     for level, reps in enumerate(report.levels, start=1):

@@ -225,14 +225,20 @@ def require_admissible(n: int, p: float, q: float) -> None:
         raise InadmissibleExponentsError(f"need q > n = {n}, got {q}", failing_term="q")
 
 
+# The data certificates a problem may carry, each with the power of t by
+# which the zoom x -> x0 + t x (f -> t^2 f, F -> t F) scales what it bounds.
+CERTIFICATE_DEGREES = {"f_sup": 2, "f_lipschitz": 3, "F_sup": 1, "F_lipschitz": 2}
+
+
 @dataclass
 class EllipticProblem:
     """Data bundle (A, f, F, Dirichlet boundary g, integrability exponents).
 
     Exponents default to (p, q) = (2, 4), admissible for n in {2, 3}. The
     boundary field g is read only on the boundary nodes. ``certificates``
-    carries optional data-regularity bounds (keys like "F_holder",
-    "F_lipschitz", "f_holder") that gate the estimates requiring them.
+    carries optional data-regularity bounds, keyed "f_sup", "f_lipschitz",
+    "F_sup" and "F_lipschitz", that gate the estimates requiring them; any
+    other key is rejected, since a zoom could not scale it.
     """
 
     A: CoefficientField
@@ -248,6 +254,8 @@ class EllipticProblem:
         for part in (self.f, self.F, self.g):
             if part.grid != grid:
                 raise ValueError("problem data must share one grid")
+        if not self.certificates.keys() <= CERTIFICATE_DEGREES.keys():
+            raise ValueError(f"certificate keys {sorted(self.certificates)} are not all in {list(CERTIFICATE_DEGREES)}")
         require_admissible(grid.n, self.p, self.q)
 
     @property

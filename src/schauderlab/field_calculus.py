@@ -73,10 +73,6 @@ class Field:
     def full(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @property
-    def all_valid(self) -> bool:
-        return bool(self.valid.all())
-
     def _combine(self, other, op):
         if isinstance(other, Field):
             if other.grid != self.grid:
@@ -98,14 +94,6 @@ class Field:
 
     def __neg__(self):
         return Field(self.grid, -self.values, self.valid)
-
-    def clip_positive_part(self, level: float) -> "Field":
-        """(u - level)_+ nodewise."""
-        return Field(self.grid, np.maximum(self.values - level, 0.0), self.valid)
-
-    def clip_negative_part(self, level: float) -> "Field":
-        """(u - level)_- nodewise, i.e. max(level - u, 0)."""
-        return Field(self.grid, np.maximum(level - self.values, 0.0), self.valid)
 
 
 class VecField:
@@ -228,7 +216,7 @@ def gradient(u: Field) -> VecField:
     comps = np.stack(
         [np.gradient(u.values, grid.h, axis=ax, edge_order=2) for ax in range(grid.n)]
     )
-    if u.all_valid:
+    if u.valid.all():
         return VecField(grid, comps)
     cross = np.abs(np.indices((3,) * grid.n) - 1).sum(axis=0) <= 1
     return VecField(grid, comps, erode(u.valid, cross))

@@ -185,15 +185,9 @@ def rough_holder_coefficient_field(
     return CoefficientField(grid, entries, holder=(alpha, bound))
 
 
-def random_problem(
-    grid: Grid,
-    rng,
-    beta: float = 0.2,
-    rough_alpha: float | None = None,
-    p: float = 4.0,
-    q: float = 8.0,
-) -> EllipticProblem:
-    """One reproducible random instance: certified A, smooth trig f, F, g.
+def random_problem(grid: Grid, rng, beta: float = 0.2, rough_alpha: float | None = None) -> EllipticProblem:
+    """One reproducible random instance: certified A, smooth trig f, F, g,
+    with exponents (p, q) = (4, 8).
 
     Analytic Lipschitz/sup certificates for f and F ride along in the
     problem's certificate dict (Holder bounds follow by interpolation).
@@ -217,7 +211,7 @@ def random_problem(
     certs = {"f_lipschitz": f_lip, "f_sup": f_amp, "F_lipschitz": F_lip, "F_sup": F_sup}
     return EllipticProblem(
         A=A, f=Field(grid, f_vals), F=VecField(grid, np.stack(comps)), g=Field(grid, g_vals),
-        p=p, q=q, certificates=certs,
+        p=4.0, q=8.0, certificates=certs,
     )
 
 

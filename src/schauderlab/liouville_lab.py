@@ -137,7 +137,6 @@ def _order_energy(u: Field, order: int, radius: float) -> float:
 
 @dataclass
 class EnergyScan:
-    order: int
     scales: np.ndarray
     energies: np.ndarray
     slope: float
@@ -174,7 +173,7 @@ def derivative_energy_scan(family: GrowthFamily, k: int) -> EnergyScan:
     else:
         slope, window = log_slope(scales, np.maximum(energies, 1e-300))
     return EnergyScan(
-        order=k, scales=scales, energies=energies, slope=slope,
+        scales=scales, energies=energies, slope=slope,
         window_slopes=window, chain_ratios=chain, at_floor=at_floor,
     )
 

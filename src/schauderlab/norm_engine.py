@@ -72,10 +72,6 @@ _LOWER_BOUND_LEVEL = 3
 # Relative band below the max in which a pair's quotient counts as tied.
 TIE_RTOL = 1e-9
 
-# Valid nodes a measurement region must hold.
-MIN_REGION_NODES = 1
-
-
 @dataclass
 class NormValue:
     """An exact Holder seminorm and the pair of node coordinates attaining it."""
@@ -84,30 +80,19 @@ class NormValue:
     argmax_pair: tuple
 
 
-def _region_values(u: Field, region: Region):
+def lp_norm(u: Field, p: float, region: Region) -> float:
+    """(sum_region |u|^p h^n)^(1/p); nodal max for p = inf."""
     if u.grid != region.grid:
         raise ValueError("field and region live on different grids")
     mask = region.mask & u.valid
-    if mask.sum() < MIN_REGION_NODES:
-        raise EmptyRegionError(
-            f"region B({region.center}, {region.radius}) holds {int(mask.sum())} valid nodes, "
-            f"need {MIN_REGION_NODES}"
-        )
-    return mask
-
-
-def lp_norm(u: Field, p: float, region: Region) -> float:
-    """(sum_region |u|^p h^n)^(1/p); nodal max for p = inf."""
-    mask = _region_values(u, region)
+    if not mask.any():
+        raise EmptyRegionError(f"region B({region.center}, {region.radius}) holds 0 valid nodes, need 1")
     vals = u.values[mask]
     if p == np.inf:
-        value = float(np.abs(vals).max())
-    elif p >= 1:
-        hn = u.grid.h**u.grid.n
-        value = float((np.abs(vals) ** p).sum() * hn) ** (1.0 / p)
-    else:
+        return float(np.abs(vals).max())
+    if not p >= 1:
         raise ValueError(f"exponent must be >= 1 or inf, got {p}")
-    return value
+    return float((np.abs(vals) ** p).sum() * u.grid.h**u.grid.n) ** (1.0 / p)
 
 
 def _merge(ufunc, vals, child):
@@ -241,9 +226,12 @@ def _gap_norm(d: np.ndarray) -> np.ndarray:
     return np.abs(d[:, 0]) if d.shape[1] == 1 else _norm(d.T)
 
 
-def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
-    """Dual-tree branch and bound over the node pairs of ``mask``.
+def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
+    """Exact sup over the node pairs of ``mask`` of |u(x) - u(y)| / |x - y|^alpha,
+    by a dual-tree branch and bound.
 
+    ``u_vals`` is a scalar grid array or a stack of vector components;
+    ``layout`` is the ``_layout`` of ``mask``, built here when not given.
     A cell pair (A, B) of the pyramid is bounded above by
     |componentwise max(max_A - min_B, max_B - min_A)| / dist(A, B)^alpha,
     with dist(A, B) the box gap floored at the grid spacing, so the bound is
@@ -258,8 +246,9 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
 
     The frontier is descended depth first in chunks of ``_CHUNK_PAIRS``
     parent cell pairs, so memory stays bounded. Quotients are evaluated on
-    Morton rows of the pyramid; only node pairs at or above the running
-    floor are mapped to flat grid indices, which order like
+    Morton rows of the pyramid, from ``grid.axis`` coordinates, so
+    ``best_pair`` realizes the value exactly; only node pairs at or above
+    the running floor are mapped to flat grid indices, which order like
     ``np.argwhere(mask)`` rows. ``best_pair`` is the first pair in that
     order whose quotient equals the max. It is tracked at level 0 only:
     every pair attaining the final max reaches level 0 at or above every
@@ -272,9 +261,15 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     tie keeps one. With best 0 every pair ties, ``best_pair`` is the first
     two nodes and ``wide_pair`` is ``best_pair``.
 
-    ``layout`` is the ``_layout`` of ``mask``, built here when not given.
-    Returns (best, best_pair, wide_pair), each pair the node indices
-    (index_a, index_b) with a before b in ``np.argwhere(mask)`` order.
+    Typical fields prune to a near-linear number of cell pairs: with the
+    node-spacing floor white noise evaluates under one candidate pair per
+    node. The fields the module docstring names, where nearly every pair
+    comes close to the max, cost about as much as the O(N^2) scan, in
+    bounded memory.
+
+    Returns (value, (best_pair, wide_pair), "exhaustive"), each pair the
+    node indices (index_a, index_b) with a before b in ``np.argwhere(mask)``
+    order.
     """
     if np.count_nonzero(mask) < 2:
         raise EmptyRegionError("Holder seminorm needs at least two valid nodes")
@@ -386,28 +381,7 @@ def _holder_pairs(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
     _, fa, fb, _ = front
     wide_pair = (fa[0], fb[0]) if len(fa) else best_pair
     ids = np.stack(np.unravel_index([*best_pair, *wide_pair], mask.shape), axis=1)
-    return best, (ids[0], ids[1]), (ids[2], ids[3])
-
-
-def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None):
-    """Exact sup over the node pairs of ``mask`` of |u(x) - u(y)| / |x - y|^alpha.
-
-    ``u_vals`` is a scalar grid array or a stack of vector components;
-    ``layout`` is the ``_layout`` of ``mask`` if the caller holds one.
-    Returns (value, (best_pair, wide_pair), "exhaustive") with the node
-    index pairs of ``_holder_pairs``: the first pair in np.argwhere order
-    attaining the value, and the widest pair tied with it within
-    ``TIE_RTOL``. Quotients are computed from ``grid.axis`` coordinates, so
-    ``best_pair`` realizes the value exactly.
-    Typical fields prune to a near-linear number of cell pairs: with the
-    node-spacing floor white noise evaluates under one candidate pair per
-    node. Where nearly every pair comes close to the max nothing prunes: an
-    affine field at alpha = 1, where every pair along the gradient ties, and
-    nearly homogeneous blow-up window profiles. Those cost about as much as
-    the exhaustive O(N^2) scan, in bounded memory.
-    """
-    best, best_pair, wide_pair = _holder_pairs(grid, mask, u_vals, alpha, layout)
-    return best, (best_pair, wide_pair), "exhaustive"
+    return best, ((ids[0], ids[1]), (ids[2], ids[3])), "exhaustive"
 
 
 def _holder_norm(u_vals, valid, region: Region, alpha: float) -> NormValue:

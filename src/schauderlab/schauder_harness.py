@@ -20,6 +20,7 @@ import numpy as np
 from .caccioppoli import EstimateReport, rhs_terms
 from .domain_grid import MIN_BAND_NODES, Grid, ball_region, check_radii, cutoff, make_grid
 from .elliptic_solver import (
+    CERTIFICATE_DEGREES,
     CoefficientField,
     DiscreteSolution,
     EllipticProblem,
@@ -130,12 +131,9 @@ def _holder_norm_vec(F: VecField, alpha: float, region) -> float:
 
 
 def _holder_certified(problem: EllipticProblem, name: str) -> bool:
-    """A field is Holder-certified directly or via a Lipschitz + sup pair
+    """A field is Holder-certified via a Lipschitz + sup pair
     (interpolation: [g]_alpha <= Lip^alpha (2 sup)^(1-alpha))."""
-    certs = problem.certificates
-    return f"{name}_holder" in certs or (
-        f"{name}_lipschitz" in certs and f"{name}_sup" in certs
-    )
+    return f"{name}_lipschitz" in problem.certificates and f"{name}_sup" in problem.certificates
 
 
 def schauder_ratio(sol: DiscreteSolution, cfg: SchauderConfig) -> EstimateReport:
@@ -365,6 +363,8 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
     resolve to the widest pair; the base endpoint is the one with the larger
     local Holder quotient (the more singular end).
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     grid = u.grid
     eta = cutoff(grid, cfg.r, cfg.R)
     W = eta * u
@@ -499,18 +499,24 @@ def _problem_on(sub: Grid, problem: EllipticProblem, sample, g: Field, t: float 
     """The problem's data carried to the grid ``sub``: ``sample(Field) ->
     ndarray`` applied to every entry of A, to f and to each component of F,
     with f scaled by t^2 and F by t as under the zoom x -> x0 + t x; g is
-    taken as given. The data are copies, never views of the parent's."""
-    grid, n = problem.grid, problem.grid.n
+    taken as given. The data are copies, never views of the parent's. The
+    certificates scale with the zoom: A's Lipschitz bound by t, its
+    C^{0,alpha} bound by t^alpha, the data's by t^CERTIFICATE_DEGREES[key];
+    sampling or averaging the parent's nodes (t = 1) raises no bound."""
+    grid, n, A = problem.grid, problem.grid.n, problem.A
     entries = np.stack(
-        [np.stack([sample(Field(grid, problem.A.entries[a, b])) for b in range(n)]) for a in range(n)]
+        [np.stack([sample(Field(grid, A.entries[a, b])) for b in range(n)]) for a in range(n)]
     )
+    lipschitz = None if A.lipschitz_bound is None else t * A.lipschitz_bound
+    holder = None if A.holder is None else (A.holder[0], t ** A.holder[0] * A.holder[1])
     return EllipticProblem(
-        A=CoefficientField(sub, entries),
+        A=CoefficientField(sub, entries, lipschitz=lipschitz, holder=holder),
         f=Field(sub, t**2 * sample(problem.f)),
         F=VecField(sub, np.stack([t * sample(problem.F.component(a)) for a in range(n)])),
         g=g,
         p=problem.p,
         q=problem.q,
+        certificates={key: t ** CERTIFICATE_DEGREES[key] * bound for key, bound in problem.certificates.items()},
     )
 
 
@@ -531,10 +537,12 @@ def inner_box(grid: Grid) -> tuple:
 
 def check_eps_schedule(grid: Grid, eps_schedule) -> list:
     """The schedule as floats once regularize_approximate can run it: it
-    must be strictly decreasing (ValueError), every eps at least 2h
-    (KernelUnderResolvedError) and every kernel inside the inner box's
-    margin (GridTooCoarseError). No solve is made."""
+    must hold at least two radii and be strictly decreasing (ValueError),
+    every eps at least 2h (KernelUnderResolvedError) and every kernel inside
+    the inner box's margin (GridTooCoarseError). No solve is made."""
     eps_schedule = [float(e) for e in eps_schedule]
+    if len(eps_schedule) < 2:
+        raise ValueError(f"epsilon schedule needs at least two radii, got {len(eps_schedule)}")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("epsilon schedule must be strictly decreasing")
     _, margin = inner_box(grid)
@@ -635,14 +643,15 @@ def bootstrap_ckalpha(
     cfg = SchauderConfig(order=1, alpha=alpha, p=problem.p, q=problem.q, r=float(radii[-2]), R=float(radii[-1]))
     levels.append([schauder_ratio(sol, cfg)])
 
-    current = [(sol.u, problem.f, problem.F, gradient(sol.u))]
+    current = [(sol.u, problem.f, problem.F)]
     for level in range(2, k + 1):
         ring_r, ring_R = float(radii[k - level]), float(radii[k - level + 1])
         outer_reg = ball_region(grid, 0.0, ring_R)
         inner_reg = ball_region(grid, 0.0, ring_r)
         reports = []
         next_fields = []
-        for (u_field, f_field, F_field, grad_field) in current:
+        for u_field, f_field, F_field in current:
+            grad_field = gradient(u_field)
             for i in range(grid.n):
                 u_i = central_difference(u_field, i)
                 source, dF_valid = _differentiated_source(
@@ -662,31 +671,34 @@ def bootstrap_ckalpha(
                         extra={"alpha": alpha},
                     )
                 )
-                next_fields.append((u_i, Field.zeros(grid), G, gradient(u_i)))
+                next_fields.append((u_i, Field.zeros(grid), G))
         levels.append(reports)
         current = next_fields
 
     inner = ball_region(grid, 0.0, float(radii[0]))
     assembled = ck_alpha_norm(sol.u, k, alpha, inner)
-    bound = lp_norm(sol.u, np.inf, inner)
-    if k == 2:
-        for i in range(grid.n):
-            bound += ck_alpha_norm(central_difference(sol.u, i), 1, alpha, inner)
-    else:
-        for i in range(grid.n):
-            u_i = central_difference(sol.u, i)
-            bound += lp_norm(u_i, np.inf, inner)
-            for j2 in range(grid.n):
-                bound += ck_alpha_norm(central_difference(u_i, j2), 1, alpha, inner)
+    bound = sum(_assembly_terms(sol.u, k, alpha, inner))
+    outer = ball_region(grid, 0.0, R)
     rhs0 = (
-        lp_norm(sol.u, 2, ball_region(grid, 0.0, R))
-        + ck_alpha_norm(problem.f, max(k - 2, 0), alpha, ball_region(grid, 0.0, R))
-        + _holder_norm_vec(problem.F, alpha, ball_region(grid, 0.0, R))
+        lp_norm(sol.u, 2, outer)
+        + ck_alpha_norm(problem.f, max(k - 2, 0), alpha, outer)
+        + _holder_norm_vec(problem.F, alpha, outer)
     )
     chained = assembled / max(rhs0, 1e-300)
     return BootstrapReport(
         levels=levels, assembled_norm=assembled, assembly_bound=bound, chained_constant=chained
     )
+
+
+def _assembly_terms(u: Field, k: int, alpha: float, region):
+    """The terms of sup|u| + sum_i ||d_i u||_{C^{k-1,alpha}} in order, each
+    C^{k-1,alpha} norm expanded alike down to the C^{1,alpha} norm at k = 1."""
+    if k == 1:
+        yield ck_alpha_norm(u, 1, alpha, region)
+        return
+    yield lp_norm(u, np.inf, region)
+    for i in range(u.grid.n):
+        yield from _assembly_terms(central_difference(u, i), k - 1, alpha, region)
 
 
 def rescale_estimate(C_unit: float, t: float) -> float:
@@ -701,12 +713,15 @@ def rescale_problem(
     problem: EllipticProblem, x0, t: float, reference: Field, m: int | None = None
 ) -> EllipticProblem:
     """Zoomed problem v(x) = u(x0 + t x) on a unit-half-width grid: data
-    A(x0+tx), t^2 f(x0+tx), t F(x0+tx), boundary data from the reference.
+    A(x0+tx), t^2 f(x0+tx), t F(x0+tx), boundary data from the reference,
+    and the certificates scaled to match (``_problem_on``).
 
     Choosing m = 2j+1 with t = j h makes the zoom lattice land on original
     nodes, so sampling is exact and the zoomed discrete system reproduces
     the direct subgrid solve to solver tolerance.
     """
+    if not t > 0:
+        raise ValueError(f"scale t must be positive, got {t}")
     grid = problem.grid
     if np.ndim(x0) == 0:
         x0 = (float(x0),) * grid.n

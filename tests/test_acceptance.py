@@ -191,7 +191,7 @@ def test_criterion_07_schauder_threshold():
         ratios = []
         for k in range(12):
             rng = np.random.default_rng([2024, k])
-            prob = random_problem(g, rng, rough_alpha=0.6, p=4.0, q=8.0)
+            prob = random_problem(g, rng, rough_alpha=0.6)
             ratios.append(schauder_ratio(solve_dirichlet(prob), cfg).ratio)
         maxima[m] = max(ratios)
         assert all(math.isfinite(r) for r in ratios)

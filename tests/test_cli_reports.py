@@ -19,7 +19,16 @@ import numpy as np
 import pytest
 import scipy
 
-from schauderlab import caccioppoli, cli_reports, domain_grid, elliptic_solver, field_calculus, generators, norm_engine
+from schauderlab import (
+    caccioppoli,
+    cli_reports,
+    domain_grid,
+    elliptic_solver,
+    field_calculus,
+    generators,
+    norm_engine,
+    schauder_harness,
+)
 from schauderlab.cli_reports import COMMANDS, SPECS, ExperimentConfig, Verdict, load_config, main, run
 from schauderlab.domain_grid import make_grid
 from schauderlab.errors import NotEllipticError, SolverStagnationError
@@ -153,6 +162,36 @@ def test_default_outputs_match_recorded_digests(tmp_path):
             digest.update(path.read_bytes() + b"\0")
         digest.update(stdout.getvalue().encode() + b"\0" + str(code).encode())
         if digest.hexdigest() != _DEFAULT_DIGESTS[command]:
+            moved.append(command)
+    assert not moved
+
+
+# The same digests at --seed 2, recorded with the same numpy and scipy.
+_SEED2_DIGESTS = {
+    "solve": "e902faa60f7909c29eb1ecf3167c084f5f29a89bdc56393432eb6376a11a283c",
+    "caccioppoli": "e3c3c578993eca4e6d9ab48fb481ef74738d8ccb24b6d9736f6d2cba9aedc0a0",
+    "degiorgi": "12b504bfe64bc7842cd9bdec9818885eadd8341d3e35d1d6f27f7f72ab20551a",
+    "liouville": "800b0928df3fca3943dca6db284a88247ec990ff2a5aa83f4576d00586c47a67",
+    "schauder": "cffe8171650ef18ab94642f17ea9629326b618c42eafc81fa9960a5aac78a92d",
+    "blowup": "473755c98b0b982ae662a54b10ccb11e270c0fadf720360f8c05b424576e80ea",
+    "bootstrap": "14e017eb3bb5545209df17f7d1ae8013a06194276bb2ae5167e51f545dff7cee",
+    "mollify": "fd204b7ac3aa975afdc4642722c521840c41c7d2ddb766f7b5f9dc023bcc80e6",
+}
+
+
+def test_seed2_outputs_match_recorded_digests(tmp_path):
+    assert (np.__version__, scipy.__version__) == _DIGEST_VERSIONS
+    moved = []
+    for command in COMMANDS:
+        out, stdout = tmp_path / command, io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--seed", "2", "--out", str(out)])
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        digest.update(stdout.getvalue().encode() + b"\0" + str(code).encode())
+        if digest.hexdigest() != _SEED2_DIGESTS[command]:
             moved.append(command)
     assert not moved
 
@@ -569,10 +608,11 @@ def test_one_log_slope_and_one_shell_scan_in_src():
     ):
         assert src.count(needle) == inspect.getsource(owner).count(needle) == 1, needle
     # every Holder scan enters through _holder_scan_mask, the one entry
-    # perfbench traces: _holder_pairs( occurs at its definition and there
-    needle = "_holder_pairs("
-    assert src.count(needle) == 2
-    for owner in (norm_engine._holder_pairs, norm_engine._holder_scan_mask):
+    # perfbench traces: _holder_scan_mask( occurs at its definition and in
+    # its two callers
+    needle = "_holder_scan_mask("
+    assert src.count(needle) == 3
+    for owner in (norm_engine._holder_scan_mask, norm_engine._holder_norm, schauder_harness.blowup_sequence):
         assert inspect.getsource(owner).count(needle) == 1, owner.__name__
 
 

@@ -13,7 +13,7 @@ from schauderlab.errors import EmptyRegionError, StencilOverflowError
 from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.norm_engine import (
     TIE_RTOL,
-    _holder_pairs,
+    _holder_scan_mask,
     ck_alpha_norm,
     hk_norm,
     holder_seminorm,
@@ -241,7 +241,7 @@ def test_holder_pairs_wide_pair_is_first_widest_tie(n, m, alpha):
             idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
             hit = np.flatnonzero(q >= q.max() * (1 - TIE_RTOL))
             first = hit[np.lexsort((j[hit], i[hit], -dist[hit]))][0]
-            best, _, (wa, wb) = _holder_pairs(grid, mask, vals, alpha)
+            best, (_, (wa, wb)), _ = _holder_scan_mask(grid, mask, vals, alpha)
             assert best == q.max(), label
             np.testing.assert_array_equal(wa, idx[i[first]], err_msg=label)
             np.testing.assert_array_equal(wb, idx[j[first]], err_msg=label)
@@ -263,7 +263,7 @@ def test_holder_pairs_constant_field_prunes_at_root(monkeypatch):
         return gap_norm(d)
 
     monkeypatch.setattr(norm_engine, "_gap_norm", counting)
-    best, best_pair, wide_pair = _holder_pairs(grid, mask, np.full(grid.shape, 2.0), 0.5)
+    best, (best_pair, wide_pair), _ = _holder_scan_mask(grid, mask, np.full(grid.shape, 2.0), 0.5)
     assert best == 0.0
     assert sum(rows) <= 3  # the root's bound and its two extreme pairs
     np.testing.assert_array_equal(wide_pair, best_pair)
@@ -282,7 +282,7 @@ def test_holder_pairs_max_matches_brute_force_and_is_realized(n, m, alpha):
         for name, vals in fields.items():
             label = f"{name}, holes {holes}"
             idx, i, j, dist, q = _all_pair_quotients(grid, mask, vals, alpha)
-            best, (ia, ib), _ = _holder_pairs(grid, mask, vals, alpha)
+            best, ((ia, ib), _), _ = _holder_scan_mask(grid, mask, vals, alpha)
             assert best == q.max(), label
             rows = [int(np.flatnonzero((idx == point).all(axis=1))[0]) for point in (ia, ib)]
             assert rows[0] < rows[1]
@@ -306,7 +306,7 @@ def test_holder_pairs_best_pair_is_first_maximizer_whatever_the_chunks(
     for name, vals in _tie_fields(grid, alpha).items():
         idx, i, j, _, q = _all_pair_quotients(grid, mask, vals, alpha)
         first = np.flatnonzero(q == q.max())[0]
-        _, (ia, ib), _ = _holder_pairs(grid, mask, vals, alpha)
+        _, ((ia, ib), _), _ = _holder_scan_mask(grid, mask, vals, alpha)
         np.testing.assert_array_equal(ia, idx[i[first]], err_msg=name)
         np.testing.assert_array_equal(ib, idx[j[first]], err_msg=name)
 
@@ -406,12 +406,12 @@ def test_holder_pairs_do_not_depend_on_the_lower_bound_levels(n, m, alpha, level
     for holes in (False, True):
         mask = _scan_mask(grid, holes)
         for name, vals in fields.items():
-            expected = _holder_pairs(grid, mask, vals, alpha)
+            expected = _holder_scan_mask(grid, mask, vals, alpha)
             with monkeypatch.context() as patch:
                 patch.setattr(norm_engine, "_LOWER_BOUND_LEVEL", level)
-                got = _holder_pairs(grid, mask, vals, alpha)
+                got = _holder_scan_mask(grid, mask, vals, alpha)
             assert got[0] == expected[0], name
-            np.testing.assert_array_equal(got[1:], expected[1:], err_msg=name)
+            np.testing.assert_array_equal(got[1], expected[1], err_msg=name)
 
 
 def _layout_fields(grid):

@@ -219,6 +219,15 @@ def test_blowup_constant_rejected(grid65):
         blowup_sequence(Field.full(grid65, 1.0), cfg, steps=1)
 
 
+def test_blowup_rejects_fewer_than_one_step(grid65):
+    # steps = 0 is an invalid argument, not a finding about the field
+    cfg = SchauderConfig(order=0, alpha=0.5, p=4.0, q=8.0, r=0.2, R=0.8)
+    x = grid65.coords()[0]
+    with pytest.raises(ValueError, match="steps") as caught:
+        blowup_sequence(Field(grid65, np.sqrt(np.abs(x))), cfg, steps=0)
+    assert not isinstance(caught.value, NoBlowupPairError)
+
+
 def test_blowup_sign_changing_step_is_not_constant(grid65):
     # |u| is 1 everywhere, yet u jumps by 2 across x = 1e-4: twice the jump,
     # and so twice the level, of the {0, 1} step
@@ -315,10 +324,18 @@ def test_regularize_schedule_must_decrease(grid129):
         regularize_approximate(prob, [4 * grid129.h, 4 * grid129.h])
 
 
+@pytest.mark.parametrize("schedule", [[], [0.2]])
+def test_regularize_schedule_needs_two_radii(grid129, schedule):
+    # no rows, or one, cannot show a decreasing gap
+    prob = random_problem(grid129, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="at least two radii"):
+        regularize_approximate(prob, schedule)
+
+
 def test_a_posteriori_matches_direct_ratio(grid129):
     # running the estimate on the mollified-converged solution stays within
     # 10% of the direct solution's ratio
-    prob = random_problem(grid129, np.random.default_rng(31), rough_alpha=0.5, beta=0.15, p=4.0, q=8.0)
+    prob = random_problem(grid129, np.random.default_rng(31), rough_alpha=0.5, beta=0.15)
     cfg = SchauderConfig(order=0, alpha=0.5, p=4.0, q=8.0, r=0.3, R=0.7)
     direct = schauder_ratio(solve_dirichlet(prob), cfg)
 
@@ -387,14 +404,39 @@ def test_bootstrap_zero_solution(grid129):
 
 
 def test_bootstrap_smooth_problem_consistent(grid129):
-    prob = random_problem(grid129, np.random.default_rng(31), beta=0.15, p=4.0, q=8.0)
+    prob = random_problem(grid129, np.random.default_rng(31), beta=0.15)
     report = bootstrap_ckalpha(prob, 2, 0.4, 0.25, 0.8)
     assert report.consistent
     assert math.isfinite(report.chained_constant)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_bootstrap_assembly_bound_is_the_explicit_sum(grid129, k):
+    # sup|u| + sum_i ||d_i u||_{C^{1,a}} at k = 2, and
+    # sup|u| + sum_i (sup|d_i u| + sum_j ||d_j d_i u||_{C^{1,a}}) at k = 3,
+    # added left to right, bit for bit
+    from schauderlab.field_calculus import central_difference
+    from schauderlab.norm_engine import ck_alpha_norm, lp_norm
+
+    prob = random_problem(grid129, np.random.default_rng(31), beta=0.15)
+    report = bootstrap_ckalpha(prob, k, 0.4, 0.25, 0.8)
+    u = solve_dirichlet(prob).u
+    inner = ball_region(grid129, 0.0, 0.25)
+    total = lp_norm(u, np.inf, inner)
+    for i in range(2):
+        u_i = central_difference(u, i)
+        if k == 2:
+            total += ck_alpha_norm(u_i, 1, 0.4, inner)
+            continue
+        total += lp_norm(u_i, np.inf, inner)
+        for j in range(2):
+            total += ck_alpha_norm(central_difference(u_i, j), 1, 0.4, inner)
+    assert report.assembly_bound == total
+    assert report.consistent
+
+
 def test_bootstrap_requires_certificates(grid129):
-    prob = random_problem(grid129, np.random.default_rng(5), p=4.0, q=8.0)
+    prob = random_problem(grid129, np.random.default_rng(5))
     prob = replace(prob, A=CoefficientField(grid129, prob.A.entries))
     with pytest.raises(DataRegularityMissingError):
         bootstrap_ckalpha(prob, 2, 0.4, 0.25, 0.8)
@@ -494,3 +536,64 @@ def test_commensurate_zoom_scales_the_restricted_data(grid129):
     assert_close(zoomed.g.values, restricted.g.values)
     assert_close(zoomed.f.values, t**2 * restricted.f.values)
     assert_close(zoomed.F.components, t * restricted.F.components)
+
+
+@pytest.fixture(scope="module")
+def seed1_problem():
+    grid = make_grid(2, 1.0, 129)
+    prob = random_problem(grid, np.random.default_rng(1))
+    return prob, solve_dirichlet(prob).u
+
+
+def test_restricted_problem_keeps_its_certificates(seed1_problem):
+    # a restriction samples the parent's nodes (t = 1): every bound carries
+    # over unchanged, so the order-1 estimate and the bootstrap still run
+    prob, reference = seed1_problem
+    sub, _ = restrict_problem_data(prob, reference, 48)
+    assert sub.A.lipschitz_bound == prob.A.lipschitz_bound is not None
+    assert sub.certificates == prob.certificates
+    report = bootstrap_ckalpha(sub, 2, 0.4, 0.1875, 0.6)
+    assert report.consistent
+    assert report.chained_constant == pytest.approx(2.0415, abs=1e-3)
+
+
+def test_aligned_zoom_scales_its_certificates(seed1_problem):
+    # t = 48h = 0.75 with m' = 97 lands on original nodes: A's Lipschitz
+    # bound scales by t, f's certificates by t^2 (sup) and t^3 (Lipschitz),
+    # F's by t and t^2, and the zoomed data stay under their own bounds
+    prob, reference = seed1_problem
+    t = 48 * prob.grid.h
+    assert t == 0.75
+    zoomed = rescale_problem(prob, 0.0, t, reference, m=97)
+    certs = zoomed.certificates
+    assert zoomed.A.lipschitz_bound == 0.75 * prob.A.lipschitz_bound
+    assert certs == {
+        "f_sup": t**2 * prob.certificates["f_sup"],
+        "f_lipschitz": t**3 * prob.certificates["f_lipschitz"],
+        "F_sup": t * prob.certificates["F_sup"],
+        "F_lipschitz": t**2 * prob.certificates["F_lipschitz"],
+    }
+    assert np.abs(zoomed.f.values).max() <= certs["f_sup"]
+    assert np.abs(zoomed.F.components).max() <= certs["F_sup"]
+    assert np.abs(gradient(zoomed.f).components).max() <= certs["f_lipschitz"]
+
+
+def test_zoom_scales_a_holder_certificate_by_t_alpha(grid129):
+    prob = random_problem(grid129, np.random.default_rng(1), rough_alpha=0.6)
+    alpha, bound = prob.A.holder
+    zoomed = rescale_problem(prob, 0.0, 0.75, prob.g, m=97)
+    assert zoomed.A.holder == (alpha, 0.75**alpha * bound)
+    assert zoomed.A.lipschitz_bound is None
+
+
+def test_a_certificate_no_zoom_can_scale_is_rejected(seed1_problem):
+    prob, _ = seed1_problem
+    with pytest.raises(ValueError, match="F_holder"):
+        replace(prob, certificates={"F_holder": 1.0})
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_rescale_problem_rejects_a_nonpositive_scale(seed1_problem, t):
+    prob, reference = seed1_problem
+    with pytest.raises(ValueError, match="positive"):
+        rescale_problem(prob, 0.0, t, reference)
