@@ -92,7 +92,7 @@ class CoefficientField:
     Optional regularity certificates, fixed at construction, gate the
     estimates that need them: ``lipschitz`` bounds the Lipschitz constant of
     every entry, and ``holder = (alpha, bound)`` bounds every entry's
-    C^{0,alpha} seminorm.
+    C^{0,alpha} seminorm. A bound must be finite and >= 0, else ValueError.
     """
 
     __slots__ = (
@@ -103,6 +103,10 @@ class CoefficientField:
     def __init__(self, grid: Grid, entries, lipschitz: float | None = None, holder: tuple | None = None):
         if holder is not None and not 0 < holder[0] <= 1:
             raise ValueError("certificate exponent must lie in (0, 1]")
+        if lipschitz is not None:
+            _require_bound("lipschitz", lipschitz)
+        if holder is not None:
+            _require_bound("holder", holder[1])
         entries = np.asarray(entries, dtype=float)
         if entries.shape != (grid.n, grid.n) + grid.shape:
             raise ValueError(
@@ -138,6 +142,13 @@ class CoefficientField:
             for j in range(grid.n):
                 e[i, j] = matrix[i, j]
         return cls(grid, e, lipschitz=0.0)
+
+
+def _require_bound(name: str, bound) -> None:
+    """Raise ValueError, naming the certificate, unless bound is a finite
+    number >= 0: a negative or NaN bound bounds nothing."""
+    if not (np.isfinite(bound) and bound >= 0):
+        raise ValueError(f"certificate {name} = {bound!r} is not a finite bound >= 0")
 
 
 def _screen_eigenvalues(ent: np.ndarray, L: float) -> tuple:
@@ -238,7 +249,8 @@ class EllipticProblem:
     boundary field g is read only on the boundary nodes. ``certificates``
     carries optional data-regularity bounds, keyed "f_sup", "f_lipschitz",
     "F_sup" and "F_lipschitz", that gate the estimates requiring them; any
-    other key is rejected, since a zoom could not scale it.
+    other key is rejected, since a zoom could not scale it, and so is a
+    value that is not a finite number >= 0.
     """
 
     A: CoefficientField
@@ -256,6 +268,8 @@ class EllipticProblem:
                 raise ValueError("problem data must share one grid")
         if not self.certificates.keys() <= CERTIFICATE_DEGREES.keys():
             raise ValueError(f"certificate keys {sorted(self.certificates)} are not all in {list(CERTIFICATE_DEGREES)}")
+        for key, bound in self.certificates.items():
+            _require_bound(key, bound)
         require_admissible(grid.n, self.p, self.q)
 
     @property
@@ -475,11 +489,23 @@ def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
     ]
 
 
-def _matvec(blocks: list, x: np.ndarray) -> np.ndarray:
-    """The product with x of the operator whose row blocks are blocks."""
+def _matvec(blocks: list, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The product with x of the operator whose row blocks are blocks.
+
+    With one block it is scipy's fresh product and out is not read. With
+    several, each block's product is written into its rows of out, or of a
+    new vector when out is None: the solve holds one N-vector for the
+    product, and one block's rows besides it while that block is applied.
+    """
     if len(blocks) == 1:
         return blocks[0] @ x
-    return np.concatenate([block @ x for block in blocks])
+    if out is None:
+        out = np.empty(blocks[0].shape[1])
+    start = 0
+    for block in blocks:
+        out[start:start + block.shape[0]] = block @ x
+        start += block.shape[0]
+    return out
 
 
 def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
@@ -589,6 +615,14 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: 
 def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:
     """One V-cycle for levels[k] x = r from x = 0; symmetric, as CG needs.
 
+    A level holds x and one work vector t: each sweep applies the operator
+    into t (see _matvec), turns it into the correction dinv (r - A x) in
+    place and adds it to x. t is freed once the residual is restricted, so
+    the coarser levels run without it, and the prolonged correction is the
+    work vector of the sweeps after it. Every operation keeps the operands
+    and the order of x += dinv * (r - A x), so the cycle rounds as that
+    expression does.
+
     The coarsest level applies its inverse with a fixed-order row sum, not
     BLAS gemv, for the reason _dot gives. Module level rather than a
     self-calling closure, whose reference cycle would keep each solve's
@@ -598,46 +632,67 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
         return np.add.reduce(coarse * r, axis=1)
     apply, P, R, dinv = levels[k]
     x = dinv * r
+    t = None
     for _ in range(SMOOTHING_SWEEPS - 1):
-        x += dinv * (r - apply(x))
-    x += P @ _vcycle(levels, coarse, R @ (r - apply(x)), k + 1)
+        t = apply(x, t)
+        np.subtract(r, t, out=t)
+        t *= dinv
+        x += t
+    t = apply(x, t)
+    np.subtract(r, t, out=t)
+    t = R @ t  # the coarse residual; the fine work vector is freed
+    t = P @ _vcycle(levels, coarse, t, k + 1)
+    x += t
     for _ in range(SMOOTHING_SWEEPS):
-        x += dinv * (r - apply(x))
+        t = apply(x, t)
+        np.subtract(r, t, out=t)
+        t *= dinv
+        x += t
     return x
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Inner product summed in numpy's fixed pairwise order.
+def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Inner product summed in numpy's fixed pairwise order; the elementwise
+    products go to out when it is given.
 
     BLAS ddot splits the sum by thread, so its last bits depend on the
     thread count; every inner product and norm of the solver comes here.
     """
-    return float(np.add.reduce(x * y))
+    return float(np.add.reduce(np.multiply(x, y, out=out)))
 
 
-def _norm(x: np.ndarray) -> float:
-    return _dot(x, x) ** 0.5
+def _norm(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    return _dot(x, x, out) ** 0.5
 
 
 def _cg(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
     """Preconditioned CG for apply(x) = rhs from x = 0 until ||r|| < tol;
-    returns (x, iterations)."""
+    returns (x, iterations).
+
+    Between iterations it holds x, r, p and one scratch vector, in which
+    every dot product and alpha * p, alpha * q is formed; z = pre(r) and
+    q = apply(p) are dropped once read, so the next V-cycle runs without
+    them.
+    """
     x = np.zeros_like(rhs)
     r = rhs.copy()
+    scratch = np.empty_like(rhs)
     for k in range(KRYLOV_MAXITER):
-        if _norm(r) < tol:
+        if _norm(r, scratch) < tol:
             return x, k
         z = pre(r)
-        rho = _dot(r, z)
+        rho = _dot(r, z, scratch)
         if k == 0:
             p = z
         else:
             p *= rho / rho_prev
             p += z
+        del z
         q = apply(p)
-        alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        alpha = rho / _dot(p, q, scratch)
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, q, out=scratch)
+        del q
         rho_prev = rho
     return x, KRYLOV_MAXITER
 
@@ -651,17 +706,24 @@ def _gmres(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
     residual norm. The test comes before the new vector is normalized, so a
     breakdown (zero next vector) ends the loop instead of dividing by zero.
     Returns (M V y, iterations).
+
+    Besides the basis an iteration holds w = apply(pre(v)) and, in the
+    Gram-Schmidt loop only, one scratch vector for every dot product and
+    h * v; w is normalized in place as the next basis vector. V y is summed
+    in place in the basis, which is dropped before the final pre.
     """
     g = [_norm(rhs)]
     basis = [rhs / g[0]]
     columns, rotations = [], []  # triangular columns of H; (c, s) pairs
     for k in range(KRYLOV_MAXITER):
         w = apply(pre(basis[k]))
+        scratch = np.empty_like(w)
         h = []
-        for v in basis:
-            h.append(_dot(w, v))
-            w -= h[-1] * v
-        h_next = _norm(w)
+        for i in range(k + 1):
+            h.append(_dot(w, basis[i], scratch))
+            w -= np.multiply(h[-1], basis[i], out=scratch)
+        h_next = _norm(w, scratch)
+        del scratch
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         d = float(np.hypot(h[k], h_next))
@@ -673,14 +735,19 @@ def _gmres(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
         g[k] *= c
         if abs(g[k + 1]) <= tol:
             break
-        basis.append(w / h_next)
+        w /= h_next
+        basis.append(w)
+    del w  # after a break, the last vector, which is no basis vector
     iterations = len(columns)
     y = [0.0] * iterations
     for i in reversed(range(iterations)):
         y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, iterations))) / columns[i][i]
-    u = y[0] * basis[0]
-    for yi, v in zip(y[1:], basis[1:]):
-        u += yi * v
+    u = basis[0]
+    u *= y[0]
+    for i in range(1, iterations):
+        basis[i] *= y[i]
+        u += basis[i]
+    del basis
     return pre(u), iterations
 
 
@@ -697,12 +764,17 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
     apply = partial(_matvec, blocks)
     method = "mg-cg" if problem.A.is_symmetric else "mg-gmres"
     bnorm = _norm(rhs)
-    x, iterations = np.zeros_like(rhs), 0  # the answer to zero data
     if bnorm > 0.0:
         levels, coarse = _multigrid_levels(offsets, table, grid.m - 2, blocks)
         krylov = _cg if problem.A.is_symmetric else _gmres
         x, iterations = krylov(apply, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
-    residual = _norm(rhs - apply(x)) / (bnorm or 1.0)
+        del levels, coarse  # the hierarchy goes before the residual and the output field
+    else:
+        x, iterations = np.zeros_like(rhs), 0  # the answer to zero data
+    t = apply(x)
+    np.subtract(rhs, t, out=t)
+    residual = _norm(t, t) / (bnorm or 1.0)
+    del t
     diagnostics = {"method": method, "iterations": iterations, "residual": residual}
     if not np.isfinite(residual) or residual > SOLVE_RTOL:
         raise SolverStagnationError(

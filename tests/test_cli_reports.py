@@ -145,27 +145,6 @@ _DEFAULT_DIGESTS = {
 }
 
 
-def test_default_outputs_match_recorded_digests(tmp_path):
-    versions = (np.__version__, scipy.__version__)
-    assert versions == _DIGEST_VERSIONS, (
-        f"digests recorded with numpy {_DIGEST_VERSIONS[0]} and scipy {_DIGEST_VERSIONS[1]}, "
-        f"running numpy {versions[0]} and scipy {versions[1]}"
-    )
-    moved = []
-    for command in COMMANDS:
-        out, stdout = tmp_path / command, io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main([command, "--seed", "1", "--out", str(out)])
-        digest = hashlib.sha256()
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
-            digest.update(path.read_bytes() + b"\0")
-        digest.update(stdout.getvalue().encode() + b"\0" + str(code).encode())
-        if digest.hexdigest() != _DEFAULT_DIGESTS[command]:
-            moved.append(command)
-    assert not moved
-
-
 # The same digests at --seed 2, recorded with the same numpy and scipy.
 _SEED2_DIGESTS = {
     "solve": "e902faa60f7909c29eb1ecf3167c084f5f29a89bdc56393432eb6376a11a283c",
@@ -179,19 +158,25 @@ _SEED2_DIGESTS = {
 }
 
 
-def test_seed2_outputs_match_recorded_digests(tmp_path):
-    assert (np.__version__, scipy.__version__) == _DIGEST_VERSIONS
+@pytest.mark.parametrize("seed", [1, 2])
+def test_outputs_match_recorded_digests(tmp_path, seed):
+    versions = (np.__version__, scipy.__version__)
+    assert versions == _DIGEST_VERSIONS, (
+        f"digests recorded with numpy {_DIGEST_VERSIONS[0]} and scipy {_DIGEST_VERSIONS[1]}, "
+        f"running numpy {versions[0]} and scipy {versions[1]}"
+    )
+    recorded = {1: _DEFAULT_DIGESTS, 2: _SEED2_DIGESTS}[seed]
     moved = []
     for command in COMMANDS:
         out, stdout = tmp_path / command, io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([command, "--seed", "2", "--out", str(out)])
+            code = main([command, "--seed", str(seed), "--out", str(out)])
         digest = hashlib.sha256()
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest.update(path.relative_to(out).as_posix().encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
         digest.update(stdout.getvalue().encode() + b"\0" + str(code).encode())
-        if digest.hexdigest() != _SEED2_DIGESTS[command]:
+        if digest.hexdigest() != recorded[command]:
             moved.append(command)
     assert not moved
 
