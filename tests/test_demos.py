@@ -1,6 +1,7 @@
 """Every demo script runs to completion in a fresh interpreter, and prints
 what it printed when its digest was recorded."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -16,6 +17,29 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 def test_demos_found():
     assert DEMOS
+
+
+@pytest.fixture(scope="module")
+def run_demo(tmp_path_factory):
+    """Run a demo once in a child process, from an empty working directory;
+    later calls for the same demo return the first run's result."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    @functools.cache
+    def run(demo):
+        return subprocess.run(
+            [sys.executable, str(demo)], cwd=tmp_path_factory.mktemp(demo.stem),
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    return run
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, run_demo):
+    done = run_demo(demo)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
 
 
 # sha256 of each demo's stdout, recorded with these numpy and scipy versions;
@@ -37,13 +61,8 @@ _DEMO_DIGESTS = {
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_stdout_matches_recorded_digest(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
+def test_demo_stdout_matches_recorded_digest(demo, run_demo):
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
     assert (np.__version__, scipy.__version__) == _DIGEST_VERSIONS
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == _DEMO_DIGESTS[demo.stem]
