@@ -35,9 +35,10 @@ from .field_calculus import Field, VecField, _band_clear, divergence, gradient
 # Required relative algebraic residual of any returned solution.
 SOLVE_RTOL = 1e-10
 
-# Krylov tolerance and iteration cap. With the multigrid preconditioner
-# 1e-13 takes 10-14 iterations at any m; 1e-11 would leave the weak
-# residual of a constant solution above 1e-12.
+# Krylov tolerance and cap on CG iterations or BiCGStab steps. With the
+# multigrid preconditioner 1e-13 takes 10-14 iterations or 5-8 steps of two
+# V-cycles each at any m; 1e-11 would leave the weak residual of a constant
+# solution above 1e-12.
 KRYLOV_RTOL = 1e-13
 KRYLOV_MAXITER = 100
 
@@ -697,76 +698,72 @@ def _cg(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
     return x, KRYLOV_MAXITER
 
 
-def _gmres(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
-    """Right-preconditioned GMRES for apply(x) = rhs from x = 0 until
-    |g[k+1]| <= tol.
+def _bicgstab(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
+    """Right-preconditioned BiCGStab (van der Vorst, 1992) for apply(x) =
+    rhs from x = 0 until ||r|| < tol, tested after each half step; returns
+    (x, steps). A step applies pre and the operator twice each.
 
-    Modified Gram-Schmidt builds the basis one vector per iteration; Givens
-    rotations keep the Hessenberg matrix upper triangular, so g[k+1] is the
-    residual norm. The test comes before the new vector is normalized, so a
-    breakdown (zero next vector) ends the loop instead of dividing by zero.
-    Returns (M V y, iterations).
-
-    Besides the basis an iteration holds w = apply(pre(v)) and, in the
-    Gram-Schmidt loop only, one scratch vector for every dot product and
-    h * v; w is normalized in place as the next basis vector. V y is summed
-    in place in the basis, which is dropped before the final pre.
+    The shadow residual is rhs itself, read only. Between steps it holds x,
+    r, p, v and one scratch vector, in which every dot product and scaled
+    update is formed; apply writes v in place (see _matvec), and each
+    preconditioned vector and t are dropped once read. A zero rho, (rhs, v)
+    or omega would divide by zero, so the loop stops there and the caller's
+    residual test rejects the iterate.
     """
-    g = [_norm(rhs)]
-    basis = [rhs / g[0]]
-    columns, rotations = [], []  # triangular columns of H; (c, s) pairs
-    for k in range(KRYLOV_MAXITER):
-        w = apply(pre(basis[k]))
-        scratch = np.empty_like(w)
-        h = []
-        for i in range(k + 1):
-            h.append(_dot(w, basis[i], scratch))
-            w -= np.multiply(h[-1], basis[i], out=scratch)
-        h_next = _norm(w, scratch)
-        del scratch
-        for i, (c, s) in enumerate(rotations):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        d = float(np.hypot(h[k], h_next))
-        c, s = h[k] / d, h_next / d
-        h[k] = d
-        rotations.append((c, s))
-        columns.append(h)
-        g.append(-s * g[k])
-        g[k] *= c
-        if abs(g[k + 1]) <= tol:
+    x, p, v = np.zeros_like(rhs), np.zeros_like(rhs), np.zeros_like(rhs)
+    r = rhs.copy()
+    scratch = np.empty_like(rhs)
+    rho_prev = alpha = omega = 1.0
+    steps = 0
+    while steps < KRYLOV_MAXITER and not _norm(r, scratch) < tol:
+        steps += 1
+        rho = _dot(rhs, r, scratch)
+        if rho == 0.0:
             break
-        w /= h_next
-        basis.append(w)
-    del w  # after a break, the last vector, which is no basis vector
-    iterations = len(columns)
-    y = [0.0] * iterations
-    for i in reversed(range(iterations)):
-        y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, iterations))) / columns[i][i]
-    u = basis[0]
-    u *= y[0]
-    for i in range(1, iterations):
-        basis[i] *= y[i]
-        u += basis[i]
-    del basis
-    return pre(u), iterations
+        p -= np.multiply(omega, v, out=scratch)
+        p *= rho / rho_prev * (alpha / omega)
+        p += r
+        z = pre(p)
+        v = apply(z, v)
+        sigma = _dot(rhs, v, scratch)
+        if sigma == 0.0:
+            break
+        alpha = rho / sigma
+        x += np.multiply(alpha, z, out=scratch)
+        del z
+        r -= np.multiply(alpha, v, out=scratch)
+        if _norm(r, scratch) < tol:
+            break
+        z = pre(r)
+        t = apply(z)
+        tt = _dot(t, t, scratch)
+        omega = _dot(t, r, scratch) / tt if tt else 0.0
+        if omega == 0.0:
+            break
+        x += np.multiply(omega, z, out=scratch)
+        r -= np.multiply(omega, t, out=scratch)
+        del z, t
+        rho_prev = rho
+    return x, steps
 
 
 def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
     """Solve the assembled system to relative residual <= SOLVE_RTOL.
 
     A geometric-multigrid V-cycle preconditions CG for symmetric operators
-    and GMRES otherwise, each capped at KRYLOV_MAXITER iterations.
+    and BiCGStab otherwise, capped at KRYLOV_MAXITER iterations or steps; a
+    solve that stops above SOLVE_RTOL raises SolverStagnationError.
     """
     system = assemble(problem)
     grid = system.grid
     offsets, table, rhs = system.offsets, system.table, system.rhs
     blocks = _dia_blocks(offsets, table, grid.m - 2)
     apply = partial(_matvec, blocks)
-    method = "mg-cg" if problem.A.is_symmetric else "mg-gmres"
+    method = "mg-cg" if problem.A.is_symmetric else "mg-bicgstab"
     bnorm = _norm(rhs)
     if bnorm > 0.0:
         levels, coarse = _multigrid_levels(offsets, table, grid.m - 2, blocks)
-        krylov = _cg if problem.A.is_symmetric else _gmres
+        krylov = _cg if problem.A.is_symmetric else _bicgstab
         x, iterations = krylov(apply, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
         del levels, coarse  # the hierarchy goes before the residual and the output field
     else:

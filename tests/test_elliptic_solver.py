@@ -342,7 +342,7 @@ def test_nonsymmetric_iterative_path():
         A=A, f=Field.full(grid, 1.0), F=VecField.zeros(grid), g=Field.zeros(grid)
     )
     sol = solve_dirichlet(prob)
-    assert sol.diagnostics["method"] == "mg-gmres"
+    assert sol.diagnostics["method"] == "mg-bicgstab"
     assert sol.diagnostics["residual"] <= 1e-10
 
 
@@ -395,8 +395,10 @@ def _nonsymmetric(prob, rng):
 
 
 def test_nonsymmetric_peak_memory_near_symmetric():
-    # GMRES grows its basis one vector per iteration instead of holding
-    # KRYLOV_MAXITER + 1 vectors from the start.
+    # BiCGStab holds x, r, p, v and a scratch vector, and for one product
+    # the preconditioned vector and t; CG holds x, r, p and a scratch
+    # vector. Measured 1.04; a Krylov basis that grows by one vector per
+    # iteration, as GMRES's did, reads 1.24 and fails.
     rng = np.random.default_rng(0)
     sym = random_problem(make_grid(2, 1.0, 513), rng)
     peaks = []
@@ -407,7 +409,7 @@ def test_nonsymmetric_peak_memory_near_symmetric():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (2, 5), (2, 9), (2, 11), (3, 3), (3, 5)])
@@ -578,38 +580,28 @@ def _reference_cg(apply, rhs, pre, tol):
     return x, elliptic_solver.KRYLOV_MAXITER
 
 
-def _reference_gmres(apply, rhs, pre, tol):
-    """GMRES with every vector made anew and the basis kept to the end."""
+def _reference_bicgstab(apply, rhs, pre, tol):
+    """BiCGStab with every update written as an expression that makes its
+    vectors anew."""
     dot = elliptic_solver._dot
-    g = [dot(rhs, rhs) ** 0.5]
-    basis, columns, rotations = [rhs / g[0]], [], []
+    x, p, v, r = np.zeros_like(rhs), np.zeros_like(rhs), np.zeros_like(rhs), rhs.copy()
+    rho_prev = alpha = omega = 1.0
     for k in range(elliptic_solver.KRYLOV_MAXITER):
-        w = apply(pre(basis[k]))
-        h = []
-        for v in basis:
-            h.append(dot(w, v))
-            w = w - h[-1] * v
-        h_next = dot(w, w) ** 0.5
-        for i, (c, s) in enumerate(rotations):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        d = float(np.hypot(h[k], h_next))
-        c, s = h[k] / d, h_next / d
-        h[k] = d
-        rotations.append((c, s))
-        columns.append(h)
-        g.append(-s * g[k])
-        g[k] *= c
-        if abs(g[k + 1]) <= tol:
-            break
-        basis.append(w / h_next)
-    n = len(columns)
-    y = [0.0] * n
-    for i in reversed(range(n)):
-        y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, n))) / columns[i][i]
-    u = y[0] * basis[0]
-    for yi, v in zip(y[1:], basis[1:]):
-        u = u + yi * v
-    return pre(u), n
+        if dot(r, r) ** 0.5 < tol:
+            return x, k
+        rho = dot(rhs, r)
+        p = r + rho / rho_prev * (alpha / omega) * (p - omega * v)
+        z = pre(p)
+        v = apply(z)
+        alpha = rho / dot(rhs, v)
+        x, r = x + alpha * z, r - alpha * v
+        if dot(r, r) ** 0.5 < tol:
+            return x, k + 1
+        z = pre(r)
+        t = apply(z)
+        omega = dot(t, r) / dot(t, t)
+        x, r, rho_prev = x + omega * z, r - omega * t, rho
+    return x, elliptic_solver.KRYLOV_MAXITER
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -624,7 +616,7 @@ def test_krylov_in_work_vectors_rounds_as_the_expressions(symmetric):
         lambda r: elliptic_solver._vcycle(levels, coarse, r),
         elliptic_solver.KRYLOV_RTOL * elliptic_solver._norm(system.rhs),
     )
-    krylov, reference = (elliptic_solver._cg, _reference_cg) if symmetric else (elliptic_solver._gmres, _reference_gmres)
+    krylov, reference = (elliptic_solver._cg, _reference_cg) if symmetric else (elliptic_solver._bicgstab, _reference_bicgstab)
     (x, iterations), (want, want_iterations) = krylov(*args), reference(*args)
     assert iterations == want_iterations > 1
     assert x.tobytes() == want.tobytes()
@@ -698,9 +690,9 @@ def test_iterations_equal_spgemm_reference(n, m, symmetric):
     system = assemble(prob)
     levels, coarsest = _spgemm_levels(system.matrix, m - 2, n)
     coarse = elliptic_solver._dense_inverse(coarsest.toarray())
-    krylov = elliptic_solver._cg if symmetric else elliptic_solver._gmres
+    krylov = elliptic_solver._cg if symmetric else elliptic_solver._bicgstab
     _, iterations = krylov(
-        system.matrix.__matmul__,
+        partial(_csr_product, system.matrix),
         system.rhs,
         lambda r: elliptic_solver._vcycle(levels, coarse, r),
         elliptic_solver.KRYLOV_RTOL * elliptic_solver._norm(system.rhs),
@@ -726,10 +718,12 @@ def test_solve_builds_no_csr_operator(monkeypatch):
 
 def test_solve_peak_memory_within_table_multiple():
     # The peak of a 2-D m = 257 nonsymmetric solve holds the operator table,
-    # the rhs, the hierarchy, the GMRES basis and two work vectors: 3.15
-    # times the table and rhs bytes. Transient copies in the products and
-    # the sweeps lifted it to 3.50 times; a CSR copy of the operator and an
-    # R @ A intermediate, as the sparse-product hierarchy held, add 0.64.
+    # the rhs, the hierarchy, BiCGStab's x, r, p, v and scratch vector, and
+    # two vectors of a half step: 2.65 times the table and rhs bytes,
+    # whatever the step count. A 10-vector GMRES basis reads 3.15 times and
+    # transient copies in the products and the sweeps 3.50; a CSR copy of
+    # the operator and an R @ A intermediate, as the sparse-product
+    # hierarchy held, add 0.64.
     rng = np.random.default_rng(0)
     prob = _nonsymmetric(random_problem(make_grid(2, 1.0, 257), rng), rng)
     system = assemble(prob)
@@ -741,7 +735,28 @@ def test_solve_peak_memory_within_table_multiple():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.4 * held, f"peak {peak / 1e6:.1f} MB = {peak / held:.2f} x table and rhs"
+    assert peak <= 2.8 * held, f"peak {peak / 1e6:.1f} MB = {peak / held:.2f} x table and rhs"
+
+
+def test_nonsymmetric_peak_independent_of_step_count(monkeypatch):
+    # BiCGStab holds a fixed set of vectors, so a looser tolerance that
+    # stops in fewer steps leaves the peak within one N-vector; the residual
+    # gate is loosened with it so the shorter solve returns
+    rng = np.random.default_rng(0)
+    prob = _nonsymmetric(random_problem(make_grid(2, 1.0, 257), rng), rng)
+    monkeypatch.setattr(elliptic_solver, "SOLVE_RTOL", 1e-6)
+    runs = []
+    for rtol in (1e-13, 1e-8):
+        monkeypatch.setattr(elliptic_solver, "KRYLOV_RTOL", rtol)
+        tracemalloc.start()
+        try:
+            steps = solve_dirichlet(prob).diagnostics["iterations"]
+            runs.append((steps, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (steps, peak), (fewer, lower) = runs
+    assert fewer < steps, runs
+    assert abs(peak - lower) <= 255**2 * 8, runs
 
 
 def test_solve_leaves_no_memory_behind():
@@ -810,9 +825,44 @@ def test_iteration_cap_raises_stagnation(monkeypatch, grid65, symmetric):
     with pytest.raises(SolverStagnationError) as err:
         solve_dirichlet(prob)
     diagnostics = err.value.diagnostics
-    assert diagnostics["method"] == ("mg-cg" if symmetric else "mg-gmres")
+    assert diagnostics["method"] == ("mg-cg" if symmetric else "mg-bicgstab")
     assert diagnostics["iterations"] == 1
     assert diagnostics["residual"] > SOLVE_RTOL
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs, steps",
+    [
+        # (rhs, A rhs) = 0: alpha would divide by zero in step one
+        ([[0.0, 1.0], [-1.0, 0.0]], [1.0, 2.0], 1),
+        # a_12 a_21 + a_13 a_31 = 0 leaves the step-one residual orthogonal
+        # to rhs = e_1: rho = 0 in step two
+        ([[2.0, 1.0, 1.0], [1.0, 3.0, 0.0], [-1.0, 1.0, 2.0]], [1.0, 0.0, 0.0], 2),
+    ],
+    ids=["skew-alpha", "orthogonal-rho"],
+)
+def test_bicgstab_stops_on_breakdown(matrix, rhs, steps):
+    matrix, rhs = np.array(matrix), np.array(rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, done = elliptic_solver._bicgstab(lambda z, out=None: matrix @ z, rhs, np.copy, 1e-13)
+    assert done == steps
+    assert elliptic_solver._norm(rhs - matrix @ x) > 1e-13
+
+
+def test_breakdown_raises_stagnation(monkeypatch, grid65):
+    # a zero preconditioner gives v = 0, so (rhs, v) = 0 in step one
+    monkeypatch.setattr(elliptic_solver, "_vcycle", lambda levels, coarse, r: np.zeros_like(r))
+    rng = np.random.default_rng(2)
+    prob = _nonsymmetric(random_problem(grid65, rng), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverStagnationError) as err:
+            solve_dirichlet(prob)
+    diagnostics = err.value.diagnostics
+    assert diagnostics["method"] == "mg-bicgstab"
+    assert diagnostics["iterations"] == 1
+    assert diagnostics["residual"] == 1.0
 
 
 def test_three_dimensional_solve():
