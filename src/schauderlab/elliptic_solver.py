@@ -8,25 +8,31 @@ assembled operator is symmetric to machine precision and summation-by-parts
 identities survive discretization up to O(h).
 
 The operator is kept as a stencil table: one weight row per offset, in the
-column layout of ``scipy.sparse.dia_matrix``, and every other form of it
-is derived from one dia_matrix view of that table (_dia). A solve applies
-row blocks of the view, builds each coarser multigrid operator R A R^T
-from the finer table in closed form, one axis at a time, and inverts the
-coarsest, of at most COARSEST_UNKNOWNS rows, from the view's dense array.
-No CSR copy of a finer operator and no product of two sparse matrices is
-formed; ``LinearSystem.matrix`` is scipy's CSR conversion of the whole
-view, for a caller that asks for it.
+column layout of ``scipy.sparse.dia_matrix``. A solve applies row blocks
+of that table with scipy's compiled ``dia_matvec`` kernel, builds each
+coarser multigrid operator R A R^T from the finer table in closed form,
+one axis at a time, restricts and prolongs with ``csr_matvec`` and
+``csc_matvec`` on R's CSR arrays, and inverts the coarsest level, of at
+most COARSEST_UNKNOWNS rows, densely. The kernels are called with the
+arguments scipy's own products pass them, so every product is scipy's bit
+for bit, but ``scipy.sparse`` itself is never imported by a solve: its
+Python package pulls in numpy.testing, numpy.f2py and numpy.ma, more than
+half the modules and about a third of the memory of the import.
+``LinearSystem.matrix``, scipy's CSR form of the operator for a caller
+that asks for it, is the one place that imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import itertools
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain_grid import Grid
 from .errors import InadmissibleExponentsError, NotEllipticError, SolverStagnationError, SupportViolationError
@@ -67,10 +73,40 @@ _GALERKIN_TERMS = {
     for c in (-1, 0, 1)
 }
 
-# Rows per dia_matrix block of an operator: a block's slice of the result
-# stays in cache while every diagonal adds into it. One unblocked
-# dia_matrix is slower than CSR at m = 513.
+# Rows per block of an operator: a block's slice of the result stays in
+# cache while every diagonal adds into it. One unblocked dia_matvec is
+# slower than csr_matvec at m = 513.
 BLOCK_ROWS = 2**15
+
+
+def _sparse_kernels():
+    """scipy's compiled sparse kernels, the extension module
+    ``scipy.sparse._sparsetools`` whose functions scipy's own sparse
+    products call, loaded by file from the installed scipy package.
+
+    find_spec locates scipy without importing it, and the extension
+    imports nothing from scipy, so ``scipy.sparse`` stays unimported. As
+    any single-phase extension does, the module enters sys.modules under
+    its own name, where a later ``import scipy.sparse`` finds it.
+    """
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    import scipy
+
+    raise ImportError(f"no _sparsetools extension in {folder} (scipy {scipy.__version__})")
+
+
+_sparsetools = _sparse_kernels()
 
 # Screen tolerance, relative to L. A node is a candidate when its screened
 # value lies within SCREEN_TOL of the screened extreme, which misses no node
@@ -313,11 +349,15 @@ class LinearSystem:
     grid: Grid
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The operator in CSR with the zero weights dropped: scipy's
-        conversion of the dia_matrix view a solve applies, made the first
-        time it is read. A solve never reads it."""
-        return _dia(self.offsets, self.table, self.grid.m - 2).tocsr()
+    def matrix(self):
+        """The operator as a ``scipy.sparse.csr_matrix`` with the zero
+        weights dropped: scipy's conversion of the dia_matrix of the arrays
+        a solve applies, made the first time it is read. A solve never
+        reads it, so only a caller that does imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        shifts, data = _dia(self.offsets, self.table, self.grid.m - 2)
+        return sp.dia_matrix((data, shifts), shape=(data.shape[1],) * 2).tocsr()
 
 
 def _at(values: np.ndarray, offset: tuple) -> np.ndarray:
@@ -456,62 +496,89 @@ def _dense_inverse(matrix: np.ndarray) -> np.ndarray:
     return work[:, size:].copy()
 
 
-def _dia(offsets: tuple, table: np.ndarray, per_axis: int, start=0, rows=None) -> sp.dia_matrix:
-    """Rows start .. start + rows (default: the rest) of the operator of a
-    column-layout table, as a dia_matrix view of the table whose offsets
-    are the shifts, increasing as the table's rows run, plus start.
+def _dia(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
+    """The diagonals of the operator of a column-layout table, as the
+    (offsets, data) pair of a ``scipy.sparse.dia_matrix``: the flat shifts,
+    increasing as the table's rows run, in the index dtype scipy would give
+    them (int32 unless the size needs int64), and the table itself.
 
     On an axis of one or two nodes (m = 3, or a coarse level of two)
     distinct offsets can share a shift. A column y is reached through at
     most one of them, since y - offset is a node for at most one, and the
-    others hold 0 there; so the view holds their exact sum, in a new array.
+    others hold 0 there; so data holds their exact sum, in a new array.
     """
     shifts, which = np.unique([_flat_shift(offset, per_axis) for offset in offsets], return_inverse=True)
     size, data = table.shape[1], table
     if shifts.size < len(offsets):
         data = np.zeros((shifts.size, size))
         np.add.at(data, which, table)
-    return sp.dia_matrix((data, shifts + start), shape=(size - start if rows is None else rows, size))
+    return shifts.astype(np.int32 if size <= np.iinfo(np.int32).max else np.int64), data
 
 
 def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
-    """The operator of a column-layout table as _dia row blocks of at most
-    BLOCK_ROWS rows, each a view of the whole table.
+    """The operator of a column-layout table as row blocks (start, rows,
+    offsets, data) of at most BLOCK_ROWS rows: rows start .. start + rows
+    of the _dia diagonals, whose offsets are the shifts plus start and
+    whose data is the whole table, not a copy.
 
     A product with all blocks is the CSR product bit for bit: each row sums
     the same weights in the same increasing-column order, and the extra
     zero weights add +0 to a partial sum that starts at +0 and so is never
     -0.
     """
+    shifts, data = _dia(offsets, table, per_axis)
     size = table.shape[1]
     return [
-        _dia(offsets, table, per_axis, start, min(BLOCK_ROWS, size - start))
+        (start, min(BLOCK_ROWS, size - start), shifts + start, data)
         for start in range(0, size, BLOCK_ROWS)
     ]
 
 
 def _matvec(blocks: list, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The product with x of the operator whose row blocks are blocks.
+    """The product with x of the operator whose row blocks are blocks,
+    written into out, or into a new vector when out is None.
 
-    With one block it is scipy's fresh product and out is not read. With
-    several, each block's product is written into its rows of out, or of a
-    new vector when out is None: the solve holds one N-vector for the
-    product, and one block's rows besides it while that block is applied.
+    Each block's rows of out are set to +0 and dia_matvec adds the block's
+    diagonals into them, the call and the arguments of scipy's
+    ``dia_matrix @ x``, so the product is scipy's bit for bit. out is the
+    one N-vector of the product; no block makes a vector of its own. The
+    kernel reads and writes by the sizes it is given, so x and out are
+    checked against the table's first.
     """
-    if len(blocks) == 1:
-        return blocks[0] @ x
+    size = blocks[0][3].shape[1]
+    if x.shape != (size,) or out is not None and out.shape != (size,):
+        raise ValueError(f"x or out is not a vector of the operator's {size} columns")
     if out is None:
-        out = np.empty(blocks[0].shape[1])
-    start = 0
-    for block in blocks:
-        out[start:start + block.shape[0]] = block @ x
-        start += block.shape[0]
+        out = np.empty(size)
+    for start, rows, offsets, data in blocks:
+        y = out[start:start + rows]
+        y.fill(0.0)
+        _sparsetools.dia_matvec(rows, size, offsets.size, size, offsets, data, x, y)
     return out
 
 
-def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
+def _dense(offsets: tuple, table: np.ndarray, per_axis: int) -> np.ndarray:
+    """The operator of a column-layout table as a dense array: each
+    offset's weights scattered into zeros at (column - shift, column), for
+    the columns whose row is in range; the other columns hold 0. It equals
+    scipy's ``dia_matrix.toarray()`` of the _dia diagonals bit for bit: an
+    entry is +0 plus its one weight, whatever other offsets share its
+    shift, since those hold 0 there."""
+    size = table.shape[1]
+    dense = np.zeros((size, size))
+    cols = np.arange(size)
+    for offset, weights in zip(offsets, table):
+        shift = _flat_shift(offset, per_axis)
+        reach = cols[max(shift, 0):size + min(shift, 0)]
+        dense[reach - shift, reach] += weights[reach]
+    return dense
+
+
+def _restriction(per_axis: int, n: int) -> tuple:
     """Full-weighting restriction R = P^T from (per_axis)^n interior nodes
-    to (per_axis // 2)^n, in CSR with sorted column indices.
+    to (per_axis // 2)^n, as the (indptr, indices, data) arrays of its CSR
+    form with sorted column indices. The same arrays are the CSC form of
+    the prolongation P.
 
     Coarse node c of an axis is fine node 2c + 1 and reads fine nodes 2c,
     2c + 1, 2c + 2 with weights _FULL_WEIGHTING. A row of R is the tensor
@@ -542,7 +609,7 @@ def _restriction(per_axis: int, n: int) -> sp.csr_matrix:
         cols, data, counts = cols[keep], data[keep], keep.sum(axis=1)
     indptr = np.zeros(rows + 1, dtype=idx_dtype)
     np.cumsum(counts, out=indptr[1:])
-    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(rows, per_axis**n))
+    return indptr, cols.ravel(), data.ravel()
 
 
 def _coarsen_axis(offsets: tuple, table: np.ndarray, axis: int) -> tuple:
@@ -585,7 +652,7 @@ def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
 
 
 def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: list) -> tuple:
-    """Galerkin levels [(A x, P, R, weighted inverse diagonal), ...] and the
+    """Galerkin levels [(A x, R, weighted inverse diagonal), ...] and the
     dense inverse of the coarsest level, the first with at most
     COARSEST_UNKNOWNS unknowns. ``blocks`` are the finest level's
     _dia_blocks, which the solve builds once for its own products.
@@ -594,23 +661,22 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: 
     boundary is a zero neighbour); R A P with R = P^T stays symmetric when A
     is. Each level keeps its operator as a column-layout table and applies
     it through _dia_blocks; the next table is _galerkin of this one, and the
-    diagonal is the zero offset's row. _restriction builds R straight into
-    CSR, and P is its transpose view, so the V-cycle restricts through CSR
-    rows. The transfer operators are built anew for each solve and are
-    freed with its hierarchy: building them costs less than a millisecond
-    at m = 129, and a cache of them would outlive every solve in memory.
+    diagonal is the zero offset's row. R is its _restriction arrays, which
+    the V-cycle reads as R's CSR form to restrict and as P's CSC form to
+    prolong. The transfers are built anew for each solve and are freed
+    with its hierarchy: building them costs less than a millisecond at
+    m = 129, and a cache of them would outlive every solve in memory.
     """
     n = len(offsets[0])
     levels = []
     while table.shape[1] > COARSEST_UNKNOWNS:
-        R = _restriction(per_axis, n)
         if levels:
             blocks = _dia_blocks(offsets, table, per_axis)
         apply = partial(_matvec, blocks)
-        levels.append((apply, R.T, R, JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
+        levels.append((apply, _restriction(per_axis, n), JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
         offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
-    return levels, _dense_inverse(_dia(offsets, table, per_axis).toarray())
+    return levels, _dense_inverse(_dense(offsets, table, per_axis))
 
 
 def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:
@@ -618,11 +684,13 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
 
     A level holds x and one work vector t: each sweep applies the operator
     into t (see _matvec), turns it into the correction dinv (r - A x) in
-    place and adds it to x. t is freed once the residual is restricted, so
-    the coarser levels run without it, and the prolonged correction is the
-    work vector of the sweeps after it. Every operation keeps the operands
-    and the order of x += dinv * (r - A x), so the cycle rounds as that
-    expression does.
+    place and adds it to x. csr_matvec restricts the residual into a new
+    coarse vector and t is freed, so the coarser levels run without it;
+    csc_matvec prolongs the coarse correction into a new fine vector, the
+    work vector of the sweeps after it. Both kernels start from +0, as
+    scipy's ``R @ t`` and ``R.T @ e`` do, and every operation keeps the
+    operands and order of x += dinv * (r - A x), so the cycle rounds as
+    that expression does.
 
     The coarsest level applies its inverse with a fixed-order row sum, not
     BLAS gemv, for the reason _dot gives. Module level rather than a
@@ -631,7 +699,8 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
     """
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    apply, P, R, dinv = levels[k]
+    apply, (indptr, indices, weights), dinv = levels[k]
+    fine, rows = r.size, indptr.size - 1
     x = dinv * r
     t = None
     for _ in range(SMOOTHING_SWEEPS - 1):
@@ -641,8 +710,13 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
         x += t
     t = apply(x, t)
     np.subtract(r, t, out=t)
-    t = R @ t  # the coarse residual; the fine work vector is freed
-    t = P @ _vcycle(levels, coarse, t, k + 1)
+    e = np.zeros(rows)
+    _sparsetools.csr_matvec(rows, fine, indptr, indices, weights, t, e)
+    del t  # the coarse residual is e; the fine work vector is freed
+    e = _vcycle(levels, coarse, e, k + 1)
+    t = np.zeros(fine)
+    _sparsetools.csc_matvec(fine, rows, indptr, indices, weights, e, t)
+    del e
     x += t
     for _ in range(SMOOTHING_SWEEPS):
         t = apply(x, t)

@@ -1,4 +1,5 @@
 import gc
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -472,6 +474,18 @@ def _kron_restriction(per_axis: int, n: int):
     return P.T.tocsr()
 
 
+def _scipy_restriction(per_axis: int, n: int):
+    """scipy's csr_matrix of the _restriction arrays."""
+    indptr, indices, data = elliptic_solver._restriction(per_axis, n)
+    return sp.csr_matrix((data, indices, indptr), shape=((per_axis // 2) ** n, per_axis**n))
+
+
+def _scipy_dia(offsets: tuple, table, per_axis: int):
+    """scipy's dia_matrix of the _dia diagonals of a column-layout table."""
+    shifts, data = elliptic_solver._dia(offsets, table, per_axis)
+    return sp.dia_matrix((data, shifts), shape=(table.shape[1],) * 2)
+
+
 @pytest.mark.parametrize(
     "n, sizes", [(2, (*range(3, 42), 63, 127, 255)), (3, (*range(3, 34), 63))], ids=["2d", "3d"]
 )
@@ -480,9 +494,9 @@ def test_restriction_matches_kron_reference(n, sizes):
     # 41 -> 20 -> 10) has a last coarse node with no right neighbour
     for per_axis in sizes:
         R, ref = elliptic_solver._restriction(per_axis, n), _kron_restriction(per_axis, n)
-        assert R.shape == ref.shape, per_axis
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(R, name), getattr(ref, name)
+        assert ref.shape == ((per_axis // 2) ** n, per_axis**n), per_axis
+        for name, got in zip(("indptr", "indices", "data"), R):
+            want = getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (per_axis, name)
 
 
@@ -513,7 +527,7 @@ def test_blocked_dia_matvec_is_the_csr_matvec(monkeypatch, n, m, kind, block_row
     system = assemble(_stencil_problem(n, m, kind))
     blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
     assert len(blocks) == -(-system.rhs.size // block_rows)
-    assert all(block.data is system.table for block in blocks)  # views, no copies
+    assert all(data is system.table for _, _, _, data in blocks)  # the table, no copies
     x = np.random.default_rng(0).standard_normal(system.rhs.size)
     x[::5], x[1::7] = 0.0, -0.0
     got = elliptic_solver._matvec(blocks, x)
@@ -522,31 +536,36 @@ def test_blocked_dia_matvec_is_the_csr_matvec(monkeypatch, n, m, kind, block_row
 
 @pytest.mark.parametrize("n, m", [(2, 65), (2, 257), (2, 513), (3, 65)])
 def test_matvec_into_a_callers_vector_is_the_dia_product(n, m):
-    # byte for byte with one dia_matrix view of the whole table; a level of
-    # several blocks writes into the caller's vector, a one-block level
-    # (2-D m = 65) returns scipy's fresh product and leaves it unread
+    # byte for byte with scipy's dia_matrix of the whole table; every level,
+    # of one block (2-D m = 65) or several, writes into the caller's vector,
+    # whose NaNs must all be overwritten
     system = assemble(_stencil_problem(n, m, "nonsymmetric"))
     blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
     x = np.random.default_rng(1).standard_normal(system.rhs.size)
     x[::5], x[1::7] = 0.0, -0.0
     out = np.full(x.size, np.nan)
     got = elliptic_solver._matvec(blocks, x, out)
-    want = elliptic_solver._dia(system.offsets, system.table, m - 2) @ x
+    want = _scipy_dia(system.offsets, system.table, m - 2) @ x
     assert got.tobytes() == want.tobytes()
-    assert (got is out) == (len(blocks) > 1)
+    assert got is out
     assert (len(blocks) == 1) == ((n, m) == (2, 65))
+    for short in ((x[:-1], None), (x, out[:-1])):
+        with pytest.raises(ValueError):
+            elliptic_solver._matvec(blocks, *short)
 
 
 def _reference_vcycle(levels, coarse, r, k=0):
     """The V-cycle written as the expression x += dinv * (r - A x), each
-    sweep making its vectors anew."""
+    sweep making its vectors anew, with the transfers as scipy's products
+    of R's csr_matrix and its transpose."""
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    apply, P, R, dinv = levels[k]
+    apply, (indptr, indices, data), dinv = levels[k]
+    R = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, r.size))
     x = dinv * r
     for _ in range(elliptic_solver.SMOOTHING_SWEEPS - 1):
         x += dinv * (r - apply(x))
-    x += P @ _reference_vcycle(levels, coarse, R @ (r - apply(x)), k + 1)
+    x += R.T @ _reference_vcycle(levels, coarse, R @ (r - apply(x)), k + 1)
     for _ in range(elliptic_solver.SMOOTHING_SWEEPS):
         x += dinv * (r - apply(x))
     return x
@@ -629,12 +648,12 @@ def _csr_product(matrix, x, out=None):
 
 def _spgemm_levels(matrix, per_axis: int, n: int) -> tuple:
     """The Galerkin hierarchy as sparse products build it: levels
-    [(A x, P, R, weighted inverse diagonal), ...] and the coarsest
+    [(A x, R arrays, weighted inverse diagonal), ...] and the coarsest
     operator, with R A R^T formed as (R @ A) @ R.T."""
     levels = []
     while matrix.shape[0] > elliptic_solver.COARSEST_UNKNOWNS:
-        R = elliptic_solver._restriction(per_axis, n)
-        levels.append((partial(_csr_product, matrix), R.T, R, elliptic_solver.JACOBI_WEIGHT / matrix.diagonal()))
+        R = _scipy_restriction(per_axis, n)
+        levels.append((partial(_csr_product, matrix), (R.indptr, R.indices, R.data), elliptic_solver.JACOBI_WEIGHT / matrix.diagonal()))
         matrix = R @ matrix @ R.T
         per_axis //= 2
     return levels, matrix
@@ -651,7 +670,7 @@ def test_closed_form_levels_match_spgemm_reference(n, m, kind):
     for ref in references:
         offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
         per_axis //= 2
-        got = elliptic_solver._dia(offsets, table, per_axis).tocsr()
+        got = _scipy_dia(offsets, table, per_axis).tocsr()
         assert abs(got - ref).max() <= 1e-13 * abs(ref).max(), per_axis
 
 
@@ -678,10 +697,36 @@ def test_dia_view_sums_offsets_that_share_a_shift(n, m):
         offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
         per_axis //= 2
     assert per_axis <= 2
-    view = elliptic_solver._dia(offsets, table, per_axis)
-    assert len(view.offsets) < len(offsets)
+    shifts, _ = elliptic_solver._dia(offsets, table, per_axis)
+    assert shifts.size < len(offsets)
     want = _geometric_dense(offsets, table, per_axis)
-    assert view.toarray().tobytes() == want.tobytes()  # through scipy's tocsr
+    assert _scipy_dia(offsets, table, per_axis).toarray().tobytes() == want.tobytes()  # through scipy's tocsr
+    assert elliptic_solver._dense(offsets, table, per_axis).tobytes() == want.tobytes()
+
+
+DENSE_GRIDS = [(2, 3), (2, 5), (2, 9), (2, 17), (2, 33), (2, 43), (2, 129), (3, 3), (3, 5), (3, 7), (3, 9), (3, 13), (3, 17), (3, 33)]
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+def test_dense_is_scipys_toarray_on_every_small_level(kind):
+    # byte for byte on every level of at most 1 000 unknowns, the coarsest
+    # included; m = 3 and the 3-D m = 7 and 13 levels of two nodes per axis
+    # share shifts, and 2-D m = 43 coarsens through an even axis. A larger
+    # level is never densified: 2-D m = 129 is 2 GB dense.
+    checked = 0
+    for n, m in DENSE_GRIDS:
+        system = assemble(_stencil_problem(n, m, kind))
+        offsets, table, per_axis = system.offsets, system.table, m - 2
+        while True:
+            if table.shape[1] <= 1000:
+                want = _scipy_dia(offsets, table, per_axis).toarray()
+                assert elliptic_solver._dense(offsets, table, per_axis).tobytes() == want.tobytes(), (n, m, per_axis)
+                checked += 1
+            if table.shape[1] <= elliptic_solver.COARSEST_UNKNOWNS:
+                break
+            offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
+            per_axis //= 2
+    assert checked == 25
 
 
 @pytest.mark.parametrize("n, m, symmetric", ITERATION_CASES)
@@ -701,19 +746,32 @@ def test_iterations_equal_spgemm_reference(n, m, symmetric):
 
 
 def test_solve_builds_no_csr_operator(monkeypatch):
-    # scipy's toarray goes through tocsr, so the densified coarsest level is
-    # the one CSR that a solve makes
-    calls = []
-    for cls in (sp.coo_matrix, sp.csc_matrix, sp.csr_matrix, sp.dia_matrix):
-        def recorded(self, *args, tocsr=cls.tocsr, **kwargs):
-            calls.append((type(self).__name__, self.shape[0]))
-            return tocsr(self, *args, **kwargs)
+    # nor any other scipy.sparse object: the products, the transfers and the
+    # densified coarsest level all work on the package's own arrays. The
+    # recorder sees the CSR matrix that LinearSystem.matrix builds.
+    built = []
+    init = sp._base._spbase.__init__
 
-        monkeypatch.setattr(cls, "tocsr", recorded)
+    def recorded(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", recorded)
     for symmetric in (True, False):
         sol = solve_dirichlet(_iteration_problem(2, 65, symmetric))
         assert sol.diagnostics["residual"] <= SOLVE_RTOL
-    assert calls == [("dia_matrix", 49)] * 2  # the 7^2 coarsest level of each solve
+    assert built == []
+    assert assemble(_iteration_problem(2, 17, True)).matrix.shape == (225, 225)
+    assert "csr_matrix" in built
+
+
+def test_missing_sparse_kernels_raise_import_error(monkeypatch):
+    # no fallback: the error names the folder searched and scipy's version
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError) as err:
+        elliptic_solver._sparse_kernels()
+    assert os.path.join(os.path.dirname(scipy.__file__), "sparse") in str(err.value)
+    assert scipy.__version__ in str(err.value)
 
 
 def test_solve_peak_memory_within_table_multiple():

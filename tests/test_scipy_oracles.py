@@ -1,7 +1,8 @@
 """The package's numpy kernels against the scipy routines they replace.
 
-The package imports only ``scipy.sparse``; ``scipy.ndimage`` and
-``scipy.interpolate`` appear here as reference implementations, and every
+The package loads only scipy's compiled sparse kernels, and imports
+``scipy.sparse`` only where ``LinearSystem.matrix`` is read;
+``scipy.ndimage`` and ``scipy.interpolate`` appear here as reference implementations, and every
 comparison is bytewise.
 """
 
@@ -129,19 +130,39 @@ def test_rescale_problem_rejects_points_outside_the_box():
 
 
 def test_package_imports_no_dense_scipy_subpackages():
-    # nor scipy.sparse.linalg, also once a solve has run
+    # nor scipy.sparse, whose Python package pulls in scipy._lib._array_api
+    # and through it numpy.testing, also once solves have run: a multi-block
+    # 2-D symmetric one, a 2-D nonsymmetric one and a 3-D one. Reading
+    # LinearSystem.matrix, last, imports scipy.sparse, which must then work
+    # beside the compiled kernels the solver loaded by file.
     child = """
 import sys
 import numpy as np
 import schauderlab, schauderlab.cli_reports
+from schauderlab import elliptic_solver
 from schauderlab.domain_grid import make_grid
-from schauderlab.elliptic_solver import solve_dirichlet
-from schauderlab.generators import random_problem
-solve_dirichlet(random_problem(make_grid(2, 1.0, 33), np.random.default_rng(0)))
+from schauderlab.elliptic_solver import EllipticProblem, assemble, solve_dirichlet
+from schauderlab.generators import random_problem, trig_coefficient_field
+rng = np.random.default_rng(0)
+big = random_problem(make_grid(2, 1.0, 257), rng)
+assert 255**2 > elliptic_solver.BLOCK_ROWS  # the m = 257 operator has several row blocks
+prob = random_problem(make_grid(2, 1.0, 65), rng)
+A = trig_coefficient_field(prob.grid, rng, beta=0.2, symmetric=False)
+nonsymmetric = EllipticProblem(A=A, f=prob.f, F=prob.F, g=prob.g, p=prob.p, q=prob.q)
+methods = [solve_dirichlet(p).diagnostics["method"] for p in (big, nonsymmetric, random_problem(make_grid(3, 1.0, 17), rng))]
+assert methods == ["mg-cg", "mg-bicgstab", "mg-cg"], methods
 banned = ("ndimage", "integrate", "interpolate", "optimize", "special")
 loaded = [m for m in sys.modules if m.split(".")[:2] in [["scipy", b] for b in banned]]
-loaded += [m for m in sys.modules if m.split(".")[:3] == ["scipy", "sparse", "linalg"]]
+loaded += [m for m in ("scipy.sparse", "scipy._lib._array_api") if m in sys.modules]
 print(sorted(loaded))
+system = assemble(prob)
+x = rng.standard_normal(system.rhs.size)
+matrix = system.matrix
+assert "scipy.sparse" in sys.modules
+import scipy.sparse
+assert isinstance(matrix, scipy.sparse.csr_matrix)
+blocks = elliptic_solver._dia_blocks(system.offsets, system.table, 63)
+assert (matrix @ x).tobytes() == elliptic_solver._matvec(blocks, x).tobytes()
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
