@@ -11,11 +11,14 @@ The operator is kept as a stencil table: one weight row per offset, in the
 column layout of ``scipy.sparse.dia_matrix``. A solve applies row blocks
 of that table with scipy's compiled ``dia_matvec`` kernel, builds each
 coarser multigrid operator R A R^T from the finer table in closed form,
-one axis at a time, restricts and prolongs with ``csr_matvec`` and
-``csc_matvec`` on R's CSR arrays, and inverts the coarsest level, of at
-most COARSEST_UNKNOWNS rows, densely. The kernels are called with the
-arguments scipy's own products pass them, so every product is scipy's bit
-for bit, but ``scipy.sparse`` itself is never imported by a solve: its
+one axis at a time, and inverts the coarsest level, of at most
+COARSEST_UNKNOWNS rows, densely. It restricts and prolongs with
+``csr_matvec`` and ``csc_matvec`` block by block on one band of R's CSR
+arrays, the rows of its first few coarse slabs along axis 0: full
+weighting is the same stencil at every coarse node, so the other blocks
+read the band at an offset. The kernels are called with the arguments
+scipy's own products pass them, so every product is scipy's bit for bit,
+but ``scipy.sparse`` itself is never imported by a solve: its
 Python package pulls in numpy.testing, numpy.f2py and numpy.ma, more than
 half the modules and about a third of the memory of the import.
 ``LinearSystem.matrix``, scipy's CSR form of the operator for a caller
@@ -24,10 +27,12 @@ that asks for it, is the one place that imports ``scipy.sparse``.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -75,7 +80,8 @@ _GALERKIN_TERMS = {
 
 # Rows per block of an operator: a block's slice of the result stays in
 # cache while every diagonal adds into it. One unblocked dia_matvec is
-# slower than csr_matvec at m = 513.
+# slower than csr_matvec at m = 513. It is also the most nonzeros of the
+# band of R that _transfer_blocks keeps, unless one coarse slab has more.
 BLOCK_ROWS = 2**15
 
 
@@ -107,6 +113,17 @@ def _sparse_kernels():
 
 
 _sparsetools = _sparse_kernels()
+
+# glibc's malloc_trim(pad), which hands the free pages of the heap back to
+# the operating system; None under a C library without it. A solve frees
+# its vectors and hierarchy into the heap, and a small block allocated
+# above them during the solve keeps glibc from trimming it on its own, so
+# without this call what a process holds after a solve depends on heap
+# layout: 8 MB more after the CLI `solve` command in one layout than in
+# another.
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)
+if _MALLOC_TRIM is not None:
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = (ctypes.c_size_t,), ctypes.c_int
 
 # Screen tolerance, relative to L. A node is a candidate when its screened
 # value lies within SCREEN_TOL of the screened extreme, which misses no node
@@ -574,11 +591,11 @@ def _dense(offsets: tuple, table: np.ndarray, per_axis: int) -> np.ndarray:
     return dense
 
 
-def _restriction(per_axis: int, n: int) -> tuple:
-    """Full-weighting restriction R = P^T from (per_axis)^n interior nodes
-    to (per_axis // 2)^n, as the (indptr, indices, data) arrays of its CSR
-    form with sorted column indices. The same arrays are the CSC form of
-    the prolongation P.
+def _restriction(shape: tuple) -> tuple:
+    """Full-weighting restriction R = P^T from a grid of interior shape
+    ``shape`` to the grid of s // 2 nodes on each axis of length s, as the
+    (indptr, indices, data) arrays of its CSR form with sorted column
+    indices. The same arrays are the CSC form of the prolongation P.
 
     Coarse node c of an axis is fine node 2c + 1 and reads fine nodes 2c,
     2c + 1, 2c + 2 with weights _FULL_WEIGHTING. A row of R is the tensor
@@ -587,29 +604,105 @@ def _restriction(per_axis: int, n: int) -> tuple:
     even axis the last coarse node has no fine node 2c + 2, and those
     entries are dropped. Every weight is a power of two, so the products are
     exact. Index arithmetic runs in int32 on per-axis pieces whenever the
-    nonzeros fit.
+    nonzeros and the columns fit.
     """
-    coarse = per_axis // 2
-    rows, width = coarse**n, 3**n
-    idx_dtype = np.int32 if rows * width < 2**31 else np.int64  # rows * width >= per_axis**n
+    rows, width = math.prod(s // 2 for s in shape), 3 ** len(shape)
+    idx_dtype = np.int32 if max(rows * width, math.prod(shape)) < 2**31 else np.int64
     corner, offsets, weights = np.zeros(1, dtype=idx_dtype), np.zeros(1, dtype=idx_dtype), np.ones(1)
-    for _ in range(n):
-        corner = np.add.outer(corner * per_axis, 2 * np.arange(coarse, dtype=idx_dtype)).ravel()
-        offsets = np.add.outer(offsets * per_axis, np.arange(3, dtype=idx_dtype)).ravel()
+    for s in shape:
+        corner = np.add.outer(corner * s, 2 * np.arange(s // 2, dtype=idx_dtype)).ravel()
+        offsets = np.add.outer(offsets * s, np.arange(3, dtype=idx_dtype)).ravel()
         weights = np.multiply.outer(weights, _FULL_WEIGHTING).ravel()
     cols = np.add.outer(corner, offsets)
     data = np.broadcast_to(weights, cols.shape)
     counts = np.full(rows, width)
-    if per_axis % 2 == 0:
-        keep = np.ones(cols.shape, dtype=bool)
-        row, offset = np.arange(rows), np.arange(width)
-        for d in range(n):
-            last = (row // coarse**d) % coarse == coarse - 1
-            keep &= ~np.logical_and.outer(last, (offset // 3**d) % 3 == 2)
+    if any(s % 2 == 0 for s in shape):
+        keep = np.ones((1, 1), dtype=bool)
+        for s in shape:
+            axis_keep = np.ones((s // 2, 3), dtype=bool)
+            axis_keep[-1, 2] = s % 2 == 1
+            keep = np.logical_and.outer(keep, axis_keep).transpose(0, 2, 1, 3)
+            keep = keep.reshape(keep.shape[0] * keep.shape[1], -1)
         cols, data, counts = cols[keep], data[keep], keep.sum(axis=1)
     indptr = np.zeros(rows + 1, dtype=idx_dtype)
     np.cumsum(counts, out=indptr[1:])
     return indptr, cols.ravel(), data.ravel()
+
+
+def _transfer_blocks(per_axis: int, n: int) -> list:
+    """The full-weighting R from (per_axis)^n interior nodes to
+    (per_axis // 2)^n as blocks (fine start, columns, coarse start, rows,
+    indptr, indices, data): R's rows from coarse start on and its columns
+    from fine start on, given as the _restriction arrays of one band that
+    every block but the even-axis tail shares, not copies.
+
+    A slab is the nodes of one axis-0 index. Full weighting is the same
+    stencil at every coarse node, so the rows of coarse slabs c0 ... c0 + B
+    - 1 are those of slabs 0 ... B - 1 with every column moved by 2 c0 fine
+    slabs: the band is the rows of the first B coarse slabs, B as many as
+    fit BLOCK_ROWS nonzeros, and a shorter last block reads a prefix of
+    them. On an even axis 0 the last coarse slab has no fine slab 2c + 2;
+    it is a block of its own, the restriction of its two fine slabs.
+    """
+    coarse = per_axis // 2
+    fine_slab, coarse_slab = per_axis ** (n - 1), coarse ** (n - 1)
+    whole = coarse - 1 + per_axis % 2  # the coarse slabs that read three fine slabs
+    slabs = max(1, min(whole, BLOCK_ROWS // (3**n * coarse_slab)))
+    rest = (per_axis,) * (n - 1)
+    band = _restriction((2 * slabs + 1,) + rest)
+    blocks = []
+    for c0 in range(0, whole, slabs):
+        b = min(slabs, whole - c0)
+        blocks.append((2 * c0 * fine_slab, (2 * b + 1) * fine_slab, c0 * coarse_slab, b * coarse_slab) + band)
+    if per_axis % 2 == 0:
+        tail = _restriction((2,) + rest)
+        blocks.append((2 * whole * fine_slab, 2 * fine_slab, whole * coarse_slab, coarse_slab) + tail)
+    return blocks
+
+
+def _transfer_sizes(blocks: list) -> tuple:
+    """(fine nodes, coarse nodes) of the R whose _transfer_blocks are
+    blocks: the ends of its last block."""
+    fine_at, cols, coarse_at, rows = blocks[-1][:4]
+    return fine_at + cols, coarse_at + rows
+
+
+def _restrict(blocks: list, t: np.ndarray) -> np.ndarray:
+    """R t for the _transfer_blocks of R, as a new coarse vector.
+
+    Each block's csr_matvec adds its rows times its columns' slice of t into
+    their +0 slice of the result, the call and arguments of scipy's
+    ``R @ t`` on that block, so each coarse row sums the same weights times
+    the same values in the same order. The kernel reads and writes by the
+    sizes it is given, so t is checked against R first.
+    """
+    fine, coarse = _transfer_sizes(blocks)
+    if t.shape != (fine,):
+        raise ValueError(f"t is not a vector of R's {fine} columns")
+    e = np.zeros(coarse)
+    for fine_at, cols, coarse_at, rows, indptr, indices, data in blocks:
+        x, y = t[fine_at:fine_at + cols], e[coarse_at:coarse_at + rows]
+        _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, y)
+    return e
+
+
+def _prolong(blocks: list, e: np.ndarray) -> np.ndarray:
+    """R^T e for the _transfer_blocks of R, as a new vector of fine nodes.
+
+    Each block's csc_matvec adds into its columns' slice of the +0 result,
+    as scipy's ``R.T @ e`` does; the blocks run in increasing coarse order,
+    so every fine node, the fine slab that two blocks share included,
+    takes its coarse contributions in the order of the whole product. e is
+    checked against R's rows first.
+    """
+    fine, coarse = _transfer_sizes(blocks)
+    if e.shape != (coarse,):
+        raise ValueError(f"e is not a vector of R's {coarse} rows")
+    t = np.zeros(fine)
+    for fine_at, cols, coarse_at, rows, indptr, indices, data in blocks:
+        x, y = e[coarse_at:coarse_at + rows], t[fine_at:fine_at + cols]
+        _sparsetools.csc_matvec(cols, rows, indptr, indices, data, x, y)
+    return t
 
 
 def _coarsen_axis(offsets: tuple, table: np.ndarray, axis: int) -> tuple:
@@ -641,9 +734,10 @@ def _coarsen_axis(offsets: tuple, table: np.ndarray, axis: int) -> tuple:
 
 
 def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
-    """The coarse operator R A R^T, R = _restriction(per_axis, n), of a
-    column-layout table, in closed form one axis at a time:
-    R = R_0 R_1 ... R_{n-1}, each R_d restricting axis d alone."""
+    """The coarse operator R A R^T, R the full weighting of
+    _transfer_blocks(per_axis, n), of a column-layout table, in closed
+    form one axis at a time: R = R_0 R_1 ... R_{n-1}, each R_d restricting
+    axis d alone."""
     n = len(offsets[0])
     table = table.reshape((len(offsets),) + (per_axis,) * n)
     for axis in range(n):
@@ -652,8 +746,8 @@ def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
 
 
 def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: list) -> tuple:
-    """Galerkin levels [(A x, R, weighted inverse diagonal), ...] and the
-    dense inverse of the coarsest level, the first with at most
+    """Galerkin levels [(A x, R blocks, weighted inverse diagonal), ...]
+    and the dense inverse of the coarsest level, the first with at most
     COARSEST_UNKNOWNS unknowns. ``blocks`` are the finest level's
     _dia_blocks, which the solve builds once for its own products.
 
@@ -661,11 +755,14 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: 
     boundary is a zero neighbour); R A P with R = P^T stays symmetric when A
     is. Each level keeps its operator as a column-layout table and applies
     it through _dia_blocks; the next table is _galerkin of this one, and the
-    diagonal is the zero offset's row. R is its _restriction arrays, which
-    the V-cycle reads as R's CSR form to restrict and as P's CSC form to
-    prolong. The transfers are built anew for each solve and are freed
-    with its hierarchy: building them costs less than a millisecond at
-    m = 129, and a cache of them would outlive every solve in memory.
+    diagonal is the zero offset's row. R is its _transfer_blocks, one band
+    of R's CSR arrays and, on an even axis 0, a one-slab tail, which the
+    V-cycle reads as R's CSR form to restrict and as P's CSC form to
+    prolong. They are built anew for each solve and freed with its
+    hierarchy: a level's band holds at most about BLOCK_ROWS nonzeros
+    whatever m, and building the finest level's costs about 0.1 ms at
+    m = 513 or 1025, while a cache of the transfers would outlive every
+    solve in memory.
     """
     n = len(offsets[0])
     levels = []
@@ -673,7 +770,7 @@ def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: 
         if levels:
             blocks = _dia_blocks(offsets, table, per_axis)
         apply = partial(_matvec, blocks)
-        levels.append((apply, _restriction(per_axis, n), JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
+        levels.append((apply, _transfer_blocks(per_axis, n), JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
         offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
     return levels, _dense_inverse(_dense(offsets, table, per_axis))
@@ -684,13 +781,12 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
 
     A level holds x and one work vector t: each sweep applies the operator
     into t (see _matvec), turns it into the correction dinv (r - A x) in
-    place and adds it to x. csr_matvec restricts the residual into a new
-    coarse vector and t is freed, so the coarser levels run without it;
-    csc_matvec prolongs the coarse correction into a new fine vector, the
-    work vector of the sweeps after it. Both kernels start from +0, as
-    scipy's ``R @ t`` and ``R.T @ e`` do, and every operation keeps the
-    operands and order of x += dinv * (r - A x), so the cycle rounds as
-    that expression does.
+    place and adds it to x. _restrict makes the coarse residual from t and
+    t is freed, so the coarser levels run without it; _prolong makes the
+    fine correction from the coarse one, the work vector of the sweeps
+    after it. Both transfers round as scipy's ``R @ t`` and ``R.T @ e`` do,
+    and every operation keeps the operands and order of x += dinv * (r -
+    A x), so the cycle rounds as that expression does.
 
     The coarsest level applies its inverse with a fixed-order row sum, not
     BLAS gemv, for the reason _dot gives. Module level rather than a
@@ -699,8 +795,7 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
     """
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    apply, (indptr, indices, weights), dinv = levels[k]
-    fine, rows = r.size, indptr.size - 1
+    apply, transfer, dinv = levels[k]
     x = dinv * r
     t = None
     for _ in range(SMOOTHING_SWEEPS - 1):
@@ -710,12 +805,10 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
         x += t
     t = apply(x, t)
     np.subtract(r, t, out=t)
-    e = np.zeros(rows)
-    _sparsetools.csr_matvec(rows, fine, indptr, indices, weights, t, e)
+    e = _restrict(transfer, t)
     del t  # the coarse residual is e; the fine work vector is freed
     e = _vcycle(levels, coarse, e, k + 1)
-    t = np.zeros(fine)
-    _sparsetools.csc_matvec(fine, rows, indptr, indices, weights, e, t)
+    t = _prolong(transfer, e)
     del e
     x += t
     for _ in range(SMOOTHING_SWEEPS):
@@ -826,8 +919,22 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
 
     A geometric-multigrid V-cycle preconditions CG for symmetric operators
     and BiCGStab otherwise, capped at KRYLOV_MAXITER iterations or steps; a
-    solve that stops above SOLVE_RTOL raises SolverStagnationError.
+    solve that stops above SOLVE_RTOL raises SolverStagnationError. The
+    memory the solve freed goes back to the operating system (see
+    _MALLOC_TRIM) before the solution field is made.
     """
+    x, diagnostics = _solve_interior(problem)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    grid = problem.grid
+    full = problem.g.values.copy()
+    full[grid.interior_mask(1)] = x
+    return DiscreteSolution(u=Field(grid, full), problem=problem, diagnostics=diagnostics)
+
+
+def _solve_interior(problem: EllipticProblem) -> tuple:
+    """(interior solution, diagnostics) of solve_dirichlet; the operator,
+    hierarchy and work vectors are freed when it returns."""
     system = assemble(problem)
     grid = system.grid
     offsets, table, rhs = system.offsets, system.table, system.rhs
@@ -853,10 +960,7 @@ def solve_dirichlet(problem: EllipticProblem) -> DiscreteSolution:
             diagnostics=diagnostics,
         )
     diagnostics.update(symmetric=problem.A.is_symmetric, unknowns=rhs.size)
-
-    full = problem.g.values.copy()
-    full[grid.interior_mask(1)] = x
-    return DiscreteSolution(u=Field(grid, full), problem=problem, diagnostics=diagnostics)
+    return x, diagnostics
 
 
 def weak_residual(u: Field, problem: EllipticProblem, phi: Field) -> float:

@@ -399,8 +399,8 @@ def _nonsymmetric(prob, rng):
 def test_nonsymmetric_peak_memory_near_symmetric():
     # BiCGStab holds x, r, p, v and a scratch vector, and for one product
     # the preconditioned vector and t; CG holds x, r, p and a scratch
-    # vector. Measured 1.04; a Krylov basis that grows by one vector per
-    # iteration, as GMRES's did, reads 1.24 and fails.
+    # vector. Measured 1.05 (44.3 and 46.4 MB); a Krylov basis that grows
+    # by one vector per iteration, as GMRES's did, reads 1.24 and fails.
     rng = np.random.default_rng(0)
     sym = random_problem(make_grid(2, 1.0, 513), rng)
     peaks = []
@@ -474,10 +474,15 @@ def _kron_restriction(per_axis: int, n: int):
     return P.T.tocsr()
 
 
-def _scipy_restriction(per_axis: int, n: int):
-    """scipy's csr_matrix of the _restriction arrays."""
-    indptr, indices, data = elliptic_solver._restriction(per_axis, n)
-    return sp.csr_matrix((data, indices, indptr), shape=((per_axis // 2) ** n, per_axis**n))
+def _level_sizes(n: int, m: int) -> list:
+    """The per-axis interior sizes of the multigrid levels of a grid of m
+    nodes per axis, finest first: every size with more than
+    COARSEST_UNKNOWNS unknowns, halving."""
+    sizes, per_axis = [], m - 2
+    while per_axis**n > elliptic_solver.COARSEST_UNKNOWNS:
+        sizes.append(per_axis)
+        per_axis //= 2
+    return sizes
 
 
 def _scipy_dia(offsets: tuple, table, per_axis: int):
@@ -491,13 +496,67 @@ def _scipy_dia(offsets: tuple, table, per_axis: int):
 )
 def test_restriction_matches_kron_reference(n, sizes):
     # bit for bit, dtypes included; an even per_axis (m = 43 coarsens
-    # 41 -> 20 -> 10) has a last coarse node with no right neighbour
+    # 41 -> 20 -> 10) has a last coarse node with no right neighbour. The
+    # whole grid's _restriction is scipy's R, and each transfer block's
+    # prefix of a band is R's rows of its coarse slabs, its columns moved by
+    # the block's fine start.
     for per_axis in sizes:
-        R, ref = elliptic_solver._restriction(per_axis, n), _kron_restriction(per_axis, n)
+        ref = _kron_restriction(per_axis, n)
         assert ref.shape == ((per_axis // 2) ** n, per_axis**n), per_axis
-        for name, got in zip(("indptr", "indices", "data"), R):
+        for name, got in zip(("indptr", "indices", "data"), elliptic_solver._restriction((per_axis,) * n)):
             want = getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (per_axis, name)
+        for fine_at, cols, coarse_at, rows, indptr, indices, data in elliptic_solver._transfer_blocks(per_axis, n):
+            want, nnz = ref[coarse_at:coarse_at + rows], indptr[rows]
+            assert indices[:nnz].max() < cols, per_axis
+            assert np.array_equal(indptr[:rows + 1], want.indptr), per_axis
+            assert np.array_equal(indices[:nnz] + fine_at, want.indices), per_axis
+            assert data[:nnz].tobytes() == want.data.tobytes(), per_axis
+
+
+BAND_GRIDS = [(2, 17), (2, 45), (2, 67), (2, 131), (3, 17), (3, 19), (3, 35), (3, 43)]
+
+
+def test_banded_transfers_are_scipys_products(monkeypatch):
+    # byte for byte at every level, in bands of one, two and three coarse
+    # slabs, so that every level splits into several bands, some with a
+    # shorter last one, and an even axis 0 (2-D m = 67, 131, 3-D m = 19,
+    # 35, 43) adds its one-slab tail. t and e hold +0 and -0 too.
+    rng = np.random.default_rng(3)
+    tails = 0
+    for n, m in BAND_GRIDS:
+        for per_axis in _level_sizes(n, m):
+            R = _kron_restriction(per_axis, n)
+            for slabs in (1, 2, 3):
+                monkeypatch.setattr(elliptic_solver, "BLOCK_ROWS", slabs * 3**n * (per_axis // 2) ** (n - 1))
+                blocks = elliptic_solver._transfer_blocks(per_axis, n)
+                whole = per_axis // 2 - 1 + per_axis % 2
+                assert len(blocks) == -(-whole // slabs) + (per_axis % 2 == 0)
+                assert len(blocks) > 1 or slabs > 1  # one-slab bands split every level
+                tails += per_axis % 2 == 0
+                t, e = rng.standard_normal(R.shape[1]), rng.standard_normal(R.shape[0])
+                t[::5], t[1::7], e[::5], e[1::7] = 0.0, -0.0, 0.0, -0.0
+                got = elliptic_solver._restrict(blocks, t)
+                assert got.tobytes() == (R @ t).tobytes(), (n, m, per_axis, slabs)
+                got = elliptic_solver._prolong(blocks, e)
+                assert got.tobytes() == (R.T @ e).tobytes(), (n, m, per_axis, slabs)
+                for transfer, short in ((elliptic_solver._restrict, t[:-1]), (elliptic_solver._prolong, e[:-1])):
+                    with pytest.raises(ValueError):
+                        transfer(blocks, short)
+    assert tails == 3 * 10  # 2-D 32 and 16 of m = 67, 64 to 16 of 131; 3-D 8, 16, 8, 20, 10
+
+
+@pytest.mark.parametrize("n, m", BAND_GRIDS)
+def test_solve_in_small_bands_is_the_solve(monkeypatch, n, m):
+    # 1 000-row operator blocks and bands of a few coarse slabs, with the
+    # even-axis tails, give the unpatched solution's bytes
+    probs = [_stencil_problem(n, m, "symmetric"), _stencil_problem(n, m, "nonsymmetric")]
+    want = [solve_dirichlet(prob) for prob in probs]
+    monkeypatch.setattr(elliptic_solver, "BLOCK_ROWS", 1000)
+    for prob, ref in zip(probs, want):
+        sol = solve_dirichlet(prob)
+        assert sol.diagnostics == ref.diagnostics
+        assert sol.u.values.tobytes() == ref.u.values.tobytes()
 
 
 def _stencil_problem(n, m, kind):
@@ -554,18 +613,18 @@ def test_matvec_into_a_callers_vector_is_the_dia_product(n, m):
             elliptic_solver._matvec(blocks, *short)
 
 
-def _reference_vcycle(levels, coarse, r, k=0):
+def _reference_vcycle(levels, restrictions, coarse, r, k=0):
     """The V-cycle written as the expression x += dinv * (r - A x), each
     sweep making its vectors anew, with the transfers as scipy's products
-    of R's csr_matrix and its transpose."""
+    of each level's restriction R, a csr_matrix, and its transpose."""
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    apply, (indptr, indices, data), dinv = levels[k]
-    R = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, r.size))
+    apply, _, dinv = levels[k]
+    R = restrictions[k]
     x = dinv * r
     for _ in range(elliptic_solver.SMOOTHING_SWEEPS - 1):
         x += dinv * (r - apply(x))
-    x += R.T @ _reference_vcycle(levels, coarse, R @ (r - apply(x)), k + 1)
+    x += R.T @ _reference_vcycle(levels, restrictions, coarse, R @ (r - apply(x)), k + 1)
     for _ in range(elliptic_solver.SMOOTHING_SWEEPS):
         x += dinv * (r - apply(x))
     return x
@@ -573,13 +632,16 @@ def _reference_vcycle(levels, coarse, r, k=0):
 
 @pytest.mark.parametrize("n, m", [(2, 65), (2, 257), (3, 33)])
 def test_vcycle_in_work_vectors_rounds_as_the_expression(n, m):
-    # 2-D m = 257 has two blocks on its finest level
+    # 2-D m = 257 has two blocks on its finest level; the restrictions of
+    # the reference are scipy's, built apart from the solver's transfers
     system = assemble(_stencil_problem(n, m, "nonsymmetric"))
     blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
     levels, coarse = elliptic_solver._multigrid_levels(system.offsets, system.table, m - 2, blocks)
+    restrictions = [_kron_restriction(per_axis, n) for per_axis in _level_sizes(n, m)]
+    assert len(restrictions) == len(levels)
     r = np.random.default_rng(2).standard_normal(system.rhs.size)
     got = elliptic_solver._vcycle(levels, coarse, r)
-    assert got.tobytes() == _reference_vcycle(levels, coarse, r).tobytes()
+    assert got.tobytes() == _reference_vcycle(levels, restrictions, coarse, r).tobytes()
 
 
 def _reference_cg(apply, rhs, pre, tol):
@@ -648,12 +710,14 @@ def _csr_product(matrix, x, out=None):
 
 def _spgemm_levels(matrix, per_axis: int, n: int) -> tuple:
     """The Galerkin hierarchy as sparse products build it: levels
-    [(A x, R arrays, weighted inverse diagonal), ...] and the coarsest
-    operator, with R A R^T formed as (R @ A) @ R.T."""
+    [(A x, R blocks, weighted inverse diagonal), ...] and the coarsest
+    operator, with R scipy's restriction, one transfer block of all its
+    rows, and R A R^T formed as (R @ A) @ R.T."""
     levels = []
     while matrix.shape[0] > elliptic_solver.COARSEST_UNKNOWNS:
-        R = _scipy_restriction(per_axis, n)
-        levels.append((partial(_csr_product, matrix), (R.indptr, R.indices, R.data), elliptic_solver.JACOBI_WEIGHT / matrix.diagonal()))
+        R = _kron_restriction(per_axis, n)
+        transfer = [(0, R.shape[1], 0, R.shape[0], R.indptr, R.indices, R.data)]
+        levels.append((partial(_csr_product, matrix), transfer, elliptic_solver.JACOBI_WEIGHT / matrix.diagonal()))
         matrix = R @ matrix @ R.T
         per_axis //= 2
     return levels, matrix
@@ -777,11 +841,12 @@ def test_missing_sparse_kernels_raise_import_error(monkeypatch):
 def test_solve_peak_memory_within_table_multiple():
     # The peak of a 2-D m = 257 nonsymmetric solve holds the operator table,
     # the rhs, the hierarchy, BiCGStab's x, r, p, v and scratch vector, and
-    # two vectors of a half step: 2.65 times the table and rhs bytes,
-    # whatever the step count. A 10-vector GMRES basis reads 3.15 times and
-    # transient copies in the products and the sweeps 3.50; a CSR copy of
-    # the operator and an R @ A intermediate, as the sparse-product
-    # hierarchy held, add 0.64.
+    # two vectors of a half step: 2.34 times the table and rhs bytes,
+    # whatever the step count; the bound leaves 0.11 of margin. The whole
+    # CSR restriction of every level, in place of one band, reads 2.62
+    # times, a 10-vector GMRES basis 3.15 and transient copies in the
+    # products and the sweeps 3.50; a CSR copy of the operator and an R @ A
+    # intermediate, as the sparse-product hierarchy held, add 0.64.
     rng = np.random.default_rng(0)
     prob = _nonsymmetric(random_problem(make_grid(2, 1.0, 257), rng), rng)
     system = assemble(prob)
@@ -793,7 +858,17 @@ def test_solve_peak_memory_within_table_multiple():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8 * held, f"peak {peak / 1e6:.1f} MB = {peak / held:.2f} x table and rhs"
+    assert peak <= 2.45 * held, f"peak {peak / 1e6:.1f} MB = {peak / held:.2f} x table and rhs"
+
+
+def test_transfers_take_the_same_few_bands_at_any_size():
+    # every level's transfer blocks share one band of at most about
+    # BLOCK_ROWS nonzeros, plus an even axis's one-slab tail: 1.74 MB over
+    # all levels of 2-D m = 1025, where the whole CSR restrictions take
+    # 38.9 MB
+    transfers = [elliptic_solver._transfer_blocks(per_axis, 2) for per_axis in _level_sizes(2, 1025)]
+    held = {id(a): a.nbytes for blocks in transfers for block in blocks for a in block[4:]}
+    assert sum(held.values()) < 2e6, sum(held.values())
 
 
 def test_nonsymmetric_peak_independent_of_step_count(monkeypatch):
@@ -819,8 +894,8 @@ def test_nonsymmetric_peak_independent_of_step_count(monkeypatch):
 
 def test_solve_leaves_no_memory_behind():
     # The hierarchy, transfer operators included, is built for each solve
-    # and freed with it; a cache of the m = 129 operators would hold over
-    # 400 kB. The warm-up solve at m = 33 makes any first-call allocations.
+    # and freed with it; a cache of the m = 129 transfers would hold 540 kB.
+    # The warm-up solve at m = 33 makes any first-call allocations.
     solve_dirichlet(random_problem(make_grid(2, 1.0, 33), np.random.default_rng(1)))
     prob = random_problem(make_grid(2, 1.0, 129), np.random.default_rng(2))
     tracemalloc.start()
@@ -833,6 +908,35 @@ def test_solve_leaves_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert left <= 20e3, left
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or elliptic_solver._MALLOC_TRIM is None,
+                    reason="reads VmRSS under glibc")
+def test_solve_returns_its_freed_memory():
+    # A solve's vectors and hierarchy go back to the system when it returns,
+    # whatever the heap layout: after 2-D m = 65, 129 and 257 solves the
+    # resident set is within 3 MB of that before them (measured 1.6 MB);
+    # left to glibc's own trimming, 5.4 MB stayed. In a child, so that no
+    # other test's heap is measured.
+    child = """
+import numpy as np
+from schauderlab.domain_grid import make_grid
+from schauderlab.elliptic_solver import solve_dirichlet
+from schauderlab.generators import random_problem
+def rss():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS")) * 1024
+probs = [random_problem(make_grid(2, 1.0, m), np.random.default_rng(m)) for m in (65, 129, 257)]
+solve_dirichlet(probs[0])
+before = rss()
+for prob in probs:
+    solve_dirichlet(prob)
+print(rss() - before)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 3e6, done.stdout
 
 
 def test_solve_builds_each_levels_dia_blocks_once(monkeypatch):
