@@ -8,21 +8,22 @@ assembled operator is symmetric to machine precision and summation-by-parts
 identities survive discretization up to O(h).
 
 The operator is kept as a stencil table: one weight row per offset, in the
-column layout of ``scipy.sparse.dia_matrix``. A solve applies row blocks
-of that table with scipy's compiled ``dia_matvec`` kernel, builds each
-coarser multigrid operator R A R^T from the finer table in closed form,
-one axis at a time, and inverts the coarsest level, of at most
-COARSEST_UNKNOWNS rows, densely. It restricts and prolongs with
-``csr_matvec`` and ``csc_matvec`` block by block on one band of R's CSR
-arrays, the rows of its first few coarse slabs along axis 0: full
-weighting is the same stencil at every coarse node, so the other blocks
-read the band at an offset. The kernels are called with the arguments
-scipy's own products pass them, so every product is scipy's bit for bit,
-but ``scipy.sparse`` itself is never imported by a solve: its
-Python package pulls in numpy.testing, numpy.f2py and numpy.ma, more than
-half the modules and about a third of the memory of the import.
-``LinearSystem.matrix``, scipy's CSR form of the operator for a caller
-that asks for it, is the one place that imports ``scipy.sparse``.
+column layout of ``scipy.sparse.dia_matrix``. A solve builds each coarser
+multigrid operator R A R^T from the finer table in closed form, one axis
+at a time, and inverts the coarsest level, of at most COARSEST_UNKNOWNS
+rows, densely, from scipy's ``dia_matrix @ I``. Every other product runs
+through one loop, _apply, of scipy's compiled kernels: ``dia_matvec`` on
+row blocks of the table, and ``csr_matvec`` and ``csc_matvec`` to
+restrict and prolong on one band of R's CSR arrays, the rows of its first
+few coarse slabs along axis 0: full weighting is the same stencil at
+every coarse node, so the other blocks read the band at an offset. The
+kernels are called with the arguments scipy's own products pass them, so
+every product is scipy's bit for bit, but ``scipy.sparse`` itself is
+never imported by a solve: its Python package pulls in numpy.testing,
+numpy.f2py and numpy.ma, more than half the modules and about a third of
+the memory of the import. ``LinearSystem.matrix``, scipy's CSR form of
+the operator for a caller that asks for it, is the one place that imports
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ _GALERKIN_TERMS = {
 # Rows per block of an operator: a block's slice of the result stays in
 # cache while every diagonal adds into it. One unblocked dia_matvec is
 # slower than csr_matvec at m = 513. It is also the most nonzeros of the
-# band of R that _transfer_blocks keeps, unless one coarse slab has more.
+# band of R that _transfers keeps, unless one coarse slab has more.
 BLOCK_ROWS = 2**15
 
 
@@ -532,62 +533,63 @@ def _dia(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
     return shifts.astype(np.int32 if size <= np.iinfo(np.int32).max else np.int64), data
 
 
-def _dia_blocks(offsets: tuple, table: np.ndarray, per_axis: int) -> list:
-    """The operator of a column-layout table as row blocks (start, rows,
-    offsets, data) of at most BLOCK_ROWS rows: rows start .. start + rows
-    of the _dia diagonals, whose offsets are the shifts plus start and
-    whose data is the whole table, not a copy.
+def _apply(product: tuple, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sparse product (kernel, columns, rows, calls) of x, written into
+    out, or into a new vector when out is None.
 
-    A product with all blocks is the CSR product bit for bit: each row sums
-    the same weights in the same increasing-column order, and the extra
-    zero weights add +0 to a partial sum that starts at +0 and so is never
-    -0.
+    Each call (x slice, out slice, arrays) passes the kernel len(out
+    slice), len(x slice), *arrays, x slice and out slice, the argument
+    order dia_matvec, csr_matvec and csc_matvec share, and the kernel adds
+    into the call's rows of out. Those rows are first set to +0 from the
+    end of the previous call's rows on, so rows that two calls share are
+    zeroed once and take both calls' terms, in call order. out is the one
+    vector of the product. The kernels read and write by the sizes they
+    are given, so x and out are checked against the product first.
     """
-    shifts, data = _dia(offsets, table, per_axis)
-    size = table.shape[1]
-    return [
-        (start, min(BLOCK_ROWS, size - start), shifts + start, data)
-        for start in range(0, size, BLOCK_ROWS)
-    ]
-
-
-def _matvec(blocks: list, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The product with x of the operator whose row blocks are blocks,
-    written into out, or into a new vector when out is None.
-
-    Each block's rows of out are set to +0 and dia_matvec adds the block's
-    diagonals into them, the call and the arguments of scipy's
-    ``dia_matrix @ x``, so the product is scipy's bit for bit. out is the
-    one N-vector of the product; no block makes a vector of its own. The
-    kernel reads and writes by the sizes it is given, so x and out are
-    checked against the table's first.
-    """
-    size = blocks[0][3].shape[1]
-    if x.shape != (size,) or out is not None and out.shape != (size,):
-        raise ValueError(f"x or out is not a vector of the operator's {size} columns")
+    kernel, columns, rows, calls = product
+    if x.shape != (columns,) or out is not None and out.shape != (rows,):
+        raise ValueError(f"x or out is not a vector of the product's {columns} columns or {rows} rows")
     if out is None:
-        out = np.empty(size)
-    for start, rows, offsets, data in blocks:
-        y = out[start:start + rows]
-        y.fill(0.0)
-        _sparsetools.dia_matvec(rows, size, offsets.size, size, offsets, data, x, y)
+        out = np.empty(rows)
+    end = 0
+    for x_slice, out_slice, arrays in calls:
+        out[max(end, out_slice.start):out_slice.stop].fill(0.0)
+        end = out_slice.stop
+        x_part, y = x[x_slice], out[out_slice]
+        kernel(y.size, x_part.size, *arrays, x_part, y)
     return out
 
 
+def _operator(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
+    """The operator of a column-layout table as a product for _apply: one
+    dia_matvec call per row block of at most BLOCK_ROWS rows, on rows start
+    .. start + rows of the _dia diagonals, whose offsets are the shifts plus
+    start and whose data is the whole table, not a copy.
+
+    The product is scipy's ``dia_matrix @ x`` bit for bit, and the CSR
+    product too: each row sums the same weights in the same increasing-column
+    order, and the extra zero weights add +0 to a partial sum that starts at
+    +0 and so is never -0.
+    """
+    shifts, data = _dia(offsets, table, per_axis)
+    size = table.shape[1]
+    calls = [
+        (slice(0, size), slice(start, min(start + BLOCK_ROWS, size)), (shifts.size, size, shifts + start, data))
+        for start in range(0, size, BLOCK_ROWS)
+    ]
+    return _sparsetools.dia_matvec, size, size, calls
+
+
 def _dense(offsets: tuple, table: np.ndarray, per_axis: int) -> np.ndarray:
-    """The operator of a column-layout table as a dense array: each
-    offset's weights scattered into zeros at (column - shift, column), for
-    the columns whose row is in range; the other columns hold 0. It equals
-    scipy's ``dia_matrix.toarray()`` of the _dia diagonals bit for bit: an
-    entry is +0 plus its one weight, whatever other offsets share its
-    shift, since those hold 0 there."""
+    """The operator of a column-layout table as a dense array: scipy's
+    ``dia_matrix @ I`` of the _dia diagonals, one dia_matvecs call on the
+    identity. An entry is +0 plus its one weight, plus zero weights that
+    leave it as it is, so it equals scipy's ``dia_matrix.toarray()`` bit
+    for bit."""
+    shifts, data = _dia(offsets, table, per_axis)
     size = table.shape[1]
     dense = np.zeros((size, size))
-    cols = np.arange(size)
-    for offset, weights in zip(offsets, table):
-        shift = _flat_shift(offset, per_axis)
-        reach = cols[max(shift, 0):size + min(shift, 0)]
-        dense[reach - shift, reach] += weights[reach]
+    _sparsetools.dia_matvecs(size, size, *data.shape, shifts, data, size, np.eye(size), dense)
     return dense
 
 
@@ -629,20 +631,24 @@ def _restriction(shape: tuple) -> tuple:
     return indptr, cols.ravel(), data.ravel()
 
 
-def _transfer_blocks(per_axis: int, n: int) -> list:
+def _transfers(per_axis: int, n: int) -> tuple:
     """The full-weighting R from (per_axis)^n interior nodes to
-    (per_axis // 2)^n as blocks (fine start, columns, coarse start, rows,
-    indptr, indices, data): R's rows from coarse start on and its columns
-    from fine start on, given as the _restriction arrays of one band that
-    every block but the even-axis tail shares, not copies.
+    (per_axis // 2)^n and R^T, as two products for _apply on the same
+    arrays: csr_matvec calls that restrict R's columns from a fine start
+    into its rows from a coarse start, and csc_matvec calls, which read the
+    same arrays as P = R^T in CSC form, that prolong back in increasing
+    coarse order. Each call reads the _restriction arrays of one band that
+    every call but the even-axis tail shares, not copies.
 
     A slab is the nodes of one axis-0 index. Full weighting is the same
     stencil at every coarse node, so the rows of coarse slabs c0 ... c0 + B
     - 1 are those of slabs 0 ... B - 1 with every column moved by 2 c0 fine
     slabs: the band is the rows of the first B coarse slabs, B as many as
-    fit BLOCK_ROWS nonzeros, and a shorter last block reads a prefix of
+    fit BLOCK_ROWS nonzeros, and a shorter last call reads a prefix of
     them. On an even axis 0 the last coarse slab has no fine slab 2c + 2;
-    it is a block of its own, the restriction of its two fine slabs.
+    it is a call of its own, on the restriction of its two fine slabs.
+    Consecutive calls share one fine slab, so each fine node of R^T e takes
+    its coarse terms in the order of scipy's ``R.T @ e``.
     """
     coarse = per_axis // 2
     fine_slab, coarse_slab = per_axis ** (n - 1), coarse ** (n - 1)
@@ -650,59 +656,17 @@ def _transfer_blocks(per_axis: int, n: int) -> list:
     slabs = max(1, min(whole, BLOCK_ROWS // (3**n * coarse_slab)))
     rest = (per_axis,) * (n - 1)
     band = _restriction((2 * slabs + 1,) + rest)
-    blocks = []
+    calls = []
     for c0 in range(0, whole, slabs):
-        b = min(slabs, whole - c0)
-        blocks.append((2 * c0 * fine_slab, (2 * b + 1) * fine_slab, c0 * coarse_slab, b * coarse_slab) + band)
+        c1 = min(c0 + slabs, whole)
+        fine = slice(2 * c0 * fine_slab, (2 * c1 + 1) * fine_slab)
+        calls.append((fine, slice(c0 * coarse_slab, c1 * coarse_slab), band))
     if per_axis % 2 == 0:
-        tail = _restriction((2,) + rest)
-        blocks.append((2 * whole * fine_slab, 2 * fine_slab, whole * coarse_slab, coarse_slab) + tail)
-    return blocks
-
-
-def _transfer_sizes(blocks: list) -> tuple:
-    """(fine nodes, coarse nodes) of the R whose _transfer_blocks are
-    blocks: the ends of its last block."""
-    fine_at, cols, coarse_at, rows = blocks[-1][:4]
-    return fine_at + cols, coarse_at + rows
-
-
-def _restrict(blocks: list, t: np.ndarray) -> np.ndarray:
-    """R t for the _transfer_blocks of R, as a new coarse vector.
-
-    Each block's csr_matvec adds its rows times its columns' slice of t into
-    their +0 slice of the result, the call and arguments of scipy's
-    ``R @ t`` on that block, so each coarse row sums the same weights times
-    the same values in the same order. The kernel reads and writes by the
-    sizes it is given, so t is checked against R first.
-    """
-    fine, coarse = _transfer_sizes(blocks)
-    if t.shape != (fine,):
-        raise ValueError(f"t is not a vector of R's {fine} columns")
-    e = np.zeros(coarse)
-    for fine_at, cols, coarse_at, rows, indptr, indices, data in blocks:
-        x, y = t[fine_at:fine_at + cols], e[coarse_at:coarse_at + rows]
-        _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, y)
-    return e
-
-
-def _prolong(blocks: list, e: np.ndarray) -> np.ndarray:
-    """R^T e for the _transfer_blocks of R, as a new vector of fine nodes.
-
-    Each block's csc_matvec adds into its columns' slice of the +0 result,
-    as scipy's ``R.T @ e`` does; the blocks run in increasing coarse order,
-    so every fine node, the fine slab that two blocks share included,
-    takes its coarse contributions in the order of the whole product. e is
-    checked against R's rows first.
-    """
-    fine, coarse = _transfer_sizes(blocks)
-    if e.shape != (coarse,):
-        raise ValueError(f"e is not a vector of R's {coarse} rows")
-    t = np.zeros(fine)
-    for fine_at, cols, coarse_at, rows, indptr, indices, data in blocks:
-        x, y = e[coarse_at:coarse_at + rows], t[fine_at:fine_at + cols]
-        _sparsetools.csc_matvec(cols, rows, indptr, indices, data, x, y)
-    return t
+        fine = slice(2 * whole * fine_slab, per_axis * fine_slab)
+        calls.append((fine, slice(whole * coarse_slab, coarse * coarse_slab), _restriction((2,) + rest)))
+    restrict = (_sparsetools.csr_matvec, per_axis**n, coarse**n, calls)
+    prolong = (_sparsetools.csc_matvec, coarse**n, per_axis**n, [(c, f, arrays) for f, c, arrays in calls])
+    return restrict, prolong
 
 
 def _coarsen_axis(offsets: tuple, table: np.ndarray, axis: int) -> tuple:
@@ -735,7 +699,7 @@ def _coarsen_axis(offsets: tuple, table: np.ndarray, axis: int) -> tuple:
 
 def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
     """The coarse operator R A R^T, R the full weighting of
-    _transfer_blocks(per_axis, n), of a column-layout table, in closed
+    _transfers(per_axis, n), of a column-layout table, in closed
     form one axis at a time: R = R_0 R_1 ... R_{n-1}, each R_d restricting
     axis d alone."""
     n = len(offsets[0])
@@ -745,32 +709,30 @@ def _galerkin(offsets: tuple, table: np.ndarray, per_axis: int) -> tuple:
     return offsets, table.reshape(len(offsets), -1)
 
 
-def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, blocks: list) -> tuple:
-    """Galerkin levels [(A x, R blocks, weighted inverse diagonal), ...]
-    and the dense inverse of the coarsest level, the first with at most
-    COARSEST_UNKNOWNS unknowns. ``blocks`` are the finest level's
-    _dia_blocks, which the solve builds once for its own products.
+def _multigrid_levels(offsets: tuple, table: np.ndarray, per_axis: int, operator: tuple) -> tuple:
+    """Galerkin levels [(A, R, R^T, weighted inverse diagonal), ...], each
+    of A, R and R^T a product for _apply, and the dense inverse of the
+    coarsest level, the first with at most COARSEST_UNKNOWNS unknowns.
+    ``operator`` is the finest level's _operator, which the solve builds
+    once for its own products.
 
     P interpolates linearly from every other interior node on each axis (the
     boundary is a zero neighbour); R A P with R = P^T stays symmetric when A
     is. Each level keeps its operator as a column-layout table and applies
-    it through _dia_blocks; the next table is _galerkin of this one, and the
-    diagonal is the zero offset's row. R is its _transfer_blocks, one band
-    of R's CSR arrays and, on an even axis 0, a one-slab tail, which the
-    V-cycle reads as R's CSR form to restrict and as P's CSC form to
-    prolong. They are built anew for each solve and freed with its
-    hierarchy: a level's band holds at most about BLOCK_ROWS nonzeros
-    whatever m, and building the finest level's costs about 0.1 ms at
-    m = 513 or 1025, while a cache of the transfers would outlive every
-    solve in memory.
+    it through _operator; the next table is _galerkin of this one, and the
+    diagonal is the zero offset's row. R and R^T are its _transfers, which
+    read one band of R's CSR arrays and, on an even axis 0, a one-slab
+    tail. They are built anew for each solve and freed with its hierarchy:
+    a level's band holds at most about BLOCK_ROWS nonzeros whatever m, and
+    building the finest level's costs about 0.1 ms at m = 513 or 1025,
+    while a cache of the transfers would outlive every solve in memory.
     """
     n = len(offsets[0])
     levels = []
     while table.shape[1] > COARSEST_UNKNOWNS:
         if levels:
-            blocks = _dia_blocks(offsets, table, per_axis)
-        apply = partial(_matvec, blocks)
-        levels.append((apply, _transfer_blocks(per_axis, n), JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
+            operator = _operator(offsets, table, per_axis)
+        levels.append((operator, *_transfers(per_axis, n), JACOBI_WEIGHT / table[offsets.index((0,) * n)]))
         offsets, table = _galerkin(offsets, table, per_axis)
         per_axis //= 2
     return levels, _dense_inverse(_dense(offsets, table, per_axis))
@@ -780,11 +742,11 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
     """One V-cycle for levels[k] x = r from x = 0; symmetric, as CG needs.
 
     A level holds x and one work vector t: each sweep applies the operator
-    into t (see _matvec), turns it into the correction dinv (r - A x) in
-    place and adds it to x. _restrict makes the coarse residual from t and
-    t is freed, so the coarser levels run without it; _prolong makes the
-    fine correction from the coarse one, the work vector of the sweeps
-    after it. Both transfers round as scipy's ``R @ t`` and ``R.T @ e`` do,
+    into t (see _apply), turns it into the correction dinv (r - A x) in
+    place and adds it to x. R makes the coarse residual from t and t is
+    freed, so the coarser levels run without it; R^T makes the fine
+    correction from the coarse one, the work vector of the sweeps after
+    it. Both transfers round as scipy's ``R @ t`` and ``R.T @ e`` do,
     and every operation keeps the operands and order of x += dinv * (r -
     A x), so the cycle rounds as that expression does.
 
@@ -795,24 +757,24 @@ def _vcycle(levels: list, coarse: np.ndarray, r: np.ndarray, k: int = 0) -> np.n
     """
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    apply, transfer, dinv = levels[k]
+    A, R, RT, dinv = levels[k]
     x = dinv * r
     t = None
     for _ in range(SMOOTHING_SWEEPS - 1):
-        t = apply(x, t)
+        t = _apply(A, x, t)
         np.subtract(r, t, out=t)
         t *= dinv
         x += t
-    t = apply(x, t)
+    t = _apply(A, x, t)
     np.subtract(r, t, out=t)
-    e = _restrict(transfer, t)
+    e = _apply(R, t)
     del t  # the coarse residual is e; the fine work vector is freed
     e = _vcycle(levels, coarse, e, k + 1)
-    t = _prolong(transfer, e)
+    t = _apply(RT, e)
     del e
     x += t
     for _ in range(SMOOTHING_SWEEPS):
-        t = apply(x, t)
+        t = _apply(A, x, t)
         np.subtract(r, t, out=t)
         t *= dinv
         x += t
@@ -872,7 +834,7 @@ def _bicgstab(apply, rhs: np.ndarray, pre, tol: float) -> tuple:
 
     The shadow residual is rhs itself, read only. Between steps it holds x,
     r, p, v and one scratch vector, in which every dot product and scaled
-    update is formed; apply writes v in place (see _matvec), and each
+    update is formed; apply writes v in place (see _apply), and each
     preconditioned vector and t are dropped once read. A zero rho, (rhs, v)
     or omega would divide by zero, so the loop stops there and the caller's
     residual test rejects the iterate.
@@ -938,12 +900,12 @@ def _solve_interior(problem: EllipticProblem) -> tuple:
     system = assemble(problem)
     grid = system.grid
     offsets, table, rhs = system.offsets, system.table, system.rhs
-    blocks = _dia_blocks(offsets, table, grid.m - 2)
-    apply = partial(_matvec, blocks)
+    operator = _operator(offsets, table, grid.m - 2)
+    apply = partial(_apply, operator)
     method = "mg-cg" if problem.A.is_symmetric else "mg-bicgstab"
     bnorm = _norm(rhs)
     if bnorm > 0.0:
-        levels, coarse = _multigrid_levels(offsets, table, grid.m - 2, blocks)
+        levels, coarse = _multigrid_levels(offsets, table, grid.m - 2, operator)
         krylov = _cg if problem.A.is_symmetric else _bicgstab
         x, iterations = krylov(apply, rhs, lambda r: _vcycle(levels, coarse, r), KRYLOV_RTOL * bnorm)
         del levels, coarse  # the hierarchy goes before the residual and the output field

@@ -26,7 +26,6 @@ from .elliptic_solver import (
     EllipticProblem,
     require_admissible,
     solve_dirichlet,
-    weak_residual,
 )
 from .errors import (
     DataRegularityMissingError,
@@ -34,12 +33,10 @@ from .errors import (
     InadmissibleExponentsError,
     InsufficientShellsError,
     NoBlowupPairError,
-    SupportViolationError,
 )
 from .field_calculus import (
     Field,
     VecField,
-    _band_clear,
     central_difference,
     gradient,
     mollifier_weights,
@@ -193,32 +190,6 @@ def _differentiated_source(A: CoefficientField, i: int, grad_u: np.ndarray, f: F
         dF = central_difference(F.component(b), i)
         source[b] += dF.values
     return source, dF.valid
-
-
-def derivative_equation_residual(sol: DiscreteSolution, i: int, phi: Field) -> float:
-    """Weak residual of the differentiated equation for u_i = d_i u:
-    |sum A grad u_i . grad phi + sum (d_i A grad u + f e_i + d_i F) . grad phi| h^n.
-
-    The f e_i term realizes d_i f = div(f e_i) and vanishes when f = 0.
-    This is ``weak_residual`` of u_i for f = 0 and F = the source.
-    phi must vanish on a 3-node boundary band (all derivative stencils then
-    see only valid nodes where phi is live). O(h) for smooth data.
-
-    No command calls this; it stays as the only check on
-    ``_differentiated_source``, whose source terms ``bootstrap_ckalpha``
-    reads and no other test pins.
-    """
-    prob = sol.problem
-    if prob.A.lipschitz_bound is None:
-        raise DataRegularityMissingError("differentiated equation needs Lipschitz A")
-    if "F_lipschitz" not in prob.certificates and np.abs(prob.F.components).max() > 0:
-        raise DataRegularityMissingError("differentiated equation needs differentiable F")
-    if not _band_clear(phi, 3):
-        raise SupportViolationError("phi must vanish on the outer three node layers")
-    source, valid = _differentiated_source(prob.A, i, gradient(sol.u).components, prob.f, prob.F)
-    zero = Field.zeros(sol.grid)
-    differentiated = EllipticProblem(prob.A, zero, VecField(sol.grid, source, valid), zero)
-    return weak_residual(central_difference(sol.u, i), differentiated, phi)
 
 
 @dataclass

@@ -601,6 +601,17 @@ def test_one_log_slope_and_one_shell_scan_in_src():
         assert inspect.getsource(owner).count(needle) == 1, owner.__name__
 
 
+def test_one_sparse_product_loop_in_src():
+    # every sparse product of a solve runs through _apply, the one place
+    # that calls a kernel; the only other compiled kernel call is _dense's
+    # dia_matvecs, scipy's dia_matrix @ I
+    src = "".join(p.read_text() for p in sorted(Path(norm_engine.__file__).parent.glob("*.py")))
+    needle = "kernel("
+    assert src.count(needle) == inspect.getsource(elliptic_solver._apply).count(needle) == 1
+    assert re.findall(r"_sparsetools\.(\w+)\(", src) == ["dia_matvecs"]
+    assert "_sparsetools.dia_matvecs(" in inspect.getsource(elliptic_solver._dense)
+
+
 def test_verdict_failure_sets_exit_flag():
     verdict = Verdict(("alpha", "beta"))
     verdict.ok("alpha", True, "fine")

@@ -497,17 +497,23 @@ def _scipy_dia(offsets: tuple, table, per_axis: int):
 def test_restriction_matches_kron_reference(n, sizes):
     # bit for bit, dtypes included; an even per_axis (m = 43 coarsens
     # 41 -> 20 -> 10) has a last coarse node with no right neighbour. The
-    # whole grid's _restriction is scipy's R, and each transfer block's
+    # whole grid's _restriction is scipy's R, and each restriction call's
     # prefix of a band is R's rows of its coarse slabs, its columns moved by
-    # the block's fine start.
+    # the call's fine start. The prolongation makes the same calls with the
+    # slices swapped.
     for per_axis in sizes:
         ref = _kron_restriction(per_axis, n)
         assert ref.shape == ((per_axis // 2) ** n, per_axis**n), per_axis
         for name, got in zip(("indptr", "indices", "data"), elliptic_solver._restriction((per_axis,) * n)):
             want = getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (per_axis, name)
-        for fine_at, cols, coarse_at, rows, indptr, indices, data in elliptic_solver._transfer_blocks(per_axis, n):
-            want, nnz = ref[coarse_at:coarse_at + rows], indptr[rows]
+        restrict, prolong = elliptic_solver._transfers(per_axis, n)
+        assert restrict[1:3] == ref.shape[::-1] and prolong[1:3] == ref.shape
+        assert [(c, f, a) for f, c, a in restrict[3]] == prolong[3]
+        for fine, coarse, (indptr, indices, data) in restrict[3]:
+            fine_at, cols = fine.start, fine.stop - fine.start
+            want, rows = ref[coarse], coarse.stop - coarse.start
+            nnz = indptr[rows]
             assert indices[:nnz].max() < cols, per_axis
             assert np.array_equal(indptr[:rows + 1], want.indptr), per_axis
             assert np.array_equal(indices[:nnz] + fine_at, want.indices), per_axis
@@ -529,21 +535,62 @@ def test_banded_transfers_are_scipys_products(monkeypatch):
             R = _kron_restriction(per_axis, n)
             for slabs in (1, 2, 3):
                 monkeypatch.setattr(elliptic_solver, "BLOCK_ROWS", slabs * 3**n * (per_axis // 2) ** (n - 1))
-                blocks = elliptic_solver._transfer_blocks(per_axis, n)
+                restrict, prolong = elliptic_solver._transfers(per_axis, n)
+                calls = restrict[3]
                 whole = per_axis // 2 - 1 + per_axis % 2
-                assert len(blocks) == -(-whole // slabs) + (per_axis % 2 == 0)
-                assert len(blocks) > 1 or slabs > 1  # one-slab bands split every level
+                assert len(calls) == -(-whole // slabs) + (per_axis % 2 == 0)
+                assert len(calls) > 1 or slabs > 1  # one-slab bands split every level
                 tails += per_axis % 2 == 0
                 t, e = rng.standard_normal(R.shape[1]), rng.standard_normal(R.shape[0])
                 t[::5], t[1::7], e[::5], e[1::7] = 0.0, -0.0, 0.0, -0.0
-                got = elliptic_solver._restrict(blocks, t)
+                got = elliptic_solver._apply(restrict, t)
                 assert got.tobytes() == (R @ t).tobytes(), (n, m, per_axis, slabs)
-                got = elliptic_solver._prolong(blocks, e)
+                got = elliptic_solver._apply(prolong, e)
                 assert got.tobytes() == (R.T @ e).tobytes(), (n, m, per_axis, slabs)
-                for transfer, short in ((elliptic_solver._restrict, t[:-1]), (elliptic_solver._prolong, e[:-1])):
+                for product, short in ((restrict, t[:-1]), (prolong, e[:-1])):
                     with pytest.raises(ValueError):
-                        transfer(blocks, short)
+                        elliptic_solver._apply(product, short)
     assert tails == 3 * 10  # 2-D 32 and 16 of m = 67, 64 to 16 of 131; 3-D 8, 16, 8, 20, 10
+
+
+def _check_into_nans(products, matrices, rng):
+    """Each product applied into an out full of NaN is the fresh product
+    and scipy's ``matrix @ x``, byte for byte; x holds +0 and -0 too."""
+    for product, matrix in zip(products, matrices):
+        x = rng.standard_normal(matrix.shape[1])
+        x[::5], x[1::7] = 0.0, -0.0
+        out = np.full(matrix.shape[0], np.nan)
+        got = elliptic_solver._apply(product, x, out)
+        assert got is out
+        assert got.tobytes() == elliptic_solver._apply(product, x).tobytes() == (matrix @ x).tobytes()
+
+
+def test_apply_into_a_callers_vector_is_the_fresh_product(monkeypatch):
+    # A, R and R^T on every level of the band grids, in bands of one, two
+    # and three coarse slabs, and R and R^T on even axes of 4 to 64 nodes,
+    # whose one-slab tail call shares a fine slab with the call before it:
+    # every row of out is set, and a shared fine slab of R^T e is zeroed
+    # once, before the first of its two calls
+    rng = np.random.default_rng(5)
+    cases = 0
+    for n, m in BAND_GRIDS:
+        system = assemble(_stencil_problem(n, m, "nonsymmetric"))
+        offsets, table = system.offsets, system.table
+        for per_axis in _level_sizes(n, m):
+            R = _kron_restriction(per_axis, n)
+            for slabs in (1, 2, 3):
+                monkeypatch.setattr(elliptic_solver, "BLOCK_ROWS", slabs * 3**n * (per_axis // 2) ** (n - 1))
+                operator = elliptic_solver._operator(offsets, table, per_axis)
+                products = (operator, *elliptic_solver._transfers(per_axis, n))
+                _check_into_nans(products, (_scipy_dia(offsets, table, per_axis), R, R.T), rng)
+                cases += 1
+            offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
+    monkeypatch.undo()
+    for n, per_axis in [(2, s) for s in (4, 8, 10, 20, 32, 64)] + [(3, s) for s in (4, 8, 10, 20)]:
+        R = _kron_restriction(per_axis, n)
+        _check_into_nans(elliptic_solver._transfers(per_axis, n), (R, R.T), rng)
+        cases += 1
+    assert cases == 3 * 21 + 10
 
 
 @pytest.mark.parametrize("n, m", BAND_GRIDS)
@@ -584,12 +631,13 @@ def test_blocked_dia_matvec_is_the_csr_matvec(monkeypatch, n, m, kind, block_row
     # into several blocks and a shorter last one. x holds +0 and -0 too.
     monkeypatch.setattr(elliptic_solver, "BLOCK_ROWS", block_rows)
     system = assemble(_stencil_problem(n, m, kind))
-    blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
-    assert len(blocks) == -(-system.rhs.size // block_rows)
-    assert all(data is system.table for _, _, _, data in blocks)  # the table, no copies
+    operator = elliptic_solver._operator(system.offsets, system.table, m - 2)
+    calls = operator[3]
+    assert len(calls) == -(-system.rhs.size // block_rows)
+    assert all(arrays[3] is system.table for _, _, arrays in calls)  # the table, no copies
     x = np.random.default_rng(0).standard_normal(system.rhs.size)
     x[::5], x[1::7] = 0.0, -0.0
-    got = elliptic_solver._matvec(blocks, x)
+    got = elliptic_solver._apply(operator, x)
     assert got.tobytes() == (system.matrix @ x).tobytes()
 
 
@@ -599,18 +647,18 @@ def test_matvec_into_a_callers_vector_is_the_dia_product(n, m):
     # of one block (2-D m = 65) or several, writes into the caller's vector,
     # whose NaNs must all be overwritten
     system = assemble(_stencil_problem(n, m, "nonsymmetric"))
-    blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
+    operator = elliptic_solver._operator(system.offsets, system.table, m - 2)
     x = np.random.default_rng(1).standard_normal(system.rhs.size)
     x[::5], x[1::7] = 0.0, -0.0
     out = np.full(x.size, np.nan)
-    got = elliptic_solver._matvec(blocks, x, out)
+    got = elliptic_solver._apply(operator, x, out)
     want = _scipy_dia(system.offsets, system.table, m - 2) @ x
     assert got.tobytes() == want.tobytes()
     assert got is out
-    assert (len(blocks) == 1) == ((n, m) == (2, 65))
+    assert (len(operator[3]) == 1) == ((n, m) == (2, 65))
     for short in ((x[:-1], None), (x, out[:-1])):
         with pytest.raises(ValueError):
-            elliptic_solver._matvec(blocks, *short)
+            elliptic_solver._apply(operator, *short)
 
 
 def _reference_vcycle(levels, restrictions, coarse, r, k=0):
@@ -619,14 +667,14 @@ def _reference_vcycle(levels, restrictions, coarse, r, k=0):
     of each level's restriction R, a csr_matrix, and its transpose."""
     if k == len(levels):
         return np.add.reduce(coarse * r, axis=1)
-    apply, _, dinv = levels[k]
+    A, _, _, dinv = levels[k]
     R = restrictions[k]
     x = dinv * r
     for _ in range(elliptic_solver.SMOOTHING_SWEEPS - 1):
-        x += dinv * (r - apply(x))
-    x += R.T @ _reference_vcycle(levels, restrictions, coarse, R @ (r - apply(x)), k + 1)
+        x += dinv * (r - elliptic_solver._apply(A, x))
+    x += R.T @ _reference_vcycle(levels, restrictions, coarse, R @ (r - elliptic_solver._apply(A, x)), k + 1)
     for _ in range(elliptic_solver.SMOOTHING_SWEEPS):
-        x += dinv * (r - apply(x))
+        x += dinv * (r - elliptic_solver._apply(A, x))
     return x
 
 
@@ -635,8 +683,8 @@ def test_vcycle_in_work_vectors_rounds_as_the_expression(n, m):
     # 2-D m = 257 has two blocks on its finest level; the restrictions of
     # the reference are scipy's, built apart from the solver's transfers
     system = assemble(_stencil_problem(n, m, "nonsymmetric"))
-    blocks = elliptic_solver._dia_blocks(system.offsets, system.table, m - 2)
-    levels, coarse = elliptic_solver._multigrid_levels(system.offsets, system.table, m - 2, blocks)
+    operator = elliptic_solver._operator(system.offsets, system.table, m - 2)
+    levels, coarse = elliptic_solver._multigrid_levels(system.offsets, system.table, m - 2, operator)
     restrictions = [_kron_restriction(per_axis, n) for per_axis in _level_sizes(n, m)]
     assert len(restrictions) == len(levels)
     r = np.random.default_rng(2).standard_normal(system.rhs.size)
@@ -689,10 +737,10 @@ def _reference_bicgstab(apply, rhs, pre, tol):
 def test_krylov_in_work_vectors_rounds_as_the_expressions(symmetric):
     # 2-D m = 257: two blocks on the finest level
     system = assemble(_iteration_problem(2, 257, symmetric))
-    blocks = elliptic_solver._dia_blocks(system.offsets, system.table, 255)
-    levels, coarse = elliptic_solver._multigrid_levels(system.offsets, system.table, 255, blocks)
+    operator = elliptic_solver._operator(system.offsets, system.table, 255)
+    levels, coarse = elliptic_solver._multigrid_levels(system.offsets, system.table, 255, operator)
     args = (
-        partial(elliptic_solver._matvec, blocks),
+        partial(elliptic_solver._apply, operator),
         system.rhs,
         lambda r: elliptic_solver._vcycle(levels, coarse, r),
         elliptic_solver.KRYLOV_RTOL * elliptic_solver._norm(system.rhs),
@@ -708,19 +756,34 @@ def _csr_product(matrix, x, out=None):
     return matrix @ x
 
 
+def _whole(kernel, matrix, rows: int, columns: int) -> tuple:
+    """The product for _apply of one kernel call on all of a scipy
+    matrix's arrays: csr_matvec on a csr_matrix is scipy's ``matrix @ x``,
+    and csc_matvec on R's CSR arrays read as CSC is ``R.T @ e``."""
+    whole = (slice(0, columns), slice(0, rows), (matrix.indptr, matrix.indices, matrix.data))
+    return kernel, columns, rows, [whole]
+
+
 def _spgemm_levels(matrix, per_axis: int, n: int) -> tuple:
     """The Galerkin hierarchy as sparse products build it: levels
-    [(A x, R blocks, weighted inverse diagonal), ...] and the coarsest
-    operator, with R scipy's restriction, one transfer block of all its
-    rows, and R A R^T formed as (R @ A) @ R.T."""
-    levels = []
+    [(A, R, R^T, weighted inverse diagonal), ...] and the CSR operator of
+    every level, the coarsest last, with R scipy's restriction, each of A,
+    R and R^T one call on all its rows, and R A R^T formed as
+    (R @ A) @ R.T."""
+    kernels = elliptic_solver._sparsetools
+    levels, operators = [], [matrix]
     while matrix.shape[0] > elliptic_solver.COARSEST_UNKNOWNS:
         R = _kron_restriction(per_axis, n)
-        transfer = [(0, R.shape[1], 0, R.shape[0], R.indptr, R.indices, R.data)]
-        levels.append((partial(_csr_product, matrix), transfer, elliptic_solver.JACOBI_WEIGHT / matrix.diagonal()))
+        levels.append((
+            _whole(kernels.csr_matvec, matrix, *matrix.shape),
+            _whole(kernels.csr_matvec, R, *R.shape),
+            _whole(kernels.csc_matvec, R, *R.shape[::-1]),
+            elliptic_solver.JACOBI_WEIGHT / matrix.diagonal(),
+        ))
         matrix = R @ matrix @ R.T
+        operators.append(matrix)
         per_axis //= 2
-    return levels, matrix
+    return levels, operators
 
 
 @pytest.mark.parametrize("kind", STENCIL_KINDS)
@@ -728,10 +791,9 @@ def _spgemm_levels(matrix, per_axis: int, n: int) -> tuple:
 def test_closed_form_levels_match_spgemm_reference(n, m, kind):
     # m = 43 coarsens 41 -> 20 -> 10, through an even per_axis
     system = assemble(_stencil_problem(n, m, kind))
-    levels, coarsest = _spgemm_levels(system.matrix, m - 2, n)
-    references = [level[0].args[0] for level in levels[1:]] + [coarsest]
+    _, references = _spgemm_levels(system.matrix, m - 2, n)
     offsets, table, per_axis = system.offsets, system.table, m - 2
-    for ref in references:
+    for ref in references[1:]:
         offsets, table = elliptic_solver._galerkin(offsets, table, per_axis)
         per_axis //= 2
         got = _scipy_dia(offsets, table, per_axis).tocsr()
@@ -797,8 +859,8 @@ def test_dense_is_scipys_toarray_on_every_small_level(kind):
 def test_iterations_equal_spgemm_reference(n, m, symmetric):
     prob = _iteration_problem(n, m, symmetric)
     system = assemble(prob)
-    levels, coarsest = _spgemm_levels(system.matrix, m - 2, n)
-    coarse = elliptic_solver._dense_inverse(coarsest.toarray())
+    levels, operators = _spgemm_levels(system.matrix, m - 2, n)
+    coarse = elliptic_solver._dense_inverse(operators[-1].toarray())
     krylov = elliptic_solver._cg if symmetric else elliptic_solver._bicgstab
     _, iterations = krylov(
         partial(_csr_product, system.matrix),
@@ -862,12 +924,14 @@ def test_solve_peak_memory_within_table_multiple():
 
 
 def test_transfers_take_the_same_few_bands_at_any_size():
-    # every level's transfer blocks share one band of at most about
-    # BLOCK_ROWS nonzeros, plus an even axis's one-slab tail: 1.74 MB over
-    # all levels of 2-D m = 1025, where the whole CSR restrictions take
-    # 38.9 MB
-    transfers = [elliptic_solver._transfer_blocks(per_axis, 2) for per_axis in _level_sizes(2, 1025)]
-    held = {id(a): a.nbytes for blocks in transfers for block in blocks for a in block[4:]}
+    # every level's R and R^T share one band of at most about BLOCK_ROWS
+    # nonzeros, plus an even axis's one-slab tail: 1.74 MB over all levels
+    # of 2-D m = 1025, where the whole CSR restrictions take 38.9 MB
+    transfers = [elliptic_solver._transfers(per_axis, 2) for per_axis in _level_sizes(2, 1025)]
+    held = {
+        id(a): a.nbytes
+        for products in transfers for product in products for _, _, arrays in product[3] for a in arrays
+    }
     assert sum(held.values()) < 2e6, sum(held.values())
 
 
@@ -940,21 +1004,21 @@ print(rss() - before)
 
 
 def test_solve_builds_each_levels_dia_blocks_once(monkeypatch):
-    # the Krylov products and the finest multigrid level share one set of
-    # blocks: one _dia_blocks call per level, finest first
+    # the Krylov products and the finest multigrid level share one
+    # operator: one _operator call per level, finest first
     per_axis, depth = [], []
-    dia_blocks, multigrid_levels = elliptic_solver._dia_blocks, elliptic_solver._multigrid_levels
+    operator, multigrid_levels = elliptic_solver._operator, elliptic_solver._multigrid_levels
 
     def counting(offsets, table, size):
         per_axis.append(size)
-        return dia_blocks(offsets, table, size)
+        return operator(offsets, table, size)
 
     def recording(*args):
         levels, coarse = multigrid_levels(*args)
         depth.append(len(levels))
         return levels, coarse
 
-    monkeypatch.setattr(elliptic_solver, "_dia_blocks", counting)
+    monkeypatch.setattr(elliptic_solver, "_operator", counting)
     monkeypatch.setattr(elliptic_solver, "_multigrid_levels", recording)
     solve_dirichlet(random_problem(make_grid(2, 1.0, 65), np.random.default_rng(4)))
     assert per_axis == [63, 31, 15]

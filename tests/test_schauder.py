@@ -10,13 +10,10 @@ from schauderlab.errors import (
     InadmissibleExponentsError,
     InsufficientShellsError,
     NoBlowupPairError,
-    SupportViolationError,
 )
 from schauderlab.field_calculus import Field, VecField, gradient
 from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, solve_dirichlet
 from schauderlab.generators import (
-    bump_field,
-    harmonic_saddle_problem,
     radial_singular_problem,
     random_problem,
 )
@@ -25,7 +22,6 @@ from schauderlab.schauder_harness import (
     admissible_alpha,
     blowup_sequence,
     bootstrap_ckalpha,
-    derivative_equation_residual,
     growth_fit,
     measure_pointwise_exponent,
     regularize_approximate,
@@ -33,7 +29,7 @@ from schauderlab.schauder_harness import (
     rescale_problem,
     schauder_ratio,
 )
-from schauderlab.schauder_harness import restrict_problem_data
+from schauderlab.schauder_harness import _differentiated_source, restrict_problem_data
 
 
 def test_admissible_alpha_order0():
@@ -107,33 +103,30 @@ def test_radial_family_ratio_finite_for_admissible_alpha():
     assert math.isfinite(report.ratio) and report.ratio > 0
 
 
-def test_derivative_equation_exact_quadratic(grid129):
-    prob, _ = harmonic_saddle_problem(grid129)
-    sol = solve_dirichlet(prob)
-    phi = bump_field(grid129, 0.5)
-    assert derivative_equation_residual(sol, 0, phi) <= 1e-10
-
-
-def test_derivative_equation_zero_test_function(grid129):
-    prob, _ = harmonic_saddle_problem(grid129)
-    sol = solve_dirichlet(prob)
-    assert derivative_equation_residual(sol, 0, Field.zeros(grid129)) == 0.0
-
-
-def test_derivative_equation_refinement():
-    residuals = []
-    for m in (65, 129):
-        grid = make_grid(2, 1.0, m)
-        sol = solve_dirichlet(random_problem(grid, np.random.default_rng(11), beta=0.15))
-        residuals.append(derivative_equation_residual(sol, 0, bump_field(grid, 0.5)))
-    assert residuals[0] / residuals[1] >= 1.8  # at least first-order decay
-
-
-def test_derivative_equation_support_gate(grid65):
-    prob, _ = harmonic_saddle_problem(grid65)
-    sol = solve_dirichlet(prob)
-    with pytest.raises(SupportViolationError):
-        derivative_equation_residual(sol, 0, Field.full(grid65, 1.0))
+@pytest.mark.parametrize("n", [2, 3])
+def test_differentiated_source_closed_form(n):
+    # A affine along axis i and F quadratic along it, so their central
+    # differences are exact: wherever d_i F is valid, the source of the
+    # equation for d_i u, which bootstrap_ckalpha reads, is
+    # d_i A grad u + f e_i + d_i F in closed form
+    grid = make_grid(n, 1.0, 17)
+    x = np.stack(np.meshgrid(*(grid.axis,) * n, indexing="ij"))
+    rng = np.random.default_rng(n)
+    matrix = (slice(None), slice(None)) + (None,) * n
+    A0, S = 2.0 * np.eye(n) + 0.1 * rng.uniform(-1, 1, (n, n)), 0.1 * rng.uniform(-1, 1, (n, n))
+    c = rng.uniform(-1, 1, n)[(slice(None),) + (None,) * n]
+    grad_u = rng.standard_normal((n,) + grid.shape)
+    f = Field(grid, np.cos(x[0]) + x[-1] ** 2)
+    for i in range(n):
+        A = CoefficientField(grid, A0[matrix] + S[matrix] * x[i])
+        F = VecField(grid, c * x[i] ** 2 + np.sin(x[(i + 1) % n]))
+        source, valid = _differentiated_source(A, i, grad_u, f, F)
+        want = np.einsum("ab,b...->a...", S, grad_u) + 2.0 * c * x[i]
+        want[i] += f.values
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[(slice(None),) * i + (slice(1, -1),)] = True
+        assert np.array_equal(valid, inside)
+        assert np.abs(source - want)[:, valid].max() <= 1e-13, i
 
 
 # -- blow-up -------------------------------------------------------------------

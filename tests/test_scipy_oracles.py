@@ -161,8 +161,8 @@ matrix = system.matrix
 assert "scipy.sparse" in sys.modules
 import scipy.sparse
 assert isinstance(matrix, scipy.sparse.csr_matrix)
-blocks = elliptic_solver._dia_blocks(system.offsets, system.table, 63)
-assert (matrix @ x).tobytes() == elliptic_solver._matvec(blocks, x).tobytes()
+operator = elliptic_solver._operator(system.offsets, system.table, 63)
+assert (matrix @ x).tobytes() == elliptic_solver._apply(operator, x).tobytes()
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
