@@ -24,12 +24,15 @@ holds them, then per coarser cell its child count and index box. That is
 about 4 B per node up to m = 256 and 7 B above, at most 8 B in 2-D and 9 B
 in 3-D. A region keeps the layout of its mask from its first scan on and
 frees it with itself; a field whose valid nodes do not fill the region
-builds its own. Each scan merges its samples over the layout: per node the
-coordinates, samples and an int32 flat index, per coarser cell the box
-coordinates, the sample range and, where lower bounds are evaluated, the
-extreme rows; that is about 47 B per node for a scalar field in 2-D and
-3-D. The frontier descends in chunks of ``_CHUNK_PAIRS`` parent cell pairs,
-each expanding to at most 4^n child pairs.
+builds its own. The geometry stays in the layout: coordinates are read
+from ``grid.axis`` at the layout's indices when a cell pair is visited, and
+flat grid indices are formed only for node pairs at or above the running
+floor. Each scan merges only its samples over the layout: per node the
+samples, per coarser cell the sample range, the row of its first child
+and, where lower bounds are evaluated, the extreme rows; that is about
+15 B per node for a scalar field in 2-D, 11 B in 3-D and 28 B for a 2-D
+vector field. The frontier descends in chunks of ``_CHUNK_PAIRS`` parent
+cell pairs, each expanding to at most 4^n child pairs.
 Derivatives inside norms are repeated pure central differences, so regions
 must leave a k-node margin to the box. Every fitted exponent goes through
 ``log_slope``, and every shell-maximum ladder through ``shell_peaks``.
@@ -95,37 +98,43 @@ def lp_norm(u: Field, p: float, region: Region) -> float:
     return float((np.abs(vals) ** p).sum() * u.grid.h**u.grid.n) ** (1.0 / p)
 
 
-def _merge(ufunc, vals, child):
+def _merge(ufunc, vals, child, axis=0):
     """Per-cell ``ufunc`` (np.minimum or np.maximum) of ``vals`` over the
-    child rows ``child[j]`` of each cell, j = 0 .. 2^n - 1; a cell with fewer
-    children repeats its last, which neither extreme sees. Folds left like
-    ``ufunc.reduceat``, so the extremes match it bit for bit."""
-    ext = vals.take(child[0], axis=0)
+    child rows ``child[j]`` of each cell, j = 0 .. 2^n - 1, taken along
+    ``axis``; a cell with fewer children repeats its last, which neither
+    extreme sees. Folds left like ``ufunc.reduceat``, so the extremes match
+    it bit for bit."""
+    ext = vals.take(child[0], axis=axis)
     for rows in child[1:]:
-        ufunc(ext, vals.take(rows, axis=0), out=ext)
+        ufunc(ext, vals.take(rows, axis=axis), out=ext)
     return ext
 
 
 def _first_ids(vals, ids, ext, first, size):
     """Per cell and component the id of the first row realizing ``ext`` in
-    the cell's run of ``size`` rows of ``vals`` from row ``first``. Runs of
-    Morton rows nest, so with Morton-row ids this is the first node of the
-    cell realizing the extreme, as a left fold over the levels between
-    would find it."""
-    out = np.empty(ext.shape, dtype=np.intp)
+    the cell's run of ``size`` rows of ``vals`` from row ``first``, as int32;
+    ``ids`` None makes the rows their own ids. Runs of Morton rows nest, so
+    with Morton-row ids this is the first node of the cell realizing the
+    extreme, as a left fold over the levels between would find it."""
+    out = np.empty(ext.shape, dtype=np.int32)
     for k in range(ext.shape[1]):
         at = np.flatnonzero(vals[:, k] == np.repeat(ext[:, k], size))
-        out[:, k] = ids[:, k].take(at[np.searchsorted(at, first)])
+        at = at.take(np.searchsorted(at, first))
+        out[:, k] = at if ids is None else ids[:, k].take(at)
     return out
 
 
 def _layout(mask: np.ndarray) -> tuple:
     """Morton layout of the nodes of ``mask``, in integers and from the mask
-    alone. Returns (index, levels): ``index[r]`` holds the grid indices of
-    the node in Morton row r. Each aligned 2^n block of cells of one level
-    merges into a cell of the next, up to the root; ``levels`` holds per
-    coarser level (count, lo, hi): per cell the number of its children, a
-    run of the level below in order, and the index box of its nodes."""
+    alone. Returns (index, levels): ``index[k, r]`` is the grid index along
+    axis k of the node in Morton row r, one contiguous row per axis. Each
+    aligned 2^n block of cells of one level merges into a cell of the next,
+    up to the root; ``levels`` holds per coarser level (count, boxes): per
+    cell the number of its children, a run of the level below in order, and
+    the index box of its nodes as one row (lo, m - 1 - hi) of 2n indices,
+    so that the elementwise max of two rows holds the inner faces of the
+    two boxes. Rows are zero padded to a power-of-two width, so that taking
+    them stays on numpy's fast row copies (a 3-D row of 6 would not)."""
     n = mask.ndim
     # the mask's bounding box, from its projections onto each axis
     first, last = [], []
@@ -148,66 +157,67 @@ def _layout(mask: np.ndarray) -> tuple:
     used = at >= 0
     order, key = at[used], np.flatnonzero(used).astype(dtype)
     del at, used
-    index = np.empty((len(key), n), dtype=np.min_scalar_type(max(mask.shape) - 1))
+    index = np.empty((n, len(key)), dtype=np.min_scalar_type(max(mask.shape) - 1))
     for k, size in enumerate(box.shape):
-        axis_k = np.arange(first[k], first[k] + size).reshape((-1,) + (1,) * (n - 1 - k))
-        index[:, k] = np.broadcast_to(axis_k, box.shape)[box].take(order)
+        axis_k = np.arange(first[k], first[k] + size, dtype=index.dtype).reshape((-1,) + (1,) * (n - 1 - k))
+        index[k] = np.broadcast_to(axis_k, box.shape)[box].take(order)
+    width = 1 << (2 * n - 1).bit_length()
     levels, lo, hi = [], index, index
     for _ in range(bits):
         key = key >> n
         start = np.flatnonzero(np.append(True, key[1:] != key[:-1])).astype(np.int32)
         key = key[start]
-        count = np.diff(np.append(start, np.int32(len(lo)))).astype(np.uint8)
-        child = start + np.minimum(np.arange(2**n)[:, None], count - 1)
-        lo, hi = _merge(np.minimum, lo, child), _merge(np.maximum, hi, child)
-        levels.append((count, lo, hi))
+        count = np.diff(np.append(start, np.int32(lo.shape[1]))).astype(np.uint8)
+        child = start + np.minimum(np.arange(2**n, dtype=np.int32)[:, None], count - 1)
+        lo, hi = _merge(np.minimum, lo, child, axis=1), _merge(np.maximum, hi, child, axis=1)
+        boxes = np.zeros((len(start), width), dtype=index.dtype)
+        for k in range(n):
+            boxes[:, k], boxes[:, n + k] = lo[k], mask.shape[k] - 1 - hi[k]
+        levels.append((count, boxes))
     return index, levels
 
 
-def _pyramid(layout, axis: np.ndarray, u_vals) -> tuple:
-    """Max/min pyramid of ``u_vals`` over a ``_layout``. Returns (levels,
-    node): ``node[r]`` is the flat grid index of Morton row r, so rows
-    compare like np.argwhere(mask) rows once mapped. Level 0 holds single
-    nodes, with per-axis coordinate columns in place of the boxes; each
-    level above merges the children of its cells, the top level is the
-    root. A level is (lo, hi, vmax, imax, vmin, imin, start, count): per
-    cell the bounding box of its nodes, the per-component sample range
-    with, from level ``_LOWER_BOUND_LEVEL`` up (None below), the Morton row
-    of the first node realizing each extreme, and its children as the run
-    of ``count`` cells of the level below from the int32 row ``start``.
-    ``axis`` is strictly increasing, so its values at the layout's index
-    boxes are the boxes of the node coordinates bit for bit."""
+def _pyramid(layout, u_vals) -> list:
+    """Max/min pyramid of ``u_vals`` over a ``_layout``, field data only:
+    the geometry stays in the layout. Level 0 holds the samples of single
+    nodes in Morton rows, one column per component; each level above merges
+    the children of its cells, the top level is the root. A level is (vmax,
+    imax, vmin, imin, start): per cell the per-component sample range with,
+    from level ``_LOWER_BOUND_LEVEL`` up (None below and at level 0), the
+    Morton row of the first node realizing each extreme, and the int32 row
+    of its first child, the run of the layout's ``count`` cells of the level
+    below."""
     index, coarse = layout
-    n, m = index.shape[1], axis.size
-    node = index[:, 0].astype(np.int32 if m**n <= 2**31 else np.intp)
+    n, rows = index.shape
+    m = u_vals.shape[-1]
+    node = index[0].astype(np.int32 if m**n <= 2**31 else np.intp)
     for k in range(1, n):
-        node = node * m + index[:, k]
-    coords = [axis.take(index[:, k]) for k in range(n)]
-    vals = np.empty((len(node), u_vals.size // m**n))
+        node = node * m + index[k]
+    vals = np.empty((rows, u_vals.size // m**n))
     for k, comp in enumerate(u_vals.reshape(-1, m**n)):
         # the rows are in range, so "clip" only spares take() a buffer
         np.take(comp, node, out=vals[:, k], mode="clip")
-    rows = np.broadcast_to(np.arange(len(node), dtype=np.int32)[:, None], vals.shape)
-    levels = [(coords, None, vals, rows, vals, rows, None, None)]
-    first = rows[:, 0]  # the first node of each cell, as a Morton row
-    for level, (count, lo, hi) in enumerate(coarse, 1):
+    del node
+    levels = [(vals, None, vals, None, None)]
+    first = None  # the first node of each cell, as a Morton row
+    for level, (count, _) in enumerate(coarse, 1):
         below = levels[-1]
         start = np.cumsum(count, dtype=np.int32) - count
-        child = start + np.minimum(np.arange(2**n)[:, None], count - 1)
-        first = first.take(start)
-        vmax, vmin = _merge(np.maximum, below[2], child), _merge(np.minimum, below[4], child)
+        child = start + np.minimum(np.arange(2**n, dtype=np.int32)[:, None], count - 1)
+        first = start if first is None else first.take(start)
+        vmax, vmin = _merge(np.maximum, below[0], child), _merge(np.minimum, below[2], child)
         imax = imin = None
         if level >= _LOWER_BOUND_LEVEL:
             # only lower bounds read the ids: from the level below, or
             # from the nodes on the first level that has them
-            if below[3] is None:
-                below, runs = levels[0], (first, np.diff(np.append(first, len(node))))
+            if below[1] is None:
+                below, runs = levels[0], (first, np.diff(np.append(first, rows)))
             else:
                 runs = (start, count)
-            imax = _first_ids(below[2], below[3], vmax, *runs)
-            imin = _first_ids(below[4], below[5], vmin, *runs)
-        levels.append((axis.take(lo), axis.take(hi), vmax, imax, vmin, imin, start, count))
-    return levels, node
+            imax = _first_ids(below[0], below[1], vmax, *runs)
+            imin = _first_ids(below[2], below[3], vmin, *runs)
+        levels.append((vmax, imax, vmin, imin, start))
+    return levels
 
 
 def _norm(cols) -> np.ndarray:
@@ -246,10 +256,10 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
 
     The frontier is descended depth first in chunks of ``_CHUNK_PAIRS``
     parent cell pairs, so memory stays bounded. Quotients are evaluated on
-    Morton rows of the pyramid, from ``grid.axis`` coordinates, so
-    ``best_pair`` realizes the value exactly; only node pairs at or above
-    the running floor are mapped to flat grid indices, which order like
-    ``np.argwhere(mask)`` rows. ``best_pair`` is the first pair in that
+    Morton rows of the pyramid, from ``grid.axis`` at the layout's grid
+    indices, so ``best_pair`` realizes the value exactly; only node pairs at
+    or above the running floor are mapped to flat grid indices, which order
+    like ``np.argwhere(mask)`` rows. ``best_pair`` is the first pair in that
     order whose quotient equals the max. It is tracked at level 0 only:
     every pair attaining the final max reaches level 0 at or above every
     running floor. So it does not depend on how the frontier falls into
@@ -275,8 +285,9 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
         raise EmptyRegionError("Holder seminorm needs at least two valid nodes")
     if layout is None:
         layout = _layout(mask)
-    levels, node = _pyramid(layout, grid.axis, u_vals)
-    coords, vals = levels[0][0], levels[0][2]
+    index, coarse = layout
+    levels = _pyramid(layout, u_vals)
+    axis, vals = grid.axis, levels[0][0]
     # Node-spacing floor: every computed node-pair distance is at least
     # ``spacing``. A coordinate difference along an axis where the two
     # indices differ is a float subtraction of sorted axis values, monotone
@@ -287,18 +298,22 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
     # too) and still an upper bound; _BOUND_SLACK covers the rounding in
     # pow and in the norm.
     spacing = float(np.diff(grid.axis).min())
+    # the axis in reverse, where the layout's complemented indices m - 1 - hi
+    # read hi
+    flip = axis[::-1].copy()
 
     def quotient(ra, rb):
         # pairs of distinct nodes, so dist >= spacing > 0; the distance is
         # symmetric in (ra, rb) bit for bit: negation is exact
-        dist = _norm([x.take(ra) - x.take(rb) for x in coords])
+        dist = _norm(axis.take(index.take(ra, axis=1)) - axis.take(index.take(rb, axis=1)))
         return _gap_norm(vals.take(ra, axis=0) - vals.take(rb, axis=0)) / dist**alpha, dist
 
     # child slot pairs (ii, jj) of a cell pair, and which of them exist:
     # row (count_a * (fan + 1) + count_b) * 2 + (a == b) of flags[level == 1]
     # marks the slots below both child counts that keep a <= b, strictly at
     # level 1, where a slot pair (i, i) of a self pair is one node twice
-    fan = 2**grid.n
+    n = grid.n
+    fan = 2**n
     ii = np.repeat(np.arange(fan, dtype=np.int32), fan)
     jj = np.tile(np.arange(fan, dtype=np.int32), fan)
     n_a, n_b, same = np.meshgrid(np.arange(fan + 1), np.arange(fan + 1), [False, True], indexing="ij")
@@ -313,7 +328,6 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
         level, a, b = stack.pop()
         # the stack holds int32 rows; take() would convert them on every call
         a, b = a.astype(np.intp), b.astype(np.intp)
-        lo, hi, vmax, imax, vmin, imin, start, count = levels[level]
         if level == 0:
             q, dist = quotient(a, b)
             best = max(best, float(q.max()))
@@ -321,7 +335,7 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
             hit = np.flatnonzero(q >= floor)
             if len(hit):
                 # only pairs at or above the floor are mapped to grid indices
-                fa, fb = node.take(a.take(hit)), node.take(b.take(hit))
+                fa, fb = (np.ravel_multi_index(index.take(r.take(hit), axis=1), mask.shape) for r in (a, b))
                 fa, fb = np.minimum(fa, fb), np.maximum(fa, fb)
                 dist, q = dist.take(hit), q.take(hit)
                 top = q.max()
@@ -341,10 +355,17 @@ def _holder_scan_mask(grid, mask: np.ndarray, u_vals, alpha: float, layout=None)
                 order = order[np.append(True, lead[1:] > lead[:-1])]
                 front = (dist[order], fa[order], fb[order], q[order])
             continue
-        lo_a, hi_a, vmax_a, vmin_a = (x.take(a, axis=0) for x in (lo, hi, vmax, vmin))
-        lo_b, hi_b, vmax_b, vmin_b = (x.take(b, axis=0) for x in (lo, hi, vmax, vmin))
-        gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
-        dist = np.maximum(_norm(gap.T), spacing)
+        count, boxes = coarse[level - 1]
+        vmax, imax, vmin, imin, start = levels[level]
+        # per axis the box gap max(lo_b - hi_a, lo_a - hi_b, 0) in
+        # coordinates is max(x[max(lo_a, lo_b)] - x[min(hi_a, hi_b)], 0)
+        # bit for bit: boxes apart on the axis make the inner faces the
+        # nearer ones, and overlapping ones make both sides at most 0
+        inner = np.maximum(boxes.take(a, axis=0), boxes.take(b, axis=0)).T
+        gap = np.maximum(axis.take(inner[:n]) - flip.take(inner[n : 2 * n]), 0.0)
+        dist = np.maximum(_norm(gap), spacing)
+        vmax_a, vmin_a = vmax.take(a, axis=0), vmin.take(a, axis=0)
+        vmax_b, vmin_b = vmax.take(b, axis=0), vmin.take(b, axis=0)
         up_ab, up_ba = vmax_a - vmin_b, vmax_b - vmin_a
         spread = (1.0 + _BOUND_SLACK) * _gap_norm(np.maximum(up_ab, up_ba))
         ub = spread / dist**alpha

@@ -161,12 +161,15 @@ def measure_pointwise_exponent(u: Field, point, r_min: float, r_max: float) -> f
     """Holder exponent of u at a point by shell regression on grid nodes.
 
     Fits the slope of log max_{shell} |u(x) - u(point)| against log radius
-    over a geometric annulus ladder; no interpolation is involved.
+    over a geometric annulus ladder; no interpolation is involved. u(point)
+    is u at the nearest node, which must be valid.
     """
     grid = u.grid
     point = np.asarray(point, dtype=float)
     dist = grid.radius_from(point)
     idx = tuple(int(np.argmin(np.abs(grid.axis - c))) for c in point)
+    if not u.valid[idx]:
+        raise ValueError(f"u is invalid at the node nearest the point {tuple(point.tolist())}")
     radii = np.geomspace(r_min, r_max, POINTWISE_SHELLS + 1)
     peaks = shell_peaks(u.values - u.values[idx], u.valid, dist, radii)
     peaks = [(hi, peak) for hi, peak in peaks if peak > 0]
@@ -340,18 +343,20 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
     eta = cutoff(grid, cfg.r, cfg.R)
     W = eta * u
     grad_w = gradient(W)
+    # the scan reads the scanned field where that field is valid: the
+    # gradient of a field with invalid nodes is invalid one node further
     if cfg.order == 0:
-        scan_values = W.values
+        scan_values, scan_valid = W.values, W.valid
         region0 = ball_region(grid, 0.0, cfg.R)
     else:
         # one-node shrink keeps every gradient stencil inside the plateau,
         # so linear fields cancel exactly instead of seeing the ramp
-        scan_values = grad_w.components
+        scan_values, scan_valid = grad_w.components, grad_w.valid
         region0 = ball_region(grid, 0.0, cfg.r - grid.h)
 
-    # the signed range, so that a field of one magnitude and both signs
-    # (a +-1 step) is not taken for a constant
-    vals = u.values[region0.mask]
+    # the signed range over the valid nodes, so that a field of one
+    # magnitude and both signs (a +-1 step) is not taken for a constant
+    vals = u.values[region0.mask & u.valid]
     if vals.size == 0 or np.ptp(vals) <= 1e-14 * max(1.0, float(np.abs(vals).max())):
         raise NoBlowupPairError("field is constant on the blow-up region")
 
@@ -365,7 +370,7 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
     for _ in range(steps):
         # search scope shrinks around the current base; it may poke past the
         # box, so it is a bare mask intersected with the original region
-        mask = (grid.radius_from(centre) < radius) & region0.mask & u.valid
+        mask = (grid.radius_from(centre) < radius) & region0.mask & scan_valid
         if mask.sum() < 4:
             break
         level, (top_pair, wide_pair), _ = _holder_scan_mask(grid, mask, scan_values, cfg.alpha)
@@ -375,8 +380,8 @@ def blowup_sequence(u: Field, cfg: SchauderConfig, steps: int) -> BlowupRecord:
         # ties almost every pair, so it keeps the first maximizer in argwhere order
         ia_idx, ib_idx = top_pair if degenerate else wide_pair
         if not degenerate:
-            qa = _local_quotient(scan_values, u.valid, grid.axis, tuple(ia_idx), cfg.alpha)
-            qb = _local_quotient(scan_values, u.valid, grid.axis, tuple(ib_idx), cfg.alpha)
+            qa = _local_quotient(scan_values, scan_valid, grid.axis, tuple(ia_idx), cfg.alpha)
+            qb = _local_quotient(scan_values, scan_valid, grid.axis, tuple(ib_idx), cfg.alpha)
             if qb > qa:
                 ia_idx, ib_idx = ib_idx, ia_idx
         base, partner = grid.axis[ia_idx], grid.axis[ib_idx]

@@ -1,4 +1,5 @@
 import multiprocessing
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,17 @@ def grid257():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak in bytes of the Python memory the call
+    allocated). tracemalloc sees this process only."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _live_children() -> set:

@@ -6,12 +6,11 @@ Dirichlet moves applied offset by offset in stencil insertion order. Every
 comparison is bytewise.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import traced_peak
 from schauderlab.domain_grid import make_grid
 from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, assemble
 from schauderlab.field_calculus import divergence
@@ -124,12 +123,7 @@ def test_csr_assembly_matches_coo_reference(case):
 @pytest.mark.parametrize("n,m", [(2, 257), (3, 33)])
 def test_assembly_peak_memory(n, m):
     problem = random_problem(make_grid(n, 1.0, m), np.random.default_rng(3))
-    tracemalloc.start()
-    try:
-        system = assemble(problem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    system, peak = traced_peak(assemble, problem)
     matrix = system.matrix
     returned = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes + system.rhs.nbytes
     assert peak <= 4 * returned, f"peak {peak / 1e6:.1f} MB = {peak / returned:.2f} x returned"

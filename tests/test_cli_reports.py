@@ -12,13 +12,13 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from conftest import traced_peak
 from schauderlab import (
     caccioppoli,
     cli_reports,
@@ -412,12 +412,7 @@ def _peak_growth_per_member(command, tmp_path) -> float:
     peaks = {}
     for size in (4, 12):
         cfg = ExperimentConfig(command=command, out_dir=tmp_path / str(size), seed=1, params={"ensemble": size})
-        tracemalloc.start()
-        try:
-            run(cfg)
-            peaks[size] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peaks[size] = traced_peak(run, cfg)
     return (peaks[12] - peaks[4]) / 8
 
 

@@ -14,6 +14,7 @@ import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from schauderlab import elliptic_solver
 from schauderlab.domain_grid import ball_region, box_region, make_grid
 from schauderlab.errors import NotEllipticError, SolverStagnationError, SupportViolationError
@@ -405,12 +406,7 @@ def test_nonsymmetric_peak_memory_near_symmetric():
     sym = random_problem(make_grid(2, 1.0, 513), rng)
     peaks = []
     for prob in (sym, _nonsymmetric(sym, rng)):
-        tracemalloc.start()
-        try:
-            solve_dirichlet(prob)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(solve_dirichlet, prob)[1])
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -914,12 +910,7 @@ def test_solve_peak_memory_within_table_multiple():
     system = assemble(prob)
     held = system.table.nbytes + system.rhs.nbytes
     del system
-    tracemalloc.start()
-    try:
-        solve_dirichlet(prob)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(solve_dirichlet, prob)
     assert peak <= 2.45 * held, f"peak {peak / 1e6:.1f} MB = {peak / held:.2f} x table and rhs"
 
 
@@ -945,12 +936,8 @@ def test_nonsymmetric_peak_independent_of_step_count(monkeypatch):
     runs = []
     for rtol in (1e-13, 1e-8):
         monkeypatch.setattr(elliptic_solver, "KRYLOV_RTOL", rtol)
-        tracemalloc.start()
-        try:
-            steps = solve_dirichlet(prob).diagnostics["iterations"]
-            runs.append((steps, tracemalloc.get_traced_memory()[1]))
-        finally:
-            tracemalloc.stop()
+        sol, peak = traced_peak(solve_dirichlet, prob)
+        runs.append((sol.diagnostics["iterations"], peak))
     (steps, peak), (fewer, lower) = runs
     assert fewer < steps, runs
     assert abs(peak - lower) <= 255**2 * 8, runs

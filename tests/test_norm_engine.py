@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from schauderlab import norm_engine
 from schauderlab.domain_grid import ball_region, box_region, make_grid
 from schauderlab.errors import EmptyRegionError, StencilOverflowError
@@ -312,42 +313,41 @@ def test_holder_pairs_best_pair_is_first_maximizer_whatever_the_chunks(
 
 
 def _memory_case(name):
-    """(grid, ball radius, field values, alpha) of a scan-memory gate."""
-    if name == "cusp-2d":
+    """(grid, ball radius, field, alpha) of a scan-memory gate."""
+    if name in ("cusp-2d", "gradient-2d"):
         grid = make_grid(2, 1.0, 513)
         x, y = grid.coords()
-        values = np.sin(2 * x + y) * np.cos(x - 3 * y) + np.sqrt(np.hypot(x - 0.05, y + 0.03))
-        return grid, 0.8, values, 0.5
+        cusp = Field(grid, np.sin(2 * x + y) * np.cos(x - 3 * y) + np.sqrt(np.hypot(x - 0.05, y + 0.03)))
+        return grid, 0.8, cusp if name == "cusp-2d" else gradient(cusp), 0.5
     if name == "cusp-3d":
         grid = make_grid(3, 1.0, 65)
         x, y, z = grid.coords()
         cusp = np.sqrt(np.sqrt((x - 0.05) ** 2 + (y + 0.03) ** 2 + z**2))
-        return grid, 0.8, np.sin(2 * x + y) * np.cos(x - 3 * z) + cusp, 0.5
+        return grid, 0.8, Field(grid, np.sin(2 * x + y) * np.cos(x - 3 * z) + cusp), 0.5
     grid = make_grid(2, 1.0, 129)
-    return grid, 0.6, grid.coords()[0], 1.0  # affine at alpha = 1: nothing prunes
+    return grid, 0.6, Field(grid, grid.coords()[0]), 1.0  # affine at alpha = 1: nothing prunes
 
 
 @pytest.mark.parametrize(
     "name, nodes, bound",
-    [("cusp-2d", 131753, 130), ("cusp-3d", 70319, 200), ("affine-2d", 4637, 3000)],
+    [("cusp-2d", 131753, 55), ("gradient-2d", 131753, 55), ("cusp-3d", 70319, 105), ("affine-2d", 4637, 3000)],
 )
 def test_holder_scan_peak_memory_per_node(name, nodes, bound):
-    # Peak scan scratch in bytes per scanned node. The pyramid holds about
-    # 58 B per node for a scalar field (2-D and 3-D) and the frontier chunks
-    # the rest: 85, 153 and 1 651 B per node here. A scan that also holds
-    # the argwhere rows and a row-major copy of the nodes, and expands 2^19
-    # child pairs per 2-D chunk, peaks at 189, 241 and 7 710 B per node.
-    grid, radius, values, alpha = _memory_case(name)
-    u, region = Field(grid, values), ball_region(grid, 0.0, radius)
+    # Peak scan scratch in bytes per scanned node, the region's layout built
+    # in the scan. The pyramid holds field data only, about 15 B per node
+    # for a scalar field in 2-D, 28 B for a 2-D vector field and 11 B in
+    # 3-D; the layout 7 B (2-D, m = 513) and 4.4 B (3-D, m = 65). The
+    # peaks here are 38, 47, 80 and 1 105 B per node: the frontier chunks
+    # set them, except for the vector field, whose pyramid build does. A
+    # pyramid that also copies the node coordinates, a flat node index and
+    # float cell boxes peaks at 77, 82, 129 and 1 256 B per node.
+    grid, radius, u, alpha = _memory_case(name)
+    region = ball_region(grid, 0.0, radius)
     assert region.mask.sum() == nodes
+    scan = holder_seminorm if isinstance(u, Field) else holder_seminorm_vec
     small = make_grid(2, 1.0, 17)  # first-call allocations happen here
     holder_seminorm(Field(small, small.coords()[0] ** 2), 0.5, ball_region(small, 0.0, 0.8))
-    tracemalloc.start()
-    try:
-        holder_seminorm(u, alpha, region)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(scan, u, alpha, region)
     assert peak <= bound * nodes, f"peak {peak / 1e6:.1f} MB = {peak / nodes:.0f} B/node"
 
 
@@ -478,9 +478,9 @@ def test_holder_field_cut_by_valid_does_not_use_region_layout(n, m, monkeypatch)
     layouts = []
     pyramid = norm_engine._pyramid
 
-    def recording(layout, axis, u_vals):
+    def recording(layout, u_vals):
         layouts.append(layout)
-        return pyramid(layout, axis, u_vals)
+        return pyramid(layout, u_vals)
 
     monkeypatch.setattr(norm_engine, "_pyramid", recording)
     region = ball_region(grid, 0.0, 0.8)

@@ -12,6 +12,7 @@ from schauderlab.errors import (
     NoBlowupPairError,
 )
 from schauderlab.field_calculus import Field, VecField, gradient
+from schauderlab.norm_engine import holder_seminorm_vec
 from schauderlab.elliptic_solver import CoefficientField, EllipticProblem, solve_dirichlet
 from schauderlab.generators import (
     radial_singular_problem,
@@ -92,6 +93,18 @@ def test_radial_family_threshold_exponent():
     assert np.abs(sol.u.values - exact.values).max() < 5e-3
     measured = measure_pointwise_exponent(sol.u, (0.0, 0.0), 0.03, 0.4)
     assert abs(measured - 1.5) <= 0.075  # 5% of 1.5
+
+
+def test_pointwise_exponent_rejects_an_invalid_nearest_node():
+    # u(point) is read at the nearest node; an invalid one stores 0.0, and
+    # subtracting it fitted |u| (0.138) instead of |u - u(0)| (0.508)
+    grid = make_grid(2, 1.0, 129)
+    values = grid.radius_from(np.zeros(2)) ** 0.5 + 1.0
+    assert measure_pointwise_exponent(Field(grid, values), (0.0, 0.0), 0.03, 0.4) == pytest.approx(0.508, abs=1e-3)
+    valid = np.ones(grid.shape, dtype=bool)
+    valid[64, 64] = False
+    with pytest.raises(ValueError, match=r"\(0\.0, 0\.0\)"):
+        measure_pointwise_exponent(Field(grid, values, valid), (0.0, 0.0), 0.03, 0.4)
 
 
 def test_radial_family_ratio_finite_for_admissible_alpha():
@@ -241,6 +254,31 @@ def test_blowup_order1_linear_cancellation(grid129):
     assert step.degenerate
     assert np.abs(step.v.values).max() == 0.0
     assert step.fit.compliant_trivially
+
+
+def test_blowup_order1_scans_the_gradient_where_it_is_valid(grid65):
+    # the gradient of a field with an invalid node is invalid one node
+    # further; scanning it over u.valid read the 0.0 stored beside the hole
+    # and gave 4.255 at (-0.4375, 0.25)-(-0.40625, 0.25)
+    i, j = (int(np.argmin(np.abs(grid65.axis - c))) for c in (-0.375, 0.25))
+    valid = np.ones(grid65.shape, dtype=bool)
+    valid[i, j] = False
+    u = Field(grid65, grid65.radius_from(np.zeros(2)) ** 1.4, valid)
+    cfg = SchauderConfig(order=1, alpha=0.4, p=4.0, q=8.0, r=0.6, R=0.9)
+    step = blowup_sequence(u, cfg, steps=1).steps[0]
+    grad_w = gradient(cutoff(grid65, cfg.r, cfg.R) * u)
+    exact = holder_seminorm_vec(grad_w, cfg.alpha, ball_region(grid65, 0.0, cfg.r - grid65.h))
+    assert not grad_w.valid.all()
+    assert step.level == exact.value == pytest.approx(2.1217, abs=1e-4)
+
+
+def test_blowup_constant_check_reads_valid_nodes_only(grid65):
+    # u = 1 at every valid node; the 0.0 stored at an invalid one is no value
+    valid = np.ones(grid65.shape, dtype=bool)
+    valid[20, 30] = False
+    cfg = SchauderConfig(order=0, alpha=0.5, p=4.0, q=8.0, r=0.2, R=0.8)
+    with pytest.raises(NoBlowupPairError):
+        blowup_sequence(Field(grid65, np.ones(grid65.shape), valid), cfg, steps=1)
 
 
 def test_blowup_order1_smooth_gradient_pinned(grid129):
